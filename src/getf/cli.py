@@ -1,8 +1,8 @@
 """Command-line surface: generate, solve, verify, compare, gantt.
 
-Exit codes: 0 success, 1 usage error, 2 infeasible input or validation
-failure, 3 bound-report violation.  GETF_LOG (quiet|info|debug) controls
-logging verbosity.
+Exit codes: 0 success, 1 usage error, 2 infeasible input, validation
+failure or a library error (LP, analysis, oracle), 3 bound-report
+violation.  GETF_LOG (quiet|info|debug) controls logging verbosity.
 
 ``solve`` never emits a schedule that fails the independent feasibility
 check, and for the greedy schedulers it computes the separation report
@@ -26,6 +26,8 @@ from . import analysis, grouping, model, scheduler
 from .generator import (FORK_JOIN, LAYERED, RANDOM_DAG, SELF_COMM_INFINITE,
                         SELF_COMM_MATRIX, WEIGHTS_SINK_ONLY, WEIGHTS_UNIFORM,
                         WEIGHTS_ZERO, GeneratorSpec, generate_instance)
+from .lp_solver import LpError
+from .oracle import OracleLimitError
 
 log = logging.getLogger("getf")
 
@@ -340,7 +342,8 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
-    except (model.InstanceError, grouping.GroupingError, scheduler.SchedulingError) as exc:
+    except (model.InstanceError, grouping.GroupingError, scheduler.SchedulingError,
+            LpError, analysis.AnalysisError, OracleLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INFEASIBLE
 

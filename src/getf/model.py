@@ -12,7 +12,7 @@ Conventions:
   * an edge (j', j) carrying ``data`` units forces
     start(j) >= finish(j') + data / comm_speed[m(j')][m(j)];
   * a communication speed of ``math.inf`` means zero delay and is encoded
-    as ``null`` in JSON.
+    as ``null`` in JSON; every other number in an instance is finite.
 """
 
 from __future__ import annotations
@@ -123,9 +123,13 @@ def validate_instance(inst: Instance) -> ValidationReport:
     for idx, task in enumerate(g.tasks):
         if task.id != idx:
             report.violations.append(f"task ids must be dense 0..n-1, found {task.id} at position {idx}")
-        if not task.demand > 0:
+        if not math.isfinite(task.demand):
+            report.violations.append(f"non-finite demand, task {task.id}")
+        elif not task.demand > 0:
             report.violations.append(f"nonpositive demand, task {task.id}")
-        if task.weight < 0:
+        if not math.isfinite(task.weight):
+            report.violations.append(f"non-finite weight, task {task.id}")
+        elif task.weight < 0:
             report.violations.append(f"negative weight, task {task.id}")
 
     seen_pairs: set[tuple[int, int]] = set()
@@ -138,7 +142,9 @@ def validate_instance(inst: Instance) -> ValidationReport:
         if (e.src, e.dst) in seen_pairs:
             report.violations.append(f"parallel edge ({e.src},{e.dst})")
         seen_pairs.add((e.src, e.dst))
-        if e.data < 0:
+        if not math.isfinite(e.data):
+            report.violations.append(f"non-finite data on edge ({e.src},{e.dst})")
+        elif e.data < 0:
             report.violations.append(f"negative data on edge ({e.src},{e.dst})")
         elif e.data == 0:
             report.warnings.append(f"zero-data edge ({e.src},{e.dst})")
@@ -146,7 +152,9 @@ def validate_instance(inst: Instance) -> ValidationReport:
     for idx, mac in enumerate(p.machines):
         if mac.id != idx:
             report.violations.append(f"machine ids must be dense 0..m-1, found {mac.id} at position {idx}")
-        if not mac.speed > 0:
+        if not math.isfinite(mac.speed):
+            report.violations.append(f"non-finite speed, machine {mac.id}")
+        elif not mac.speed > 0:
             report.violations.append(f"nonpositive speed, machine {mac.id}")
 
     if len(p.comm_speed) != m or any(len(row) != m for row in p.comm_speed):
@@ -154,7 +162,11 @@ def validate_instance(inst: Instance) -> ValidationReport:
     else:
         for i, row in enumerate(p.comm_speed):
             for j, s in enumerate(row):
-                if not (s == math.inf or s > 0):
+                if s == math.inf:  # zero delay
+                    continue
+                if not math.isfinite(s):
+                    report.violations.append(f"non-finite comm speed, pair ({i},{j})")
+                elif not s > 0:
                     report.violations.append(f"nonpositive comm speed, pair ({i},{j})")
 
     if not report.violations and n > 0:

@@ -13,6 +13,17 @@ Three schedulers share one placement engine:
 
 Machines are append-only: a task starts no earlier than the end of the last
 interval already placed on its machine, and gaps are never back-filled.
+
+The engine caches a ready-task x machine table of earliest starts.  A
+task's row is computed by ``earliest_start`` once, when the task becomes
+ready; since its predecessors' arrivals are then fixed and machine
+availability only grows, each later placement just raises one column to
+the new availability.  A row's machine is the lexicographic minimum of
+(start, machine preference), computed over all rows at once.  That equals
+the sequential scan with the ``START_TIE_TOL`` comparison except when
+another start lies within the tolerance of the row's minimum; such rows
+are re-scanned, so every decision matches re-evaluating every ready task
+on every machine in every iteration.
 """
 
 from __future__ import annotations
@@ -20,6 +31,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .grouping import GroupAssignment, trivial_assignment
 from .model import Instance
@@ -184,53 +197,126 @@ def _machine_key(inst: Instance, machine: int, prefer_fast: bool) -> tuple:
     return (machine,)
 
 
-def _best_placement(task: int, machines: tuple[int, ...], partial: Schedule,
-                    inst: Instance, preds, edge_data, prefer_fast: bool) -> tuple[float, int]:
-    best_t, best_m = None, None
-    for i in machines:
-        t = earliest_start(task, i, partial, inst, preds, edge_data)
-        if best_t is None or t < best_t - START_TIE_TOL or (
-            abs(t - best_t) <= START_TIE_TOL
-            and _machine_key(inst, i, prefer_fast) < _machine_key(inst, best_m, prefer_fast)
-        ):
-            best_t, best_m = t, i
-    return best_t, best_m
+class _StartTable:
+    """The placement engine shared by every scheduler.
+
+    One row per ready task holds its earliest start on each machine, with
+    ``inf`` outside the task's group; columns are sorted by machine
+    preference, so a row's first minimum is its lexicographic
+    (start, preference) best.  A row is seeded through ``earliest_start``
+    when its task becomes ready.  Afterwards only machine availability can
+    change, and it only grows, so placing a task on machine ``i`` refreshes
+    column ``i`` to ``max(cached, available)``: the same float
+    ``earliest_start`` would return, without recomputing any arrival.
+
+    The sequential scan that defines the machine choice compares starts
+    within ``START_TIE_TOL``, which is not transitive.  The lexicographic
+    minimum equals the scan's answer when the row's smallest start lies
+    more than the tolerance below every other distinct start in the row;
+    the rare rows where it does not are re-scanned in group order.
+
+    The table is stored transposed, one array line per machine, so the
+    per-row reductions combine a few long contiguous lines.
+    """
+
+    def __init__(self, inst: Instance, f: GroupAssignment, prefer_fast: bool):
+        n, m = inst.graph.n, inst.platform.m
+        self.inst, self.f = inst, f
+        self.preds = inst.graph.predecessors()
+        self.edge_data = inst.graph.edge_data()
+        self.sched = Schedule()
+        self.key = [_machine_key(inst, i, prefer_fast) for i in range(m)]
+        self.machine_of_col = np.array(sorted(range(m), key=self.key.__getitem__))
+        self.col_of = {int(i): c for c, i in enumerate(self.machine_of_col)}
+        self.starts = np.full((m, n), np.inf)
+        self.tasks = np.empty(n, dtype=np.intp)  # the task of each row
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def seed(self, task: int) -> list[float]:
+        """Earliest starts of ``task`` on the machines of its group, in group order."""
+        machines = self.f.machines_for(task)
+        if not machines:
+            raise SchedulingError(
+                f"task {task} is assigned to group {self.f.group_of_task[task]}, "
+                "which has no machines"
+            )
+        return [earliest_start(task, i, self.sched, self.inst, self.preds, self.edge_data)
+                for i in machines]
+
+    def add(self, task: int) -> None:
+        """Give a newly ready task its row."""
+        starts = self.seed(task)
+        row = self.starts[:, self.size]
+        row.fill(np.inf)
+        row[[self.col_of[i] for i in self.f.machines_for(task)]] = starts
+        self.tasks[self.size] = task
+        self.size += 1
+
+    def scan(self, task: int, starts: list[float]) -> tuple[float, int]:
+        """The sequential scan over ``task``'s group; ``starts`` in group order."""
+        best_t, best_m = None, None
+        for i, t in zip(self.f.machines_for(task), starts):
+            if best_t is None or t < best_t - START_TIE_TOL or (
+                abs(t - best_t) <= START_TIE_TOL and self.key[i] < self.key[best_m]
+            ):
+                best_t, best_m = t, i
+        return best_t, best_m
+
+    def best(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's best start and the machine the sequential scan picks."""
+        table = self.starts[:, :self.size]
+        best = table.min(axis=0)
+        machines = self.machine_of_col[table.argmin(axis=0)]
+        runner_up = np.where(table == best, np.inf, table).min(axis=0)
+        clear = (runner_up - best > START_TIE_TOL) & (best < runner_up - START_TIE_TOL)
+        for r in np.flatnonzero(~clear).tolist():
+            task = int(self.tasks[r])
+            cols = [self.col_of[i] for i in self.f.machines_for(task)]
+            best[r], machines[r] = self.scan(task, table[cols, r].tolist())
+        return best, machines
+
+    def pop(self, row: int) -> int:
+        """Drop ``row``, moving the last row into its place; returns its task."""
+        task = int(self.tasks[row])
+        self.size -= 1
+        if row < self.size:
+            self.starts[:, row] = self.starts[:, self.size]
+            self.tasks[row] = self.tasks[self.size]
+        return task
+
+    def place(self, task: int, start: float, machine: int) -> None:
+        """Append ``task`` to ``machine`` and raise that machine's column."""
+        self.sched.place(task, machine, start,
+                         self.inst.graph.tasks[task].demand / self.inst.platform.speed(machine))
+        if self.size:
+            column = self.starts[self.col_of[machine], :self.size]
+            np.maximum(column, self.sched.finish[task], out=column)
 
 
 def getf_schedule(inst: Instance, f: GroupAssignment, tie: TieBreak) -> Schedule:
     """Greedy earliest-start scheduling restricted to per-task machine groups."""
-    n = inst.graph.n
-    preds = inst.graph.predecessors()
-    edge_data = inst.graph.edge_data()
+    table = _StartTable(inst, f, prefer_fast=True)
     chooser = TieChooser(tie, inst.graph)
-    sched = Schedule()
-    remaining = set(range(n))
-    n_unscheduled_preds = [len(preds[j]) for j in range(n)]
     succs = inst.graph.successors()
-    ready = sorted(j for j in remaining if n_unscheduled_preds[j] == 0)
-
-    while remaining:
-        best: dict[int, tuple[float, int]] = {}
-        min_t = None
-        for j in ready:
-            t, mach = _best_placement(
-                j, f.machines_for(j), sched, inst, preds, edge_data, prefer_fast=True
-            )
-            best[j] = (t, mach)
-            if min_t is None or t < min_t:
-                min_t = t
-        tied = [j for j in ready if abs(best[j][0] - min_t) <= START_TIE_TOL]
-        j = chooser.choose(tied)
-        t, mach = best[j]
-        sched.place(j, mach, t, inst.graph.tasks[j].demand / inst.platform.speed(mach))
-        remaining.discard(j)
-        ready.remove(j)
+    n_unscheduled_preds = [len(p) for p in table.preds]
+    for j, k in enumerate(n_unscheduled_preds):
+        if k == 0:
+            table.add(j)
+    while table:
+        best, machines = table.best()
+        tied_rows = np.flatnonzero(np.abs(best - best.min()) <= START_TIE_TOL)
+        tied = table.tasks[tied_rows].tolist()
+        r = int(tied_rows[tied.index(chooser.choose(tied))])
+        j = table.pop(r)
+        table.place(j, float(best[r]), int(machines[r]))
         for w in succs[j]:
             n_unscheduled_preds[w] -= 1
             if n_unscheduled_preds[w] == 0:
-                ready.append(w)
-        ready.sort()
-    return sched
+                table.add(w)
+    return table.sched
 
 
 def etf_schedule(inst: Instance, tie: TieBreak) -> Schedule:
@@ -249,15 +335,10 @@ def sls_schedule(inst: Instance, f: GroupAssignment, priority: list[int]) -> Sch
             raise SchedulingError(
                 f"priority is not topological: task {e.dst} precedes its predecessor {e.src}"
             )
-    preds = inst.graph.predecessors()
-    edge_data = inst.graph.edge_data()
-    sched = Schedule()
-    for j in priority:
-        t, mach = _best_placement(
-            j, f.machines_for(j), sched, inst, preds, edge_data, prefer_fast=False
-        )
-        sched.place(j, mach, t, inst.graph.tasks[j].demand / inst.platform.speed(mach))
-    return sched
+    table = _StartTable(inst, f, prefer_fast=False)
+    for j in priority:  # one task at a time, so it never needs a row
+        table.place(j, *table.scan(j, table.seed(j)))
+    return table.sched
 
 
 @dataclass
@@ -276,7 +357,8 @@ def verify_schedule(inst: Instance, s: Schedule,
 
     Checks, in time order: per-machine interval overlap, precedence with
     communication delays, exact durations, and group consistency when a
-    group assignment is supplied.
+    group assignment is supplied.  Every check is written so that a NaN
+    time fails it.
     """
     findings: list[tuple[float, str]] = []
     n = inst.graph.n
@@ -293,13 +375,12 @@ def verify_schedule(inst: Instance, s: Schedule,
     for mach, intervals in by_machine.items():
         intervals.sort()
         for (a0, b0, t0), (a1, b1, t1) in zip(intervals, intervals[1:]):
-            if a1 < b0 - tol:
+            if not a1 >= b0 - tol:
                 findings.append((a1, f"tasks {t0} and {t1} overlap on machine {mach}"))
 
-    edge_data = inst.graph.edge_data()
     for e in inst.graph.edges:
         bound = s.finish[e.src] + comm_delay(inst, e.data, s.assignment[e.src], s.assignment[e.dst])
-        if s.start[e.dst] < bound - tol:
+        if not s.start[e.dst] >= bound - tol:
             findings.append((
                 s.start[e.dst],
                 f"task {e.dst} starts at {s.start[e.dst]:.9g} before its data from "
@@ -308,7 +389,7 @@ def verify_schedule(inst: Instance, s: Schedule,
 
     for j in range(n):
         expected = inst.graph.tasks[j].demand / inst.platform.speed(s.assignment[j])
-        if abs((s.finish[j] - s.start[j]) - expected) > tol:
+        if not abs((s.finish[j] - s.start[j]) - expected) <= tol:
             findings.append((s.start[j], f"task {j} duration differs from demand/speed"))
 
     if f is not None:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from getf import grouping
 from getf.cli import EXIT_BOUND, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, compare_batch, main
+from getf.lp_solver import LpError
 
 from conftest import EXAMPLE_JSON
 
@@ -74,6 +76,21 @@ class TestSolve:
 
     def test_unknown_tie_rule_usage_error(self, example_file):
         assert run("solve", example_file, "--tie", "coin-flip") == EXIT_USAGE
+
+    def test_nan_edge_data_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        doc = json.loads(EXAMPLE_JSON)
+        doc["edges"][0]["data"] = float("nan")
+        bad.write_text(json.dumps(doc))
+        assert run("solve", bad, "--algo", "etf") == EXIT_INFEASIBLE
+        assert "non-finite data on edge (0,2)" in capsys.readouterr().err
+
+    def test_lp_error_exit_2_one_line(self, example_file, monkeypatch, capsys):
+        def failing_solve(lp):
+            raise LpError("simplex iteration limit exceeded")
+        monkeypatch.setattr(grouping, "solve_lp", failing_solve)
+        assert run("solve", example_file, "--algo", "getf-makespan") == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == "error: simplex iteration limit exceeded\n"
 
 
 class TestVerify:

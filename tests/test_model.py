@@ -107,6 +107,32 @@ class TestValidate:
         inst = make_instance([1.0, 1.0], [(0, 1, 1.0), (0, 1, 2.0)], [1.0])
         assert any("parallel edge" in v for v in validate_instance(inst).violations)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, value):
+        demand = make_instance([value], [], [1.0])
+        weight = make_instance([1.0], [], [1.0], weights=[value])
+        data = make_instance([1.0, 1.0], [(0, 1, value)], [1.0])
+        speed = make_instance([1.0], [], [value])
+        assert "non-finite demand, task 0" in validate_instance(demand).violations
+        assert "non-finite weight, task 0" in validate_instance(weight).violations
+        assert "non-finite data on edge (0,1)" in validate_instance(data).violations
+        assert "non-finite speed, machine 0" in validate_instance(speed).violations
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_comm_speed_rejected(self, value):
+        inst = make_instance([1.0], [], [1.0, 1.0], comm=[[None, value], [1.0, 1.0]])
+        assert validate_instance(inst).violations == ["non-finite comm speed, pair (0,1)"]
+
+    def test_infinite_comm_speed_means_zero_delay(self):
+        inst = make_instance([1.0], [], [1.0, 1.0], comm=[[math.inf, 2.0], [None, 1.0]])
+        assert validate_instance(inst).ok
+
+    def test_nan_data_document_rejected(self):
+        doc = json.loads(EXAMPLE_JSON)
+        doc["edges"][2]["data"] = math.nan
+        with pytest.raises(InstanceError, match=r"non-finite data on edge \(1,2\)"):
+            parse_instance(json.dumps(doc))
+
 
 class TestTopologicalOrder:
     def test_chain(self):

@@ -1,14 +1,16 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.grouping import GroupAssignment, partition_machines, trivial_assignment
 from getf.model import topological_order
 from getf.oracle import brute_force_schedule
-from getf.scheduler import (Schedule, SchedulingError, TieBreak, earliest_start,
-                            etf_schedule, getf_schedule, schedule_from_dict,
-                            sls_schedule, verify_schedule)
+from getf.scheduler import (START_TIE_TOL, Schedule, SchedulingError, TieBreak,
+                            TieChooser, earliest_start, etf_schedule, getf_schedule,
+                            schedule_from_dict, sls_schedule, verify_schedule)
 
 from conftest import make_instance
 
@@ -22,6 +24,98 @@ def random_instance(k: int, **overrides):
     )
     params.update(overrides)
     return generate_instance(GeneratorSpec(**params))
+
+
+def naive_best_placement(task, machines, partial, inst, prefer_fast):
+    """Sequential scan over the group, re-evaluating every start."""
+    def key(i):
+        return (-inst.platform.speed(i), i) if prefer_fast else (i,)
+    best_t, best_m = None, None
+    for i in machines:
+        t = earliest_start(task, i, partial, inst)
+        if best_t is None or t < best_t - START_TIE_TOL or (
+            abs(t - best_t) <= START_TIE_TOL and key(i) < key(best_m)
+        ):
+            best_t, best_m = t, i
+    return best_t, best_m
+
+
+def naive_getf(inst, f, tie):
+    """Reference GETF: every iteration re-evaluates every ready task on every
+    machine of its group through ``earliest_start``."""
+    preds = inst.graph.predecessors()
+    chooser = TieChooser(tie, inst.graph)
+    sched = Schedule()
+    while len(sched.assignment) < inst.graph.n:
+        ready = [j for j in range(inst.graph.n) if not sched.is_scheduled(j)
+                 and all(sched.is_scheduled(p) for p in preds[j])]
+        best = {j: naive_best_placement(j, f.machines_for(j), sched, inst, True)
+                for j in ready}
+        min_t = min(t for t, _ in best.values())
+        j = chooser.choose([j for j in ready if abs(best[j][0] - min_t) <= START_TIE_TOL])
+        t, mach = best[j]
+        sched.place(j, mach, t, inst.graph.tasks[j].demand / inst.platform.speed(mach))
+    return sched
+
+
+def naive_sls(inst, f, priority):
+    sched = Schedule()
+    for j in priority:
+        t, mach = naive_best_placement(j, f.machines_for(j), sched, inst, False)
+        sched.place(j, mach, t, inst.graph.tasks[j].demand / inst.platform.speed(mach))
+    return sched
+
+
+def random_band_assignment(inst, rng):
+    groups = partition_machines(inst.platform, rng.choice([1.3, 2.0, 3.0]))
+    bands = [k for k in range(1, groups.K + 1) if groups.machines_in(k)]
+    return GroupAssignment({j: rng.choice(bands) for j in range(inst.graph.n)}, groups)
+
+
+TIE_RULES = (TieBreak.by_index(), TieBreak.random_rule(5), TieBreak.largest_demand(),
+             TieBreak.most_successors())
+
+
+class TestStartTableMatchesNaive:
+    @given(st.integers(0, 10_000), st.sampled_from(FAMILIES), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_byte_identical_schedules(self, seed, family, rule):
+        rng = random.Random(seed)
+        inst = generate_instance(GeneratorSpec(
+            family=family, n=rng.randint(2, 40), m=rng.randint(1, 8), seed=seed,
+            density=rng.choice([0.05, 0.2, 0.5]),
+            self_comm=rng.choice(["matrix", "infinite"])))
+        tie = TIE_RULES[rule]
+        order = topological_order(inst.graph)
+        for f in (trivial_assignment(inst), random_band_assignment(inst, rng)):
+            assert getf_schedule(inst, f, tie).to_json(inst) == \
+                naive_getf(inst, f, tie).to_json(inst)
+            assert sls_schedule(inst, f, order).to_json(inst) == \
+                naive_sls(inst, f, order).to_json(inst)
+
+    def test_near_tie_row_is_rescanned(self):
+        # Task 2 may start at 0.1 + 0.2 on machine 0 or at 0.3 on machine 1.
+        # The two differ by one ulp, within START_TIE_TOL, so the scan keeps
+        # machine 0 (first in group order) although 0.3 is the smaller start.
+        inst = make_instance([0.1, 0.3, 1.0], [(0, 2, 0.2)], [1.0, 1.0],
+                             comm=[[1.0, None], [1.0, 1.0]])
+        f = trivial_assignment(inst)
+        s = getf_schedule(inst, f, TieBreak.by_index())
+        assert s.assignment == {0: 0, 1: 1, 2: 0}
+        assert s.start[2] == 0.1 + 0.2 != 0.3
+        assert s.to_json(inst) == naive_getf(inst, f, TieBreak.by_index()).to_json(inst)
+
+    def test_rounded_tolerance_row_is_rescanned(self):
+        # Task 2 may start at 1000 + 9 ulp on machine 0 or at 1000 on machine
+        # 1.  The gap exceeds START_TIE_TOL, but 1000 + 9 ulp - START_TIE_TOL
+        # rounds to 1000, so the scan keeps machine 0 all the same.
+        later = 1000.0 + 9 * math.ulp(1000.0)
+        inst = make_instance([later, 1000.0, 1.0], [], [1.0, 1.0], comm=1.0)
+        f = trivial_assignment(inst)
+        s = getf_schedule(inst, f, TieBreak.by_index())
+        assert s.assignment == {0: 0, 1: 1, 2: 0}
+        assert s.start[2] == later
+        assert s.to_json(inst) == naive_getf(inst, f, TieBreak.by_index()).to_json(inst)
 
 
 class TestEarliestStart:
@@ -111,6 +205,16 @@ class TestGetf:
                 assert starts[j] == pytest.approx(min(starts.values()), abs=1e-9)
                 replay.place(j, s.assignment[j], s.start[j], s.finish[j] - s.start[j])
                 done.add(j)
+
+    def test_empty_group_names_the_task(self):
+        inst = generate_instance(GeneratorSpec("layered", 30, 8, seed=0, density=0.1))
+        groups = partition_machines(inst.platform, 2.0)
+        empty = next(k for k in range(1, groups.K + 1) if not groups.machines_in(k))
+        f = GroupAssignment({j: empty for j in range(inst.graph.n)}, groups)
+        with pytest.raises(SchedulingError, match=f"task 0 is assigned to group {empty}"):
+            getf_schedule(inst, f, TieBreak.by_index())
+        with pytest.raises(SchedulingError, match=f"task 0 is assigned to group {empty}"):
+            sls_schedule(inst, f, topological_order(inst.graph))
 
     def test_per_machine_starts_nondecreasing(self):
         for k in range(12):
@@ -231,6 +335,17 @@ class TestVerify:
         s.place(0, 1, 0.0, 1.0)
         report = verify_schedule(inst, s, f)
         assert any("group" in v for v in report.violations)
+
+    def test_nan_times_detected(self):
+        inst = make_instance([1.0, 1.0], [(0, 1, 1.0)], [1.0, 1.0], comm=1.0)
+        s = Schedule()
+        s.place(0, 0, 0.0, 1.0)
+        s.place(1, 0, math.nan, 1.0)
+        report = verify_schedule(inst, s)
+        assert not report.feasible
+        assert any("overlap" in v for v in report.violations)
+        assert any("task 1 starts at nan" in v for v in report.violations)
+        assert any("task 1 duration" in v for v in report.violations)
 
     def test_missing_task_detected(self, example_instance):
         s = Schedule()
