@@ -14,7 +14,7 @@ from .grouping import (GroupAssignment, MachineGroups, MakespanFractional,
                        WeightedFractional, assign_groups_makespan,
                        assign_groups_weighted, build_makespan_lp,
                        build_weighted_lp, collapse_time_indexed,
-                       partition_machines, single_group,
+                       partition_machines,
                        solve_makespan_relaxation, solve_weighted_relaxation,
                        trivial_assignment, weighted_slice_feasibility)
 from .lp_solver import LinearProgram, LpSolution, solve_lp

@@ -19,6 +19,12 @@ chains:
     inequality, interval-estimate consistency, and the per-interval
     feasibility substitution.
 
+Each report call reads its chains from one table of the cheapest chain
+ending at each task j: cost(j) = node_cost(j) + min over latest-finishing
+predecessors j' of (link_cost(j', j) + cost(j')).  No entry depends on the
+anchor, so each is computed at most once, from one predecessor list and one
+edge-data dict, and only when an anchor's chain needs it.
+
 Reports never raise on a violated inequality; they carry pass flags so a
 violation is a loud, inspectable result.
 """
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 
 from .grouping import GroupAssignment, MachineGroups, WeightedFractional, weighted_slice_feasibility
 from .model import Instance, TaskGraph
-from .scheduler import Schedule, TieBreak, TieChooser
+from .scheduler import Schedule, TieBreak, TieChooser, comm_delay
 
 log = logging.getLogger(__name__)
 
@@ -140,87 +146,83 @@ def terminal_chain(s: Schedule, g: TaskGraph, anchor: int | None = None,
     return TerminalChain(tuple(chain))
 
 
+def _link_comm(inst: Instance, f: GroupAssignment, s: Schedule):
+    """``link_comm_time`` as a function of (src, dst), over one edge-data dict."""
+    edge_data = inst.graph.edge_data()
+
+    def link(src: int, dst: int) -> float:
+        sigma = min(inst.platform.sigma(s.assignment[src], i) for i in f.machines_for(dst))
+        return edge_data[(src, dst)] / sigma
+    return link
+
+
 def link_comm_time(inst: Instance, f: GroupAssignment, s: Schedule,
                    src: int, dst: int) -> float:
     """Worst-case transfer time of edge (src, dst): data over the slowest
     communication speed from src's machine into dst's machine group."""
-    data = inst.graph.edge_data()[(src, dst)]
-    sigma = min(inst.platform.sigma(s.assignment[src], i) for i in f.machines_for(dst))
-    return data / sigma
+    return _link_comm(inst, f, s)(src, dst)
 
 
 def chain_comm_time(chain: TerminalChain, s: Schedule, f: GroupAssignment,
                     inst: Instance) -> float:
-    return sum(link_comm_time(inst, f, s, a, b) for a, b in chain.links())
+    link = _link_comm(inst, f, s)
+    return sum(link(a, b) for a, b in chain.links())
 
 
-def _min_cost_chain(g: TaskGraph, finish: dict[int, float], anchors: list[int],
-                    link_cost, node_cost) -> tuple[TerminalChain, float]:
-    """Cheapest terminal chain over the latest-finishing-predecessor relation.
+class _ChainTable:
+    """The chain table of the module docstring, filled on the first query
+    that needs each entry.  Value ties (within 1e-15) go to the lowest id."""
 
-    cost(j) = node_cost(j) + min over latest-finishing predecessors j' of
-    (link_cost(j', j) + cost(j')); the best anchored chain is reconstructed
-    deterministically (value ties resolve to the lowest task id).
-    """
-    preds = g.predecessors()
-    cost: dict[int, float] = {}
-    back: dict[int, int | None] = {}
+    def __init__(self, s: Schedule, g: TaskGraph, link_cost, node_cost=lambda j: 0.0):
+        self._finish, self._preds = s.finish, g.predecessors()
+        self._link_cost, self._node_cost = link_cost, node_cost
+        self._cost: dict[int, float] = {}
+        self._back: dict[int, int | None] = {}
 
-    def resolve(j: int) -> float:
-        if j in cost:
-            return cost[j]
-        stack = [j]
+    def cost(self, j: int) -> float:
+        cost, stack = self._cost, [j]
         while stack:
-            v = stack[-1]
+            v = stack.pop()
             if v in cost:
-                stack.pop()
                 continue
-            if not preds[v]:
-                cost[v] = node_cost(v)
-                back[v] = None
-                stack.pop()
-                continue
-            cands = latest_finishing(preds[v], finish)
+            preds = self._preds[v]
+            cands = latest_finishing(preds, self._finish) if preds else []
             missing = [p for p in cands if p not in cost]
             if missing:
-                stack.extend(missing)
+                stack += [v, *missing]  # v again, after its missing predecessors
                 continue
-            best_p, best_val = None, math.inf
-            for p in cands:
-                val = cost[p] + link_cost(p, v)
-                if val < best_val - 1e-15 or (val <= best_val + 1e-15 and
-                                              (best_p is None or p < best_p)):
+            best_p, best_val = None, 0.0
+            for p in cands:  # ascending ids, so a value tie keeps the lowest
+                val = cost[p] + self._link_cost(p, v)
+                if best_p is None or val < best_val - 1e-15:
                     best_p, best_val = p, val
-            cost[v] = node_cost(v) + best_val
-            back[v] = best_p
-            stack.pop()
+            cost[v] = self._node_cost(v) + best_val
+            self._back[v] = best_p
         return cost[j]
 
-    best_anchor, best_val = None, math.inf
-    for a in sorted(anchors):
-        val = resolve(a)
-        if val < best_val - 1e-15:
-            best_anchor, best_val = a, val
-    chain = []
-    cur: int | None = best_anchor
-    while cur is not None:
-        chain.append(cur)
-        cur = back[cur]
-    chain.reverse()
-    return TerminalChain(tuple(chain)), best_val
+    def chain(self, j: int) -> TerminalChain:
+        self.cost(j)
+        tasks = [j]
+        while self._back[tasks[-1]] is not None:
+            tasks.append(self._back[tasks[-1]])
+        return TerminalChain(tuple(reversed(tasks)))
+
+    def cheapest(self, anchors: list[int]) -> tuple[TerminalChain, float]:
+        """The cheapest chain over ``anchors``; value ties go to the lowest id."""
+        best, best_val = None, 0.0
+        for a in sorted(anchors):
+            val = self.cost(a)
+            if best is None or val < best_val - 1e-15:
+                best, best_val = a, val
+        return self.chain(best), best_val
 
 
 def min_comm_terminal_chain(s: Schedule, inst: Instance, f: GroupAssignment,
                             anchor: int | None = None) -> tuple[TerminalChain, float]:
     """The terminal chain minimizing total communication time, and that time."""
-    anchors = [anchor] if anchor is not None else latest_finishing(
-        sorted(s.assignment), s.finish
-    )
-    return _min_cost_chain(
-        inst.graph, s.finish, anchors,
-        link_cost=lambda a, b: link_comm_time(inst, f, s, a, b),
-        node_cost=lambda j: 0.0,
-    )
+    anchors = ([anchor] if anchor is not None
+               else latest_finishing(sorted(s.assignment), s.finish))
+    return _ChainTable(s, inst.graph, _link_comm(inst, f, s)).cheapest(anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -265,29 +267,34 @@ def idle_bound_replay(chain: TerminalChain, s: Schedule, inst: Instance,
         window_lo, window_hi = s.finish[a], s.start[b]
         for i in f.machines_for(b):
             idle = machine_idle_in_window(s, i, window_lo, window_hi)
-            bound = edge_data[(a, b)] / inst.platform.sigma(s.assignment[a], i)
+            bound = comm_delay(inst, edge_data[(a, b)], s.assignment[a], i)
             report.add(f"idle[{a}->{b}]@m{i}", idle, bound)
+
+
+def _chain_terms(s: Schedule, inst: Instance, f: GroupAssignment,
+                 groups: MachineGroups) -> tuple[TerminalChain, dict, dict[int, float]]:
+    """The min-comm chain, the context terms P, C, sum_D, gamma and K that
+    both makespan reports start with, and the band loads D_k."""
+    chain, comm = min_comm_terminal_chain(s, inst, f)
+    loads = group_loads(inst, f, groups)
+    terms = {"P": chain_processing_time(chain, s, inst), "C": comm,
+             "sum_D": sum(loads.values()), "gamma": groups.gamma, "K": float(groups.K)}
+    return chain, terms, loads
 
 
 def separation_report(s: Schedule, inst: Instance, f: GroupAssignment,
                       groups: MachineGroups) -> BoundReport:
     """makespan <= P + sum_k D_k + C over the cheapest terminal chain,
     plus the per-link idle replay."""
-    chain, comm = min_comm_terminal_chain(s, inst, f)
-    proc = chain_processing_time(chain, s, inst)
-    loads = group_loads(inst, f, groups)
-    total_load = sum(loads.values())
+    chain, terms, loads = _chain_terms(s, inst, f, groups)
     report = BoundReport(
         kind="separation",
         objective=s.makespan(),
-        context={
-            "P": proc, "C": comm, "sum_D": total_load,
-            "gamma": groups.gamma, "K": float(groups.K),
-            **{f"D_{k}": v for k, v in sorted(loads.items())},
-        },
+        context={**terms, **{f"D_{k}": v for k, v in sorted(loads.items())},
+                 "chain": list(chain.tasks)},
     )
-    report.context["chain"] = list(chain.tasks)
-    report.add("makespan<=P+sumD+C", s.makespan(), proc + total_load + comm)
+    report.add("makespan<=P+sumD+C", s.makespan(),
+               terms["P"] + terms["sum_D"] + terms["C"])
     idle_bound_replay(chain, s, inst, f, report)
     return report
 
@@ -295,21 +302,17 @@ def separation_report(s: Schedule, inst: Instance, f: GroupAssignment,
 def makespan_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
                             groups: MachineGroups, tstar: float) -> BoundReport:
     """Chain and load bounds against the fractional makespan optimum T*."""
-    chain, comm = min_comm_terminal_chain(s, inst, f)
-    proc = chain_processing_time(chain, s, inst)
-    loads = group_loads(inst, f, groups)
-    total_load = sum(loads.values())
+    chain, terms, _ = _chain_terms(s, inst, f, groups)
     g, K = groups.gamma, groups.K
     report = BoundReport(
         kind="makespan_theorem",
         objective=s.makespan(),
-        context={"P": proc, "C": comm, "sum_D": total_load,
-                 "gamma": g, "K": float(K), "T*": tstar},
+        context={**terms, "T*": tstar, "chain": list(chain.tasks)},
     )
-    report.context["chain"] = list(chain.tasks)
-    report.add("P<=2*gamma*T*", proc, 2.0 * g * tstar)
-    report.add("sumD<=2*K*T*", total_load, 2.0 * K * tstar)
-    report.add("makespan<=2*(gamma+K)*T*+C", s.makespan(), 2.0 * (g + K) * tstar + comm)
+    report.add("P<=2*gamma*T*", terms["P"], 2.0 * g * tstar)
+    report.add("sumD<=2*K*T*", terms["sum_D"], 2.0 * K * tstar)
+    report.add("makespan<=2*(gamma+K)*T*+C", s.makespan(),
+               2.0 * (g + K) * tstar + terms["C"])
     return report
 
 
@@ -335,16 +338,13 @@ def identical_report(s: Schedule, inst: Instance,
 
     def link_cost(a: int, b: int) -> float:
         src = s.assignment[a]
-        return sum(
-            edge_data[(a, b)] / inst.platform.sigma(src, i) for i in range(m)
-        ) / m
+        return sum(comm_delay(inst, edge_data[(a, b)], src, i) for i in range(m)) / m
 
     def node_cost(j: int) -> float:
         return (m - 1) / m * inst.graph.tasks[j].demand / speed
 
-    anchors = latest_finishing(sorted(s.assignment), s.finish)
-    chain, weighted_val = _min_cost_chain(inst.graph, s.finish, anchors,
-                                          link_cost, node_cost)
+    table = _ChainTable(s, inst.graph, link_cost, node_cost)
+    chain, _ = table.cheapest(latest_finishing(sorted(s.assignment), s.finish))
     c_prime = sum(link_cost(a, b) for a, b in chain.links())
     chain_proc = chain_processing_time(chain, s, inst)
     avg_load = sum(t.demand for t in inst.graph.tasks) / (m * speed)
@@ -353,9 +353,8 @@ def identical_report(s: Schedule, inst: Instance,
         kind="identical",
         objective=s.makespan(),
         context={"C'": c_prime, "chain_P": chain_proc, "avg_load": avg_load,
-                 "m": float(m)},
+                 "m": float(m), "chain": list(chain.tasks)},
     )
-    report.context["chain"] = list(chain.tasks)
     report.add(
         "makespan<=avg_load+((m-1)/m)*chainP+C'",
         s.makespan(),
@@ -385,11 +384,11 @@ def per_task_chain_comm(s: Schedule, inst: Instance,
     schedule.  Logs (debug) whenever j is not the latest finisher of its
     prefix.
     """
+    table = _ChainTable(s, inst.graph, _link_comm(inst, f, s))
     out: dict[int, float] = {}
     running_max = -math.inf
     for j in s.iteration_order:
-        _, comm = min_comm_terminal_chain(s, inst, f, anchor=j)
-        out[j] = comm
+        out[j] = table.cost(j)
         if s.finish[j] < running_max - FINISH_TIE_TOL:
             log.debug("task %d is not the latest finisher of its prefix "
                       "(finish %.9g < %.9g)", j, s.finish[j], running_max)
@@ -421,14 +420,12 @@ def weighted_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
                  "lp_objective": wsol.objective(weights)},
     )
 
+    table = _ChainTable(s, inst.graph, _link_comm(inst, f, s))
     prefix_load: dict[int, float] = {k: 0.0 for k in range(1, K + 1)}
-    chain_comm: dict[int, float] = {}
     for j in s.iteration_order:
         k = f.group_of_task[j]
         prefix_load[k] += inst.graph.tasks[j].demand
-        chain_j, comm_j = min_comm_terminal_chain(s, inst, f, anchor=j)
-        chain_comm[j] = comm_j
-        proc_j = chain_processing_time(chain_j, s, inst)
+        proc_j = chain_processing_time(table.chain(j), s, inst)
         loads_j = sum(
             prefix_load[k] / groups.group_speed[k]
             for k in prefix_load if prefix_load[k] > 0
@@ -440,7 +437,7 @@ def weighted_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
 
     lhs = s.weighted_completion(inst)
     rhs = factor * wsol.objective(weights) + sum(
-        weights[j] * chain_comm[j] for j in chain_comm
+        weights[j] * table.cost(j) for j in s.iteration_order
     )
     report.add("sum wC<=32*(gamma+K)*sum wC*+sum wC(S,j)", lhs, rhs)
 

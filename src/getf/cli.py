@@ -65,7 +65,11 @@ def _parse_tie(text: str) -> scheduler.TieBreak:
     if text == "most-succ":
         return scheduler.TieBreak.most_successors()
     if text.startswith("random:"):
-        return scheduler.TieBreak.random_rule(int(text.split(":", 1)[1]))
+        try:
+            return scheduler.TieBreak.random_rule(int(text.split(":", 1)[1]))
+        except ValueError:
+            raise CliError(f"random tie rule needs an integer seed, got {text!r}",
+                           EXIT_USAGE) from None
     raise CliError(f"unknown tie rule {text!r}", EXIT_USAGE)
 
 
@@ -160,13 +164,16 @@ def cmd_verify(args) -> int:
     try:
         doc = json.loads(Path(args.schedule).read_text(encoding="utf-8"))
         sched = scheduler.schedule_from_dict(doc)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot read schedule: {exc}", EXIT_USAGE) from exc
 
     feas = scheduler.verify_schedule(inst, sched)
     out: dict = {"feasible": feas.feasible, "violations": feas.violations}
 
-    if args.algo is not None:
+    # The bound report needs every task placed, on a machine that exists.
+    placed = sorted(sched.assignment) == list(range(inst.graph.n)) and all(
+        0 <= i < inst.platform.m for i in sched.assignment.values())
+    if args.algo is not None and placed:
         tie = _parse_tie(args.tie)
         _, f, groups = _pipeline(inst, args.algo, tie, args.theta, args.gamma)
         group_ok = scheduler.verify_schedule(inst, sched, f)
@@ -254,7 +261,7 @@ def cmd_gantt(args) -> int:
     try:
         doc = json.loads(Path(args.schedule).read_text(encoding="utf-8"))
         sched = scheduler.schedule_from_dict(doc)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot read schedule: {exc}", EXIT_USAGE) from exc
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -77,8 +77,9 @@ class GroupAssignment:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def single_group(platform: Platform) -> GroupAssignment:
-    """The trivial assignment: one band holding every machine."""
+def trivial_assignment(inst: Instance) -> GroupAssignment:
+    """Every task in one band holding every machine."""
+    platform = inst.platform
     ids = tuple(mc.id for mc in platform.machines)
     total = sum(mc.speed for mc in platform.machines)
     fastest = max(mc.speed for mc in platform.machines)
@@ -94,12 +95,7 @@ def single_group(platform: Platform) -> GroupAssignment:
         group_speed={1: total},
         members={1: ids},
     )
-    return GroupAssignment({}, groups)
-
-
-def trivial_assignment(inst: Instance) -> GroupAssignment:
-    base = single_group(inst.platform)
-    return GroupAssignment({t.id: 1 for t in inst.graph.tasks}, base.groups)
+    return GroupAssignment({t.id: 1 for t in inst.graph.tasks}, groups)
 
 
 def default_gamma(m: int) -> float:

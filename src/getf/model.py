@@ -275,30 +275,35 @@ def instance_from_dict(doc: dict) -> Instance:
     _require(isinstance(doc, dict), "instance document must be a JSON object")
     for key in ("tasks", "edges", "machines", "comm_speed"):
         _require(key in doc, f"missing field '{key}'")
+    for key in ("tasks", "edges", "machines"):
+        _require(isinstance(doc[key], list), f"'{key}' must be a list")
+    for key in ("tasks", "machines"):
+        _require(len(doc[key]) > 0, f"'{key}' must not be empty")
+    _require(all(isinstance(e, dict) and "id" in e and "demand" in e for e in doc["tasks"]),
+             "task entries need 'id' and 'demand'")
+    _require(all(isinstance(e, dict) and "src" in e and "dst" in e for e in doc["edges"]),
+             "edge entries need 'src' and 'dst'")
+    _require(all(isinstance(e, dict) and "id" in e and "speed" in e for e in doc["machines"]),
+             "machine entries need 'id' and 'speed'")
+    _require(isinstance(doc["comm_speed"], list)
+             and all(isinstance(row, list) for row in doc["comm_speed"]),
+             "'comm_speed' must be a matrix")
 
-    tasks = []
-    for entry in doc["tasks"]:
-        _require(isinstance(entry, dict) and "id" in entry and "demand" in entry,
-                 "task entries need 'id' and 'demand'")
-        tasks.append(Task(int(entry["id"]), float(entry["demand"]),
-                          float(entry.get("weight", 0.0))))
-    edges = []
-    for entry in doc["edges"]:
-        _require(isinstance(entry, dict) and "src" in entry and "dst" in entry,
-                 "edge entries need 'src' and 'dst'")
-        edges.append(Edge(int(entry["src"]), int(entry["dst"]),
-                          float(entry.get("data", 0.0))))
-    machines = []
-    for entry in doc["machines"]:
-        _require(isinstance(entry, dict) and "id" in entry and "speed" in entry,
-                 "machine entries need 'id' and 'speed'")
-        machines.append(Machine(int(entry["id"]), float(entry["speed"])))
-
-    comm_rows = []
-    _require(isinstance(doc["comm_speed"], list), "'comm_speed' must be a matrix")
-    for row in doc["comm_speed"]:
-        _require(isinstance(row, list), "'comm_speed' must be a matrix")
-        comm_rows.append(tuple(math.inf if s is None else float(s) for s in row))
+    try:
+        tasks = [Task(int(e["id"]), float(e["demand"]), float(e.get("weight", 0.0)))
+                 for e in doc["tasks"]]
+        edges = [Edge(int(e["src"]), int(e["dst"]), float(e.get("data", 0.0)))
+                 for e in doc["edges"]]
+        machines = [Machine(int(e["id"]), float(e["speed"])) for e in doc["machines"]]
+        comm_rows = [tuple(math.inf if s is None else float(s) for s in row)
+                     for row in doc["comm_speed"]]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InstanceError(f"instance values must be numbers: {exc}") from None
+    # int() truncates, so an id survives it unchanged only if it is integral.
+    _require([e["id"] for e in doc["tasks"]] == [t.id for t in tasks]
+             and [e["id"] for e in doc["machines"]] == [mc.id for mc in machines]
+             and [(e["src"], e["dst"]) for e in doc["edges"]] == [(e.src, e.dst) for e in edges],
+             "task, machine and edge ids must be integers")
 
     inst = Instance(
         graph=TaskGraph(tuple(tasks), tuple(edges)),

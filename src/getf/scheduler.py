@@ -158,7 +158,9 @@ def schedule_from_dict(doc: dict) -> Schedule:
     entries = sorted(doc["assignments"], key=lambda e: float(e["start"]))
     order = doc.get("iteration_order") or [e["task"] for e in entries]
     by_task = {int(e["task"]): e for e in doc["assignments"]}
-    for j in order:
+    # Entries the order leaves out are placed last, so the verifier sees them.
+    listed = {int(j) for j in order}
+    for j in [*order, *(j for j in by_task if j not in listed)]:
         e = by_task[int(j)]
         s.place(int(e["task"]), int(e["machine"]), float(e["start"]),
                 float(e["end"]) - float(e["start"]))
@@ -355,7 +357,9 @@ def verify_schedule(inst: Instance, s: Schedule,
                     tol: float = 1e-9) -> FeasibilityReport:
     """Independent feasibility check of a finished schedule.
 
-    Checks, in time order: per-machine interval overlap, precedence with
+    A schedule that misses a task, or names a task or machine the instance
+    does not have, is reported as such and checked no further.  Otherwise
+    checks, in time order: per-machine interval overlap, precedence with
     communication delays, exact durations, and group consistency when a
     group assignment is supplied.  Every check is written so that a NaN
     time fails it.
@@ -366,6 +370,11 @@ def verify_schedule(inst: Instance, s: Schedule,
     for j in range(n):
         if j not in s.assignment:
             findings.append((0.0, f"task {j} is not scheduled"))
+    for j, i in sorted(s.assignment.items()):
+        if not 0 <= j < n:
+            findings.append((0.0, f"unknown task {j} is scheduled"))
+        elif not 0 <= i < inst.platform.m:
+            findings.append((0.0, f"task {j} is placed on unknown machine {i}"))
     if findings:
         return FeasibilityReport([m for _, m in sorted(findings, key=lambda kv: kv[0])])
 

@@ -1,22 +1,26 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from getf import analysis
 from getf.analysis import (chain_comm_time, chain_processing_time, identical_report,
                            latest_finishing, machine_idle_in_window,
                            makespan_theorem_report, min_comm_terminal_chain,
                            per_task_chain_comm, separation_report, terminal_chain,
-                           weighted_theorem_report)
+                           weighted_theorem_report, TerminalChain)
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.grouping import (GroupAssignment, partition_machines,
                            assign_groups_makespan, assign_groups_weighted,
                            solve_makespan_relaxation, solve_weighted_relaxation,
                            trivial_assignment)
-from getf.model import normalize_demands
+from getf.model import normalize_demands, topological_order
 from getf.oracle import brute_force_schedule
-from getf.scheduler import Schedule, TieBreak, etf_schedule, getf_schedule
+from getf.scheduler import Schedule, TieBreak, etf_schedule, getf_schedule, sls_schedule
 
 from conftest import make_instance
+from test_scheduler import random_band_assignment
 
 
 def getf_on_example(example_instance):
@@ -357,3 +361,133 @@ def test_report_json_shape(example_instance):
     doc = separation_report(s, example_instance, f, f.groups).to_dict()
     assert doc["kind"] == "separation"
     assert {"name", "lhs", "rhs", "slack", "pass"} <= set(doc["inequalities"][0])
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-anchor DP that the chain table replaced, run afresh for
+# every anchor, with its own predecessor lists and edge data.
+# ---------------------------------------------------------------------------
+
+def reference_min_cost_chain(g, finish, anchors, link_cost, node_cost):
+    preds = g.predecessors()
+    cost, back = {}, {}
+
+    def resolve(j):
+        stack = [j]
+        while stack:
+            v = stack[-1]
+            if v in cost:
+                stack.pop()
+                continue
+            if not preds[v]:
+                cost[v], back[v] = node_cost(v), None
+                stack.pop()
+                continue
+            cands = latest_finishing(preds[v], finish)
+            missing = [p for p in cands if p not in cost]
+            if missing:
+                stack.extend(missing)
+                continue
+            best_p, best_val = None, float("inf")
+            for p in cands:
+                val = cost[p] + link_cost(p, v)
+                if val < best_val - 1e-15 or (val <= best_val + 1e-15 and
+                                              (best_p is None or p < best_p)):
+                    best_p, best_val = p, val
+            cost[v], back[v] = node_cost(v) + best_val, best_p
+            stack.pop()
+        return cost[j]
+
+    best_anchor, best_val = None, float("inf")
+    for a in sorted(anchors):
+        val = resolve(a)
+        if val < best_val - 1e-15:
+            best_anchor, best_val = a, val
+    chain, cur = [], best_anchor
+    while cur is not None:
+        chain.append(cur)
+        cur = back[cur]
+    return TerminalChain(tuple(reversed(chain))), best_val
+
+
+def reference_min_comm(s, inst, f, anchor=None):
+    def link(src, dst):
+        sigma = min(inst.platform.sigma(s.assignment[src], i) for i in f.machines_for(dst))
+        return inst.graph.edge_data()[(src, dst)] / sigma
+    anchors = [anchor] if anchor is not None else latest_finishing(sorted(s.assignment), s.finish)
+    return reference_min_cost_chain(inst.graph, s.finish, anchors, link, lambda j: 0.0)
+
+
+class PerAnchorTable:
+    """The chain table's queries, each answered by a fresh reference DP."""
+
+    def __init__(self, s, g, link_cost, node_cost=lambda j: 0.0):
+        self.query = lambda anchors: reference_min_cost_chain(g, s.finish, anchors,
+                                                              link_cost, node_cost)
+
+    def cheapest(self, anchors):
+        return self.query(anchors)
+
+    def cost(self, j):
+        return self.query([j])[1]
+
+    def chain(self, j):
+        return self.query([j])[0]
+
+
+def reports_per_anchor_and_table(make_reports):
+    """JSON of the reports from the chain table and from the per-anchor DP."""
+    table = make_reports()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_ChainTable", PerAnchorTable)
+        return table, make_reports()
+
+
+class TestChainTableMatchesPerAnchorDP:
+    @given(st.integers(0, 10_000), st.sampled_from(FAMILIES))
+    @settings(max_examples=40, deadline=None)
+    def test_same_floats_and_bytes(self, seed, family):
+        rng = random.Random(seed)
+        flat = rng.random() < 0.4  # all values equal: many exact finish and cost ties
+        identical = flat or rng.random() < 0.3
+        inst = generate_instance(GeneratorSpec(
+            family=family, n=rng.randint(2, 40), m=rng.randint(1, 6), seed=seed,
+            density=rng.choice([0.05, 0.2, 0.5]),
+            self_comm=rng.choice(["matrix", "infinite"]),
+            data_range=(1.0, 1.0) if flat else rng.choice([(0.0, 4.0), (0.0, 0.0)]),
+            demand_range=(1.0, 1.0) if flat else (1.0, 4.0),
+            comm_range=(2.0, 2.0) if flat else (1.0, 4.0),
+            speed_range=(1.0, 1.0) if identical else (1.0, 2.0)))
+        order = topological_order(inst.graph)
+        for f in (trivial_assignment(inst), random_band_assignment(inst, rng)):
+            for s in (getf_schedule(inst, f, TieBreak.by_index()), sls_schedule(inst, f, order)):
+                expected = {j: reference_min_comm(s, inst, f, j)[1] for j in s.iteration_order}
+                got = per_task_chain_comm(s, inst, f)
+                assert got == expected and json.dumps(got) == json.dumps(expected)
+                for anchor in [None, *range(inst.graph.n)]:
+                    assert min_comm_terminal_chain(s, inst, f, anchor) == \
+                        reference_min_comm(s, inst, f, anchor)
+
+                def reports():
+                    out = [separation_report(s, inst, f, f.groups).to_json(),
+                           makespan_theorem_report(s, inst, f, f.groups, 1.5).to_json()]
+                    if identical:
+                        out.append(identical_report(s, inst, opt_ignore_comm=2.0).to_json())
+                    return out
+                table, per_anchor = reports_per_anchor_and_table(reports)
+                assert table == per_anchor
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weighted_report_same_bytes(self, seed):
+        rng = random.Random(seed)
+        inst, _ = normalize_demands(generate_instance(GeneratorSpec(
+            family=FAMILIES[seed % 3], n=rng.randint(3, 6), m=rng.randint(2, 3),
+            seed=1300 + seed, density=0.5, speed_range=(0.5, 1.0), weights="uniform")))
+        groups = partition_machines(inst.platform)
+        wsol = solve_weighted_relaxation(inst, groups)
+        f = assign_groups_weighted(wsol, groups)
+        for s in (getf_schedule(inst, f, TieBreak.by_index()),
+                  sls_schedule(inst, f, topological_order(inst.graph))):
+            table, per_anchor = reports_per_anchor_and_table(
+                lambda: weighted_theorem_report(s, inst, f, groups, wsol).to_json())
+            assert table == per_anchor

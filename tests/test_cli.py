@@ -20,6 +20,21 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+# Instance documents that must be refused with exit 2 and one error line.
+MALFORMED_DOCS = {
+    "empty-tasks": lambda d: d.update(tasks=[], edges=[]),
+    "empty-machines": lambda d: d.update(machines=[], comm_speed=[]),
+    "tasks-not-a-list": lambda d: d.update(tasks=5),
+    "non-numeric-id": lambda d: d["tasks"][0].update(id="x"),
+    "fractional-id": lambda d: d["tasks"][0].update(id=0.7),
+    "fractional-edge-src": lambda d: d["edges"][0].update(src=0.5),
+    "non-numeric-demand": lambda d: d["tasks"][0].update(demand="abc"),
+    "null-weight": lambda d: d["tasks"][0].update(weight=None),
+    "overflowing-speed": lambda d: d["machines"][0].update(speed=10 ** 400),
+    "non-numeric-comm-speed": lambda d: d["comm_speed"][0].__setitem__(0, "a"),
+}
+
+
 class TestGenerate:
     def test_writes_valid_instance(self, tmp_path):
         out = tmp_path / "inst.json"
@@ -76,6 +91,17 @@ class TestSolve:
 
     def test_unknown_tie_rule_usage_error(self, example_file):
         assert run("solve", example_file, "--tie", "coin-flip") == EXIT_USAGE
+        assert run("solve", example_file, "--tie", "random:x") == EXIT_USAGE
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DOCS))
+    def test_malformed_document_exit_2_one_line(self, tmp_path, capsys, case):
+        doc = json.loads(EXAMPLE_JSON)
+        MALFORMED_DOCS[case](doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("solve", bad, "--algo", "etf") == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_nan_edge_data_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"
@@ -94,6 +120,15 @@ class TestSolve:
 
 
 class TestVerify:
+    @staticmethod
+    def tampered(example_file, tmp_path, edit):
+        sched = tmp_path / "sched.json"
+        assert run("solve", example_file, "--algo", "etf", "-o", sched) == EXIT_OK
+        doc = json.loads(sched.read_text())
+        edit(doc)
+        sched.write_text(json.dumps(doc))
+        return sched
+
     def test_round_trip_verifies(self, example_file, tmp_path):
         sched = tmp_path / "sched.json"
         assert run("solve", example_file, "-o", sched) == EXIT_OK
@@ -119,6 +154,34 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["group_consistent"] is True
         assert doc["separation"]["inequalities"][0]["pass"] is True
+
+    def test_unknown_machine_is_a_violation(self, example_file, tmp_path):
+        sched = self.tampered(example_file, tmp_path,
+                              lambda d: d["assignments"][0].update(machine=5))
+        out = tmp_path / "verify.json"
+        assert run("verify", example_file, sched, "-o", out) == EXIT_INFEASIBLE
+        assert json.loads(out.read_text())["violations"] == \
+            ["task 0 is placed on unknown machine 5"]
+
+    def test_unknown_task_is_a_violation(self, example_file, tmp_path):
+        extra = {"task": 7, "machine": 0, "start": 10.0, "end": 11.0}
+        sched = self.tampered(example_file, tmp_path,
+                              lambda d: d["assignments"].append(extra))
+        out = tmp_path / "verify.json"
+        assert run("verify", example_file, sched, "-o", out) == EXIT_INFEASIBLE
+        assert json.loads(out.read_text())["violations"] == ["unknown task 7 is scheduled"]
+
+    def test_incomplete_schedule_gets_no_bound_report(self, example_file, tmp_path):
+        def drop_task_0(doc):
+            doc["assignments"] = [e for e in doc["assignments"] if e["task"] != 0]
+            doc["iteration_order"].remove(0)
+        sched = self.tampered(example_file, tmp_path, drop_task_0)
+        out = tmp_path / "verify.json"
+        assert run("verify", example_file, sched, "--algo", "etf",
+                   "-o", out) == EXIT_INFEASIBLE
+        doc = json.loads(out.read_text())
+        assert doc["violations"] == ["task 0 is not scheduled"]
+        assert "separation" not in doc
 
 
 class TestCompare:
