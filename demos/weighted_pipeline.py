@@ -26,7 +26,7 @@ def main():
     print(f"\ndeadline intervals: Q = {wsol.Q}, edges at {list(wsol.tau)}")
     print(f"fractional objective sum w*C* = {wsol.objective(weights):.4g}")
     print("per-task interval estimates q(j) and captured mass alpha:")
-    for j in sorted(wsol.q_of):
+    for j in range(inst.graph.n):
         print(f"  task {j}: C* = {wsol.C[j]:8.4g}  q = {wsol.q_of[j]}  "
               f"alpha = {wsol.alpha[j]:.3f}")
 

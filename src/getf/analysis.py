@@ -407,8 +407,9 @@ def weighted_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
     sum_j w_j C_j <= 32*(gamma+K) * sum_j w_j C*_j + sum_j w_j C(S,j); and
     the per-interval feasibility substitution of the collapsed fractions.
     """
-    if not wsol.q_of:
+    if wsol.q_of is None:
         raise AnalysisError("weighted solution must be collapsed first")
+    c_star, q_of = wsol.C.tolist(), wsol.q_of.tolist()
     g, K = groups.gamma, groups.K
     factor = 32.0 * (g + K)
     weights = {t.id: t.weight for t in inst.graph.tasks}
@@ -431,9 +432,8 @@ def weighted_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
             for k in prefix_load if prefix_load[k] > 0
         )
         report.add(f"P+sumD(task {j})<=32*(gamma+K)*C*", proc_j + loads_j,
-                   factor * wsol.C[j])
-        report.add(f"2^(q-1)(task {j})<=2*C*", 2.0 ** (wsol.q_of[j] - 1),
-                   2.0 * wsol.C[j])
+                   factor * c_star[j])
+        report.add(f"2^(q-1)(task {j})<=2*C*", 2.0 ** (q_of[j] - 1), 2.0 * c_star[j])
 
     lhs = s.weighted_completion(inst)
     rhs = factor * wsol.objective(weights) + sum(

@@ -25,7 +25,7 @@ from pathlib import Path
 from . import analysis, grouping, model, scheduler
 from .generator import (FORK_JOIN, LAYERED, RANDOM_DAG, SELF_COMM_INFINITE,
                         SELF_COMM_MATRIX, WEIGHTS_SINK_ONLY, WEIGHTS_UNIFORM,
-                        WEIGHTS_ZERO, GeneratorSpec, generate_instance)
+                        WEIGHTS_ZERO, GeneratorError, GeneratorSpec, generate_instance)
 from .lp_solver import LpError
 from .oracle import OracleLimitError
 
@@ -54,7 +54,10 @@ class CliError(RuntimeError):
 
 def _parse_range(text: str) -> tuple[float, float]:
     lo, _, hi = text.partition(":")
-    return (float(lo), float(hi)) if hi else (float(lo), float(lo))
+    try:
+        return (float(lo), float(hi)) if hi else (float(lo), float(lo))
+    except ValueError:
+        raise CliError(f"range must be lo:hi numbers, got {text!r}", EXIT_USAGE) from None
 
 
 def _parse_tie(text: str) -> scheduler.TieBreak:
@@ -126,7 +129,10 @@ def cmd_generate(args) -> int:
         comm_range=_parse_range(args.comm), data_range=_parse_range(args.data),
         self_comm=self_comm, weights=weights,
     )
-    inst = generate_instance(spec)
+    try:
+        inst = generate_instance(spec)
+    except GeneratorError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from exc
     _write(model.serialize_instance(inst), args.output)
     return EXIT_OK
 
@@ -252,7 +258,11 @@ def cmd_compare(args) -> int:
     for a in algorithms:
         if a not in ALGORITHMS:
             raise CliError(f"unknown algorithm {a!r}", EXIT_USAGE)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else None
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else None
+    except ValueError:
+        raise CliError(f"--seeds needs comma-separated integers, got {args.seeds!r}",
+                       EXIT_USAGE) from None
     _write(compare_batch(args.directory, algorithms, seeds), args.output)
     return EXIT_OK
 

@@ -13,11 +13,20 @@ Two fractional relaxations then drive task assignment:
     geometric deadline intervals (tau[q-1], tau[q]], minimizing
     sum_j weight[j] * C[j].
 
+Both programs are built over retained machines with their original speeds,
+so optimal values are directly comparable with schedule times.  Their
+solutions are numpy arrays whose rows follow ``groups.retained`` and whose
+columns are task ids: ``MakespanFractional.x`` has shape (nm, n),
+``WeightedFractional.x`` has shape (nm, n, Q) with interval q at index q-1,
+and the collapsed ``x_tilde`` has shape (nm, n).  The LP variables are these
+arrays flattened row-major, followed by C (and T in the makespan program).
+
 Each task is mapped to the fastest admissible band: l_j is the largest band
 index such that at least ``theta`` of the task's fractional mass sits in
 bands l_j..K, and the task goes to the band with maximum total speed among
-those.  Both programs are built over retained machines with their original
-speeds, so optimal values are directly comparable with schedule times.
+those.  Every sum that feeds a decision or a report runs left to right over
+machines, then intervals, in the order of the loops it replaced: np.sum may
+pair terms differently and change the last bit.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,11 +54,9 @@ class GroupingError(ValueError):
 class MachineGroups:
     gamma: float
     K: int
-    retained: tuple[int, ...]          # machine ids, ascending
-    normalization: float               # rescaled speed = original speed * normalization
+    retained: tuple[int, ...]          # machine ids, ascending; rows of every LP array
     group_of: dict[int, int]           # retained machine id -> band 1..K
-    rescaled_speed: dict[int, float]
-    group_speed_rescaled: dict[int, float]
+    group_speed_rescaled: dict[int, float]   # band ranking key (fastest machine = m)
     group_speed: dict[int, float]      # original-unit totals, used by bound math
     members: dict[int, tuple[int, ...]]
 
@@ -82,15 +89,12 @@ def trivial_assignment(inst: Instance) -> GroupAssignment:
     platform = inst.platform
     ids = tuple(mc.id for mc in platform.machines)
     total = sum(mc.speed for mc in platform.machines)
-    fastest = max(mc.speed for mc in platform.machines)
-    nu = platform.m / fastest
+    nu = platform.m / max(mc.speed for mc in platform.machines)
     groups = MachineGroups(
         gamma=2.0,
         K=1,
         retained=ids,
-        normalization=nu,
         group_of={i: 1 for i in ids},
-        rescaled_speed={i: platform.speed(i) * nu for i in ids},
         group_speed_rescaled={1: total * nu},
         group_speed={1: total},
         members={1: ids},
@@ -141,10 +145,73 @@ def partition_machines(platform: Platform, gamma: float | None = None) -> Machin
         speed_resc[k] = sum(rescaled[i] for i in ids)
 
     return MachineGroups(
-        gamma=g, K=K, retained=retained, normalization=nu, group_of=group_of,
-        rescaled_speed=rescaled, group_speed_rescaled=speed_resc,
-        group_speed=speed_orig, members=members,
+        gamma=g, K=K, retained=retained, group_of=group_of,
+        group_speed_rescaled=speed_resc, group_speed=speed_orig, members=members,
     )
+
+
+# ---------------------------------------------------------------------------
+# Array helpers shared by both relaxations
+# ---------------------------------------------------------------------------
+
+def _speeds(inst: Instance, groups: MachineGroups) -> np.ndarray:
+    return np.array([inst.platform.speed(i) for i in groups.retained])
+
+
+def _proc(inst: Instance, groups: MachineGroups) -> np.ndarray:
+    """(nm, n) processing times demand[j] / speed[i] on the retained machines."""
+    demand = np.array([t.demand for t in inst.graph.tasks])
+    return demand / _speeds(inst, groups)[:, None]
+
+
+def _edge_ends(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    edges = inst.graph.edges
+    return (np.array([e.src for e in edges], dtype=int),
+            np.array([e.dst for e in edges], dtype=int))
+
+
+def _running_total(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Left-to-right sum along ``axis`` (np.sum may pair terms differently)."""
+    return np.cumsum(a, axis=axis).take(-1, axis=axis)
+
+
+def _add_block(lp: LinearProgram, relation: str, bounds, *parts: np.ndarray) -> None:
+    """Add one row per row of the column blocks ``parts`` laid side by side."""
+    rows = np.hstack(parts)
+    for row, bound in zip(rows, np.broadcast_to(bounds, len(rows))):
+        lp.add(row, relation, bound)
+
+
+def _check_mass(total: np.ndarray) -> None:
+    for j in np.flatnonzero(np.abs(total - 1.0) > MASS_TOL)[:1]:
+        raise GroupingError(f"fractional mass of task {j} is {total[j]}, expected 1")
+
+
+def _band_mass(x: np.ndarray, groups: MachineGroups) -> np.ndarray:
+    """(K, n) mass per band of an (nm, n) solution, added in retained order."""
+    mass = np.zeros((groups.K, x.shape[1]))
+    np.add.at(mass, [groups.group_of[i] - 1 for i in groups.retained], x)
+    return mass
+
+
+def _assign_from_mass(
+    mass: np.ndarray, groups: MachineGroups, theta: float
+) -> GroupAssignment:
+    if not 0.0 < theta < 1.0:
+        raise GroupingError(f"theta must lie in (0,1), got {theta}")
+    K = groups.K
+    tail = np.cumsum(mass[::-1], axis=0)[::-1]        # tail[l-1]: bands K down to l
+    admissible = tail >= theta - 1e-9
+    for j in np.flatnonzero(~admissible.any(axis=0))[:1]:
+        raise GroupingError(
+            f"no band index satisfies the tail-mass condition for task {j} "
+            f"(total mass {tail[0, j]:.9f} < theta {theta})"
+        )
+    lj = K - np.argmax(admissible[::-1], axis=0)
+    # Fastest total speed from band l up wins; ties go to the higher band.
+    best = [max(range(ell, K + 1), key=lambda k: (groups.group_speed_rescaled[k], k))
+            for ell in range(1, K + 1)]
+    return GroupAssignment({j: best[ell - 1] for j, ell in enumerate(lj.tolist())}, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -153,71 +220,38 @@ def partition_machines(platform: Platform, gamma: float | None = None) -> Machin
 
 @dataclass
 class MakespanFractional:
-    x: dict[tuple[int, int], float]    # (machine id, task id) -> fraction
-    C: dict[int, float]
+    x: np.ndarray    # (nm, n): fraction of task j on the machine groups.retained[row]
+    C: np.ndarray    # (n,)
     T: float
-
-    def group_mass(self, groups: MachineGroups, task: int) -> dict[int, float]:
-        out = {k: 0.0 for k in range(1, groups.K + 1)}
-        for i in groups.retained:
-            out[groups.group_of[i]] += self.x.get((i, task), 0.0)
-        return out
 
 
 def build_makespan_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
     """Fractional-assignment program whose optimum T* lower-bounds the
     zero-communication optimal makespan over the retained machines."""
-    n = inst.graph.n
-    machines = groups.retained
-    nm = len(machines)
-    speed = {i: inst.platform.speed(i) for i in machines}
+    n, nm = inst.graph.n, len(groups.retained)
+    proc = _proc(inst, groups)
+    src, dst = _edge_ends(inst)
+    eye, minus_eye = np.eye(n), np.diag(-np.ones(n))   # -eye would hold -0.0
+    pick = np.tile(eye, nm)                            # row j selects x[., j]
+    load = pick * proc.ravel()                         # row j: processing time of j
+    nv = nm * n + n + 1
+    lp = LinearProgram(nv, np.zeros(nv))
+    lp.objective[-1] = 1.0
 
-    def xi(mi: int, j: int) -> int:
-        return mi * n + j
+    def t_col(rows: int, value: float) -> np.ndarray:
+        return np.full((rows, 1), value)
 
-    c_off = nm * n
-    t_idx = c_off + n
-    nv = t_idx + 1
-
-    names = [f"x_{machines[mi]}_{j}" for mi in range(nm) for j in range(n)]
-    names += [f"C_{j}" for j in range(n)] + ["T"]
-    lp = LinearProgram(nv, np.zeros(nv), names=names)
-    lp.objective[t_idx] = 1.0
-
-    demand = [t.demand for t in inst.graph.tasks]
-    for j in range(n):
-        row = np.zeros(nv)
-        for mi in range(nm):
-            row[xi(mi, j)] = 1.0
-        lp.add(row, EQUAL, 1.0)                       # every task fully assigned
-
-    for j in range(n):
-        row = np.zeros(nv)
-        for mi, i in enumerate(machines):
-            row[xi(mi, j)] = demand[j] / speed[i]
-        row[c_off + j] = -1.0
-        lp.add(row, LESS_EQUAL, 0.0)                  # processing time <= C_j
-
-    for e in inst.graph.edges:
-        row = np.zeros(nv)
-        row[c_off + e.src] = 1.0
-        for mi, i in enumerate(machines):
-            row[xi(mi, e.dst)] = demand[e.dst] / speed[i]
-        row[c_off + e.dst] = -1.0
-        lp.add(row, LESS_EQUAL, 0.0)                  # C_src + proc(dst) <= C_dst
-
-    for mi, i in enumerate(machines):
-        row = np.zeros(nv)
-        for j in range(n):
-            row[xi(mi, j)] = demand[j] / speed[i]
-        row[t_idx] = -1.0
-        lp.add(row, LESS_EQUAL, 0.0)                  # machine load <= T
-
-    for j in range(n):
-        row = np.zeros(nv)
-        row[c_off + j] = 1.0
-        row[t_idx] = -1.0
-        lp.add(row, LESS_EQUAL, 0.0)                  # C_j <= T
+    # every task fully assigned
+    _add_block(lp, EQUAL, 1.0, pick, np.zeros((n, n)), t_col(n, 0.0))
+    # processing time <= C_j
+    _add_block(lp, LESS_EQUAL, 0.0, load, minus_eye, t_col(n, 0.0))
+    # C_src + proc(dst) <= C_dst
+    _add_block(lp, LESS_EQUAL, 0.0, load[dst], eye[src] - eye[dst], t_col(len(src), 0.0))
+    # machine load <= T
+    _add_block(lp, LESS_EQUAL, 0.0, np.kron(np.eye(nm), np.ones(n)) * proc.ravel(),
+               np.zeros((nm, n)), t_col(nm, -1.0))
+    # C_j <= T
+    _add_block(lp, LESS_EQUAL, 0.0, np.zeros((n, nm * n)), eye, t_col(n, -1.0))
     return lp
 
 
@@ -226,21 +260,10 @@ def extract_makespan_fractional(
 ) -> MakespanFractional:
     if not sol.is_optimal:
         raise GroupingError(f"makespan relaxation not optimal: {sol.status}")
-    n = inst.graph.n
-    machines = groups.retained
-    nm = len(machines)
-    x = {
-        (machines[mi], j): float(sol.x[mi * n + j])
-        for mi in range(nm)
-        for j in range(n)
-    }
-    C = {j: float(sol.x[nm * n + j]) for j in range(n)}
-    T = float(sol.x[nm * n + n])
-    for j in range(n):
-        total = sum(x[(i, j)] for i in machines)
-        if abs(total - 1.0) > MASS_TOL:
-            raise GroupingError(f"fractional mass of task {j} is {total}, expected 1")
-    return MakespanFractional(x, C, T)
+    n, nm = inst.graph.n, len(groups.retained)
+    x = sol.x[: nm * n].reshape(nm, n)
+    _check_mass(_running_total(x))
+    return MakespanFractional(x, sol.x[nm * n: nm * n + n], float(sol.x[nm * n + n]))
 
 
 def solve_makespan_relaxation(
@@ -249,40 +272,10 @@ def solve_makespan_relaxation(
     return extract_makespan_fractional(inst, groups, solve_lp(build_makespan_lp(inst, groups)))
 
 
-def _assign_from_mass(
-    mass_of: dict[int, dict[int, float]], groups: MachineGroups, theta: float
-) -> GroupAssignment:
-    if not 0.0 < theta < 1.0:
-        raise GroupingError(f"theta must lie in (0,1), got {theta}")
-    chosen: dict[int, int] = {}
-    for j in sorted(mass_of):
-        mass = mass_of[j]
-        tail = 0.0
-        lj = 0
-        for ell in range(groups.K, 0, -1):
-            tail += mass.get(ell, 0.0)
-            if tail >= theta - 1e-9:
-                lj = ell
-                break
-        if lj == 0:
-            raise GroupingError(
-                f"no band index satisfies the tail-mass condition for task {j} "
-                f"(total mass {tail:.9f} < theta {theta})"
-            )
-        # Fastest total speed wins; ties go to the higher band.
-        chosen[j] = max(
-            range(lj, groups.K + 1),
-            key=lambda k: (groups.group_speed_rescaled.get(k, 0.0), k),
-        )
-    return GroupAssignment(chosen, groups)
-
-
 def assign_groups_makespan(
     sol: MakespanFractional, groups: MachineGroups, theta: float = 0.5
 ) -> GroupAssignment:
-    tasks = sorted({j for (_, j) in sol.x})
-    mass_of = {j: sol.group_mass(groups, j) for j in tasks}
-    return _assign_from_mass(mass_of, groups, theta)
+    return _assign_from_mass(_band_mass(sol.x, groups), groups, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -292,21 +285,15 @@ def assign_groups_makespan(
 @dataclass
 class WeightedFractional:
     Q: int
-    tau: tuple[float, ...]                       # tau[q] = 2**q, q = 0..Q
-    x: dict[tuple[int, int, int], float]         # (machine, task, interval 1..Q)
-    C: dict[int, float]
-    q_of: dict[int, int] = field(default_factory=dict)
-    alpha: dict[int, float] = field(default_factory=dict)
-    x_tilde: dict[tuple[int, int], float] = field(default_factory=dict)
+    tau: tuple[float, ...]                # tau[q] = 2**q, q = 0..Q
+    x: np.ndarray                         # (nm, n, Q); interval q at index q-1
+    C: np.ndarray                         # (n,)
+    q_of: np.ndarray | None = None        # (n,) interval estimate 1..Q, set by collapse
+    alpha: np.ndarray | None = None       # (n,) mass captured by intervals 1..q_of
+    x_tilde: np.ndarray | None = None     # (nm, n) collapsed fractions
 
     def objective(self, weights: dict[int, float]) -> float:
-        return sum(weights[j] * cj for j, cj in self.C.items())
-
-    def tilde_group_mass(self, groups: MachineGroups, task: int) -> dict[int, float]:
-        out = {k: 0.0 for k in range(1, groups.K + 1)}
-        for i in groups.retained:
-            out[groups.group_of[i]] += self.x_tilde.get((i, task), 0.0)
-        return out
+        return sum(weights[j] * cj for j, cj in enumerate(self.C.tolist()))
 
 
 def horizon_intervals(inst: Instance, groups: MachineGroups) -> int:
@@ -322,77 +309,41 @@ def build_weighted_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
     Requires a normalized instance (every processing time >= 1) so the first
     interval [1,2] can hold the earliest completions.
     """
-    n = inst.graph.n
-    machines = groups.retained
-    nm = len(machines)
-    speed = {i: inst.platform.speed(i) for i in machines}
-    demand = [t.demand for t in inst.graph.tasks]
-    min_proc = min(d / max(speed.values()) for d in demand)
+    n, nm = inst.graph.n, len(groups.retained)
+    proc = _proc(inst, groups)
+    min_proc = proc.min()
     if min_proc < 1.0 - 1e-9:
         raise GroupingError(
             f"instance not normalized: smallest processing time {min_proc} < 1"
         )
 
     Q = horizon_intervals(inst, groups)
-    tau = [2.0 ** q for q in range(Q + 1)]
-
-    def xi(mi: int, j: int, q: int) -> int:   # q in 1..Q
-        return (mi * n + j) * Q + (q - 1)
-
-    c_off = nm * n * Q
-    nv = c_off + n
+    tau = np.array([2.0 ** q for q in range(Q + 1)])
+    src, dst = _edge_ends(inst)
+    eye, minus_eye = np.eye(n), np.diag(-np.ones(n))
+    upto = np.tril(np.ones((Q, Q)))                    # upto[q-1, t-1] = 1 iff t <= q
+    prefix = np.tile(np.kron(eye, upto), nm).reshape(n, Q, -1)   # [j, q-1]: x[., j, :q]
+    pick = prefix[:, -1]                               # row j: every x[., j, .]
+    proc_x = np.repeat(proc.ravel(), Q)                # proc of x[i, j, q]
+    load = pick * proc_x                               # row j: processing time of j
+    nv = nm * n * Q + n
     lp = LinearProgram(nv, np.zeros(nv))
-    for j, t in enumerate(inst.graph.tasks):
-        lp.objective[c_off + j] = t.weight
+    lp.objective[nm * n * Q:] = [t.weight for t in inst.graph.tasks]
 
-    for j in range(n):
-        row = np.zeros(nv)
-        for mi in range(nm):
-            for q in range(1, Q + 1):
-                row[xi(mi, j, q)] = 1.0
-        lp.add(row, EQUAL, 1.0)                       # all mass placed
-
-    for j in range(n):
-        row = np.zeros(nv)
-        for mi, i in enumerate(machines):
-            for q in range(1, Q + 1):
-                row[xi(mi, j, q)] = demand[j] / speed[i]
-        row[c_off + j] = -1.0
-        lp.add(row, LESS_EQUAL, 0.0)                  # processing <= C_j
-
-    for e in inst.graph.edges:
-        row = np.zeros(nv)
-        row[c_off + e.src] += 1.0
-        for mi, i in enumerate(machines):
-            for q in range(1, Q + 1):
-                row[xi(mi, e.dst, q)] = demand[e.dst] / speed[i]
-        row[c_off + e.dst] += -1.0
-        lp.add(row, LESS_EQUAL, 0.0)                  # chain growth
-
-    for e in inst.graph.edges:
-        for q in range(1, Q + 1):
-            row = np.zeros(nv)
-            for mi in range(nm):
-                for t in range(1, q + 1):
-                    row[xi(mi, e.dst, t)] += 1.0
-                    row[xi(mi, e.src, t)] += -1.0
-            lp.add(row, LESS_EQUAL, 0.0)              # successor mass lags predecessor
-
-    for j in range(n):
-        row = np.zeros(nv)
-        for mi in range(nm):
-            for q in range(1, Q + 1):
-                row[xi(mi, j, q)] = tau[q - 1]
-        row[c_off + j] = -1.0
-        lp.add(row, LESS_EQUAL, 0.0)                  # left interval edge <= C_j
-
-    for mi, i in enumerate(machines):
-        for q in range(1, Q + 1):
-            row = np.zeros(nv)
-            for j in range(n):
-                for t in range(1, q + 1):
-                    row[xi(mi, j, t)] = demand[j] / speed[i]
-            lp.add(row, LESS_EQUAL, tau[q])           # prefix load fits the interval
+    # all mass placed
+    _add_block(lp, EQUAL, 1.0, pick, np.zeros((n, n)))
+    # processing <= C_j
+    _add_block(lp, LESS_EQUAL, 0.0, load, minus_eye)
+    # chain growth
+    _add_block(lp, LESS_EQUAL, 0.0, load[dst], eye[src] - eye[dst])
+    # successor mass lags predecessor, one row per (edge, q)
+    _add_block(lp, LESS_EQUAL, 0.0, (prefix[dst] - prefix[src]).reshape(-1, nm * n * Q),
+               np.zeros((len(src) * Q, n)))
+    # left interval edge <= C_j
+    _add_block(lp, LESS_EQUAL, 0.0, pick * np.tile(tau[:-1], nm * n), minus_eye)
+    # prefix load fits the interval, one row per (machine, q)
+    _add_block(lp, LESS_EQUAL, np.tile(tau[1:], nm),
+               np.kron(np.eye(nm), np.tile(upto, n)) * proc_x, np.zeros((nm * Q, n)))
     return lp
 
 
@@ -401,61 +352,35 @@ def extract_weighted_fractional(
 ) -> WeightedFractional:
     if not sol.is_optimal:
         raise GroupingError(f"weighted relaxation not optimal: {sol.status}")
-    n = inst.graph.n
-    machines = groups.retained
-    nm = len(machines)
+    n, nm = inst.graph.n, len(groups.retained)
     Q = horizon_intervals(inst, groups)
-    x: dict[tuple[int, int, int], float] = {}
-    for mi, i in enumerate(machines):
-        for j in range(n):
-            for q in range(1, Q + 1):
-                x[(i, j, q)] = float(sol.x[(mi * n + j) * Q + (q - 1)])
-    C = {j: float(sol.x[nm * n * Q + j]) for j in range(n)}
-    for j in range(n):
-        total = sum(x[(i, j, q)] for i in machines for q in range(1, Q + 1))
-        if abs(total - 1.0) > MASS_TOL:
-            raise GroupingError(f"fractional mass of task {j} is {total}, expected 1")
-    return WeightedFractional(Q, tuple(2.0 ** q for q in range(Q + 1)), x, C)
+    x = sol.x[: nm * n * Q].reshape(nm, n, Q)
+    _check_mass(_running_total(x.transpose(1, 0, 2).reshape(n, -1), axis=1))
+    return WeightedFractional(Q, tuple(2.0 ** q for q in range(Q + 1)), x,
+                              sol.x[nm * n * Q: nm * n * Q + n])
 
 
-def collapse_time_indexed(
-    sol: WeightedFractional, machines: tuple[int, ...]
-) -> WeightedFractional:
+def collapse_time_indexed(sol: WeightedFractional) -> WeightedFractional:
     """Fill q_of, alpha and the collapsed fractions x_tilde.
 
     q_of[j] is the smallest interval q with both at-least-half cumulative mass
     and C[j] <= 2^q; it is clamped to Q (with a warning) if C[j] overruns the
     horizon.  x_tilde renormalizes the first q_of[j] intervals' mass.
     """
-    tasks = sorted(sol.C)
-    q_of: dict[int, int] = {}
-    alpha: dict[int, float] = {}
-    x_tilde: dict[tuple[int, int], float] = {}
-    for j in tasks:
-        cum = 0.0
-        chosen = 0
-        for q in range(1, sol.Q + 1):
-            cum += sum(sol.x.get((i, j, q), 0.0) for i in machines)
-            if cum >= 0.5 - MASS_TOL and sol.C[j] <= sol.tau[q] + MASS_TOL:
-                chosen = q
-                break
-        if chosen == 0:
-            chosen = sol.Q
-            log.warning(
-                "interval estimate for task %d clamped to Q=%d (C*=%g > %g)",
-                j, sol.Q, sol.C[j], sol.tau[sol.Q],
-            )
-        a = sum(
-            sol.x.get((i, j, t), 0.0) for i in machines for t in range(1, chosen + 1)
+    nm, n, Q = sol.x.shape
+    cum = np.cumsum(_running_total(sol.x), axis=1)     # (n, Q): mass in intervals 1..q
+    fits = (cum >= 0.5 - MASS_TOL) & (sol.C[:, None] <= np.array(sol.tau[1:]) + MASS_TOL)
+    q_of = np.where(fits.any(axis=1), fits.argmax(axis=1) + 1, Q)
+    for j in np.flatnonzero(~fits.any(axis=1)):
+        log.warning(
+            "interval estimate for task %d clamped to Q=%d (C*=%g > %g)",
+            j, Q, sol.C[j], sol.tau[Q],
         )
-        if a < 1e-9:
-            raise GroupingError(f"cannot collapse task {j}: captured mass {a} too small")
-        q_of[j] = chosen
-        alpha[j] = a
-        for i in machines:
-            x_tilde[(i, j)] = (
-                sum(sol.x.get((i, j, t), 0.0) for t in range(1, chosen + 1)) / a
-            )
+    kept = np.where(np.arange(Q) < q_of[:, None], sol.x, 0.0)    # intervals 1..q_of[j]
+    alpha = _running_total(kept.transpose(1, 0, 2).reshape(n, -1), axis=1)
+    for j in np.flatnonzero(alpha < 1e-9)[:1]:
+        raise GroupingError(f"cannot collapse task {j}: captured mass {alpha[j]} too small")
+    x_tilde = _running_total(kept, axis=2) / alpha
     return WeightedFractional(sol.Q, sol.tau, sol.x, sol.C, q_of, alpha, x_tilde)
 
 
@@ -463,17 +388,15 @@ def solve_weighted_relaxation(
     inst: Instance, groups: MachineGroups
 ) -> WeightedFractional:
     raw = extract_weighted_fractional(inst, groups, solve_lp(build_weighted_lp(inst, groups)))
-    return collapse_time_indexed(raw, groups.retained)
+    return collapse_time_indexed(raw)
 
 
 def assign_groups_weighted(
     sol: WeightedFractional, groups: MachineGroups, theta: float = 0.5
 ) -> GroupAssignment:
-    if not sol.x_tilde:
+    if sol.x_tilde is None:
         raise GroupingError("collapse_time_indexed must run before group assignment")
-    tasks = sorted(sol.C)
-    mass_of = {j: sol.tilde_group_mass(groups, j) for j in tasks}
-    return _assign_from_mass(mass_of, groups, theta)
+    return _assign_from_mass(_band_mass(sol.x_tilde, groups), groups, theta)
 
 
 def weighted_slice_feasibility(
@@ -486,33 +409,26 @@ def weighted_slice_feasibility(
     the makespan relaxation built over the slice's tasks.  Returns the worst
     residual per nonempty slice (<= 0 means satisfied exactly).
     """
-    if not sol.x_tilde:
+    if sol.x_tilde is None:
         raise GroupingError("collapse_time_indexed must run first")
-    machines = groups.retained
-    speed = {i: inst.platform.speed(i) for i in machines}
-    demand = {t.id: t.demand for t in inst.graph.tasks}
+    speed = _speeds(inst, groups)[:, None]
+    demand = np.array([t.demand for t in inst.graph.tasks])
+    src, dst = _edge_ends(inst)
+    total = _running_total(sol.x_tilde)
+    proc = demand * _running_total(sol.x_tilde / speed)
+    c2 = 2.0 * sol.C
     out: dict[int, float] = {}
     for q in range(1, sol.Q + 1):
-        slice_tasks = [j for j in sorted(sol.C) if sol.q_of.get(j) == q]
-        if not slice_tasks:
+        in_slice = sol.q_of == q
+        if not in_slice.any():
             continue
         t_tilde = 2.0 ** (q + 1)
-        worst = -math.inf
-        for j in slice_tasks:
-            total = sum(sol.x_tilde[(i, j)] for i in machines)
-            worst = max(worst, abs(total - 1.0))                       # (assignment)
-            proc = demand[j] * sum(sol.x_tilde[(i, j)] / speed[i] for i in machines)
-            worst = max(worst, proc - 2.0 * sol.C[j])                  # (capacity)
-            worst = max(worst, 2.0 * sol.C[j] - t_tilde)               # (horizon)
-        in_slice = set(slice_tasks)
-        for e in inst.graph.edges:
-            if e.src in in_slice and e.dst in in_slice:
-                proc = demand[e.dst] * sum(
-                    sol.x_tilde[(i, e.dst)] / speed[i] for i in machines
-                )
-                worst = max(worst, 2.0 * sol.C[e.src] + proc - 2.0 * sol.C[e.dst])
-        for i in machines:
-            load = sum(demand[j] * sol.x_tilde[(i, j)] / speed[i] for j in slice_tasks)
-            worst = max(worst, load - t_tilde)                         # (machine load)
-        out[q] = worst
+        load = _running_total(demand[in_slice] * sol.x_tilde[:, in_slice] / speed, axis=1)
+        out[q] = float(np.concatenate([
+            np.abs(total - 1.0)[in_slice],                            # (assignment)
+            (proc - c2)[in_slice],                                    # (capacity)
+            (c2 - t_tilde)[in_slice],                                 # (horizon)
+            (c2[src] + proc[dst] - c2[dst])[in_slice[src] & in_slice[dst]],   # (precedence)
+            load - t_tilde,                                           # (machine load)
+        ]).max())
     return out

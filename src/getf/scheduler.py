@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,15 +155,22 @@ class Schedule:
 
 
 def schedule_from_dict(doc: dict) -> Schedule:
+    """Rebuild a schedule document; a task listed twice in ``assignments`` or
+    in ``iteration_order`` makes it malformed (ValueError)."""
     s = Schedule()
     entries = sorted(doc["assignments"], key=lambda e: float(e["start"]))
-    order = doc.get("iteration_order") or [e["task"] for e in entries]
-    by_task = {int(e["task"]): e for e in doc["assignments"]}
+    order = [int(j) for j in doc.get("iteration_order") or [e["task"] for e in entries]]
+    tasks = [int(e["task"]) for e in doc["assignments"]]
+    for what, ids in (("assignments", tasks), ("iteration_order", order)):
+        twice = [j for j, count in Counter(ids).items() if count > 1]
+        if twice:
+            raise ValueError(f"task {twice[0]} appears more than once in {what}")
+    by_task = dict(zip(tasks, doc["assignments"]))
     # Entries the order leaves out are placed last, so the verifier sees them.
-    listed = {int(j) for j in order}
+    listed = set(order)
     for j in [*order, *(j for j in by_task if j not in listed)]:
-        e = by_task[int(j)]
-        s.place(int(e["task"]), int(e["machine"]), float(e["start"]),
+        e = by_task[j]
+        s.place(j, int(e["machine"]), float(e["start"]),
                 float(e["end"]) - float(e["start"]))
     return s
 

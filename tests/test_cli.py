@@ -1,10 +1,17 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from getf import grouping
-from getf.cli import EXIT_BOUND, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, compare_batch, main
+from getf.cli import (ALGORITHMS, EXIT_BOUND, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE,
+                      compare_batch, main)
 from getf.lp_solver import LpError
+from getf.model import parse_instance
+from getf.scheduler import schedule_from_dict, verify_schedule
 
 from conftest import EXAMPLE_JSON
 
@@ -51,8 +58,15 @@ class TestGenerate:
                        "--seed", 7, "-o", out) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    def test_usage_error_exit_code(self, capsys):
+    def test_usage_error_exit_code(self, capsys, tmp_path):
         assert run("generate", "--family", "layered", "--m", "2") == EXIT_USAGE
+        for argv in (("generate", "--n", 3, "--m", 2, "--demand", "abc"),
+                     ("generate", "--n", 0, "--m", 2),
+                     ("compare", tmp_path, "--seeds", "x")):
+            capsys.readouterr()
+            assert run(*argv) == EXIT_USAGE, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestSolve:
@@ -184,6 +198,21 @@ class TestVerify:
         assert "separation" not in doc
 
 
+    @pytest.mark.parametrize("where", ["iteration_order", "assignments"])
+    def test_repeated_task_is_malformed(self, example_file, tmp_path, capsys, where):
+        def repeat_task_0(doc):
+            if where == "iteration_order":
+                doc["iteration_order"].append(0)
+            else:
+                doc["assignments"].append(dict(doc["assignments"][0]))
+        sched = self.tampered(example_file, tmp_path, repeat_task_0)
+        for argv in (("verify", example_file, sched), ("gantt", sched)):
+            capsys.readouterr()
+            assert run(*argv) == EXIT_USAGE, argv
+            err = capsys.readouterr().err
+            assert err == f"error: cannot read schedule: task 0 appears more than once in {where}\n"
+
+
 class TestCompare:
     def test_worked_example_rows(self, example_file, tmp_path):
         csv_text = compare_batch(str(example_file.parent), ["getf-makespan", "sls"])
@@ -246,3 +275,68 @@ class TestGantt:
 
     def test_missing_file_usage_error(self, tmp_path):
         assert run("gantt", tmp_path / "nope.json") == EXIT_USAGE
+
+
+# Values that are not a positive finite number, or not a valid id.
+POISON = [math.nan, math.inf, -math.inf, -1.0, -0.5, 0.0, 0.5, 2.5, 10 ** 400,
+          "1", "x", None, True, [], {}]
+DELETE = object()
+
+
+@st.composite
+def raw_documents(draw):
+    """Instance documents, well formed or poisoned: NaN, +-inf, negatives,
+    empty lists, fractional and string ids, ragged comm_speed, missing keys."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    positive = st.floats(0.25, 8.0)
+    doc = {
+        "tasks": [{"id": j, "demand": draw(positive), "weight": draw(st.floats(0.0, 3.0))}
+                  for j in range(n)],
+        "edges": [{"src": a, "dst": b, "data": draw(st.floats(0.0, 4.0))}
+                  for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                      st.integers(0, n - 1)), max_size=5))],
+        "machines": [{"id": i, "speed": draw(positive)} for i in range(m)],
+        "comm_speed": [[draw(st.one_of(st.none(), positive)) for _ in range(m)]
+                       for _ in range(m)],
+    }
+    for _ in range(draw(st.integers(0, 2))):           # poison single values
+        slots = [(item, key) for part in ("tasks", "edges", "machines")
+                 for item in doc[part] for key in item]
+        slots += [(row, i) for row in doc["comm_speed"] for i in range(len(row))]
+        if slots:
+            container, key = draw(st.sampled_from(slots))
+            value = draw(st.sampled_from(POISON + [DELETE]))
+            if value is not DELETE:
+                container[key] = value
+            elif isinstance(container, dict):
+                del container[key]
+    part = draw(st.sampled_from(["tasks", "edges", "machines", "comm_speed"]))
+    shape = draw(st.sampled_from([None, None, None, "empty", "scalar", "missing",
+                                  "short-row", "long-row", "missing-row"]))
+    if shape == "empty":
+        doc[part] = []
+    elif shape == "scalar":
+        doc[part] = draw(st.sampled_from([5, "x", None, {}]))
+    elif shape == "missing":
+        del doc[part]
+    elif shape == "short-row":
+        doc["comm_speed"][-1].pop()
+    elif shape == "long-row":
+        doc["comm_speed"][0].append(1.0)
+    elif shape == "missing-row":
+        doc["comm_speed"].pop()
+    return doc
+
+
+@given(doc=raw_documents(), algo=st.sampled_from(ALGORITHMS))
+@settings(max_examples=150, deadline=None)
+def test_raw_documents_exit_0_or_2(doc, algo):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "doc.json", Path(tmp) / "sched.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["solve", str(path), "--algo", algo, "-o", str(out)])
+        assert rc in (EXIT_OK, EXIT_INFEASIBLE)
+        if rc == EXIT_OK:
+            inst = parse_instance(path.read_text())
+            sched = schedule_from_dict(json.loads(out.read_text()))
+            assert verify_schedule(inst, sched).feasible

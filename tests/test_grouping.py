@@ -1,13 +1,17 @@
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
-from getf.grouping import (GroupingError, MachineGroups,
+from getf.grouping import (GroupAssignment, GroupingError, MachineGroups, _band_mass,
                            MakespanFractional, WeightedFractional,
                            assign_groups_makespan, assign_groups_weighted,
                            build_makespan_lp, build_weighted_lp, collapse_time_indexed,
-                           extract_makespan_fractional, horizon_intervals,
+                           extract_makespan_fractional, extract_weighted_fractional,
+                           horizon_intervals,
                            partition_machines, solve_makespan_relaxation,
                            solve_weighted_relaxation, trivial_assignment,
                            weighted_slice_feasibility)
@@ -26,7 +30,8 @@ class TestPartition:
         g = partition_machines(inst.platform)
         assert g.retained == (0, 1, 2)
         assert g.gamma == 2.0 and g.K == 2
-        assert g.rescaled_speed == {0: 4.0, 1: 2.0, 2: 1.0}
+        assert {i: inst.platform.speed(i) * 4 / 8.0 for i in g.retained} == \
+            {0: 4.0, 1: 2.0, 2: 1.0}
         assert g.group_of == {0: 2, 1: 2, 2: 1}
         assert g.group_speed_rescaled == {1: 1.0, 2: 6.0}
         assert g.group_speed == {1: 2.0, 2: 12.0}
@@ -67,7 +72,7 @@ class TestPartition:
             # every retained machine sits in its band, top band closed
             for i in g.retained:
                 k = g.group_of[i]
-                sigma = g.rescaled_speed[i]
+                sigma = speeds[i] * (m / max(speeds))   # rescaled: fastest is m
                 assert g.gamma ** (k - 1) <= sigma * (1 + 1e-9)
                 if k < g.K:
                     assert sigma < g.gamma ** k * (1 + 1e-9)
@@ -103,7 +108,7 @@ class TestMakespanRelaxation:
             inst = generate_instance(spec)
             groups = partition_machines(inst.platform)
             frac = solve_makespan_relaxation(inst, groups)
-            assert frac.T >= max(frac.C.values()) - 1e-6
+            assert frac.T >= frac.C.max() - 1e-6
 
     def test_relaxation_lower_bounds_exact_optimum(self):
         rng = random.Random(21)
@@ -131,7 +136,7 @@ def two_band_groups() -> MachineGroups:
 class TestGroupAssignmentRule:
     def test_tail_mass_forces_top_band(self):
         g = two_band_groups()
-        frac = MakespanFractional({(0, 0): 0.6, (1, 0): 0.4}, {0: 1.0}, 1.0)
+        frac = MakespanFractional(np.array([[0.6], [0.4], [0.0], [0.0]]), np.array([1.0]), 1.0)
         f = assign_groups_makespan(frac, g, theta=0.5)
         assert f.group_of_task[0] == 2
 
@@ -139,34 +144,40 @@ class TestGroupAssignmentRule:
         g = two_band_groups()
         # tail at band 2 is only 0.4 < 1/2, so candidates start at band 1;
         # the top band still wins on total speed (4 vs 3).
-        frac = MakespanFractional({(0, 0): 0.4, (1, 0): 0.6}, {0: 1.0}, 1.0)
+        frac = MakespanFractional(np.array([[0.4], [0.6], [0.0], [0.0]]), np.array([1.0]), 1.0)
         f = assign_groups_makespan(frac, g, theta=0.5)
         assert f.group_of_task[0] == 2
 
     def test_single_band_everything_goes_there(self):
         inst = make_instance([1.0, 1.0], [], [1.0, 1.0])
         g = partition_machines(inst.platform)
-        frac = MakespanFractional(
-            {(0, 0): 1.0, (1, 0): 0.0, (0, 1): 0.5, (1, 1): 0.5},
-            {0: 1.0, 1: 1.0}, 1.0)
+        frac = MakespanFractional(np.array([[1.0, 0.5], [0.0, 0.5]]), np.array([1.0, 1.0]), 1.0)
         f = assign_groups_makespan(frac, g)
         assert f.group_of_task == {0: 1, 1: 1}
 
+    def test_rescaled_speed_tie_goes_to_higher_band(self):
+        # Rescaled band totals tie at 3.0; the original totals would rank the
+        # low band first, as 2.2 + 1.6 = 3.8000000000000003 > 3.8.
+        g = partition_machines(make_instance([1.0], [], [3.8, 2.2, 1.6]).platform)
+        assert g.members == {1: (1, 2), 2: (0,)}
+        frac = MakespanFractional(np.array([[0.0], [1.0], [0.0]]), np.array([1.0]), 1.0)
+        assert assign_groups_makespan(frac, g).group_of_task[0] == 2
+
     def test_exact_half_tail_is_inclusive(self):
         g = two_band_groups()
-        frac = MakespanFractional({(0, 0): 0.5, (1, 0): 0.5}, {0: 1.0}, 1.0)
+        frac = MakespanFractional(np.array([[0.5], [0.5], [0.0], [0.0]]), np.array([1.0]), 1.0)
         f = assign_groups_makespan(frac, g, theta=0.5)
         assert f.group_of_task[0] == 2
 
     def test_lost_mass_error_names_the_task(self):
         g = two_band_groups()
-        frac = MakespanFractional({(0, 0): 0.1, (1, 0): 0.1}, {0: 1.0}, 1.0)
+        frac = MakespanFractional(np.array([[0.1], [0.1], [0.0], [0.0]]), np.array([1.0]), 1.0)
         with pytest.raises(GroupingError, match="task 0"):
             assign_groups_makespan(frac, g, theta=0.5)
 
     def test_theta_out_of_range_rejected(self):
         g = two_band_groups()
-        frac = MakespanFractional({(0, 0): 1.0}, {0: 1.0}, 1.0)
+        frac = MakespanFractional(np.array([[1.0], [0.0], [0.0], [0.0]]), np.array([1.0]), 1.0)
         with pytest.raises(GroupingError, match="theta"):
             assign_groups_makespan(frac, g, theta=1.0)
 
@@ -180,8 +191,9 @@ class TestGroupAssignmentRule:
             groups = partition_machines(inst.platform)
             frac = solve_makespan_relaxation(inst, groups)
             f = assign_groups_makespan(frac, groups, theta=0.5)
+            band_mass = _band_mass(frac.x, groups)
             for j in range(inst.graph.n):
-                mass = frac.group_mass(groups, j)
+                mass = dict(enumerate(band_mass[:, j].tolist(), start=1))
                 lj_candidates = [
                     ell for ell in range(1, groups.K + 1)
                     if sum(mass[k2] for k2 in range(ell, groups.K + 1)) >= 0.5 - 1e-9
@@ -228,36 +240,37 @@ class TestWeightedRelaxation:
 class TestCollapse:
     def _sol(self, per_interval, cstar, Q=None):
         Q = Q or len(per_interval)
-        x = {(0, 0, q): (per_interval[q - 1] if q <= len(per_interval) else 0.0)
-             for q in range(1, Q + 1)}
-        return WeightedFractional(Q, tuple(2.0 ** q for q in range(Q + 1)), x, {0: cstar})
+        x = np.zeros((1, 1, Q))                 # one machine, one task
+        x[0, 0, :len(per_interval)] = per_interval
+        return WeightedFractional(Q, tuple(2.0 ** q for q in range(Q + 1)), x,
+                                  np.array([cstar]))
 
     def test_all_mass_early(self):
-        out = collapse_time_indexed(self._sol([1.0], 1.5), (0,))
+        out = collapse_time_indexed(self._sol([1.0], 1.5))
         assert out.q_of[0] == 1
         assert out.alpha[0] == pytest.approx(1.0)
         assert out.x_tilde[(0, 0)] == pytest.approx(1.0)
 
     def test_cumulative_mass_rule(self):
-        out = collapse_time_indexed(self._sol([0.2, 0.4, 0.4], 3.5), (0,))
+        out = collapse_time_indexed(self._sol([0.2, 0.4, 0.4], 3.5))
         assert out.q_of[0] == 2
         assert out.alpha[0] == pytest.approx(0.6)
 
     def test_completion_bound_overrides_mass(self):
-        out = collapse_time_indexed(self._sol([0.6, 0.4], 3.0), (0,))
+        out = collapse_time_indexed(self._sol([0.6, 0.4], 3.0))
         assert out.q_of[0] == 2
         assert out.alpha[0] == pytest.approx(1.0)
 
     def test_clamp_warns_and_binds(self, caplog):
         import logging
         with caplog.at_level(logging.WARNING, logger="getf.grouping"):
-            out = collapse_time_indexed(self._sol([1.0], 99.0, Q=1), (0,))
+            out = collapse_time_indexed(self._sol([1.0], 99.0, Q=1))
         assert out.q_of[0] == 1
         assert any("clamped" in r.message for r in caplog.records)
 
     def test_vanishing_captured_mass_rejected(self):
         with pytest.raises(GroupingError, match="captured mass"):
-            collapse_time_indexed(self._sol([1e-12], 99.0, Q=1), (0,))
+            collapse_time_indexed(self._sol([1e-12], 99.0, Q=1))
 
     def test_tilde_mass_sums_to_one(self):
         rng = random.Random(41)
@@ -270,8 +283,8 @@ class TestCollapse:
             assert scale == 1.0
             groups = partition_machines(inst.platform)
             wsol = solve_weighted_relaxation(inst, groups)
-            for j in wsol.C:
-                total = sum(wsol.x_tilde[(i, j)] for i in groups.retained)
+            for j in range(inst.graph.n):
+                total = sum(wsol.x_tilde[(row, j)] for row in range(len(groups.retained)))
                 assert total == pytest.approx(1.0, abs=1e-6)
                 assert wsol.alpha[j] >= 0.5 - 1e-6
 
@@ -287,21 +300,24 @@ class TestWeightedAssignment:
     def test_tail_rule_on_tilde(self):
         g = two_band_groups()
         wsol = WeightedFractional(
-            1, (1.0, 2.0), {(0, 0, 1): 0.7, (1, 0, 1): 0.3}, {0: 1.0},
-            q_of={0: 1}, alpha={0: 1.0}, x_tilde={(0, 0): 0.7, (1, 0): 0.3})
+            1, (1.0, 2.0), np.array([0.7, 0.3, 0.0, 0.0]).reshape(4, 1, 1), np.array([1.0]),
+            q_of=np.array([1]), alpha=np.array([1.0]),
+            x_tilde=np.array([[0.7], [0.3], [0.0], [0.0]]))
         f = assign_groups_weighted(wsol, g)
         assert f.group_of_task[0] == 2
 
     def test_exact_boundary_inclusive(self):
         g = two_band_groups()
         wsol = WeightedFractional(
-            1, (1.0, 2.0), {(0, 0, 1): 0.5, (1, 0, 1): 0.5}, {0: 1.0},
-            q_of={0: 1}, alpha={0: 1.0}, x_tilde={(0, 0): 0.5, (1, 0): 0.5})
+            1, (1.0, 2.0), np.array([0.5, 0.5, 0.0, 0.0]).reshape(4, 1, 1), np.array([1.0]),
+            q_of=np.array([1]), alpha=np.array([1.0]),
+            x_tilde=np.array([[0.5], [0.5], [0.0], [0.0]]))
         assert assign_groups_weighted(wsol, g).group_of_task[0] == 2
 
     def test_requires_collapse_first(self):
         g = two_band_groups()
-        wsol = WeightedFractional(1, (1.0, 2.0), {(0, 0, 1): 1.0}, {0: 1.0})
+        wsol = WeightedFractional(1, (1.0, 2.0), np.array([1.0, 0.0, 0.0, 0.0]).reshape(4, 1, 1),
+                                  np.array([1.0]))
         with pytest.raises(GroupingError, match="collapse"):
             assign_groups_weighted(wsol, g)
 
@@ -335,3 +351,131 @@ def test_extract_checks_mass(example_instance):
     sol.x[0] += 0.5  # corrupt the assignment mass
     with pytest.raises(GroupingError, match="mass"):
         extract_makespan_fractional(example_instance, groups, sol)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the tuple-keyed dict code the array layer replaced.  Its loops
+# fix the summation order, so the arrays must give the same floats.
+# ---------------------------------------------------------------------------
+
+def reference_group_mass(x, groups, task):
+    """x: {(machine id, task): fraction}."""
+    out = {k: 0.0 for k in range(1, groups.K + 1)}
+    for i in groups.retained:
+        out[groups.group_of[i]] += x.get((i, task), 0.0)
+    return out
+
+
+def reference_assign(mass_of, groups, theta):
+    chosen = {}
+    for j in sorted(mass_of):
+        tail, lj = 0.0, 0
+        for ell in range(groups.K, 0, -1):
+            tail += mass_of[j].get(ell, 0.0)
+            if tail >= theta - 1e-9:
+                lj = ell
+                break
+        assert lj != 0
+        chosen[j] = max(range(lj, groups.K + 1),
+                        key=lambda k: (groups.group_speed_rescaled.get(k, 0.0), k))
+    return GroupAssignment(chosen, groups)
+
+
+def reference_collapse(x, C, Q, tau, machines):
+    """x: {(machine id, task, interval 1..Q): fraction}; C: {task: C*}."""
+    q_of, alpha, x_tilde = {}, {}, {}
+    for j in sorted(C):
+        cum, chosen = 0.0, 0
+        for q in range(1, Q + 1):
+            cum += sum(x.get((i, j, q), 0.0) for i in machines)
+            if cum >= 0.5 - 1e-6 and C[j] <= tau[q] + 1e-6:
+                chosen = q
+                break
+        chosen = chosen or Q
+        a = sum(x.get((i, j, t), 0.0) for i in machines for t in range(1, chosen + 1))
+        q_of[j], alpha[j] = chosen, a
+        for i in machines:
+            x_tilde[(i, j)] = sum(x.get((i, j, t), 0.0) for t in range(1, chosen + 1)) / a
+    return q_of, alpha, x_tilde
+
+
+def reference_slice_feasibility(inst, machines, C, Q, q_of, x_tilde):
+    speed = {i: inst.platform.speed(i) for i in machines}
+    demand = {t.id: t.demand for t in inst.graph.tasks}
+    out = {}
+    for q in range(1, Q + 1):
+        slice_tasks = [j for j in sorted(C) if q_of.get(j) == q]
+        if not slice_tasks:
+            continue
+        t_tilde = 2.0 ** (q + 1)
+        worst = -math.inf
+        for j in slice_tasks:
+            worst = max(worst, abs(sum(x_tilde[(i, j)] for i in machines) - 1.0))
+            proc = demand[j] * sum(x_tilde[(i, j)] / speed[i] for i in machines)
+            worst = max(worst, proc - 2.0 * C[j], 2.0 * C[j] - t_tilde)
+        in_slice = set(slice_tasks)
+        for e in inst.graph.edges:
+            if e.src in in_slice and e.dst in in_slice:
+                proc = demand[e.dst] * sum(x_tilde[(i, e.dst)] / speed[i] for i in machines)
+                worst = max(worst, 2.0 * C[e.src] + proc - 2.0 * C[e.dst])
+        for i in machines:
+            load = sum(demand[j] * x_tilde[(i, j)] / speed[i] for j in slice_tasks)
+            worst = max(worst, load - t_tilde)
+        out[q] = worst
+    return out
+
+
+@given(seed=st.integers(0, 10_000), family=st.sampled_from(FAMILIES),
+       n=st.integers(2, 5), m=st.integers(2, 10),
+       speed_hi=st.sampled_from([2.0, 8.0, 40.0]), theta=st.sampled_from([0.3, 0.5, 0.7]))
+@settings(max_examples=40, deadline=None)
+def test_arrays_match_dict_reference(seed, family, n, m, speed_hi, theta):
+    spec = GeneratorSpec(family=family, n=n, m=m, seed=seed, density=0.4,
+                         demand_range=(1.0, 4.0), speed_range=(0.25, speed_hi),
+                         weights="uniform")
+    inst, _ = normalize_demands(generate_instance(spec))
+    groups = partition_machines(inst.platform)
+    rows = list(enumerate(groups.retained))
+
+    frac = solve_makespan_relaxation(inst, groups)
+    x = {(i, j): frac.x[r, j].item() for r, i in rows for j in range(n)}
+    mass_of = {j: reference_group_mass(x, groups, j) for j in range(n)}
+    band = _band_mass(frac.x, groups)
+    assert all(dict(enumerate(band[:, j].tolist(), start=1)) == mass_of[j] for j in range(n))
+    assert (assign_groups_makespan(frac, groups, theta).to_json()
+            == reference_assign(mass_of, groups, theta).to_json())
+
+    raw = extract_weighted_fractional(inst, groups, solve_lp(build_weighted_lp(inst, groups)))
+    wsol = collapse_time_indexed(raw)
+    x3 = {(i, j, q): raw.x[r, j, q - 1].item()
+          for r, i in rows for j in range(n) for q in range(1, raw.Q + 1)}
+    C = dict(enumerate(raw.C.tolist()))
+    q_of, alpha, x_tilde = reference_collapse(x3, C, raw.Q, raw.tau, groups.retained)
+    assert wsol.q_of.tolist() == [q_of[j] for j in range(n)]
+    assert wsol.alpha.tolist() == [alpha[j] for j in range(n)]
+    assert {(i, j): wsol.x_tilde[r, j].item() for r, i in rows for j in range(n)} == x_tilde
+    tilde_mass = {j: reference_group_mass(x_tilde, groups, j) for j in range(n)}
+    assert (assign_groups_weighted(wsol, groups, theta).to_json()
+            == reference_assign(tilde_mass, groups, theta).to_json())
+    assert weighted_slice_feasibility(inst, groups, wsol) == reference_slice_feasibility(
+        inst, groups.retained, C, raw.Q, q_of, x_tilde)
+    weights = {t.id: t.weight for t in inst.graph.tasks}
+    assert wsol.objective(weights) == sum(weights[j] * cj for j, cj in C.items())
+
+    # Random fractions reach the bands and intervals that LP optima rarely use.
+    rng = np.random.default_rng(seed)
+    xr = rng.random((len(rows), n, raw.Q)) ** 4
+    xr /= xr.sum(axis=(0, 2))[None, :, None]
+    cr = rng.uniform(0.5, 2.0 ** raw.Q + 1.0, n)
+    collapsed = collapse_time_indexed(WeightedFractional(raw.Q, raw.tau, xr, cr))
+    x3 = {(i, j, q): xr[r, j, q - 1].item()
+          for r, i in rows for j in range(n) for q in range(1, raw.Q + 1)}
+    q_of, alpha, x_tilde = reference_collapse(x3, dict(enumerate(cr.tolist())), raw.Q,
+                                              raw.tau, groups.retained)
+    assert collapsed.alpha.tolist() == [alpha[j] for j in range(n)]
+    assert {(i, j): collapsed.x_tilde[r, j].item() for r, i in rows for j in range(n)} == x_tilde
+    x2 = xr[:, :, 0] / xr[:, :, 0].sum(axis=0)
+    mass_of = {j: reference_group_mass({(i, j): x2[r, j].item() for r, i in rows}, groups, j)
+               for j in range(n)}
+    assert (assign_groups_makespan(MakespanFractional(x2, cr, 1.0), groups, theta).to_json()
+            == reference_assign(mass_of, groups, theta).to_json())
