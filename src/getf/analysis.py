@@ -147,20 +147,15 @@ def terminal_chain(s: Schedule, g: TaskGraph, anchor: int | None = None,
 
 
 def _link_comm(inst: Instance, f: GroupAssignment, s: Schedule):
-    """``link_comm_time`` as a function of (src, dst), over one edge-data dict."""
+    """A function (src, dst) -> worst-case transfer time of that edge: data
+    over the slowest communication speed from src's machine into dst's
+    machine group, read from one edge-data dict."""
     edge_data = inst.graph.edge_data()
 
     def link(src: int, dst: int) -> float:
         sigma = min(inst.platform.sigma(s.assignment[src], i) for i in f.machines_for(dst))
         return edge_data[(src, dst)] / sigma
     return link
-
-
-def link_comm_time(inst: Instance, f: GroupAssignment, s: Schedule,
-                   src: int, dst: int) -> float:
-    """Worst-case transfer time of edge (src, dst): data over the slowest
-    communication speed from src's machine into dst's machine group."""
-    return _link_comm(inst, f, s)(src, dst)
 
 
 def chain_comm_time(chain: TerminalChain, s: Schedule, f: GroupAssignment,

@@ -67,11 +67,11 @@ class GeneratorSpec:
         for name, rng in (("demand", self.demand_range), ("speed", self.speed_range),
                           ("comm", self.comm_range)):
             lo, hi = rng
-            if not (0 < lo <= hi):
-                raise GeneratorError(f"{name} range must be positive and ordered")
+            if not (0 < lo <= hi < math.inf):
+                raise GeneratorError(f"{name} range must be positive, finite and ordered")
         lo, hi = self.data_range
-        if not (0 <= lo <= hi):
-            raise GeneratorError("data range must be nonnegative and ordered")
+        if not (0 <= lo <= hi < math.inf):
+            raise GeneratorError("data range must be nonnegative, finite and ordered")
         if self.self_comm not in (SELF_COMM_MATRIX, SELF_COMM_INFINITE):
             raise GeneratorError(f"unknown self-comm mode {self.self_comm!r}")
         if self.weights not in (WEIGHTS_ZERO, WEIGHTS_UNIFORM, WEIGHTS_SINK_ONLY):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_solver import EQUAL, LESS_EQUAL, LinearProgram, LpSolution, solve_lp
+from .lp_solver import EQ, LE, LinearProgram, LpSolution, solve_lp
 from .model import Instance, Platform
 
 log = logging.getLogger(__name__)
@@ -175,11 +175,16 @@ def _running_total(a: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.cumsum(a, axis=axis).take(-1, axis=axis)
 
 
-def _add_block(lp: LinearProgram, relation: str, bounds, *parts: np.ndarray) -> None:
-    """Add one row per row of the column blocks ``parts`` laid side by side."""
-    rows = np.hstack(parts)
-    for row, bound in zip(rows, np.broadcast_to(bounds, len(rows))):
-        lp.add(row, relation, bound)
+def _stack_lp(objective: np.ndarray, *blocks) -> LinearProgram:
+    """The program whose rows are the blocks (sense, bounds, *parts) in order;
+    a block's rows are its column parts laid side by side."""
+    rows, senses, bounds = [], [], []
+    for sense, bound, *parts in blocks:
+        rows.append(np.hstack(parts))
+        senses.append(np.full(len(rows[-1]), sense))
+        bounds.append(np.broadcast_to(bound, len(rows[-1])))
+    return LinearProgram(objective, np.vstack(rows), np.concatenate(senses),
+                         np.concatenate(bounds))
 
 
 def _check_mass(total: np.ndarray) -> None:
@@ -234,25 +239,26 @@ def build_makespan_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
     eye, minus_eye = np.eye(n), np.diag(-np.ones(n))   # -eye would hold -0.0
     pick = np.tile(eye, nm)                            # row j selects x[., j]
     load = pick * proc.ravel()                         # row j: processing time of j
-    nv = nm * n + n + 1
-    lp = LinearProgram(nv, np.zeros(nv))
-    lp.objective[-1] = 1.0
+    objective = np.zeros(nm * n + n + 1)
+    objective[-1] = 1.0
 
     def t_col(rows: int, value: float) -> np.ndarray:
         return np.full((rows, 1), value)
 
-    # every task fully assigned
-    _add_block(lp, EQUAL, 1.0, pick, np.zeros((n, n)), t_col(n, 0.0))
-    # processing time <= C_j
-    _add_block(lp, LESS_EQUAL, 0.0, load, minus_eye, t_col(n, 0.0))
-    # C_src + proc(dst) <= C_dst
-    _add_block(lp, LESS_EQUAL, 0.0, load[dst], eye[src] - eye[dst], t_col(len(src), 0.0))
-    # machine load <= T
-    _add_block(lp, LESS_EQUAL, 0.0, np.kron(np.eye(nm), np.ones(n)) * proc.ravel(),
-               np.zeros((nm, n)), t_col(nm, -1.0))
-    # C_j <= T
-    _add_block(lp, LESS_EQUAL, 0.0, np.zeros((n, nm * n)), eye, t_col(n, -1.0))
-    return lp
+    return _stack_lp(
+        objective,
+        # every task fully assigned
+        (EQ, 1.0, pick, np.zeros((n, n)), t_col(n, 0.0)),
+        # processing time <= C_j
+        (LE, 0.0, load, minus_eye, t_col(n, 0.0)),
+        # C_src + proc(dst) <= C_dst
+        (LE, 0.0, load[dst], eye[src] - eye[dst], t_col(len(src), 0.0)),
+        # machine load <= T
+        (LE, 0.0, np.kron(np.eye(nm), np.ones(n)) * proc.ravel(), np.zeros((nm, n)),
+         t_col(nm, -1.0)),
+        # C_j <= T
+        (LE, 0.0, np.zeros((n, nm * n)), eye, t_col(n, -1.0)),
+    )
 
 
 def extract_makespan_fractional(
@@ -326,25 +332,26 @@ def build_weighted_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
     pick = prefix[:, -1]                               # row j: every x[., j, .]
     proc_x = np.repeat(proc.ravel(), Q)                # proc of x[i, j, q]
     load = pick * proc_x                               # row j: processing time of j
-    nv = nm * n * Q + n
-    lp = LinearProgram(nv, np.zeros(nv))
-    lp.objective[nm * n * Q:] = [t.weight for t in inst.graph.tasks]
+    objective = np.zeros(nm * n * Q + n)
+    objective[nm * n * Q:] = [t.weight for t in inst.graph.tasks]
 
-    # all mass placed
-    _add_block(lp, EQUAL, 1.0, pick, np.zeros((n, n)))
-    # processing <= C_j
-    _add_block(lp, LESS_EQUAL, 0.0, load, minus_eye)
-    # chain growth
-    _add_block(lp, LESS_EQUAL, 0.0, load[dst], eye[src] - eye[dst])
-    # successor mass lags predecessor, one row per (edge, q)
-    _add_block(lp, LESS_EQUAL, 0.0, (prefix[dst] - prefix[src]).reshape(-1, nm * n * Q),
-               np.zeros((len(src) * Q, n)))
-    # left interval edge <= C_j
-    _add_block(lp, LESS_EQUAL, 0.0, pick * np.tile(tau[:-1], nm * n), minus_eye)
-    # prefix load fits the interval, one row per (machine, q)
-    _add_block(lp, LESS_EQUAL, np.tile(tau[1:], nm),
-               np.kron(np.eye(nm), np.tile(upto, n)) * proc_x, np.zeros((nm * Q, n)))
-    return lp
+    return _stack_lp(
+        objective,
+        # all mass placed
+        (EQ, 1.0, pick, np.zeros((n, n))),
+        # processing <= C_j
+        (LE, 0.0, load, minus_eye),
+        # chain growth
+        (LE, 0.0, load[dst], eye[src] - eye[dst]),
+        # successor mass lags predecessor, one row per (edge, q)
+        (LE, 0.0, (prefix[dst] - prefix[src]).reshape(-1, nm * n * Q),
+         np.zeros((len(src) * Q, n))),
+        # left interval edge <= C_j
+        (LE, 0.0, pick * np.tile(tau[:-1], nm * n), minus_eye),
+        # prefix load fits the interval, one row per (machine, q)
+        (LE, np.tile(tau[1:], nm), np.kron(np.eye(nm), np.tile(upto, n)) * proc_x,
+         np.zeros((nm * Q, n))),
+    )
 
 
 def extract_weighted_fractional(

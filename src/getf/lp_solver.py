@@ -1,27 +1,37 @@
 """Self-contained dense LP solver: two-phase primal simplex with Bland's rule.
 
+A program is  min objective . x  subject to  A x (sense) b  and  x >= 0,
+held as arrays:
+
+  * ``objective``: (n,) floats;
+  * ``A``: a dense (rows, n) float matrix, one constraint per row; the
+    number of variables n is ``A.shape[1]``;
+  * ``sense``: (rows,) integer codes, LE = -1 for <=, EQ = 0 for =,
+    GE = +1 for >=;
+  * ``b``: (rows,) float bounds.
+
 The group-assignment pipelines only need small/medium minimization LPs with
 nonnegative variables, so a deterministic dense tableau implementation is
 preferred over an external solver.  Bland's pivoting rule guarantees
 termination; determinism means identical inputs give bit-identical outputs.
 
-Tolerances: pivots below PIVOT_TOL are treated as zero, and returned points
-satisfy every constraint to within FEAS_TOL.
+Tolerances: pivots below PIVOT_TOL are treated as zero.  A point is returned
+as optimal only after a residual guard: every entry must be >= -FEAS_TOL and
+every row residual (``residuals``) <= FEAS_TOL.  A point that fails, such as
+one left behind by a pivot on a nearly singular entry, raises LpError naming
+the worst row and its residual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 
-LESS_EQUAL = "<="
-EQUAL = "="
-GREATER_EQUAL = ">="
-_RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
+LE, EQ, GE = -1, 0, 1
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -29,42 +39,57 @@ UNBOUNDED = "unbounded"
 
 
 class LpError(ValueError):
-    """Raised for malformed programs (dimension mismatch, bad relation)."""
+    """Raised for malformed programs (shape mismatch, bad sense code,
+    non-finite entries) and for optimal points that fail the residual guard."""
 
 
 @dataclass
 class LinearProgram:
-    """min objective . x  s.t.  rows, x >= 0.
+    """min objective . x  s.t.  A x (sense) b,  x >= 0; see the module docstring.
 
-    Each constraint is (coefficients, relation, bound) with relation one of
-    "<=", "=", ">=".  ``names`` optionally labels variables for debugging
-    and extraction.
+    The constructor converts the fields to arrays and checks them.
     """
 
-    n_vars: int
     objective: np.ndarray
-    constraints: list[tuple[np.ndarray, str, float]] = field(default_factory=list)
-    names: list[str] | None = None
+    A: np.ndarray
+    sense: np.ndarray
+    b: np.ndarray
 
-    def add(self, coeffs, relation: str, bound: float) -> None:
-        row = np.asarray(coeffs, dtype=float)
-        if row.shape != (self.n_vars,):
-            raise LpError(f"constraint has {row.shape[0]} coefficients, expected {self.n_vars}")
-        if relation not in _RELATIONS:
-            raise LpError(f"unknown relation {relation!r}")
-        self.constraints.append((row, relation, float(bound)))
+    def __post_init__(self) -> None:
+        self.objective = np.asarray(self.objective, dtype=float)
+        self.A = np.asarray(self.A, dtype=float)
+        self.sense = np.asarray(self.sense)
+        self.b = np.asarray(self.b, dtype=float)
+        self.check()
+
+    @property
+    def n_vars(self) -> int:
+        return self.A.shape[1]
+
+    @property
+    def constraints(self) -> tuple[tuple[np.ndarray, int, float], ...]:
+        """Read-only (row, sense, bound) view, one entry per row of A.
+
+        Kept only because perfbench's traced run counts rows and row
+        non-zeros from it; read ``A``, ``sense`` and ``b`` instead.
+        """
+        return tuple(zip(self.A, self.sense.tolist(), self.b.tolist()))
 
     def check(self) -> None:
-        obj = np.asarray(self.objective, dtype=float)
-        if obj.shape != (self.n_vars,):
-            raise LpError(f"objective has {obj.shape[0]} coefficients, expected {self.n_vars}")
-        if not np.all(np.isfinite(obj)):
-            raise LpError("objective has non-finite entries")
-        for k, (row, _, bound) in enumerate(self.constraints):
-            if row.shape != (self.n_vars,):
-                raise LpError(f"constraint {k} has wrong arity")
-            if not (np.all(np.isfinite(row)) and np.isfinite(bound)):
-                raise LpError(f"constraint {k} has non-finite entries")
+        if self.A.ndim != 2:
+            raise LpError(f"A must be a (rows, n) matrix, got shape {self.A.shape}")
+        rows, n = self.A.shape
+        for name, arr, size in (("objective", self.objective, n),
+                                ("sense", self.sense, rows), ("b", self.b, rows)):
+            if arr.shape != (size,):
+                raise LpError(f"{name} has shape {arr.shape}, expected ({size},)")
+        bad = np.flatnonzero(~np.isin(self.sense, (LE, EQ, GE)))
+        if bad.size:
+            raise LpError(f"row {bad[0]} has sense code {self.sense[bad[0]].item()!r}, "
+                          f"expected -1 (<=), 0 (=) or 1 (>=)")
+        for name, arr in (("objective", self.objective), ("A", self.A), ("b", self.b)):
+            if not np.isfinite(arr).all():
+                raise LpError(f"{name} has non-finite entries")
 
 
 @dataclass
@@ -80,22 +105,8 @@ class LpSolution:
 
 def residuals(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
     """Constraint violations of x, nonpositive entries meaning satisfied."""
-    out = np.empty(len(lp.constraints))
-    for k, (row, rel, bound) in enumerate(lp.constraints):
-        lhs = float(row @ x)
-        if rel == LESS_EQUAL:
-            out[k] = lhs - bound
-        elif rel == GREATER_EQUAL:
-            out[k] = bound - lhs
-        else:
-            out[k] = abs(lhs - bound)
-    return out
-
-
-def is_feasible(lp: LinearProgram, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
-    if np.any(x < -tol):
-        return False
-    return bool(np.all(residuals(lp, x) <= tol))
+    gap = lp.A @ x - lp.b
+    return np.where(lp.sense == EQ, np.abs(gap), -lp.sense * gap)
 
 
 def _bland_entering(cost_row: np.ndarray, ncols: int) -> int:
@@ -140,123 +151,91 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], ncols: int, max_iter: in
     raise LpError("simplex iteration limit exceeded")
 
 
+def _subtract_rows(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """first - rows[0] - rows[1] - ..., one row at a time in order (a pairwise
+    sum could change the last bit)."""
+    return np.subtract.reduce(np.vstack([first, rows]), axis=0)
+
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve min c.x subject to lp's constraints and x >= 0.
 
     Returns an optimal solution, or a bare infeasible/unbounded status.
+    Raises LpError if the optimal point fails the residual guard.
     """
     lp.check()
-    n = lp.n_vars
-    rows = len(lp.constraints)
+    rows, n = lp.A.shape
     if rows == 0:
         # Nothing binds beyond x >= 0; bounded iff no negative objective entry.
-        if np.any(np.asarray(lp.objective) < 0):
+        if np.any(lp.objective < 0):
             return LpSolution(UNBOUNDED)
         return LpSolution(OPTIMAL, np.zeros(n), 0.0)
 
-    # Canonicalize to b >= 0.
-    A = np.zeros((rows, n))
-    b = np.zeros(rows)
-    rels: list[str] = []
-    for i, (row, rel, bound) in enumerate(lp.constraints):
-        if bound < 0:
-            row, bound = -row, -bound
-            rel = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[rel]
-        A[i] = row
-        b[i] = bound
-        rels.append(rel)
-
-    n_slack = sum(1 for r in rels if r == LESS_EQUAL)
-    n_surplus = sum(1 for r in rels if r == GREATER_EQUAL)
-    n_art = sum(1 for r in rels if r in (GREATER_EQUAL, EQUAL))
-    slack0, surplus0, art0 = n, n + n_slack, n + n_slack + n_surplus
-    total = art0 + n_art
+    # Canonicalize to b >= 0: rows with b < 0 are negated and their sense mirrored.
+    flip = lp.b < 0
+    sense = np.where(flip, -lp.sense, lp.sense)
+    le, ge = sense == LE, sense == GE
+    art = ~le                                   # >= and = rows start on an artificial
+    surplus0 = n + int(le.sum())
+    art0 = surplus0 + int(ge.sum())
+    total = art0 + int(art.sum())
 
     tableau = np.zeros((rows + 1, total + 1))
-    tableau[:rows, :n] = A
-    tableau[:rows, -1] = b
-    basis: list[int] = []
-    si = ti = ai = 0
-    for i, rel in enumerate(rels):
-        if rel == LESS_EQUAL:
-            tableau[i, slack0 + si] = 1.0
-            basis.append(slack0 + si)
-            si += 1
-        elif rel == GREATER_EQUAL:
-            tableau[i, surplus0 + ti] = -1.0
-            tableau[i, art0 + ai] = 1.0
-            basis.append(art0 + ai)
-            ti += 1
-            ai += 1
-        else:
-            tableau[i, art0 + ai] = 1.0
-            basis.append(art0 + ai)
-            ai += 1
+    body = tableau[:rows]
+    body[:, :n] = np.where(flip[:, None], -lp.A, lp.A)
+    body[:, -1] = np.where(flip, -lp.b, lp.b)
+    # Row i's slack, surplus and artificial columns count the rows before it.
+    slack = n + np.cumsum(le) - 1
+    surplus = surplus0 + np.cumsum(ge) - 1
+    artificial = art0 + np.cumsum(art) - 1
+    at = np.arange(rows)
+    body[at[le], slack[le]] = 1.0
+    body[at[ge], surplus[ge]] = -1.0
+    body[at[art], artificial[art]] = 1.0
+    basis = np.where(le, slack, artificial).tolist()
 
     max_iter = 2000 + 200 * (rows + total)
 
     # Phase 1: minimize the artificial sum.  Artificials that leave the basis
     # are never allowed back in, so entering candidates stop at art0.
     phase1 = np.zeros(total + 1)
-    phase1[art0:art0 + n_art] = 1.0
-    for i, bv in enumerate(basis):
-        if bv >= art0:
-            phase1 -= tableau[i, :]
-    tableau[-1, :] = phase1
+    phase1[art0:total] = 1.0
+    tableau[-1, :] = _subtract_rows(phase1, body[art])
     status = _run_simplex(tableau, basis, art0, max_iter)
     if status != OPTIMAL or -tableau[-1, -1] > FEAS_TOL:
         return LpSolution(INFEASIBLE)
 
     # Drive remaining artificials out of the basis; drop redundant rows.
-    keep_rows: list[int] = []
+    keep = np.ones(rows + 1, dtype=bool)
     for i in range(rows):
         if basis[i] >= art0:
-            pivot_col = -1
-            for j in range(art0):
-                if abs(tableau[i, j]) > PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
-                continue  # all-zero row: redundant constraint
-            _pivot(tableau, basis, i, pivot_col)
-        keep_rows.append(i)
-
-    body = tableau[keep_rows, :]
-    basis = [basis[i] for i in keep_rows]
-    cols = np.ones(total + 1, dtype=bool)
-    cols[art0:art0 + n_art] = False
-    reduced = np.vstack([body[:, cols], np.zeros((1, int(cols.sum())))])
+            candidates = np.flatnonzero(np.abs(tableau[i, :art0]) > PIVOT_TOL)
+            if candidates.size:
+                _pivot(tableau, basis, i, int(candidates[0]))
+            else:
+                keep[i] = False                 # all-zero row: redundant constraint
 
     # Phase 2 with the real objective expressed in the current basis.  All
     # basis entries now index structural or slack columns (below art0), which
-    # keep their positions after the artificial columns are masked out.
-    cost = np.zeros(reduced.shape[1])
-    cost[:n] = np.asarray(lp.objective, dtype=float)
-    reduced[-1, :] = cost
-    for i, bv in enumerate(basis):
-        if cost[bv] != 0.0:
-            reduced[-1, :] -= cost[bv] * reduced[i, :]
-    status = _run_simplex(reduced, basis, reduced.shape[1] - 1, max_iter)
+    # keep their positions after the artificial columns are dropped.
+    reduced = tableau[keep][:, np.r_[:art0, total]]
+    basis = [bv for bv, kept in zip(basis, keep) if kept]
+    cost = np.zeros(art0 + 1)
+    cost[:n] = lp.objective
+    priced = cost[basis] != 0.0
+    reduced[-1, :] = _subtract_rows(cost, cost[basis][priced, None] * reduced[:-1][priced])
+    status = _run_simplex(reduced, basis, art0, max_iter)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED)
 
-    x = np.zeros(reduced.shape[1] - 1)
-    for i, bv in enumerate(basis):
-        x[bv] = reduced[i, -1]
+    x = np.zeros(art0)
+    x[basis] = reduced[:-1, -1]
     solution = np.where(np.abs(x[:n]) < PIVOT_TOL, 0.0, x[:n])
-    return LpSolution(OPTIMAL, solution, float(np.asarray(lp.objective) @ solution))
 
-
-def lp_to_text(lp: LinearProgram) -> str:
-    """Dump in a CPLEX-LP-like text format for cross-checking elsewhere."""
-    names = lp.names or [f"x{i}" for i in range(lp.n_vars)]
-
-    def expr(coeffs: np.ndarray) -> str:
-        terms = [f"{c:+.12g} {names[i]}" for i, c in enumerate(coeffs) if c != 0]
-        return " ".join(terms) if terms else "0"
-
-    lines = ["Minimize", f" obj: {expr(np.asarray(lp.objective, dtype=float))}", "Subject To"]
-    for k, (row, rel, bound) in enumerate(lp.constraints):
-        lines.append(f" c{k}: {expr(row)} {rel} {bound:.12g}")
-    lines += ["Bounds"] + [f" 0 <= {nm}" for nm in names] + ["End"]
-    return "\n".join(lines) + "\n"
+    violation = np.concatenate([residuals(lp, solution), -solution])
+    worst = int(np.argmax(violation))
+    if not violation[worst] <= FEAS_TOL:
+        where = f"row {worst}" if worst < rows else f"x[{worst - rows}] >= 0"
+        raise LpError(f"simplex returned an infeasible point: {where} has residual "
+                      f"{violation[worst]:.6g} > FEAS_TOL {FEAS_TOL:g}")
+    return LpSolution(OPTIMAL, solution, float(lp.objective @ solution))

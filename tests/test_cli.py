@@ -62,7 +62,11 @@ class TestGenerate:
         assert run("generate", "--family", "layered", "--m", "2") == EXIT_USAGE
         for argv in (("generate", "--n", 3, "--m", 2, "--demand", "abc"),
                      ("generate", "--n", 0, "--m", 2),
-                     ("compare", tmp_path, "--seeds", "x")):
+                     ("compare", tmp_path, "--seeds", "x"),
+                     ("generate", "--n", 3, "--m", 2, "--speed", "inf"),
+                     ("generate", "--n", 3, "--m", 2, "--comm", "1:inf"),
+                     ("generate", "--n", 3, "--m", 2, "--demand", "1:inf"),
+                     ("generate", "--n", 3, "--m", 2, "--data", "0:inf")):
             capsys.readouterr()
             assert run(*argv) == EXIT_USAGE, argv
             err = capsys.readouterr().err
@@ -131,6 +135,18 @@ class TestSolve:
         monkeypatch.setattr(grouping, "solve_lp", failing_solve)
         assert run("solve", example_file, "--algo", "getf-makespan") == EXIT_INFEASIBLE
         assert capsys.readouterr().err == "error: simplex iteration limit exceeded\n"
+
+    def test_infeasible_lp_point_exit_2_one_line(self, tmp_path, capsys):
+        # The simplex ends on an infeasible point for this weighted relaxation;
+        # the residual guard refuses it instead of assigning bands from it.
+        inst = tmp_path / "inst.json"
+        assert run("generate", "--family", "random-dag", "--n", 10, "--m", 3, "--seed", 100057,
+                   "--weights", "uniform", "-o", inst) == EXIT_OK
+        capsys.readouterr()
+        assert run("solve", inst, "--algo", "getf-weighted") == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("error: simplex returned an infeasible point: row 122 ")
+        assert err.count("\n") == 1
 
 
 class TestVerify:

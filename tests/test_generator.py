@@ -94,3 +94,8 @@ def test_bad_specs_rejected():
     with pytest.raises(GeneratorError):
         GeneratorSpec(family=LAYERED, n=3, m=1, seed=0,
                       speed_range=(0.0, 1.0)).check()
+    inf = float("inf")
+    for field, bad in (("speed_range", (inf, inf)), ("comm_range", (1.0, inf)),
+                       ("demand_range", (1.0, inf)), ("data_range", (0.0, inf))):
+        with pytest.raises(GeneratorError, match="finite"):
+            GeneratorSpec(family=LAYERED, n=3, m=1, seed=0, **{field: bad}).check()
