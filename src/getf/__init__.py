@@ -8,7 +8,7 @@ every produced schedule.
 from .analysis import (BoundReport, Inequality, TerminalChain, chain_comm_time,
                        identical_report, makespan_theorem_report,
                        min_comm_terminal_chain, per_task_chain_comm,
-                       separation_report, terminal_chain, weighted_theorem_report)
+                       separation_report, weighted_theorem_report)
 from .generator import GeneratorSpec, generate_instance
 from .grouping import (GroupAssignment, MachineGroups, MakespanFractional,
                        WeightedFractional, assign_groups_makespan,

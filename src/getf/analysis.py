@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from .grouping import GroupAssignment, MachineGroups, WeightedFractional, weighted_slice_feasibility
 from .model import Instance, TaskGraph
-from .scheduler import Schedule, TieBreak, TieChooser, comm_delay
+from .scheduler import Schedule, comm_delay
 
 log = logging.getLogger(__name__)
 
@@ -53,10 +53,6 @@ class AnalysisError(ValueError):
 @dataclass(frozen=True)
 class TerminalChain:
     tasks: tuple[int, ...]
-
-    @property
-    def anchor(self) -> int:
-        return self.tasks[-1]
 
     def links(self) -> list[tuple[int, int]]:
         return list(zip(self.tasks, self.tasks[1:]))
@@ -88,9 +84,6 @@ class BoundReport:
     def passed(self) -> bool:
         return all(iq.passed for iq in self.inequalities)
 
-    def failing(self) -> list[Inequality]:
-        return [iq for iq in self.inequalities if not iq.passed]
-
     def add(self, name: str, lhs: float, rhs: float) -> Inequality:
         iq = Inequality(name, lhs, rhs)
         self.inequalities.append(iq)
@@ -121,29 +114,6 @@ def latest_finishing(candidates: list[int], finish: dict[int, float],
                      tol: float = FINISH_TIE_TOL) -> list[int]:
     top = max(finish[j] for j in candidates)
     return sorted(j for j in candidates if finish[j] >= top - tol)
-
-
-def terminal_chain(s: Schedule, g: TaskGraph, anchor: int | None = None,
-                   tie: TieBreak | None = None) -> TerminalChain:
-    """Backward walk through latest-finishing immediate predecessors.
-
-    ``anchor`` defaults to a latest-finishing task of the whole schedule;
-    finish ties (within 1e-9) are broken by the tie rule.
-    """
-    if anchor is not None and anchor not in s.assignment:
-        raise AnalysisError(f"anchor task {anchor} is not in the schedule")
-    chooser = TieChooser(tie or TieBreak.by_index(), g)
-
-    preds = g.predecessors()
-    if anchor is None:
-        anchor = chooser.choose(latest_finishing(sorted(s.assignment), s.finish))
-    chain = [anchor]
-    current = anchor
-    while preds[current]:
-        current = chooser.choose(latest_finishing(preds[current], s.finish))
-        chain.append(current)
-    chain.reverse()
-    return TerminalChain(tuple(chain))
 
 
 def _link_comm(inst: Instance, f: GroupAssignment, s: Schedule):
@@ -231,13 +201,11 @@ def chain_processing_time(chain: TerminalChain, s: Schedule, inst: Instance) -> 
     )
 
 
-def group_loads(inst: Instance, f: GroupAssignment, groups: MachineGroups,
-                tasks: list[int] | None = None) -> dict[int, float]:
+def group_loads(inst: Instance, f: GroupAssignment, groups: MachineGroups) -> dict[int, float]:
     """D_k: total demand assigned to band k over the band's original speed."""
-    task_ids = tasks if tasks is not None else [t.id for t in inst.graph.tasks]
     demand_by_group: dict[int, float] = {k: 0.0 for k in range(1, groups.K + 1)}
-    for j in task_ids:
-        demand_by_group[f.group_of_task[j]] += inst.graph.tasks[j].demand
+    for t in inst.graph.tasks:
+        demand_by_group[f.group_of_task[t.id]] += t.demand
     out: dict[int, float] = {}
     for k, total in demand_by_group.items():
         out[k] = total / groups.group_speed[k] if total > 0 else 0.0

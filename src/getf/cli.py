@@ -1,8 +1,13 @@
 """Command-line surface: generate, solve, verify, compare, gantt.
 
-Exit codes: 0 success, 1 usage error, 2 infeasible input, validation
-failure or a library error (LP, analysis, oracle), 3 bound-report
-violation.  GETF_LOG (quiet|info|debug) controls logging verbosity.
+Exit codes: 0 success, 1 usage error (including an unreadable input or an
+unwritable output path), 2 infeasible input, validation failure or a
+library error (LP, grouping, analysis, oracle), 3 bound-report violation.
+GETF_LOG (quiet|info|debug) controls logging verbosity.
+
+The commands are a thin shell over ``getf.pipeline``: ``solve`` and
+``compare`` call ``pipeline.run``; ``verify --algo`` calls only
+``pipeline.assign``, to derive the bands its bound report needs.
 
 ``solve`` never emits a schedule that fails the independent feasibility
 check, and for the greedy schedulers it computes the separation report
@@ -22,12 +27,13 @@ import sys
 import time
 from pathlib import Path
 
-from . import analysis, grouping, model, scheduler
+from . import analysis, grouping, model, pipeline, scheduler
 from .generator import (FORK_JOIN, LAYERED, RANDOM_DAG, SELF_COMM_INFINITE,
                         SELF_COMM_MATRIX, WEIGHTS_SINK_ONLY, WEIGHTS_UNIFORM,
                         WEIGHTS_ZERO, GeneratorError, GeneratorSpec, generate_instance)
 from .lp_solver import LpError
 from .oracle import OracleLimitError
+from .pipeline import ALGORITHMS
 
 log = logging.getLogger("getf")
 
@@ -35,8 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_BOUND = 3
-
-ALGORITHMS = ("getf-makespan", "getf-weighted", "etf", "sls")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,42 +84,19 @@ def _write(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise CliError(str(exc), EXIT_USAGE) from exc
 
 
 def _load_instance(path: str) -> model.Instance:
     try:
         return model.load_instance(path)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
     except model.InstanceError as exc:
         raise CliError(f"{path}: {exc}", EXIT_INFEASIBLE) from exc
-
-
-def _pipeline(inst: model.Instance, algo: str, tie: scheduler.TieBreak,
-              theta: float, gamma: float | None):
-    """Run one scheduling algorithm; returns (schedule, assignment, groups)."""
-    if algo == "etf":
-        f = grouping.trivial_assignment(inst)
-        return scheduler.etf_schedule(inst, tie), f, f.groups
-    if algo == "sls":
-        f = grouping.trivial_assignment(inst)
-        priority = model.topological_order(inst.graph)
-        return scheduler.sls_schedule(inst, f, priority), f, f.groups
-    if algo == "getf-makespan":
-        groups = grouping.partition_machines(inst.platform, gamma)
-        frac = grouping.solve_makespan_relaxation(inst, groups)
-        f = grouping.assign_groups_makespan(frac, groups, theta)
-        return scheduler.getf_schedule(inst, f, tie), f, groups
-    if algo == "getf-weighted":
-        normalized, scale = model.normalize_demands(inst)
-        if scale != 1.0:
-            log.info("demands scaled by %g to derive the group assignment", scale)
-        groups = grouping.partition_machines(normalized.platform, gamma)
-        wsol = grouping.solve_weighted_relaxation(normalized, groups)
-        f = grouping.assign_groups_weighted(wsol, groups, theta)
-        return scheduler.getf_schedule(inst, f, tie), f, groups
-    raise CliError(f"unknown algorithm {algo!r}", EXIT_USAGE)
 
 
 def cmd_generate(args) -> int:
@@ -140,7 +121,7 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
     tie = _parse_tie(args.tie)
-    sched, f, groups = _pipeline(inst, args.algo, tie, args.theta, args.gamma)
+    sched, f = pipeline.run(inst, args.algo, tie, args.theta, args.gamma)
 
     feas = scheduler.verify_schedule(inst, sched, f)
     if not feas.feasible:
@@ -148,7 +129,7 @@ def cmd_solve(args) -> int:
                        EXIT_INFEASIBLE)
 
     if args.algo in ("getf-makespan", "getf-weighted", "etf"):
-        report = analysis.separation_report(sched, inst, f, groups)
+        report = analysis.separation_report(sched, inst, f, f.groups)
         main = report.inequalities[0]
         idle_entries = report.inequalities[1:]
         bad_idle = [iq for iq in idle_entries if not iq.passed]
@@ -180,11 +161,10 @@ def cmd_verify(args) -> int:
     placed = sorted(sched.assignment) == list(range(inst.graph.n)) and all(
         0 <= i < inst.platform.m for i in sched.assignment.values())
     if args.algo is not None and placed:
-        tie = _parse_tie(args.tie)
-        _, f, groups = _pipeline(inst, args.algo, tie, args.theta, args.gamma)
+        f = pipeline.assign(inst, args.algo, args.theta, args.gamma)
         group_ok = scheduler.verify_schedule(inst, sched, f)
         out["group_consistent"] = group_ok.feasible
-        report = analysis.separation_report(sched, inst, f, groups)
+        report = analysis.separation_report(sched, inst, f, f.groups)
         out["separation"] = report.to_dict()
     _write(json.dumps(out, indent=2) + "\n", args.output)
     if not feas.feasible:
@@ -220,11 +200,11 @@ def compare_batch(instance_dir: str, algorithms: list[str],
                 t0 = time.perf_counter()
                 try:
                     inst = model.load_instance(str(path))
-                    sched, f, groups = _pipeline(inst, algo, tie, 0.5, None)
+                    sched, f = pipeline.run(inst, algo, tie)
                     feas = scheduler.verify_schedule(inst, sched, f)
                     if not feas.feasible:
                         raise CliError(feas.violations[0], EXIT_INFEASIBLE)
-                    rep = analysis.separation_report(sched, inst, f, groups)
+                    rep = analysis.separation_report(sched, inst, f, f.groups)
                     main = rep.inequalities[0]
                     elapsed = time.perf_counter() - t0
                     writer.writerow([
@@ -254,6 +234,8 @@ def compare_batch(instance_dir: str, algorithms: list[str],
 
 
 def cmd_compare(args) -> int:
+    if not Path(args.directory).is_dir():
+        raise CliError(f"not a directory: {args.directory!r}", EXIT_USAGE)
     algorithms = [a.strip() for a in args.algos.split(",") if a.strip()]
     for a in algorithms:
         if a not in ALGORITHMS:
@@ -321,8 +303,7 @@ def build_parser() -> _Parser:
     p.add_argument("instance")
     p.add_argument("schedule")
     p.add_argument("--algo", choices=list(ALGORITHMS), default=None,
-                   help="recompute this pipeline's groups and bound report")
-    p.add_argument("--tie", default="by-index")
+                   help="derive this algorithm's bands and the bound report")
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("-o", "--output", default=None)

@@ -124,7 +124,7 @@ def partition_machines(platform: Platform, gamma: float | None = None) -> Machin
     retained = tuple(i for i in sorted(speeds) if speeds[i] >= threshold - 1e-15)
 
     g = default_gamma(m) if gamma is None else float(gamma)
-    if g <= 1.0:
+    if not g > 1.0:  # NaN too
         raise GroupingError(f"gamma must exceed 1, got {g}")
     K = max(1, math.ceil(math.log(m, g) - 1e-12)) if m > 1 else 1
 

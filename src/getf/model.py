@@ -104,7 +104,6 @@ class Instance:
 @dataclass
 class ValidationReport:
     violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -114,7 +113,7 @@ class ValidationReport:
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check every structural invariant; violations make the instance unusable.
 
-    Disconnected DAGs and zero-data edges are legal and only warned about.
+    Disconnected DAGs and zero-data edges are legal.
     """
     report = ValidationReport()
     g, p = inst.graph, inst.platform
@@ -146,8 +145,6 @@ def validate_instance(inst: Instance) -> ValidationReport:
             report.violations.append(f"non-finite data on edge ({e.src},{e.dst})")
         elif e.data < 0:
             report.violations.append(f"negative data on edge ({e.src},{e.dst})")
-        elif e.data == 0:
-            report.warnings.append(f"zero-data edge ({e.src},{e.dst})")
 
     for idx, mac in enumerate(p.machines):
         if mac.id != idx:
@@ -175,27 +172,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
         except CycleError as exc:
             report.violations.append(str(exc))
 
-    if not report.violations and n > 1:
-        if _component_count(g) > 1:
-            report.warnings.append("task graph is disconnected")
-
     return report
-
-
-def _component_count(g: TaskGraph) -> int:
-    parent = list(range(g.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in g.edges:
-        ra, rb = find(e.src), find(e.dst)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in range(g.n)})
 
 
 def topological_order(g: TaskGraph) -> list[int]:

@@ -8,7 +8,7 @@ from getf import analysis
 from getf.analysis import (chain_comm_time, chain_processing_time, identical_report,
                            latest_finishing, machine_idle_in_window,
                            makespan_theorem_report, min_comm_terminal_chain,
-                           per_task_chain_comm, separation_report, terminal_chain,
+                           per_task_chain_comm, separation_report,
                            weighted_theorem_report, TerminalChain)
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.grouping import (GroupAssignment, partition_machines,
@@ -52,20 +52,19 @@ def all_terminal_chains(s: Schedule, inst) -> list[tuple[int, ...]]:
 
 
 class TestTerminalChain:
-    def test_worked_example_by_index(self, example_instance):
-        s, _ = getf_on_example(example_instance)
-        chain = terminal_chain(s, example_instance.graph, anchor=3)
-        assert chain.tasks == (0, 3)  # tasks 0 and 1 tie at finish 1; lowest id
+    """The min-comm chain is a terminal chain: a backward walk from a
+    latest-finishing task through latest-finishing predecessors."""
 
     def test_single_task(self):
         inst = make_instance([1.0], [], [1.0])
         s = etf_schedule(inst, TieBreak.by_index())
-        assert terminal_chain(s, inst.graph).tasks == (0,)
+        assert min_comm_terminal_chain(s, inst, trivial_assignment(inst))[0].tasks == (0,)
 
     def test_path_dag_unique_chain(self):
         inst = make_instance([1, 1, 1], [(0, 1, 1.0), (1, 2, 1.0)], [1.0], comm=2.0)
         s = etf_schedule(inst, TieBreak.by_index())
-        assert terminal_chain(s, inst.graph).tasks == (0, 1, 2)
+        chain, _ = min_comm_terminal_chain(s, inst, trivial_assignment(inst))
+        assert chain.tasks == (0, 1, 2)
 
     def test_backward_walk_invariant(self):
         rng = random.Random(61)
@@ -74,9 +73,10 @@ class TestTerminalChain:
                                  m=rng.randint(2, 5), seed=500 + k, density=0.4)
             inst = generate_instance(spec)
             s = etf_schedule(inst, TieBreak.by_index())
-            chain = terminal_chain(s, inst.graph)
+            chain, _ = min_comm_terminal_chain(s, inst, trivial_assignment(inst))
             preds = inst.graph.predecessors()
             assert not preds[chain.tasks[0]]
+            assert chain.tasks[-1] in latest_finishing(sorted(s.assignment), s.finish)
             for a, b in chain.links():
                 assert a in preds[b]
                 assert a in latest_finishing(preds[b], s.finish)

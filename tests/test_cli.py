@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from getf import grouping
+from getf import grouping, scheduler
 from getf.cli import (ALGORITHMS, EXIT_BOUND, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE,
                       compare_batch, main)
 from getf.lp_solver import LpError
@@ -58,15 +58,21 @@ class TestGenerate:
                        "--seed", 7, "-o", out) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    def test_usage_error_exit_code(self, capsys, tmp_path):
+    def test_usage_error_exit_code(self, capsys, tmp_path, example_file):
         assert run("generate", "--family", "layered", "--m", "2") == EXIT_USAGE
+        unwritable = tmp_path / "missing" / "x.json"
         for argv in (("generate", "--n", 3, "--m", 2, "--demand", "abc"),
                      ("generate", "--n", 0, "--m", 2),
                      ("compare", tmp_path, "--seeds", "x"),
                      ("generate", "--n", 3, "--m", 2, "--speed", "inf"),
                      ("generate", "--n", 3, "--m", 2, "--comm", "1:inf"),
                      ("generate", "--n", 3, "--m", 2, "--demand", "1:inf"),
-                     ("generate", "--n", 3, "--m", 2, "--data", "0:inf")):
+                     ("generate", "--n", 3, "--m", 2, "--data", "0:inf"),
+                     ("generate", "--n", 3, "--m", 2, "-o", unwritable),
+                     ("solve", example_file, "--algo", "etf", "-o", unwritable),
+                     ("solve", tmp_path),
+                     ("compare", tmp_path / "missing"),
+                     ("compare", example_file)):
             capsys.readouterr()
             assert run(*argv) == EXIT_USAGE, argv
             err = capsys.readouterr().err
@@ -106,6 +112,16 @@ class TestSolve:
         assert run("solve", example_file, "--algo", "etf", "-o", out) == EXIT_OK
         rc = run("solve", example_file, "--algo", "etf", "--strict", "-o", out)
         assert rc == EXIT_BOUND
+
+    def test_nan_gamma_exit_2_one_line(self, example_file, tmp_path, capsys):
+        sched = tmp_path / "sched.json"
+        assert run("solve", example_file, "--algo", "etf", "-o", sched) == EXIT_OK
+        for argv in (("solve", example_file, "--gamma", "nan"),
+                     ("verify", example_file, sched, "--algo", "getf-makespan",
+                      "--gamma", "nan")):
+            capsys.readouterr()
+            assert run(*argv) == EXIT_INFEASIBLE, argv
+            assert capsys.readouterr().err == "error: gamma must exceed 1, got nan\n"
 
     def test_unknown_tie_rule_usage_error(self, example_file):
         assert run("solve", example_file, "--tie", "coin-flip") == EXIT_USAGE
@@ -184,6 +200,27 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["group_consistent"] is True
         assert doc["separation"]["inequalities"][0]["pass"] is True
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_algo_derives_bands_without_scheduling(self, example_file, tmp_path,
+                                                   monkeypatch, algo):
+        sched = tmp_path / "sched.json"
+        assert run("solve", example_file, "--algo", algo, "-o", sched) == EXIT_OK
+
+        def no_scheduler(*args):
+            raise AssertionError("verify --algo ran the scheduler")
+        monkeypatch.setattr(scheduler, "getf_schedule", no_scheduler)
+        monkeypatch.setattr(scheduler, "sls_schedule", no_scheduler)
+        out = tmp_path / "verify.json"
+        assert run("verify", example_file, sched, "--algo", algo, "-o", out) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["feasible"] is True and doc["group_consistent"] is True
+
+    def test_tie_is_a_usage_error(self, example_file, tmp_path):
+        sched = tmp_path / "sched.json"
+        assert run("solve", example_file, "--algo", "etf", "-o", sched) == EXIT_OK
+        assert run("verify", example_file, sched, "--algo", "etf",
+                   "--tie", "by-index") == EXIT_USAGE
 
     def test_unknown_machine_is_a_violation(self, example_file, tmp_path):
         sched = self.tampered(example_file, tmp_path,

@@ -57,8 +57,9 @@ class TestPartition:
 
     def test_gamma_must_exceed_one(self):
         inst = make_instance([1.0], [], [1.0])
-        with pytest.raises(GroupingError):
-            partition_machines(inst.platform, gamma=1.0)
+        for gamma in (1.0, math.nan):
+            with pytest.raises(GroupingError):
+                partition_machines(inst.platform, gamma=gamma)
 
     def test_discarded_total_at_most_fastest(self):
         rng = random.Random(3)
