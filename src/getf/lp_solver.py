@@ -1,4 +1,4 @@
-"""Self-contained dense LP solver: two-phase primal simplex with Bland's rule.
+"""Self-contained dense LP solver: a two-phase primal simplex tableau.
 
 A program is  min objective . x  subject to  A x (sense) b  and  x >= 0,
 held as arrays:
@@ -12,14 +12,27 @@ held as arrays:
 
 The group-assignment pipelines only need small/medium minimization LPs with
 nonnegative variables, so a deterministic dense tableau implementation is
-preferred over an external solver.  Bland's pivoting rule guarantees
-termination; determinism means identical inputs give bit-identical outputs.
+preferred over an external solver.
+
+Pivoting: the entering column has the most negative reduced cost (Dantzig's
+rule); the leaving row wins a vectorized minimum-ratio test, ties within
+1e-12 going to the largest pivot element, then to the lowest basis index.
+Against cycling on degenerate vertices, the ratio test reads a perturbed
+right-hand side (Wolfe 1963): canonical ``<=`` row i gets
+``PERTURBATION * min(1, max_j |A_ij|) * (1 + 7919 i mod rows) / rows``
+added to its bound, so a row of tiny coefficients is moved no further than
+its own scale.  The unperturbed bounds ride along as a second
+right-hand-side column through every pivot; x and the phase-1 verdict read
+that column, so the perturbation leaves no drift in the result.  Where a
+small pivot has magnified the perturbation so far that a basic variable lies
+below -PIVOT_TOL on the true bounds, dual simplex steps repair the basis at
+the end of each phase (the pipelines' programs have not needed one).  No
+random numbers are drawn: identical inputs give bit-identical outputs.
 
 Tolerances: pivots below PIVOT_TOL are treated as zero.  A point is returned
 as optimal only after a residual guard: every entry must be >= -FEAS_TOL and
-every row residual (``residuals``) <= FEAS_TOL.  A point that fails, such as
-one left behind by a pivot on a nearly singular entry, raises LpError naming
-the worst row and its residual.
+every row residual (``residuals``) <= FEAS_TOL.  A point that fails raises
+LpError naming the worst row and its residual.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ import numpy as np
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
+PERTURBATION = 1e-7
 
 LE, EQ, GE = -1, 0, 1
 
@@ -97,6 +111,8 @@ class LpSolution:
     status: str
     x: np.ndarray | None = None
     objective: float | None = None
+    pivots: int = 0
+    degenerate_pivots: int = 0
 
     @property
     def is_optimal(self) -> bool:
@@ -109,29 +125,12 @@ def residuals(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
     return np.where(lp.sense == EQ, np.abs(gap), -lp.sense * gap)
 
 
-def _bland_entering(cost_row: np.ndarray, ncols: int) -> int:
-    neg = np.nonzero(cost_row[:ncols] < -PIVOT_TOL)[0]
-    return int(neg[0]) if neg.size else -1
-
-
-def _bland_leaving(tableau: np.ndarray, basis: list[int], col: int) -> int:
-    nrows = tableau.shape[0] - 1
-    column = tableau[:nrows, col]
-    rhs = tableau[:nrows, -1]
-    best_row, best_ratio = -1, np.inf
-    for i in range(nrows):
-        a = column[i]
-        if a > PIVOT_TOL:
-            ratio = rhs[i] / a
-            if ratio < best_ratio - 1e-12 or (
-                abs(ratio - best_ratio) <= 1e-12 and (best_row < 0 or basis[i] < basis[best_row])
-            ):
-                best_ratio = ratio
-                best_row = i
-    return best_row
-
-
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int,
+           counts: list[int]) -> None:
+    """Pivot on (row, col).  counts is [pivots, degenerate pivots]; a pivot is
+    degenerate when its step moves the unperturbed point by at most PIVOT_TOL."""
+    counts[0] += 1
+    counts[1] += bool(abs(tableau[row, -1]) <= PIVOT_TOL * abs(tableau[row, col]))
     tableau[row, :] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
@@ -139,15 +138,62 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_simplex(tableau: np.ndarray, basis: list[int], ncols: int, max_iter: int) -> str:
+def _leaving(tableau: np.ndarray, basis: np.ndarray, col: int) -> int:
+    """Minimum ratio on the perturbed RHS; ties within 1e-12 go to the
+    largest pivot element, then to the lowest basis index.  -1 if unbounded."""
+    column = tableau[:-1, col]
+    rows = np.flatnonzero(column > PIVOT_TOL)
+    if not rows.size:
+        return -1
+    ratios = tableau[rows, -2] / column[rows]
+    rows = rows[ratios <= ratios.min() + 1e-12]
+    rows = rows[column[rows] == column[rows].max()]
+    return int(rows[np.argmin(basis[rows])])
+
+
+def _simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int,
+             counts: list[int]) -> str:
+    """Primal simplex with Dantzig pricing over the first ncols columns."""
+    if not ncols:
+        return OPTIMAL                          # a program without variables
     for _ in range(max_iter):
-        col = _bland_entering(tableau[-1, :], ncols)
-        if col < 0:
+        col = int(np.argmin(tableau[-1, :ncols]))
+        if not tableau[-1, col] < -PIVOT_TOL:
             return OPTIMAL
-        row = _bland_leaving(tableau, basis, col)
+        row = _leaving(tableau, basis, col)
         if row < 0:
             return UNBOUNDED
-        _pivot(tableau, basis, row, col)
+        _pivot(tableau, basis, row, col, counts)
+    raise LpError("simplex iteration limit exceeded")
+
+
+def _restore_true_bounds(tableau: np.ndarray, basis: np.ndarray, ncols: int,
+                         max_iter: int, counts: list[int]) -> bool:
+    """Dual simplex on the true RHS over the first ncols columns.
+
+    The basis the perturbed RHS leaves optimal can put a basic variable below
+    -PIVOT_TOL on the true bounds, where a small pivot has magnified the
+    perturbation.  Each step lets the most negative one leave and keeps the
+    reduced costs nonnegative, the entering column being the largest pivot
+    among the dual ratios within PIVOT_TOL of the minimum (Harris's test).
+    A row that no column can raise proves the program infeasible (False) if
+    it lies below -FEAS_TOL; above that, it is left to the residual guard."""
+    stuck = np.zeros(tableau.shape[0] - 1, dtype=bool)
+    for _ in range(max_iter):
+        low = np.where(stuck, 0.0, tableau[:-1, -1])
+        if not np.any(low < -PIVOT_TOL):
+            return True
+        row = int(np.argmin(low))
+        cols = np.flatnonzero(tableau[row, :ncols] < -PIVOT_TOL)
+        if not cols.size:
+            if low[row] < -FEAS_TOL:
+                return False
+            stuck[row] = True
+            continue
+        step = -tableau[row, cols]
+        cost = np.maximum(tableau[-1, cols], 0.0)
+        cols = cols[cost / step <= ((cost + PIVOT_TOL) / step).min()]
+        _pivot(tableau, basis, row, int(cols[np.argmin(tableau[row, cols])]), counts)
     raise LpError("simplex iteration limit exceeded")
 
 
@@ -179,31 +225,39 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     surplus0 = n + int(le.sum())
     art0 = surplus0 + int(ge.sum())
     total = art0 + int(art.sum())
+    at = np.arange(rows)
 
-    tableau = np.zeros((rows + 1, total + 1))
+    # Two RHS columns ride through every pivot: the perturbed one (-2) steers
+    # the ratio test, the true one (-1) gives x and the phase-1 verdict.
+    tableau = np.zeros((rows + 1, total + 2))
     body = tableau[:rows]
     body[:, :n] = np.where(flip[:, None], -lp.A, lp.A)
     body[:, -1] = np.where(flip, -lp.b, lp.b)
+    shift = PERTURBATION * np.minimum(np.abs(lp.A).max(axis=1, initial=0.0), 1.0)
+    body[:, -2] = body[:, -1] + np.where(le, shift * (1 + 7919 * at % rows) / rows, 0.0)
     # Row i's slack, surplus and artificial columns count the rows before it.
     slack = n + np.cumsum(le) - 1
     surplus = surplus0 + np.cumsum(ge) - 1
     artificial = art0 + np.cumsum(art) - 1
-    at = np.arange(rows)
     body[at[le], slack[le]] = 1.0
     body[at[ge], surplus[ge]] = -1.0
     body[at[art], artificial[art]] = 1.0
-    basis = np.where(le, slack, artificial).tolist()
+    basis = np.where(le, slack, artificial)
 
     max_iter = 2000 + 200 * (rows + total)
+    counts = [0, 0]                             # pivots, degenerate pivots
 
     # Phase 1: minimize the artificial sum.  Artificials that leave the basis
     # are never allowed back in, so entering candidates stop at art0.
-    phase1 = np.zeros(total + 1)
+    phase1 = np.zeros(total + 2)
     phase1[art0:total] = 1.0
     tableau[-1, :] = _subtract_rows(phase1, body[art])
-    status = _run_simplex(tableau, basis, art0, max_iter)
-    if status != OPTIMAL or -tableau[-1, -1] > FEAS_TOL:
-        return LpSolution(INFEASIBLE)
+    # Its objective is bounded below by 0, so an "unbounded" column here is
+    # rounding noise: the artificial sum on the true bounds decides.
+    _simplex(tableau, basis, art0, max_iter, counts)
+    if (not _restore_true_bounds(tableau, basis, art0, max_iter, counts)
+            or -tableau[-1, -1] > FEAS_TOL):
+        return LpSolution(INFEASIBLE, pivots=counts[0], degenerate_pivots=counts[1])
 
     # Drive remaining artificials out of the basis; drop redundant rows.
     keep = np.ones(rows + 1, dtype=bool)
@@ -211,22 +265,24 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if basis[i] >= art0:
             candidates = np.flatnonzero(np.abs(tableau[i, :art0]) > PIVOT_TOL)
             if candidates.size:
-                _pivot(tableau, basis, i, int(candidates[0]))
+                _pivot(tableau, basis, i, int(candidates[0]), counts)
             else:
                 keep[i] = False                 # all-zero row: redundant constraint
 
     # Phase 2 with the real objective expressed in the current basis.  All
     # basis entries now index structural or slack columns (below art0), which
     # keep their positions after the artificial columns are dropped.
-    reduced = tableau[keep][:, np.r_[:art0, total]]
-    basis = [bv for bv, kept in zip(basis, keep) if kept]
-    cost = np.zeros(art0 + 1)
+    reduced = tableau[keep][:, np.r_[:art0, total, total + 1]]
+    basis = basis[keep[:-1]]
+    cost = np.zeros(art0 + 2)
     cost[:n] = lp.objective
     priced = cost[basis] != 0.0
     reduced[-1, :] = _subtract_rows(cost, cost[basis][priced, None] * reduced[:-1][priced])
-    status = _run_simplex(reduced, basis, art0, max_iter)
+    status = _simplex(reduced, basis, art0, max_iter, counts)
     if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED)
+        return LpSolution(UNBOUNDED, pivots=counts[0], degenerate_pivots=counts[1])
+    if not _restore_true_bounds(reduced, basis, art0, max_iter, counts):
+        return LpSolution(INFEASIBLE, pivots=counts[0], degenerate_pivots=counts[1])
 
     x = np.zeros(art0)
     x[basis] = reduced[:-1, -1]
@@ -238,4 +294,4 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         where = f"row {worst}" if worst < rows else f"x[{worst - rows}] >= 0"
         raise LpError(f"simplex returned an infeasible point: {where} has residual "
                       f"{violation[worst]:.6g} > FEAS_TOL {FEAS_TOL:g}")
-    return LpSolution(OPTIMAL, solution, float(lp.objective @ solution))
+    return LpSolution(OPTIMAL, solution, float(lp.objective @ solution), *counts)

@@ -302,4 +302,8 @@ def parse_instance(text: str) -> Instance:
 
 def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceError(f"not UTF-8 text: {exc}") from exc
+    return parse_instance(text)

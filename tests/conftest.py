@@ -53,3 +53,16 @@ def make_instance(demands, edges, speeds, comm=None, weights=None) -> Instance:
     else:
         rows = tuple(tuple(math.inf if v is None else float(v) for v in row) for row in comm)
     return Instance(TaskGraph(tasks, edge_t), Platform(machines, rows))
+
+
+def corrupt_first_pivot(pivot):
+    """lp_solver._pivot, except that the first call adds 3 to the unperturbed
+    RHS of its row: one wrong tableau update for the residual guard to catch."""
+    done = []
+
+    def corrupted(tableau, basis, row, col, counts):
+        pivot(tableau, basis, row, col, counts)
+        if not done:
+            tableau[row, -1] += 3.0
+            done.append(row)
+    return corrupted

@@ -6,14 +6,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from getf import grouping, scheduler
+from getf import grouping, lp_solver, scheduler
 from getf.cli import (ALGORITHMS, EXIT_BOUND, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE,
                       compare_batch, main)
 from getf.lp_solver import LpError
 from getf.model import parse_instance
 from getf.scheduler import schedule_from_dict, verify_schedule
 
-from conftest import EXAMPLE_JSON
+from conftest import EXAMPLE_JSON, corrupt_first_pivot
 
 
 @pytest.fixture
@@ -152,17 +152,31 @@ class TestSolve:
         assert run("solve", example_file, "--algo", "getf-makespan") == EXIT_INFEASIBLE
         assert capsys.readouterr().err == "error: simplex iteration limit exceeded\n"
 
-    def test_infeasible_lp_point_exit_2_one_line(self, tmp_path, capsys):
-        # The simplex ends on an infeasible point for this weighted relaxation;
-        # the residual guard refuses it instead of assigning bands from it.
+    def test_infeasible_lp_point_exit_2_one_line(self, tmp_path, capsys, monkeypatch):
+        # A former defect instance: it must solve and verify.  After one
+        # corrupted tableau update the residual guard refuses the point, with
+        # one line and exit 2.
         inst = tmp_path / "inst.json"
         assert run("generate", "--family", "random-dag", "--n", 10, "--m", 3, "--seed", 100057,
                    "--weights", "uniform", "-o", inst) == EXIT_OK
+        sched = tmp_path / "sched.json"
+        assert run("solve", inst, "--algo", "getf-weighted", "-o", sched) == EXIT_OK
+        doc = json.loads(sched.read_text())
+        assert verify_schedule(parse_instance(inst.read_text()), schedule_from_dict(doc)).feasible
         capsys.readouterr()
+        monkeypatch.setattr(lp_solver, "_pivot", corrupt_first_pivot(lp_solver._pivot))
         assert run("solve", inst, "--algo", "getf-weighted") == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == ("error: simplex returned an infeasible point: "
+                                           "row 122 has residual 8.70959 > FEAS_TOL 1e-07\n")
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_non_utf8_instance_exit_2_one_line(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00")
+        argv = [command, bad] + ([bad] if command == "verify" else [])
+        assert run(*argv) == EXIT_INFEASIBLE
         err = capsys.readouterr().err
-        assert err.startswith("error: simplex returned an infeasible point: row 122 ")
-        assert err.count("\n") == 1
+        assert err.startswith(f"error: {bad}: not UTF-8 text: ") and err.count("\n") == 1, err
 
 
 class TestVerify:

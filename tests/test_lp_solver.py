@@ -1,16 +1,23 @@
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from getf import lp_solver
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.grouping import build_makespan_lp, build_weighted_lp, partition_machines
 from getf.lp_solver import (EQ, FEAS_TOL, GE, INFEASIBLE, LE, OPTIMAL, PIVOT_TOL, UNBOUNDED,
-                            LinearProgram, LpError, LpSolution, _pivot, _run_simplex,
-                            residuals, solve_lp)
+                            LinearProgram, LpError, LpSolution, residuals, solve_lp)
 from getf.model import normalize_demands
+
+from conftest import corrupt_first_pivot
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +91,21 @@ class TestAgainstOracle:
 # build, at sizes the vertex enumeration cannot reach.
 # ---------------------------------------------------------------------------
 
-def highs_objective(lp: LinearProgram) -> float:
+def highs_result(lp: LinearProgram) -> tuple[str, float | None]:
+    """HiGHS's status and optimum (None unless optimal)."""
     optimize = pytest.importorskip("scipy.optimize")
     ub = lp.sense != EQ
     sign = np.where(lp.sense == GE, -1.0, 1.0)[ub]
     res = optimize.linprog(lp.objective, A_ub=lp.A[ub] * sign[:, None], b_ub=lp.b[ub] * sign,
                            A_eq=lp.A[~ub], b_eq=lp.b[~ub], bounds=(0, None), method="highs")
-    assert res.status == 0, res.message
-    return float(res.fun)
+    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status, res.message)
+    return status, float(res.fun) if status == OPTIMAL else None
+
+
+def highs_objective(lp: LinearProgram) -> float:
+    status, objective = highs_result(lp)
+    assert status == OPTIMAL, status
+    return objective
 
 
 def built_program(kind: str, family: str, n: int, m: int, seed: int) -> LinearProgram:
@@ -110,6 +124,9 @@ HIGHS_CASES = [("makespan", family, n, m, 900 + k)
 HIGHS_CASES += [("weighted", family, n, m, 950 + k)
                 for k, (family, n, m) in enumerate(zip(FAMILIES * 2, (3, 4, 5, 6, 6, 5),
                                                        (2, 3, 2, 3, 2, 4)))]
+HIGHS_CASES += [("makespan", family, n, 8, seed)
+                for family, n, seed in (("layered", 40, 910), ("fork_join", 40, 911),
+                                        ("random_dag", 40, 912), ("fork_join", 80, 914))]
 
 
 @pytest.mark.parametrize("kind,family,n,m,seed", HIGHS_CASES)
@@ -121,11 +138,79 @@ def test_objective_matches_highs(kind, family, n, m, seed):
     assert sol.objective == pytest.approx(expected, rel=1e-7, abs=1e-7)
 
 
+# Weighted relaxations that Bland's rule failed on: 100057 ended on an
+# infeasible point after a pivot on 1.07e-9, the layered ones hit the
+# iteration limit.  Each maps to its spec and HiGHS's optimum.
+WEIGHTED_DEFECTS = {
+    "100057": (GeneratorSpec("random_dag", 10, 3, seed=100057, density=0.3, weights="uniform"),
+               24.415002813),
+    "100008": (GeneratorSpec("layered", 20, 8, seed=100008, density=0.3, weights="uniform"),
+               71.883997622),
+    "100011": (GeneratorSpec("layered", 20, 8, seed=100011, density=0.3, weights="uniform"),
+               44.342432322),
+    "100048": (GeneratorSpec("layered", 20, 8, seed=100048, density=0.3, weights="uniform"),
+               54.578930563),
+}
+
+
+def weighted_defect(name: str) -> LinearProgram:
+    inst, _ = normalize_demands(generate_instance(WEIGHTED_DEFECTS[name][0]))
+    return build_weighted_lp(inst, partition_machines(inst.platform))
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_DEFECTS))
+def test_weighted_defect_solves(name):
+    lp = weighted_defect(name)
+    sol = solve_lp(lp)
+    assert sol.status == OPTIMAL
+    assert residuals(lp, sol.x).max() <= FEAS_TOL and sol.x.min() >= 0
+    assert sol.objective == pytest.approx(WEIGHTED_DEFECTS[name][1], abs=1e-7)
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_DEFECTS))
+def test_weighted_defect_optimum_is_highs(name):
+    assert highs_objective(weighted_defect(name)) == pytest.approx(
+        WEIGHTED_DEFECTS[name][1], abs=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # Reference: the row-list canonicalization and tableau set-up that solve_lp
-# used before programs were held as arrays.  It shares the pivot rules with
-# solve_lp, so both must return the same status and the same bits.
+# used before programs were held as arrays, with its own Bland's-rule pivot
+# loop on the unperturbed bounds.  It shares no code with solve_lp, so both
+# must agree on the status and the optimum, not on the vertex.
 # ---------------------------------------------------------------------------
+
+def reference_pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    tableau[row, :] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row, :])
+    basis[row] = col
+
+
+def bland_simplex(tableau: np.ndarray, basis: list[int], ncols: int, max_iter: int) -> str:
+    """Lowest-index entering column, then the minimum ratio with ties to the
+    lowest basis index."""
+    nrows = tableau.shape[0] - 1
+    for _ in range(max_iter):
+        entering = np.nonzero(tableau[-1, :ncols] < -PIVOT_TOL)[0]
+        if not entering.size:
+            return OPTIMAL
+        col = int(entering[0])
+        best_row, best_ratio = -1, np.inf
+        for i in range(nrows):
+            a = tableau[i, col]
+            if a > PIVOT_TOL:
+                ratio = tableau[i, -1] / a
+                if ratio < best_ratio - 1e-12 or (
+                    abs(ratio - best_ratio) <= 1e-12 and (best_row < 0 or basis[i] < basis[best_row])
+                ):
+                    best_ratio, best_row = ratio, i
+        if best_row < 0:
+            return UNBOUNDED
+        reference_pivot(tableau, basis, best_row, col)
+    raise LpError("simplex iteration limit exceeded")
+
 
 def reference_solve_lp(lp: LinearProgram) -> LpSolution:
     n = lp.n_vars
@@ -183,7 +268,7 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
         if bv >= art0:
             phase1 -= tableau[i, :]
     tableau[-1, :] = phase1
-    status = _run_simplex(tableau, basis, art0, max_iter)
+    status = bland_simplex(tableau, basis, art0, max_iter)
     if status != OPTIMAL or -tableau[-1, -1] > FEAS_TOL:
         return LpSolution(INFEASIBLE)
 
@@ -197,7 +282,7 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
                     break
             if pivot_col < 0:
                 continue
-            _pivot(tableau, basis, i, pivot_col)
+            reference_pivot(tableau, basis, i, pivot_col)
         keep_rows.append(i)
 
     body = tableau[keep_rows, :]
@@ -211,7 +296,7 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
     for i, bv in enumerate(basis):
         if cost[bv] != 0.0:
             reduced[-1, :] -= cost[bv] * reduced[i, :]
-    status = _run_simplex(reduced, basis, reduced.shape[1] - 1, max_iter)
+    status = bland_simplex(reduced, basis, reduced.shape[1] - 1, max_iter)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED)
 
@@ -220,6 +305,11 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
         x[bv] = reduced[i, -1]
     solution = np.where(np.abs(x[:n]) < PIVOT_TOL, 0.0, x[:n])
     return LpSolution(OPTIMAL, solution, float(lp.objective @ solution))
+
+
+def agrees(status: str, objective: float | None, other_status: str,
+           other_objective: float | None, tol: float) -> bool:
+    return status == other_status and (status != OPTIMAL or abs(objective - other_objective) <= tol)
 
 
 def assert_matches_reference(lp: LinearProgram) -> None:
@@ -231,11 +321,21 @@ def assert_matches_reference(lp: LinearProgram) -> None:
         assert "infeasible point" in str(exc)
         assert ref.status == OPTIMAL and not is_feasible(lp, ref.x)
         return
-    assert got.status == ref.status
-    assert got.objective == ref.objective
-    assert (got.x is None) == (ref.x is None)
-    if got.x is not None:
-        assert got.x.tobytes() == ref.x.tobytes()
+    assert (got.x is None) == (got.status != OPTIMAL)
+    if got.status == OPTIMAL:
+        assert is_feasible(lp, got.x)
+    if agrees(got.status, got.objective, ref.status, ref.objective,
+              1e-9 * (1 + abs(ref.objective or 0.0))):
+        return
+    # The pivot paths part where an entry near PIVOT_TOL or FEAS_TOL may or
+    # may not count.  HiGHS decides: solve_lp is wrong where HiGHS sides with
+    # the reference.  Where HiGHS sides with neither, its own tolerances
+    # decide, and the contract checks above are all that hold.
+    status, objective = highs_result(lp)
+    tol = 1e-7 * (1 + abs(objective or 0.0)) + FEAS_TOL * np.abs(lp.objective).sum()
+    assert (agrees(got.status, got.objective, status, objective, tol)
+            or not agrees(ref.status, ref.objective, status, objective, tol)), (
+        f"solve_lp: {got.status} {got.objective}; reference and HiGHS: {status} {objective}")
 
 
 entries = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(-4, 4)
@@ -316,6 +416,68 @@ class TestKnownPrograms:
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(-0.05, abs=1e-9)
 
+    def test_no_variables(self):
+        assert solve_lp(LinearProgram([], np.zeros((1, 0)), [EQ], [1.0])).status == INFEASIBLE
+        sol = solve_lp(LinearProgram([], np.zeros((1, 0)), [EQ], [0.0]))
+        assert sol.status == OPTIMAL and sol.x.size == 0 and sol.objective == 0.0
+
+    def test_rounding_noise_is_not_infeasibility(self):
+        # A drawn program that a dual clean-up reading -1e-12 of rounding
+        # noise as infeasibility refused; Bland's rule and HiGHS solve it.
+        lp = LinearProgram([0, -0.5, 3],
+                           [[1, 0, 1.100202878339906], [0.5, 3.0481898722625935, 0],
+                            [-0.5, 0, 0], [0.3999342036325926, 2.433373075470586, -0.5],
+                            [-1, 0, 0.5], [-0.5, 3.963041451328203, 1], [3, 0, -0.5],
+                            [-0.5, -2, -2]],
+                           [1, 0, -1, 0, 1, 1, -1, -1],
+                           [0, 6.346379744525187, 0.25, 5.066713252757468, -0.5,
+                            7.176082902656406, 1.5, -3.75])
+        sol = solve_lp(lp)
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(-1.0, abs=1e-7)
+        assert_matches_reference(lp)
+
+    def test_phase_one_noise_is_not_unboundedness(self):
+        # Phase 1 meets a reduced cost of about -2e-8 on a column without a
+        # positive entry.  Its objective is bounded below by 0, so that is
+        # rounding noise; the artificial sum says feasible.
+        lp = LinearProgram(
+            [3.0, 2.7500433109088167, -0.6621179572258677, -2.7872020431338616],
+            [[3.4136997785213694, -0.5, -1.1966001843598253e-302, 0.0],
+             [3.4170619558741446, 8.736953576928593e-179, -2.0, -1.0],
+             [3.259889790856599, 3.0, 0.0, 1.0716338197551005],
+             [0.0, -0.5, 2.616631774709475, -3.6080331022234873],
+             [-0.5, 1e-07, -0.7903113872050254, 0.0],
+             [2.096441494208742, -2.0, 6.093318182356592e-248, -5.960464477539063e-08],
+             [-0.5542923974277949, -2.0, -0.5, -1.0],
+             [-1.0, 1.0622152940189773, -3.54442215634268, -0.7181290393420392],
+             [0.8280239935048934, -2.0, -4.191712534320536e-163, -1.0],
+             [-9.318457675936296e-186, -2.8246811948848265, -4.145227564024787e-250, 1.0]],
+            [GE, GE, GE, EQ, LE, LE, LE, EQ, LE, LE],
+            [3.9365307609212863, -2.0, -3.2286539915242993e-289, 1.0, 0.0, -2.0, 0.0,
+             2.878278801866408, 3.0, 0.5])
+        sol = solve_lp(lp)
+        assert sol.status == OPTIMAL and is_feasible(lp, sol.x)
+        assert sol.objective == pytest.approx(72.38782731200224, abs=1e-7)  # HiGHS
+
+    def test_perturbation_is_scaled_to_the_row(self):
+        # x1 >= 1 and 5.96e-8 x1 <= 0.  An unscaled perturbation of 1e-7 on
+        # the second row would let x1 = 1 through and report x0's ray.
+        lp = LinearProgram([-2.0, -2.0], [[0.0, -2.0], [0.0, 5.960464477539063e-08]],
+                           [LE, LE], [-2.0, 0.0])
+        assert solve_lp(lp).status == INFEASIBLE
+
+    def test_true_bounds_are_restored(self):
+        # The perturbation, magnified by the 1.8e-9 entry, leaves the first
+        # row's surplus at -5 on the true bounds; one dual step repairs it.
+        lp = LinearProgram([0.0, -1.0],
+                           [[-3.0, -1.0], [-2.0, 1.4625754655655152],
+                            [1.1390286622031712e-63, -1.8367382943736108e-09]],
+                           [LE, GE, GE], [-6.0, -3.037424534434485, -1.8367382943736108e-09])
+        sol = solve_lp(lp)
+        assert sol.status == OPTIMAL and is_feasible(lp, sol.x)
+        assert sol.objective == pytest.approx(-1.0, abs=1e-9)
+
 
 class TestContracts:
     def test_dimension_mismatch(self):
@@ -368,12 +530,51 @@ class TestContracts:
             assert np.all(sol.x >= -1e-9)
             assert np.all(residuals(lp, sol.x) <= 1e-7)
 
-    def test_infeasible_point_is_not_optimal(self):
-        # A pivot on a nearly singular entry leaves the tableau inconsistent
-        # with A on this weighted relaxation: the simplex ends on a point
-        # that violates row 122 by about 3.
-        inst, _ = normalize_demands(generate_instance(GeneratorSpec(
-            "random_dag", 10, 3, seed=100057, density=0.3, weights="uniform")))
-        lp = build_weighted_lp(inst, partition_machines(inst.platform))
-        with pytest.raises(LpError, match=r"infeasible point: row 122 has residual 3\.01"):
+    def test_infeasible_point_is_not_optimal(self, monkeypatch):
+        # A former defect instance: it must solve to HiGHS's optimum.  After
+        # one corrupted tableau update the residual guard refuses the point.
+        lp = weighted_defect("100057")
+        sol = solve_lp(lp)
+        assert sol.status == OPTIMAL and is_feasible(lp, sol.x)
+        assert sol.objective == pytest.approx(WEIGHTED_DEFECTS["100057"][1], abs=1e-7)
+        monkeypatch.setattr(lp_solver, "_pivot", corrupt_first_pivot(lp_solver._pivot))
+        with pytest.raises(LpError, match=r"^simplex returned an infeasible point: "
+                                          r"row 122 has residual 8\.70959 > FEAS_TOL 1e-07$"):
             solve_lp(lp)
+
+
+class TestPivotCounts:
+    def test_counts_repeat_exactly(self):
+        lp = built_program("makespan", "layered", 20, 8, 904)
+        counts = {(s.pivots, s.degenerate_pivots) for s in (solve_lp(lp), solve_lp(lp))}
+        assert counts == {(134, 78)}
+
+    def test_far_fewer_pivots_than_bland(self):
+        # Bland's rule needs about 4,000 pivots on this makespan program.
+        inst = generate_instance(GeneratorSpec("layered", 20, 8, seed=100003, density=0.3))
+        sol = solve_lp(build_makespan_lp(inst, partition_machines(inst.platform)))
+        assert sol.status == OPTIMAL
+        assert 0 < sol.pivots < 1000
+        assert 0 <= sol.degenerate_pivots <= sol.pivots
+
+    def test_same_bits_across_thread_counts(self):
+        # Criterion 8: no thread pool may change a bit of the solution.
+        script = ("import hashlib, sys\n"
+                  "sys.path.insert(0, sys.argv[1])\n"
+                  "from getf.generator import GeneratorSpec, generate_instance\n"
+                  "from getf.grouping import build_makespan_lp, partition_machines\n"
+                  "from getf.lp_solver import solve_lp\n"
+                  "inst = generate_instance(GeneratorSpec('layered', 20, 8, seed=100003))\n"
+                  "lp = build_makespan_lp(inst, partition_machines(inst.platform))\n"
+                  "print(hashlib.sha256(solve_lp(lp).x.tobytes()).hexdigest())\n")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", script,
+                                  str(Path(lp_solver.__file__).parents[1])],
+                                 env=env, capture_output=True, text=True, timeout=120, check=True)
+            digests.add(out.stdout.strip())
+        inst = generate_instance(GeneratorSpec("layered", 20, 8, seed=100003))
+        x = solve_lp(build_makespan_lp(inst, partition_machines(inst.platform))).x
+        assert digests == {hashlib.sha256(x.tobytes()).hexdigest()}
