@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -323,6 +324,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """build_parser()'s parser, built once per process: parse_args does not
+    change it, and rebuilding it cost about a millisecond per call."""
+    return build_parser()
+
+
 def _configure_logging() -> None:
     level = {"quiet": logging.WARNING, "info": logging.INFO,
              "debug": logging.DEBUG}.get(os.environ.get("GETF_LOG", "quiet"), logging.WARNING)
@@ -331,9 +339,8 @@ def _configure_logging() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse help/usage paths
         return int(exc.code or 0)

@@ -34,12 +34,12 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .lp_solver import EQ, LE, LinearProgram, LpSolution, solve_lp
-from .model import Instance, Platform
+from .model import Instance, Platform, topological_order
 
 log = logging.getLogger(__name__)
 
@@ -272,10 +272,57 @@ def extract_makespan_fractional(
     return MakespanFractional(x, sol.x[nm * n: nm * n + n], float(sol.x[nm * n + n]))
 
 
+def _makespan_start(inst: Instance, groups: MachineGroups) -> np.ndarray:
+    """A feasible starting basis for ``build_makespan_lp``'s program.
+
+    Greedy LPT (Graham 1969): tasks in decreasing demand, ties by id, each
+    goes whole to the retained machine that minimizes load + proc, and that
+    x[i_j, j] is basic in assignment row j.  Along the topological order,
+    C_j = proc + the largest predecessor C is basic in its tight row: the
+    first incoming-edge row that attains that C, or the processing row of a
+    task without predecessors.  T is basic in the argmax machine-load row or,
+    if some C_j is larger, the argmax C_j <= T row.  Every other row keeps
+    its slack.  The basis is triangular with +-1 on its diagonal, so it is
+    nonsingular.
+    """
+    n, nm = inst.graph.n, len(groups.retained)
+    proc = _proc(inst, groups)
+    src, dst = _edge_ends(inst)
+    n_edges = len(src)
+    edge_row, load_row, horizon_row = 2 * n, 2 * n + n_edges, 2 * n + n_edges + nm
+    start = np.full(horizon_row + n, -1)
+
+    load = np.zeros(nm)
+    machine = np.zeros(n, dtype=int)
+    for j in sorted(range(n), key=lambda j: (-inst.graph.tasks[j].demand, j)):
+        i = int(np.argmin(load + proc[:, j]))
+        machine[j] = i
+        load[i] += proc[i, j]
+        start[j] = i * n + j
+
+    incoming: list[list[int]] = [[] for _ in range(n)]
+    for e, j in enumerate(dst.tolist()):
+        incoming[j].append(e)
+    C = np.zeros(n)
+    for j in topological_order(inst.graph):
+        ready = max((C[src[e]] for e in incoming[j]), default=0.0)
+        C[j] = ready + proc[machine[j], j]
+        tight = next((edge_row + e for e in incoming[j] if C[src[e]] == ready), n + j)
+        start[tight] = nm * n + j
+
+    if load.max() >= C.max():
+        start[load_row + int(np.argmax(load))] = nm * n + n
+    else:
+        start[horizon_row + int(np.argmax(C))] = nm * n + n
+    return start
+
+
 def solve_makespan_relaxation(
     inst: Instance, groups: MachineGroups
 ) -> MakespanFractional:
-    return extract_makespan_fractional(inst, groups, solve_lp(build_makespan_lp(inst, groups)))
+    """Solve the makespan program from ``_makespan_start``'s basis."""
+    lp = replace(build_makespan_lp(inst, groups), start=_makespan_start(inst, groups))
+    return extract_makespan_fractional(inst, groups, solve_lp(lp))
 
 
 def assign_groups_makespan(

@@ -8,7 +8,8 @@ held as arrays:
     number of variables n is ``A.shape[1]``;
   * ``sense``: (rows,) integer codes, LE = -1 for <=, EQ = 0 for =,
     GE = +1 for >=;
-  * ``b``: (rows,) float bounds.
+  * ``b``: (rows,) float bounds;
+  * ``start`` (optional): a (rows,) integer starting basis; see below.
 
 The group-assignment pipelines only need small/medium minimization LPs with
 nonnegative variables, so a deterministic dense tableau implementation is
@@ -29,10 +30,23 @@ below -PIVOT_TOL on the true bounds, dual simplex steps repair the basis at
 the end of each phase (the pipelines' programs have not needed one).  No
 random numbers are drawn: identical inputs give bit-identical outputs.
 
+Starting basis: ``start[i]`` names the structural column made basic in row
+i's position, -1 keeping row i's own slack.  Every row that starts on an
+artificial (an ``=`` row, or a ``>=`` row after rows with b < 0 are
+negated) must name a column, so phase 1 is skipped.  ``solve_lp`` pivots
+each listed column into its row, in row order, with no pricing and no ratio
+test; these pivots count.  A pivot element below PIVOT_TOL in magnitude
+(a singular start) or a basic value below -FEAS_TOL on the true bounds (an
+infeasible start) raises LpError; there is no fallback to phase 1.  The
+ratio-test column is then re-perturbed on the installed basis, the true
+values (clipped at 0) plus the same row-keyed shift, and phase 2 runs.
+Without ``start`` the solve is the plain two-phase one.
+
 Tolerances: pivots below PIVOT_TOL are treated as zero.  A point is returned
 as optimal only after a residual guard: every entry must be >= -FEAS_TOL and
 every row residual (``residuals``) <= FEAS_TOL.  A point that fails raises
-LpError naming the worst row and its residual.
+LpError naming the worst row and its residual; a point that passes reports
+its worst violation, clipped at 0, as ``LpSolution.max_residual``.
 """
 
 from __future__ import annotations
@@ -54,7 +68,8 @@ UNBOUNDED = "unbounded"
 
 class LpError(ValueError):
     """Raised for malformed programs (shape mismatch, bad sense code,
-    non-finite entries) and for optimal points that fail the residual guard."""
+    non-finite entries, a malformed, singular or infeasible start) and for
+    optimal points that fail the residual guard."""
 
 
 @dataclass
@@ -68,12 +83,15 @@ class LinearProgram:
     A: np.ndarray
     sense: np.ndarray
     b: np.ndarray
+    start: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.objective = np.asarray(self.objective, dtype=float)
         self.A = np.asarray(self.A, dtype=float)
         self.sense = np.asarray(self.sense)
         self.b = np.asarray(self.b, dtype=float)
+        if self.start is not None:
+            self.start = np.asarray(self.start)
         self.check()
 
     @property
@@ -104,6 +122,22 @@ class LinearProgram:
         for name, arr in (("objective", self.objective), ("A", self.A), ("b", self.b)):
             if not np.isfinite(arr).all():
                 raise LpError(f"{name} has non-finite entries")
+        if self.start is not None:
+            self._check_start(rows, n)
+
+    def _check_start(self, rows: int, n: int) -> None:
+        start = self.start
+        if start.shape != (rows,) or start.dtype.kind not in "iu":
+            raise LpError(f"start must be a ({rows},) integer array, "
+                          f"got shape {start.shape} of {start.dtype}")
+        bad = np.flatnonzero((start < -1) | (start >= n))
+        if bad.size:
+            raise LpError(f"start names column {start[bad[0]]} in row {bad[0]}, "
+                          f"expected -1 or 0..{n - 1}")
+        on_artificial = (np.where(self.b < 0, -self.sense, self.sense) != LE) & (start < 0)
+        for i in np.flatnonzero(on_artificial)[:1]:
+            raise LpError(f"start leaves row {i} on its artificial: "
+                          f"every = or >= row needs a column")
 
 
 @dataclass
@@ -113,6 +147,7 @@ class LpSolution:
     objective: float | None = None
     pivots: int = 0
     degenerate_pivots: int = 0
+    max_residual: float | None = None   # worst violation of an optimal point
 
     @property
     def is_optimal(self) -> bool:
@@ -126,15 +161,22 @@ def residuals(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int,
-           counts: list[int]) -> None:
+           counts: list[int], sparse: bool = False) -> None:
     """Pivot on (row, col).  counts is [pivots, degenerate pivots]; a pivot is
-    degenerate when its step moves the unperturbed point by at most PIVOT_TOL."""
+    degenerate when its step moves the unperturbed point by at most PIVOT_TOL.
+    With ``sparse``, only the rows holding a nonzero in col are updated: the
+    same values, and faster while the column is mostly zeros."""
     counts[0] += 1
     counts[1] += bool(abs(tableau[row, -1]) <= PIVOT_TOL * abs(tableau[row, col]))
     tableau[row, :] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row, :])
+    if sparse:
+        hit = np.flatnonzero(tableau[:, col])
+        hit = hit[hit != row]
+        tableau[hit] -= np.outer(tableau[hit, col], tableau[row, :])
+    else:
+        factors = tableau[:, col].copy()
+        factors[row] = 0.0
+        tableau -= np.outer(factors, tableau[row, :])
     basis[row] = col
 
 
@@ -203,6 +245,24 @@ def _subtract_rows(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.subtract.reduce(np.vstack([first, rows]), axis=0)
 
 
+def _install(tableau: np.ndarray, basis: np.ndarray, start: np.ndarray,
+             counts: list[int]) -> None:
+    """Pivot start[i] into row i, in row order, without pricing or a ratio
+    test; raise LpError on a singular or infeasible start.  These pivots
+    run on a tableau that is still about as sparse as A, so each updates only
+    the rows its column touches."""
+    for row in np.flatnonzero(start >= 0).tolist():
+        col = int(start[row])
+        if not abs(tableau[row, col]) >= PIVOT_TOL:
+            raise LpError(f"start is singular: column {col} has pivot "
+                          f"{tableau[row, col]:.6g} in row {row}")
+        _pivot(tableau, basis, row, col, counts, sparse=True)
+    low = int(np.argmin(tableau[:-1, -1]))
+    if tableau[low, -1] < -FEAS_TOL:
+        raise LpError(f"start is infeasible: row {low} has basic value "
+                      f"{tableau[low, -1]:.6g} < -FEAS_TOL {FEAS_TOL:g}")
+
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve min c.x subject to lp's constraints and x >= 0.
 
@@ -215,7 +275,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         # Nothing binds beyond x >= 0; bounded iff no negative objective entry.
         if np.any(lp.objective < 0):
             return LpSolution(UNBOUNDED)
-        return LpSolution(OPTIMAL, np.zeros(n), 0.0)
+        return LpSolution(OPTIMAL, np.zeros(n), 0.0, max_residual=0.0)
 
     # Canonicalize to b >= 0: rows with b < 0 are negated and their sense mirrored.
     flip = lp.b < 0
@@ -234,7 +294,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     body[:, :n] = np.where(flip[:, None], -lp.A, lp.A)
     body[:, -1] = np.where(flip, -lp.b, lp.b)
     shift = PERTURBATION * np.minimum(np.abs(lp.A).max(axis=1, initial=0.0), 1.0)
-    body[:, -2] = body[:, -1] + np.where(le, shift * (1 + 7919 * at % rows) / rows, 0.0)
+    shift = np.where(le, shift * (1 + 7919 * at % rows) / rows, 0.0)
+    body[:, -2] = body[:, -1] + shift
     # Row i's slack, surplus and artificial columns count the rows before it.
     slack = n + np.cumsum(le) - 1
     surplus = surplus0 + np.cumsum(ge) - 1
@@ -247,33 +308,40 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     max_iter = 2000 + 200 * (rows + total)
     counts = [0, 0]                             # pivots, degenerate pivots
 
-    # Phase 1: minimize the artificial sum.  Artificials that leave the basis
-    # are never allowed back in, so entering candidates stop at art0.
-    phase1 = np.zeros(total + 2)
-    phase1[art0:total] = 1.0
-    tableau[-1, :] = _subtract_rows(phase1, body[art])
-    # Its objective is bounded below by 0, so an "unbounded" column here is
-    # rounding noise: the artificial sum on the true bounds decides.
-    _simplex(tableau, basis, art0, max_iter, counts)
-    if (not _restore_true_bounds(tableau, basis, art0, max_iter, counts)
-            or -tableau[-1, -1] > FEAS_TOL):
-        return LpSolution(INFEASIBLE, pivots=counts[0], degenerate_pivots=counts[1])
+    if lp.start is None:
+        # Phase 1: minimize the artificial sum.  Artificials that leave the
+        # basis are never allowed back in, so entering candidates stop at art0.
+        phase1 = np.zeros(total + 2)
+        phase1[art0:total] = 1.0
+        tableau[-1, :] = _subtract_rows(phase1, body[art])
+        # Its objective is bounded below by 0, so an "unbounded" column here is
+        # rounding noise: the artificial sum on the true bounds decides.
+        _simplex(tableau, basis, art0, max_iter, counts)
+        if (not _restore_true_bounds(tableau, basis, art0, max_iter, counts)
+                or -tableau[-1, -1] > FEAS_TOL):
+            return LpSolution(INFEASIBLE, pivots=counts[0], degenerate_pivots=counts[1])
 
-    # Drive remaining artificials out of the basis; drop redundant rows.
-    keep = np.ones(rows + 1, dtype=bool)
-    for i in range(rows):
-        if basis[i] >= art0:
-            candidates = np.flatnonzero(np.abs(tableau[i, :art0]) > PIVOT_TOL)
-            if candidates.size:
-                _pivot(tableau, basis, i, int(candidates[0]), counts)
-            else:
-                keep[i] = False                 # all-zero row: redundant constraint
+        # Drive remaining artificials out of the basis; drop redundant rows.
+        keep = np.ones(rows + 1, dtype=bool)
+        for i in range(rows):
+            if basis[i] >= art0:
+                candidates = np.flatnonzero(np.abs(tableau[i, :art0]) > PIVOT_TOL)
+                if candidates.size:
+                    _pivot(tableau, basis, i, int(candidates[0]), counts)
+                else:
+                    keep[i] = False             # all-zero row: redundant constraint
+        reduced = tableau[keep][:, np.r_[:art0, total, total + 1]]
+        basis = basis[keep[:-1]]
+    else:
+        # A start replaces phase 1: no artificial is ever basic.
+        reduced = tableau[:, np.r_[:art0, total, total + 1]]
+        _install(reduced, basis, lp.start, counts)
+        # Re-perturb on the installed basis, so that tied basic values part.
+        reduced[:-1, -2] = np.maximum(reduced[:-1, -1], 0.0) + shift
 
     # Phase 2 with the real objective expressed in the current basis.  All
     # basis entries now index structural or slack columns (below art0), which
     # keep their positions after the artificial columns are dropped.
-    reduced = tableau[keep][:, np.r_[:art0, total, total + 1]]
-    basis = basis[keep[:-1]]
     cost = np.zeros(art0 + 2)
     cost[:n] = lp.objective
     priced = cost[basis] != 0.0
@@ -294,4 +362,5 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         where = f"row {worst}" if worst < rows else f"x[{worst - rows}] >= 0"
         raise LpError(f"simplex returned an infeasible point: {where} has residual "
                       f"{violation[worst]:.6g} > FEAS_TOL {FEAS_TOL:g}")
-    return LpSolution(OPTIMAL, solution, float(lp.objective @ solution), *counts)
+    return LpSolution(OPTIMAL, solution, float(lp.objective @ solution), *counts,
+                      max(0.0, float(violation[worst])))

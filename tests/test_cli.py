@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from getf import grouping, lp_solver, scheduler
+from getf import cli, grouping, lp_solver, scheduler
 from getf.cli import (ALGORITHMS, EXIT_BOUND, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE,
                       compare_batch, main)
 from getf.lp_solver import LpError
@@ -151,6 +151,33 @@ class TestSolve:
         monkeypatch.setattr(grouping, "solve_lp", failing_solve)
         assert run("solve", example_file, "--algo", "getf-makespan") == EXIT_INFEASIBLE
         assert capsys.readouterr().err == "error: simplex iteration limit exceeded\n"
+
+    @pytest.mark.parametrize("fault,message", [
+        ("malformed", "start must be a (18,) integer array, got shape (17,) of int64"),
+        ("singular", "start is singular: column 4 has pivot 0 in row 1"),
+        ("infeasible", "start is infeasible: row 8 has basic value -1 < -FEAS_TOL 1e-07"),
+    ])
+    def test_bad_lp_start_exit_2_one_line(self, example_file, monkeypatch, capsys, fault,
+                                          message):
+        # The worked example's program has 18 rows: 4 assignment, 4 processing,
+        # 4 edge, 2 machine-load and 4 C_j <= T rows.  Task 0 starts on
+        # machine 1, x[1, 0] being column 4; C_2 is column 2 * 4 + 2.
+        makespan_start = grouping._makespan_start
+
+        def bad_start(inst, groups):
+            start = makespan_start(inst, groups)
+            if fault == "malformed":
+                return start[:-1]
+            if fault == "singular":
+                start[1] = start[0]            # x[1, 0] has no entry in task 1's row
+                return start
+            start[start == 10] = -1            # C_2 leaves its tight edge row ...
+            start[4 + 2] = 10                  # ... for its processing row
+            return start
+
+        monkeypatch.setattr(grouping, "_makespan_start", bad_start)
+        assert run("solve", example_file, "--algo", "getf-makespan") == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_infeasible_lp_point_exit_2_one_line(self, tmp_path, capsys, monkeypatch):
         # A former defect instance: it must solve and verify.  After one
@@ -407,3 +434,14 @@ def test_raw_documents_exit_0_or_2(doc, algo):
             inst = parse_instance(path.read_text())
             sched = schedule_from_dict(json.loads(out.read_text()))
             assert verify_schedule(inst, sched).feasible
+
+
+def test_parser_is_built_once_and_reused(example_file, capsys):
+    assert cli._parser() is cli._parser()
+    assert cli._parser().format_help() == cli.build_parser().format_help()
+    errors = []
+    for _ in range(2):
+        assert run("solve", example_file, "--algo", "no-such-algo") == EXIT_USAGE
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].startswith("usage: getf solve")
+    assert run("solve", example_file, "--algo", "etf") == EXIT_OK

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.grouping import (GroupAssignment, GroupingError, MachineGroups, _band_mass,
+                           _makespan_start,
                            MakespanFractional, WeightedFractional,
                            assign_groups_makespan, assign_groups_weighted,
                            build_makespan_lp, build_weighted_lp, collapse_time_indexed,
@@ -15,7 +17,7 @@ from getf.grouping import (GroupAssignment, GroupingError, MachineGroups, _band_
                            partition_machines, solve_makespan_relaxation,
                            solve_weighted_relaxation, trivial_assignment,
                            weighted_slice_feasibility)
-from getf.lp_solver import solve_lp
+from getf.lp_solver import LE, solve_lp
 from getf.model import normalize_demands
 from getf.oracle import brute_force_schedule, restrict_platform
 
@@ -480,3 +482,88 @@ def test_arrays_match_dict_reference(seed, family, n, m, speed_hi, theta):
                for j in range(n)}
     assert (assign_groups_makespan(MakespanFractional(x2, cr, 1.0), groups, theta).to_json()
             == reference_assign(mass_of, groups, theta).to_json())
+
+
+# ---------------------------------------------------------------------------
+# The makespan program's crash basis
+# ---------------------------------------------------------------------------
+
+def basic_point(lp) -> tuple[np.ndarray, float]:
+    """The basic values of lp.start (slack columns on rows left at -1),
+    computed from the basis matrix alone, and its condition number."""
+    rows = len(lp.b)
+    basis = np.eye(rows)
+    listed = lp.start >= 0
+    basis[:, listed] = lp.A[:, lp.start[listed]]
+    return np.linalg.solve(basis, lp.b), np.linalg.cond(basis)
+
+
+START_CASES = {
+    "single task": (make_instance([2.0], [], [1.0, 2.0]), None),
+    "no edges": (make_instance([1.0, 2.0, 3.0], [], [1.0, 1.5]), None),
+    "one machine": (make_instance([1.0, 2.0], [(0, 1, 1.0)], [1.0]), None),
+    "discarded machine": (make_instance([1.0, 2.0, 3.0], [(0, 2, 1.0)], [8.0, 4.0, 2.0, 1.0]),
+                          None),
+    "tied demands": (make_instance([1.0] * 4, [(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)],
+                                   [1.0, 1.0]), None),
+    "gamma override": (make_instance([1.0, 3.0, 2.0], [(0, 1, 1.0)], [1.0, 2.0, 3.5]), 1.5),
+}
+
+
+class TestMakespanStart:
+    @pytest.mark.parametrize("case", sorted(START_CASES))
+    def test_start_is_feasible_and_nonsingular(self, case):
+        inst, gamma = START_CASES[case]
+        groups = partition_machines(inst.platform, gamma)
+        lp = dataclasses.replace(build_makespan_lp(inst, groups),
+                                 start=_makespan_start(inst, groups))
+        values, cond = basic_point(lp)
+        assert cond < 1e6
+        assert values.min() >= -1e-12
+        # Slack rows hold the row's own slack, so the point they give is feasible.
+        assert np.all(lp.sense[lp.start < 0] == LE)
+        started, plain = solve_lp(lp), solve_lp(build_makespan_lp(inst, groups))
+        assert started.objective == pytest.approx(plain.objective, rel=1e-9)
+
+    def test_edge_cases_are_what_they_say(self):
+        inst, _ = START_CASES["discarded machine"]
+        assert partition_machines(inst.platform).retained == (0, 1, 2)
+        inst, gamma = START_CASES["gamma override"]
+        assert partition_machines(inst.platform, gamma).K > partition_machines(inst.platform).K
+
+    def test_lpt_assignment(self):
+        # Demands 3, 2, 1 in that order on speeds 1 and 1.5: task 2 goes to
+        # machine 1 (finishing at 2), task 1 to machine 0 (2 < 2 + 4/3), and
+        # task 0 to machine 1 (2 + 2/3 < 2 + 1).  x[i, j] is column i * n + j.
+        inst, _ = START_CASES["no edges"]
+        start = _makespan_start(inst, partition_machines(inst.platform))
+        assert start[:3].tolist() == [1 * 3 + 0, 0 * 3 + 1, 1 * 3 + 2]
+        # T = 8/3 on machine 1's load row (row 2n + 1), above every C_j.
+        assert start[2 * 3 + 1] == 2 * 3 + 3 and start[2 * 3] == -1
+
+    def test_tied_completions_take_the_first_incoming_edge(self):
+        # Tasks 0 and 1 both finish at 1 on their own machines, so C_2's tight
+        # row is the first edge into task 2, edge 0 (row 2n + 0).
+        inst, _ = START_CASES["tied demands"]
+        groups = partition_machines(inst.platform)
+        start = _makespan_start(inst, groups)
+        n, nm = 4, 2
+        C = nm * n
+        assert start[2 * n + 0] == C + 2 and start[2 * n + 1] == -1
+        assert start[2 * n + 2] == C + 3                   # the single edge into task 3
+        assert start[n + 0] == C + 0 and start[n + 1] == C + 1   # no predecessors
+
+    def test_seed_one_programs_match_the_unstarted_solve(self):
+        # The 48 programs of the makespan-lp benchmark's first seed.
+        for k in range(48):
+            inst = generate_instance(GeneratorSpec("layered", 20, 8, seed=100_003 + k,
+                                                   density=0.3))
+            groups = partition_machines(inst.platform)
+            lp = build_makespan_lp(inst, groups)
+            plain = solve_lp(lp)
+            started = solve_lp(dataclasses.replace(lp, start=_makespan_start(inst, groups)))
+            assert started.objective == pytest.approx(plain.objective, rel=1e-9), k
+            assert started.pivots < plain.pivots, k
+            frac = extract_makespan_fractional(inst, groups, plain)
+            assert (assign_groups_makespan(solve_makespan_relaxation(inst, groups), groups)
+                    .to_json() == assign_groups_makespan(frac, groups).to_json()), k

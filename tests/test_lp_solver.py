@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -12,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from getf import lp_solver
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
-from getf.grouping import build_makespan_lp, build_weighted_lp, partition_machines
+from getf.grouping import (_makespan_start, build_makespan_lp, build_weighted_lp,
+                           partition_machines, solve_makespan_relaxation)
 from getf.lp_solver import (EQ, FEAS_TOL, GE, INFEASIBLE, LE, OPTIMAL, PIVOT_TOL, UNBOUNDED,
                             LinearProgram, LpError, LpSolution, residuals, solve_lp)
 from getf.model import normalize_demands
@@ -109,11 +111,16 @@ def highs_objective(lp: LinearProgram) -> float:
 
 
 def built_program(kind: str, family: str, n: int, m: int, seed: int) -> LinearProgram:
+    """kind "makespan-start" is the makespan program with its crash basis."""
     spec = GeneratorSpec(family, n, m, seed=seed, density=0.3, weights="uniform",
                          speed_range=(0.5, 1.0) if kind == "weighted" else (1.0, 2.0))
     inst = generate_instance(spec)
     if kind == "makespan":
         return build_makespan_lp(inst, partition_machines(inst.platform))
+    if kind == "makespan-start":
+        groups = partition_machines(inst.platform)
+        return dataclasses.replace(build_makespan_lp(inst, groups),
+                                   start=_makespan_start(inst, groups))
     inst, _ = normalize_demands(inst)
     return build_weighted_lp(inst, partition_machines(inst.platform))
 
@@ -127,6 +134,12 @@ HIGHS_CASES += [("weighted", family, n, m, 950 + k)
 HIGHS_CASES += [("makespan", family, n, 8, seed)
                 for family, n, seed in (("layered", 40, 910), ("fork_join", 40, 911),
                                         ("random_dag", 40, 912), ("fork_join", 80, 914))]
+# The same programs solved from the crash basis, and a 1210-row random_dag
+# program at n=80 that takes several seconds without it.
+HIGHS_CASES += [("makespan-start", family, n, 8, seed)
+                for family, n, seed in (("layered", 40, 910), ("fork_join", 40, 911),
+                                        ("random_dag", 40, 912), ("random_dag", 80, 913),
+                                        ("fork_join", 80, 914))]
 
 
 @pytest.mark.parametrize("kind,family,n,m,seed", HIGHS_CASES)
@@ -136,6 +149,18 @@ def test_objective_matches_highs(kind, family, n, m, seed):
     assert sol.status == OPTIMAL
     expected = highs_objective(lp)
     assert sol.objective == pytest.approx(expected, rel=1e-7, abs=1e-7)
+
+
+@pytest.mark.parametrize("demand_hi,speed_range", [(1e5, (1.0, 2.0)), (1e4, (0.01, 1.0))])
+def test_wide_range_program_solves_from_its_start(demand_hi, speed_range):
+    # Demands spanning four or five decades: the unstarted solve of this program
+    # calls it infeasible (1e5) or its point fails the residual guard (1e4).
+    inst = generate_instance(GeneratorSpec("layered", 20, 8, seed=2, density=0.3,
+                                           demand_range=(1.0, demand_hi),
+                                           speed_range=speed_range))
+    groups = partition_machines(inst.platform)
+    expected = highs_objective(build_makespan_lp(inst, groups))
+    assert solve_makespan_relaxation(inst, groups).T == pytest.approx(expected, rel=1e-9)
 
 
 # Weighted relaxations that Bland's rule failed on: 100057 ended on an
@@ -578,3 +603,103 @@ class TestPivotCounts:
         inst = generate_instance(GeneratorSpec("layered", 20, 8, seed=100003))
         x = solve_lp(build_makespan_lp(inst, partition_machines(inst.platform))).x
         assert digests == {hashlib.sha256(x.tobytes()).hexdigest()}
+
+
+def one_line_lp_error(lp: LinearProgram, match: str) -> None:
+    with pytest.raises(LpError, match=match) as info:
+        solve_lp(lp)
+    assert "\n" not in str(info.value)
+
+
+class TestStart:
+    # min x0 + 2 x1  s.t.  x0 + x1 = 2,  x0 <= 1.8,  x1 >= 0.25
+    A = [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+    SENSE = [EQ, LE, GE]
+    B = [2.0, 1.8, 0.25]
+
+    def program(self, start) -> LinearProgram:
+        return LinearProgram([1.0, 2.0], self.A, self.SENSE, self.B, start)
+
+    def test_started_solve_matches_unstarted(self):
+        plain = solve_lp(self.program(None))
+        started = solve_lp(self.program([0, -1, 1]))
+        assert started.status == plain.status == OPTIMAL
+        assert started.objective == pytest.approx(plain.objective, rel=1e-12)
+        assert started.objective == pytest.approx(2.25)
+        assert started.pivots >= 2                 # the two install pivots count
+
+    @pytest.mark.parametrize("start,match", [
+        ([0, -1], r"^start must be a \(3,\) integer array, got shape \(2,\)"),
+        ([0.0, -1.0, 1.0], r"^start must be a \(3,\) integer array, got shape \(3,\) of float64"),
+        ([[0, -1, 1]], r"^start must be a \(3,\) integer array"),
+        ([0, 2, 1], r"^start names column 2 in row 1, expected -1 or 0\.\.1$"),
+        ([0, -2, 1], r"^start names column -2 in row 1"),
+        ([-1, -1, 1], r"^start leaves row 0 on its artificial"),
+        ([0, -1, -1], r"^start leaves row 2 on its artificial"),
+    ])
+    def test_malformed_start_is_refused(self, start, match):
+        with pytest.raises(LpError, match=match) as info:
+            self.program(start)
+        assert "\n" not in str(info.value)
+        lp = self.program(None)
+        lp.start = np.asarray(start)
+        one_line_lp_error(lp, match)
+
+    def test_negated_le_row_needs_a_column(self):
+        # x0 <= -1 with b < 0 is canonicalized to a >= row on an artificial.
+        with pytest.raises(LpError, match=r"^start leaves row 0 on its artificial"):
+            LinearProgram([1.0], [[-1.0]], [LE], [-1.0], [-1])
+        assert solve_lp(LinearProgram([1.0], [[-1.0]], [LE], [-1.0], [0])).objective == 1.0
+
+    def test_singular_start_is_refused(self):
+        # Column 0 made basic twice: after row 0's pivot it holds 0 in row 2.
+        one_line_lp_error(
+            LinearProgram([1.0, 2.0], self.A, [EQ, LE, EQ], [2.0, 1.5, 0.25], [0, -1, 0]),
+            r"^start is singular: column 0 has pivot 0 in row 2$")
+
+    def test_infeasible_start_is_refused(self):
+        # x0 basic in the = row puts x0 = 2 above its bound 1.5.
+        lp = LinearProgram([1.0, 2.0], [[1.0, 1.0], [1.0, 0.0]], [EQ, LE], [2.0, 1.5], [0, -1])
+        one_line_lp_error(lp, r"^start is infeasible: row 1 has basic value -0\.5 "
+                              r"< -FEAS_TOL 1e-07$")
+
+    def test_no_rows(self):
+        sol = solve_lp(LinearProgram([1.0], np.zeros((0, 1)), [], [], np.zeros(0, dtype=int)))
+        assert sol.status == OPTIMAL and sol.max_residual == 0.0
+
+    def test_same_bits_across_thread_counts(self):
+        # Criterion 8 on the started path: solve_makespan_relaxation installs
+        # the crash basis before phase 2.
+        script = ("import hashlib, sys\n"
+                  "sys.path.insert(0, sys.argv[1])\n"
+                  "from getf.generator import GeneratorSpec, generate_instance\n"
+                  "from getf.grouping import partition_machines, solve_makespan_relaxation\n"
+                  "inst = generate_instance(GeneratorSpec('layered', 20, 8, seed=100003))\n"
+                  "frac = solve_makespan_relaxation(inst, partition_machines(inst.platform))\n"
+                  "print(hashlib.sha256(frac.x.tobytes() + frac.C.tobytes()).hexdigest())\n")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", script,
+                                  str(Path(lp_solver.__file__).parents[1])],
+                                 env=env, capture_output=True, text=True, timeout=120, check=True)
+            digests.add(out.stdout.strip())
+        inst = generate_instance(GeneratorSpec("layered", 20, 8, seed=100003))
+        frac = solve_makespan_relaxation(inst, partition_machines(inst.platform))
+        assert digests == {hashlib.sha256(frac.x.tobytes() + frac.C.tobytes()).hexdigest()}
+
+
+class TestMaxResidual:
+    def test_optimal_solve_reports_its_worst_violation(self):
+        lp = built_program("makespan", "layered", 20, 8, 904)
+        sol = solve_lp(lp)
+        worst = max(0.0, float(residuals(lp, sol.x).max()), float((-sol.x).max()))
+        assert sol.max_residual == worst
+        assert 0.0 <= sol.max_residual <= FEAS_TOL
+
+    def test_non_optimal_solves_have_none(self):
+        infeasible = solve_lp(LinearProgram([1.0], [[1.0], [1.0]], [LE, GE], [1.0, 2.0]))
+        unbounded = solve_lp(LinearProgram([-1.0], [[-1.0]], [LE], [1.0]))
+        assert (infeasible.status, unbounded.status) == (INFEASIBLE, UNBOUNDED)
+        assert infeasible.max_residual is None and unbounded.max_residual is None
