@@ -15,15 +15,18 @@ Machines are append-only: a task starts no earlier than the end of the last
 interval already placed on its machine, and gaps are never back-filled.
 
 The engine caches a ready-task x machine table of earliest starts.  A
-task's row is computed by ``earliest_start`` once, when the task becomes
-ready; since its predecessors' arrivals are then fixed and machine
-availability only grows, each later placement just raises one column to
-the new availability.  A row's machine is the lexicographic minimum of
-(start, machine preference), computed over all rows at once.  That equals
-the sequential scan with the ``START_TIE_TOL`` comparison except when
-another start lies within the tolerance of the row's minimum; such rows
-are re-scanned, so every decision matches re-evaluating every ready task
-on every machine in every iteration.
+task's row is computed by one ``earliest_start`` call, over every machine
+of its group, when the task becomes ready; since its predecessors'
+arrivals are then fixed and machine availability only grows, each later
+placement just raises one column to the new availability.  Each iteration
+takes every row's minimum at once, picks a task among the rows tied at the
+smallest start, and only then works out the chosen row's machine: the
+lexicographic minimum of (start, machine preference).  That equals the
+sequential scan with the ``START_TIE_TOL`` comparison except when another
+start lies within the tolerance of the row's minimum; such rows are
+re-scanned, so every decision matches re-evaluating every ready task on
+every machine in every iteration.  Tie rules other than ``random`` are a
+per-task rank array, so a choice is one lookup over the tied ids.
 """
 
 from __future__ import annotations
@@ -79,30 +82,32 @@ class TieBreak:
 
 
 class TieChooser:
-    """Stateful chooser; random variants consume a private seeded stream."""
+    """Stateful chooser; random variants consume a private seeded stream.
+
+    The other variants rank every task once, lowest rank first: by id, by
+    (-demand, id), or by (-out-degree, id).
+    """
 
     def __init__(self, rule: TieBreak, graph):
-        self.rule = rule
-        self._rng = random.Random(rule.seed) if rule.variant == TieBreak.RANDOM else None
-        self._demand = {t.id: t.demand for t in graph.tasks}
-        if rule.variant == TieBreak.MOST_SUCCESSORS:
-            succs = graph.successors()
-            self._out_degree = {j: len(succs[j]) for j in range(graph.n)}
-
-    def choose(self, candidates: list[int]) -> int:
-        if len(candidates) == 1:
-            return candidates[0]
-        ordered = sorted(candidates)
-        v = self.rule.variant
-        if v == TieBreak.BY_INDEX:
-            return ordered[0]
-        if v == TieBreak.RANDOM:
-            return self._rng.choice(ordered)
+        v = rule.variant
+        self._rng = random.Random(rule.seed) if v == TieBreak.RANDOM else None
         if v == TieBreak.LARGEST_DEMAND:
-            return max(ordered, key=lambda j: (self._demand[j], -j))
-        if v == TieBreak.MOST_SUCCESSORS:
-            return max(ordered, key=lambda j: (self._out_degree[j], -j))
-        raise SchedulingError(f"unknown tie-break variant {v!r}")
+            key = [-t.demand for t in graph.tasks]
+        elif v == TieBreak.MOST_SUCCESSORS:
+            key = [-len(s) for s in graph.successors()]
+        elif v in (TieBreak.BY_INDEX, TieBreak.RANDOM):
+            key = [0] * graph.n
+        else:
+            raise SchedulingError(f"unknown tie-break variant {v!r}")
+        self._rank = np.argsort(np.lexsort((np.arange(graph.n), key)))
+
+    def choose(self, candidates) -> int:
+        """The chosen one of ``candidates``, a sequence of task ids."""
+        if len(candidates) == 1:
+            return int(candidates[0])
+        if self._rng is not None:
+            return int(self._rng.choice(np.sort(candidates).tolist()))
+        return int(candidates[self._rank[candidates].argmin()])
 
 
 @dataclass
@@ -180,25 +185,34 @@ def comm_delay(inst: Instance, data: float, src_machine: int, dst_machine: int) 
     return data / sigma  # data/inf == 0.0, the zero-delay sentinel
 
 
-def earliest_start(task: int, machine: int, partial: Schedule, inst: Instance,
+def earliest_start(task: int, machine: int | tuple[int, ...] | list[int],
+                   partial: Schedule, inst: Instance,
                    preds: list[list[int]] | None = None,
-                   edge_data: dict[tuple[int, int], float] | None = None) -> float:
+                   edge_data: dict[tuple[int, int], float] | None = None
+                   ) -> float | list[float]:
     """Earliest feasible start of ``task`` on ``machine`` given the partial
-    schedule: machine availability vs. every predecessor's data arrival."""
+    schedule: machine availability vs. every predecessor's data arrival.
+
+    ``machine`` may also be a tuple or list of machines; the starts on each
+    come back as a list in that order, from one walk over the predecessors.
+    """
     if preds is None:
         preds = inst.graph.predecessors()
     if edge_data is None:
         edge_data = inst.graph.edge_data()
-    t = partial.machine_available(machine)
+    one = not isinstance(machine, (tuple, list))
+    machines = (machine,) if one else machine
+    starts = [partial.machine_available(i) for i in machines]
     for p in preds[task]:
         if not partial.is_scheduled(p):
             raise SchedulingError(f"predecessor {p} of task {task} is not scheduled")
-        arrival = partial.finish[p] + comm_delay(
-            inst, edge_data[(p, task)], partial.assignment[p], machine
-        )
-        if arrival > t:
-            t = arrival
-    return t
+        finish, data = partial.finish[p], edge_data[(p, task)]
+        sigma = inst.platform.comm_speed[partial.assignment[p]]
+        for k, i in enumerate(machines):
+            arrival = finish + data / sigma[i]  # data/inf == 0.0, the zero-delay sentinel
+            if arrival > starts[k]:
+                starts[k] = arrival
+    return starts[0] if one else starts
 
 
 def _machine_key(inst: Instance, machine: int, prefer_fast: bool) -> tuple:
@@ -213,11 +227,12 @@ class _StartTable:
     One row per ready task holds its earliest start on each machine, with
     ``inf`` outside the task's group; columns are sorted by machine
     preference, so a row's first minimum is its lexicographic
-    (start, preference) best.  A row is seeded through ``earliest_start``
-    when its task becomes ready.  Afterwards only machine availability can
-    change, and it only grows, so placing a task on machine ``i`` refreshes
-    column ``i`` to ``max(cached, available)``: the same float
-    ``earliest_start`` would return, without recomputing any arrival.
+    (start, preference) best.  A row is seeded by one ``earliest_start``
+    call over its task's group when the task becomes ready.  Afterwards
+    only machine availability can change, and it only grows, so placing a
+    task on machine ``i`` refreshes column ``i`` to ``max(cached,
+    available)``: the same float ``earliest_start`` would return, without
+    recomputing any arrival.
 
     The sequential scan that defines the machine choice compares starts
     within ``START_TIE_TOL``, which is not transitive.  The lexicographic
@@ -240,6 +255,7 @@ class _StartTable:
         self.col_of = {int(i): c for c, i in enumerate(self.machine_of_col)}
         self.starts = np.full((m, n), np.inf)
         self.tasks = np.empty(n, dtype=np.intp)  # the task of each row
+        self.row_of = np.empty(n, dtype=np.intp)  # the row of each ready task
         self.size = 0
 
     def __len__(self) -> int:
@@ -253,16 +269,15 @@ class _StartTable:
                 f"task {task} is assigned to group {self.f.group_of_task[task]}, "
                 "which has no machines"
             )
-        return [earliest_start(task, i, self.sched, self.inst, self.preds, self.edge_data)
-                for i in machines]
+        return earliest_start(task, machines, self.sched, self.inst, self.preds, self.edge_data)
 
     def add(self, task: int) -> None:
         """Give a newly ready task its row."""
-        starts = self.seed(task)
-        row = self.starts[:, self.size]
-        row.fill(np.inf)
-        row[[self.col_of[i] for i in self.f.machines_for(task)]] = starts
-        self.tasks[self.size] = task
+        row = [np.inf] * len(self.key)
+        for i, t in zip(self.f.machines_for(task), self.seed(task)):
+            row[self.col_of[i]] = t
+        self.starts[:, self.size] = row
+        self.tasks[self.size], self.row_of[task] = task, self.size
         self.size += 1
 
     def scan(self, task: int, starts: list[float]) -> tuple[float, int]:
@@ -275,18 +290,24 @@ class _StartTable:
                 best_t, best_m = t, i
         return best_t, best_m
 
-    def best(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's best start and the machine the sequential scan picks."""
+    def pick(self, chooser: TieChooser) -> tuple[int, float, int]:
+        """Drop the row ``chooser`` takes among those tied at the smallest
+        best start; returns its task, start and scanned machine."""
         table = self.starts[:, :self.size]
         best = table.min(axis=0)
-        machines = self.machine_of_col[table.argmin(axis=0)]
         runner_up = np.where(table == best, np.inf, table).min(axis=0)
         clear = (runner_up - best > START_TIE_TOL) & (best < runner_up - START_TIE_TOL)
-        for r in np.flatnonzero(~clear).tolist():
+        scanned = {}
+        for r in (~clear).nonzero()[0].tolist():
             task = int(self.tasks[r])
             cols = [self.col_of[i] for i in self.f.machines_for(task)]
-            best[r], machines[r] = self.scan(task, table[cols, r].tolist())
-        return best, machines
+            scanned[r] = self.scan(task, table[cols, r].tolist())
+            best[r] = scanned[r][0]
+        tied = self.tasks[(np.abs(best - best.min()) <= START_TIE_TOL).nonzero()[0]]
+        r = int(self.row_of[chooser.choose(tied)])
+        start, machine = scanned[r] if r in scanned else (
+            float(best[r]), int(self.machine_of_col[table[:, r].argmin()]))
+        return self.pop(r), start, machine
 
     def pop(self, row: int) -> int:
         """Drop ``row``, moving the last row into its place; returns its task."""
@@ -294,7 +315,8 @@ class _StartTable:
         self.size -= 1
         if row < self.size:
             self.starts[:, row] = self.starts[:, self.size]
-            self.tasks[row] = self.tasks[self.size]
+            self.tasks[row] = moved = self.tasks[self.size]
+            self.row_of[moved] = row
         return task
 
     def place(self, task: int, start: float, machine: int) -> None:
@@ -316,12 +338,8 @@ def getf_schedule(inst: Instance, f: GroupAssignment, tie: TieBreak) -> Schedule
         if k == 0:
             table.add(j)
     while table:
-        best, machines = table.best()
-        tied_rows = np.flatnonzero(np.abs(best - best.min()) <= START_TIE_TOL)
-        tied = table.tasks[tied_rows].tolist()
-        r = int(tied_rows[tied.index(chooser.choose(tied))])
-        j = table.pop(r)
-        table.place(j, float(best[r]), int(machines[r]))
+        j, start, machine = table.pick(chooser)
+        table.place(j, start, machine)
         for w in succs[j]:
             n_unscheduled_preds[w] -= 1
             if n_unscheduled_preds[w] == 0:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -76,6 +77,40 @@ TIE_RULES = (TieBreak.by_index(), TieBreak.random_rule(5), TieBreak.largest_dema
              TieBreak.most_successors())
 
 
+def tie_heavy_instance(rng):
+    """Unit speeds, integer demands and data, comm speeds 1 or inf: many
+    starts tie exactly.  About one value in five is one ulp above its
+    integer, so other starts fall within START_TIE_TOL of each other."""
+    def value(lo, hi):
+        x = float(rng.randint(lo, hi))
+        return math.nextafter(x, math.inf) if rng.random() < 0.2 else x
+    n, m = rng.randint(2, 30), rng.randint(1, 6)
+    density = rng.choice([0.05, 0.15, 0.4])
+    edges = [(u, v, value(0, 2)) for v in range(n) for u in range(v) if rng.random() < density]
+    comm = [[rng.choice([1.0, None]) for _ in range(m)] for _ in range(m)]
+    return make_instance([value(1, 3) for _ in range(n)], edges, [1.0] * m, comm=comm)
+
+
+def hand_bands(inst, members, band_of_task):
+    """A group assignment with the given bands (machine tuples by band id),
+    which may share machines; only the members matter to placement."""
+    groups = dataclasses.replace(
+        trivial_assignment(inst).groups, K=len(members), members=members,
+        group_of={i: k for k, ms in members.items() for i in ms})
+    return GroupAssignment(dict(enumerate(band_of_task)), groups)
+
+
+def split_band_assignment(inst, rng):
+    """Two bands over a random split of the machines (unit speeds leave
+    ``partition_machines`` a single band), tasks spread at random."""
+    machines = list(range(inst.platform.m))
+    rng.shuffle(machines)
+    cut = rng.randint(1, max(1, len(machines) - 1))
+    members = {1: tuple(sorted(machines[:cut])), 2: tuple(sorted(machines[cut:]))}
+    bands = [k for k in (1, 2) if members[k]]
+    return hand_bands(inst, members, [rng.choice(bands) for _ in range(inst.graph.n)])
+
+
 class TestStartTableMatchesNaive:
     @given(st.integers(0, 10_000), st.sampled_from(FAMILIES), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -93,6 +128,25 @@ class TestStartTableMatchesNaive:
             assert sls_schedule(inst, f, order).to_json(inst) == \
                 naive_sls(inst, f, order).to_json(inst)
 
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_byte_identical_where_ties_are_dense(self, seed):
+        rng = random.Random(seed)
+        inst = tie_heavy_instance(rng)
+        order = topological_order(inst.graph)
+        for f in (trivial_assignment(inst), split_band_assignment(inst, rng)):
+            for tie in TIE_RULES:
+                assert getf_schedule(inst, f, tie).to_json(inst) == \
+                    naive_getf(inst, f, tie).to_json(inst)
+            assert sls_schedule(inst, f, order).to_json(inst) == \
+                naive_sls(inst, f, order).to_json(inst)
+
+    @pytest.mark.parametrize("tie", TIE_RULES, ids=lambda t: t.variant)
+    def test_byte_identical_on_layered_150(self, tie):
+        inst = generate_instance(GeneratorSpec("layered", 150, 8, seed=150, density=0.05))
+        f = trivial_assignment(inst)
+        assert getf_schedule(inst, f, tie).to_json(inst) == naive_getf(inst, f, tie).to_json(inst)
+
     def test_near_tie_row_is_rescanned(self):
         # Task 2 may start at 0.1 + 0.2 on machine 0 or at 0.3 on machine 1.
         # The two differ by one ulp, within START_TIE_TOL, so the scan keeps
@@ -103,6 +157,20 @@ class TestStartTableMatchesNaive:
         s = getf_schedule(inst, f, TieBreak.by_index())
         assert s.assignment == {0: 0, 1: 1, 2: 0}
         assert s.start[2] == 0.1 + 0.2 != 0.3
+        assert s.to_json(inst) == naive_getf(inst, f, TieBreak.by_index()).to_json(inst)
+
+    def test_rescanned_best_sets_the_smallest_start(self):
+        # Tasks 0-2 fill machines 0, 1 and 2 until 1 + 5e-13, 1 and
+        # 1 + 1.2e-12.  Task 4 may then start at 1 + 5e-13 on machine 0 or
+        # at 1 on machine 1; the scan keeps machine 0.  Measured from that
+        # best, not from the row's minimum 1, task 3's start 1 + 1.2e-12 is
+        # within START_TIE_TOL, so task 3 ties with task 4 and goes first.
+        inst = make_instance([1.0 + 5e-13, 1.0, 1.0 + 1.2e-12, 1.0, 1.0],
+                             [(2, 3, 0.0), (1, 4, 0.0)], [1.0, 1.0, 1.0])
+        f = hand_bands(inst, {1: (0,), 2: (1,), 3: (2,), 4: (0, 1)}, [1, 2, 3, 3, 4])
+        s = getf_schedule(inst, f, TieBreak.by_index())
+        assert s.iteration_order == [0, 1, 2, 3, 4]
+        assert (s.assignment[4], s.start[4]) == (0, 1.0 + 5e-13)
         assert s.to_json(inst) == naive_getf(inst, f, TieBreak.by_index()).to_json(inst)
 
     def test_rounded_tolerance_row_is_rescanned(self):
@@ -223,6 +291,39 @@ class TestGetf:
             for intervals in s.machine_intervals.values():
                 starts = [a for a, _, _ in intervals]
                 assert starts == sorted(starts)
+
+    def test_unknown_tie_rule_refused_up_front(self):
+        # A chain never has two ready tasks, so the rule is never consulted.
+        inst = make_instance([1.0, 2.0, 3.0], [(0, 1, 0.0), (1, 2, 0.0)], [1.0])
+        with pytest.raises(SchedulingError, match="unknown tie-break variant 'bogus'"):
+            TieChooser(TieBreak("bogus"), inst.graph)
+        with pytest.raises(SchedulingError, match="unknown tie-break variant 'bogus'"):
+            etf_schedule(inst, TieBreak("bogus"))
+
+    def test_tie_ranks_match_sorted_definitions(self):
+        # Demands and out-degrees repeat, so the id fallback decides often.
+        rng = random.Random(11)
+        inst = make_instance([rng.choice([1.0, 2.0]) for _ in range(30)],
+                             [(u, v, 0.0) for v in range(30) for u in range(v)
+                              if rng.random() < 0.1], [1.0])
+        demand = [t.demand for t in inst.graph.tasks]
+        degree = [len(s) for s in inst.graph.successors()]
+        want = {
+            TieBreak.BY_INDEX: min,
+            TieBreak.LARGEST_DEMAND: lambda c: max(c, key=lambda j: (demand[j], -j)),
+            TieBreak.MOST_SUCCESSORS: lambda c: max(c, key=lambda j: (degree[j], -j)),
+        }
+        draws = random.Random(4)
+        for variant, rule in want.items():
+            chooser = TieChooser(TieBreak(variant), inst.graph)
+            for _ in range(50):
+                cands = rng.sample(range(30), rng.randint(1, 30))
+                assert chooser.choose(cands) == rule(cands)
+        chooser = TieChooser(TieBreak.random_rule(4), inst.graph)
+        for _ in range(50):
+            cands = rng.sample(range(30), rng.randint(1, 30))
+            want_random = cands[0] if len(cands) == 1 else draws.choice(sorted(cands))
+            assert chooser.choose(cands) == want_random
 
     def test_random_rule_determined_by_seed(self):
         inst = random_instance(3, n=12, density=0.1)
