@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 
 ABS_TOL = 1e-9
@@ -221,10 +222,12 @@ def normalize_demands(inst: Instance) -> tuple[Instance, float]:
 # JSON (de)serialization.  Field names are part of the on-disk contract:
 #   {"tasks": [{"id", "demand", "weight"}], "edges": [{"src", "dst", "data"}],
 #    "machines": [{"id", "speed"}], "comm_speed": [[...]]}
-# with null entries in comm_speed meaning infinite speed (zero delay).
+# with null entries in comm_speed meaning infinite speed (zero delay).  The
+# writers lay documents out as json.dumps(doc, indent=2) + "\n" does.
 # ---------------------------------------------------------------------------
 
 def instance_to_dict(inst: Instance) -> dict:
+    """The instance as its JSON document; the inverse of ``instance_from_dict``."""
     return {
         "tasks": [
             {"id": t.id, "demand": t.demand, "weight": t.weight} for t in inst.graph.tasks
@@ -239,13 +242,66 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+def json_list(items: list[str], indent: str) -> str:
+    """A JSON list of already laid-out ``items``, closed at ``indent``, as
+    ``json.dumps(..., indent=2)`` lays it out; ``[]`` when empty."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def fill_json(template: str, leaves: list) -> str:
+    """``template`` with its ``%s`` slots filled, in order, by ``leaves``
+    (numbers or ``None``) spelled exactly as ``json.dumps`` spells them.
+
+    ``json.dumps(..., indent=2)`` always runs CPython's pure-Python encoder;
+    one flat list goes through the C encoder instead, and no number or
+    ``null`` contains the ``", "`` that separates its items.
+    """
+    return template % tuple(json.dumps(leaves)[1:-1].split(", ") if leaves else ())
+
+
+_TASK_JSON = '    {\n      "id": %s,\n      "demand": %s,\n      "weight": %s\n    }'
+_EDGE_JSON = '    {\n      "src": %s,\n      "dst": %s,\n      "data": %s\n    }'
+_MACHINE_JSON = '    {\n      "id": %s,\n      "speed": %s\n    }'
+
+
 def serialize_instance(inst: Instance) -> str:
-    return json.dumps(instance_to_dict(inst), indent=2) + "\n"
+    """``json.dumps(instance_to_dict(inst), indent=2) + "\\n"``, byte for byte."""
+    g, p = inst.graph, inst.platform
+    template = (
+        '{\n  "tasks": ' + json_list([_TASK_JSON] * g.n, "  ")
+        + ',\n  "edges": ' + json_list([_EDGE_JSON] * len(g.edges), "  ")
+        + ',\n  "machines": ' + json_list([_MACHINE_JSON] * p.m, "  ")
+        + ',\n  "comm_speed": ' + json_list(
+            ["    " + json_list(["      %s"] * len(row), "    ") for row in p.comm_speed], "  ")
+        + "\n}\n"
+    )
+    leaves = [v for t in g.tasks for v in (t.id, t.demand, t.weight)]
+    leaves += [v for e in g.edges for v in (e.src, e.dst, e.data)]
+    leaves += [v for mc in p.machines for v in (mc.id, mc.speed)]
+    leaves += [None if s == math.inf else s for row in p.comm_speed for s in row]
+    return fill_json(template, leaves)
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise InstanceError(message)
+
+
+# The types json.loads gives numbers; bool, a subclass of int, is not one.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def require_numbers(columns: tuple[list, ...], what: str) -> None:
+    """Refuse any value in ``columns`` whose type is not int or float.
+
+    One type test per value: ``float()`` and ``int()`` would also take
+    strings and booleans.
+    """
+    if not set(map(type, chain.from_iterable(columns))) <= _NUMBER_TYPES:
+        bad = next(v for v in chain.from_iterable(columns) if type(v) not in _NUMBER_TYPES)
+        raise InstanceError(f"{what} values must be numbers: got {bad!r}")
 
 
 def instance_from_dict(doc: dict) -> Instance:
@@ -266,20 +322,25 @@ def instance_from_dict(doc: dict) -> Instance:
              and all(isinstance(row, list) for row in doc["comm_speed"]),
              "'comm_speed' must be a matrix")
 
+    task_docs, edge_docs, machine_docs = doc["tasks"], doc["edges"], doc["machines"]
+    task_ids, machine_ids = [e["id"] for e in task_docs], [e["id"] for e in machine_docs]
+    srcs, dsts = [e["src"] for e in edge_docs], [e["dst"] for e in edge_docs]
+    demands, weights = [e["demand"] for e in task_docs], [e.get("weight", 0.0) for e in task_docs]
+    data, speeds = [e.get("data", 0.0) for e in edge_docs], [e["speed"] for e in machine_docs]
+    comm = [s for row in doc["comm_speed"] for s in row if s is not None]
+    require_numbers((task_ids, demands, weights, srcs, dsts, data, machine_ids, speeds, comm),
+                    "instance")
     try:
-        tasks = [Task(int(e["id"]), float(e["demand"]), float(e.get("weight", 0.0)))
-                 for e in doc["tasks"]]
-        edges = [Edge(int(e["src"]), int(e["dst"]), float(e.get("data", 0.0)))
-                 for e in doc["edges"]]
-        machines = [Machine(int(e["id"]), float(e["speed"])) for e in doc["machines"]]
+        tasks = list(map(Task, map(int, task_ids), map(float, demands), map(float, weights)))
+        edges = list(map(Edge, map(int, srcs), map(int, dsts), map(float, data)))
+        machines = list(map(Machine, map(int, machine_ids), map(float, speeds)))
         comm_rows = [tuple(math.inf if s is None else float(s) for s in row)
                      for row in doc["comm_speed"]]
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise InstanceError(f"instance values must be numbers: {exc}") from None
     # int() truncates, so an id survives it unchanged only if it is integral.
-    _require([e["id"] for e in doc["tasks"]] == [t.id for t in tasks]
-             and [e["id"] for e in doc["machines"]] == [mc.id for mc in machines]
-             and [(e["src"], e["dst"]) for e in doc["edges"]] == [(e.src, e.dst) for e in edges],
+    _require(task_ids == [t.id for t in tasks] and machine_ids == [mc.id for mc in machines]
+             and srcs == [e.src for e in edges] and dsts == [e.dst for e in edges],
              "task, machine and edge ids must be integers")
 
     inst = Instance(

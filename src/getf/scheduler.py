@@ -31,7 +31,6 @@ per-task rank array, so a choice is one lookup over the tied ids.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grouping import GroupAssignment, trivial_assignment
-from .model import Instance
+from .model import Instance, fill_json, json_list, require_numbers
 
 START_TIE_TOL = 1e-12
 
@@ -110,6 +109,10 @@ class TieChooser:
         return int(candidates[self._rank[candidates].argmin()])
 
 
+_ASSIGNMENT_JSON = ('    {\n      "task": %s,\n      "machine": %s,\n'
+                    '      "start": %s,\n      "end": %s\n    }')
+
+
 @dataclass
 class Schedule:
     assignment: dict[int, int] = field(default_factory=dict)
@@ -156,12 +159,28 @@ class Schedule:
         }
 
     def to_json(self, inst: Instance) -> str:
-        return json.dumps(self.to_dict(inst), indent=2) + "\n"
+        """``json.dumps(self.to_dict(inst), indent=2) + "\\n"``, byte for byte."""
+        tasks = sorted(self.assignment)
+        template = (
+            '{\n  "assignments": ' + json_list([_ASSIGNMENT_JSON] * len(tasks), "  ")
+            + ',\n  "iteration_order": '
+            + json_list(["    %s"] * len(self.iteration_order), "  ")
+            + ',\n  "makespan": %s,\n  "weighted_completion": %s\n}\n'
+        )
+        a, start, finish = self.assignment, self.start, self.finish
+        leaves = [v for j in tasks for v in (j, a[j], start[j], finish[j])]
+        leaves += self.iteration_order
+        leaves += (self.makespan(), self.weighted_completion(inst))
+        return fill_json(template, leaves)
 
 
 def schedule_from_dict(doc: dict) -> Schedule:
     """Rebuild a schedule document; a task listed twice in ``assignments`` or
-    in ``iteration_order`` makes it malformed (ValueError)."""
+    in ``iteration_order``, or a value that is not a number, makes it
+    malformed (ValueError)."""
+    require_numbers(([v for e in doc["assignments"]
+                      for v in (e["task"], e["machine"], e["start"], e["end"])],
+                     doc.get("iteration_order") or []), "schedule")
     s = Schedule()
     entries = sorted(doc["assignments"], key=lambda e: float(e["start"]))
     order = [int(j) for j in doc.get("iteration_order") or [e["task"] for e in entries]]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tempfile
@@ -39,6 +40,16 @@ MALFORMED_DOCS = {
     "null-weight": lambda d: d["tasks"][0].update(weight=None),
     "overflowing-speed": lambda d: d["machines"][0].update(speed=10 ** 400),
     "non-numeric-comm-speed": lambda d: d["comm_speed"][0].__setitem__(0, "a"),
+}
+
+# Documents whose strings and booleans float() and int() would take as numbers.
+NON_NUMBER_DOCS = {
+    "string-demand": lambda d: d["tasks"][0].update(demand="3.5"),
+    "string-speed": lambda d: d["machines"][0].update(speed="2"),
+    "string-weight": lambda d: d["tasks"][0].update(weight="0.5"),
+    "string-comm-speed": lambda d: d["comm_speed"][0].__setitem__(1, "4"),
+    "boolean-demand": lambda d: d["tasks"][0].update(demand=True),
+    "boolean-id": lambda d: d["tasks"][1].update(id=True),
 }
 
 
@@ -136,6 +147,24 @@ class TestSolve:
         assert run("solve", bad, "--algo", "etf") == EXIT_INFEASIBLE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("case", sorted(NON_NUMBER_DOCS))
+    def test_non_number_value_exit_2(self, tmp_path, capsys, case):
+        doc = json.loads(EXAMPLE_JSON)
+        NON_NUMBER_DOCS[case](doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("solve", bad, "--algo", "etf") == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: instance values must be numbers: got ")
+        assert err.count("\n") == 1, err
+
+    def test_integral_float_id_accepted(self, tmp_path):
+        doc = json.loads(EXAMPLE_JSON)
+        doc["tasks"][1]["id"] = 1.0
+        path = tmp_path / "float-id.json"
+        path.write_text(json.dumps(doc))
+        assert run("solve", path, "--algo", "etf") == EXIT_OK
 
     def test_nan_edge_data_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"
@@ -306,6 +335,16 @@ class TestVerify:
             err = capsys.readouterr().err
             assert err == f"error: cannot read schedule: task 0 appears more than once in {where}\n"
 
+    @pytest.mark.parametrize("key,value", [("start", "1.0"), ("machine", True)])
+    def test_non_number_value_is_malformed(self, example_file, tmp_path, capsys, key, value):
+        sched = self.tampered(example_file, tmp_path,
+                              lambda doc: doc["assignments"][0].update({key: value}))
+        for argv in (("verify", example_file, sched), ("gantt", sched)):
+            capsys.readouterr()
+            assert run(*argv) == EXIT_USAGE, argv
+            assert capsys.readouterr().err == (
+                f"error: cannot read schedule: schedule values must be numbers: got {value!r}\n")
+
 
 class TestCompare:
     def test_worked_example_rows(self, example_file, tmp_path):
@@ -445,3 +484,44 @@ def test_parser_is_built_once_and_reused(example_file, capsys):
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] and errors[0].startswith("usage: getf solve")
     assert run("solve", example_file, "--algo", "etf") == EXIT_OK
+
+
+class TestGoldenOutputs:
+    """SHA-256 of the bytes ``getf generate`` and ``getf solve`` write on three
+    seeded instances.  The digests were taken before the instance and
+    schedule writers moved off ``json.dumps(..., indent=2)``, so they pin the
+    on-disk layout as well as the schedules."""
+
+    CASES = {
+        "layered": ("--family", "layered", "--n", 30, "--m", 8, "--seed", 11,
+                    "--speed", "0.05:1"),
+        "fork-join": ("--family", "fork-join", "--n", 25, "--m", 3, "--seed", 12,
+                      "--weights", "uniform"),
+        "random-dag": ("--family", "random-dag", "--n", 24, "--m", 5, "--seed", 13,
+                       "--self-comm", "infinite"),
+    }
+    DIGESTS = {
+        ("layered", "generate"): "4f818ccf877b3e6b84e3a046314dfc52c04d026ce5b078345d274819dde76101",
+        ("layered", "etf"): "758bd6bcac2002485a82d04737edc096bbb398c8c8490dacdd765df23d2e85a3",
+        ("layered", "sls"): "7fdf5bcb2f8e060e18926237edc8522871bc382e2d93a7283fe7ebc6b1b79d06",
+        ("layered", "getf-makespan"): "8704af177bf4f75ddb3bff87c672aa402407a0a4661402bedbed465fd0d83a11",
+        ("fork-join", "generate"): "8b728a0a5832e02b9fb5d3f39fc98742324a742b001b30992d1ae128b529868c",
+        ("fork-join", "etf"): "83103f4375874da4ddca574743253e0b6edec09f054d5668348383f5484c01bf",
+        ("fork-join", "sls"): "a1d0c94cf2f00b7c54d9410110b5779cf9ce113060c8672519976daf9cd82329",
+        ("fork-join", "getf-makespan"): "046674fa445d24ce1c489456c630226b799298cf6edab5716814acb33408455a",
+        ("random-dag", "generate"): "41d8f5ea3c689396d4a2d50d2dbbfce04c677681958cbee5718f298e5e8770be",
+        ("random-dag", "etf"): "e0ede5f707fe55609367e204d6edea4a79bb3d530a2a4dbe58093cd870ab65b4",
+        ("random-dag", "sls"): "dc47b37eb679af1f688aab18439ddfabaa379200a29734482d4c5c94cda617b8",
+        ("random-dag", "getf-makespan"): "595c2a71dd393cc455d18991a5733d7ad898d0957cc27e2279dd7f9737f21047",
+    }
+
+    @pytest.mark.parametrize("family", sorted(CASES))
+    def test_output_digests(self, tmp_path, family):
+        inst = tmp_path / "inst.json"
+        assert run("generate", *self.CASES[family], "-o", inst) == EXIT_OK
+        digests = {(family, "generate"): hashlib.sha256(inst.read_bytes()).hexdigest()}
+        for algo in ("etf", "sls", "getf-makespan"):
+            out = tmp_path / f"{algo}.json"
+            assert run("solve", inst, "--algo", algo, "-o", out) == EXIT_OK
+            digests[family, algo] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == {k: v for k, v in self.DIGESTS.items() if k[0] == family}
