@@ -100,6 +100,13 @@ def _load_instance(path: str) -> model.Instance:
         raise CliError(f"{path}: {exc}", EXIT_INFEASIBLE) from exc
 
 
+def _load_schedule(path: str) -> scheduler.Schedule:
+    try:
+        return scheduler.schedule_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"cannot read schedule: {exc}", EXIT_USAGE) from exc
+
+
 def cmd_generate(args) -> int:
     family = {"layered": LAYERED, "fork-join": FORK_JOIN, "random-dag": RANDOM_DAG}[args.family]
     weights = {"zero": WEIGHTS_ZERO, "uniform": WEIGHTS_UNIFORM,
@@ -149,11 +156,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
-    try:
-        doc = json.loads(Path(args.schedule).read_text(encoding="utf-8"))
-        sched = scheduler.schedule_from_dict(doc)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"cannot read schedule: {exc}", EXIT_USAGE) from exc
+    sched = _load_schedule(args.schedule)
 
     feas = scheduler.verify_schedule(inst, sched)
     out: dict = {"feasible": feas.feasible, "violations": feas.violations}
@@ -251,11 +254,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gantt(args) -> int:
-    try:
-        doc = json.loads(Path(args.schedule).read_text(encoding="utf-8"))
-        sched = scheduler.schedule_from_dict(doc)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"cannot read schedule: {exc}", EXIT_USAGE) from exc
+    sched = _load_schedule(args.schedule)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["task", "machine", "start", "end"])

@@ -13,7 +13,9 @@ held as arrays:
 
 The group-assignment pipelines only need small/medium minimization LPs with
 nonnegative variables, so a deterministic dense tableau implementation is
-preferred over an external solver.
+preferred over an external solver.  The tableau holds the structural, slack
+and surplus columns and two right-hand sides; artificials exist only as
+basis labels, with no tableau columns.
 
 Pivoting: the entering column has the most negative reduced cost (Dantzig's
 rule); the leaving row wins a vectorized minimum-ratio test, ties within
@@ -284,36 +286,31 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     art = ~le                                   # >= and = rows start on an artificial
     surplus0 = n + int(le.sum())
     art0 = surplus0 + int(ge.sum())
-    total = art0 + int(art.sum())
     at = np.arange(rows)
 
     # Two RHS columns ride through every pivot: the perturbed one (-2) steers
     # the ratio test, the true one (-1) gives x and the phase-1 verdict.
-    tableau = np.zeros((rows + 1, total + 2))
+    tableau = np.zeros((rows + 1, art0 + 2))
     body = tableau[:rows]
     body[:, :n] = np.where(flip[:, None], -lp.A, lp.A)
     body[:, -1] = np.where(flip, -lp.b, lp.b)
     shift = PERTURBATION * np.minimum(np.abs(lp.A).max(axis=1, initial=0.0), 1.0)
     shift = np.where(le, shift * (1 + 7919 * at % rows) / rows, 0.0)
     body[:, -2] = body[:, -1] + shift
-    # Row i's slack, surplus and artificial columns count the rows before it.
+    # Row i's slack and surplus columns, and its artificial label, count the rows before it.
     slack = n + np.cumsum(le) - 1
     surplus = surplus0 + np.cumsum(ge) - 1
-    artificial = art0 + np.cumsum(art) - 1
     body[at[le], slack[le]] = 1.0
     body[at[ge], surplus[ge]] = -1.0
-    body[at[art], artificial[art]] = 1.0
-    basis = np.where(le, slack, artificial)
+    basis = np.where(le, slack, art0 + np.cumsum(art) - 1)
 
-    max_iter = 2000 + 200 * (rows + total)
+    max_iter = 2000 + 200 * (rows + art0 + int(art.sum()))
     counts = [0, 0]                             # pivots, degenerate pivots
 
     if lp.start is None:
-        # Phase 1: minimize the artificial sum.  Artificials that leave the
-        # basis are never allowed back in, so entering candidates stop at art0.
-        phase1 = np.zeros(total + 2)
-        phase1[art0:total] = 1.0
-        tableau[-1, :] = _subtract_rows(phase1, body[art])
+        # Phase 1: minimize the artificial sum.  Its reduced costs are minus the
+        # artificial rows' sum; an artificial that leaves never comes back.
+        tableau[-1, :] = _subtract_rows(np.zeros(art0 + 2), body[art])
         # Its objective is bounded below by 0, so an "unbounded" column here is
         # rounding noise: the artificial sum on the true bounds decides.
         _simplex(tableau, basis, art0, max_iter, counts)
@@ -330,30 +327,28 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
                     _pivot(tableau, basis, i, int(candidates[0]), counts)
                 else:
                     keep[i] = False             # all-zero row: redundant constraint
-        reduced = tableau[keep][:, np.r_[:art0, total, total + 1]]
-        basis = basis[keep[:-1]]
+        if not keep.all():
+            tableau, basis = tableau[keep], basis[keep[:-1]]
     else:
-        # A start replaces phase 1: no artificial is ever basic.
-        reduced = tableau[:, np.r_[:art0, total, total + 1]]
-        _install(reduced, basis, lp.start, counts)
+        # A start replaces phase 1 and leaves no row on its artificial.
+        _install(tableau, basis, lp.start, counts)
         # Re-perturb on the installed basis, so that tied basic values part.
-        reduced[:-1, -2] = np.maximum(reduced[:-1, -1], 0.0) + shift
+        tableau[:-1, -2] = np.maximum(tableau[:-1, -1], 0.0) + shift
 
-    # Phase 2 with the real objective expressed in the current basis.  All
-    # basis entries now index structural or slack columns (below art0), which
-    # keep their positions after the artificial columns are dropped.
+    # Phase 2 with the real objective expressed in the current basis.  Every
+    # basis entry now lies below art0: no artificial label indexes the tableau.
     cost = np.zeros(art0 + 2)
     cost[:n] = lp.objective
     priced = cost[basis] != 0.0
-    reduced[-1, :] = _subtract_rows(cost, cost[basis][priced, None] * reduced[:-1][priced])
-    status = _simplex(reduced, basis, art0, max_iter, counts)
+    tableau[-1, :] = _subtract_rows(cost, cost[basis][priced, None] * tableau[:-1][priced])
+    status = _simplex(tableau, basis, art0, max_iter, counts)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, pivots=counts[0], degenerate_pivots=counts[1])
-    if not _restore_true_bounds(reduced, basis, art0, max_iter, counts):
+    if not _restore_true_bounds(tableau, basis, art0, max_iter, counts):
         return LpSolution(INFEASIBLE, pivots=counts[0], degenerate_pivots=counts[1])
 
     x = np.zeros(art0)
-    x[basis] = reduced[:-1, -1]
+    x[basis] = tableau[:-1, -1]
     solution = np.where(np.abs(x[:n]) < PIVOT_TOL, 0.0, x[:n])
 
     violation = np.concatenate([residuals(lp, solution), -solution])

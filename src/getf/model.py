@@ -23,9 +23,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 
-ABS_TOL = 1e-9
-
-
 class InstanceError(ValueError):
     """Raised when an instance document or value is malformed."""
 
@@ -304,6 +301,15 @@ def require_numbers(columns: tuple[list, ...], what: str) -> None:
         raise InstanceError(f"{what} values must be numbers: got {bad!r}")
 
 
+def integer_ids(ids: list, what: str) -> list[int]:
+    """``ids``, numbers already, as ints.  A fractional, infinite or NaN id
+    raises InstanceError: ``int()`` would truncate it or overflow."""
+    bad = [v for v in ids if type(v) is float and not v.is_integer()]
+    if bad:
+        raise InstanceError(f"{what} ids must be integers: got {bad[0]!r}")
+    return list(map(int, ids))
+
+
 def instance_from_dict(doc: dict) -> Instance:
     _require(isinstance(doc, dict), "instance document must be a JSON object")
     for key in ("tasks", "edges", "machines", "comm_speed"):
@@ -330,18 +336,16 @@ def instance_from_dict(doc: dict) -> Instance:
     comm = [s for row in doc["comm_speed"] for s in row if s is not None]
     require_numbers((task_ids, demands, weights, srcs, dsts, data, machine_ids, speeds, comm),
                     "instance")
+    task_ids, machine_ids, srcs, dsts = (integer_ids(ids, "task, machine and edge")
+                                         for ids in (task_ids, machine_ids, srcs, dsts))
     try:
-        tasks = list(map(Task, map(int, task_ids), map(float, demands), map(float, weights)))
-        edges = list(map(Edge, map(int, srcs), map(int, dsts), map(float, data)))
-        machines = list(map(Machine, map(int, machine_ids), map(float, speeds)))
+        tasks = list(map(Task, task_ids, map(float, demands), map(float, weights)))
+        edges = list(map(Edge, srcs, dsts, map(float, data)))
+        machines = list(map(Machine, machine_ids, map(float, speeds)))
         comm_rows = [tuple(math.inf if s is None else float(s) for s in row)
                      for row in doc["comm_speed"]]
-    except (ValueError, OverflowError) as exc:
+    except OverflowError as exc:               # float() of an int beyond the float range
         raise InstanceError(f"instance values must be numbers: {exc}") from None
-    # int() truncates, so an id survives it unchanged only if it is integral.
-    _require(task_ids == [t.id for t in tasks] and machine_ids == [mc.id for mc in machines]
-             and srcs == [e.src for e in edges] and dsts == [e.dst for e in edges],
-             "task, machine and edge ids must be integers")
 
     inst = Instance(
         graph=TaskGraph(tuple(tasks), tuple(edges)),

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grouping import GroupAssignment, trivial_assignment
-from .model import Instance, fill_json, json_list, require_numbers
+from .model import Instance, fill_json, integer_ids, json_list, require_numbers
 
 START_TIE_TOL = 1e-12
 
@@ -176,26 +176,26 @@ class Schedule:
 
 def schedule_from_dict(doc: dict) -> Schedule:
     """Rebuild a schedule document; a task listed twice in ``assignments`` or
-    in ``iteration_order``, or a value that is not a number, makes it
-    malformed (ValueError)."""
-    require_numbers(([v for e in doc["assignments"]
-                      for v in (e["task"], e["machine"], e["start"], e["end"])],
-                     doc.get("iteration_order") or []), "schedule")
-    s = Schedule()
-    entries = sorted(doc["assignments"], key=lambda e: float(e["start"]))
-    order = [int(j) for j in doc.get("iteration_order") or [e["task"] for e in entries]]
-    tasks = [int(e["task"]) for e in doc["assignments"]]
+    in ``iteration_order``, a value that is not a number, or a task, machine
+    or ``iteration_order`` id that is not an integer makes it malformed
+    (ValueError)."""
+    entries, listed = doc["assignments"], doc.get("iteration_order") or []
+    require_numbers(([v for e in entries for v in (e["task"], e["machine"], e["start"], e["end"])],
+                     listed), "schedule")
+    tasks = integer_ids([e["task"] for e in entries], "task")
+    machines = integer_ids([e["machine"] for e in entries], "machine")
+    order = integer_ids(listed, "iteration_order") or [
+        j for j, e in sorted(zip(tasks, entries), key=lambda je: float(je[1]["start"]))]
     for what, ids in (("assignments", tasks), ("iteration_order", order)):
         twice = [j for j, count in Counter(ids).items() if count > 1]
         if twice:
             raise ValueError(f"task {twice[0]} appears more than once in {what}")
-    by_task = dict(zip(tasks, doc["assignments"]))
+    by_task = dict(zip(tasks, zip(machines, entries)))
     # Entries the order leaves out are placed last, so the verifier sees them.
-    listed = set(order)
-    for j in [*order, *(j for j in by_task if j not in listed)]:
-        e = by_task[j]
-        s.place(j, int(e["machine"]), float(e["start"]),
-                float(e["end"]) - float(e["start"]))
+    s, ordered = Schedule(), set(order)
+    for j in [*order, *(j for j in by_task if j not in ordered)]:
+        i, e = by_task[j]
+        s.place(j, i, float(e["start"]), float(e["end"]) - float(e["start"]))
     return s
 
 

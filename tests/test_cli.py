@@ -345,6 +345,27 @@ class TestVerify:
             assert capsys.readouterr().err == (
                 f"error: cannot read schedule: schedule values must be numbers: got {value!r}\n")
 
+    # Task 1 is assignments[1], on machine 1, and iteration_order[1].  int()
+    # would read 1.7 as task 1, 1.4 as machine 1 and 1.5 as task 1, and
+    # overflow on an infinite machine.
+    @pytest.mark.parametrize("entry,listed,value", [
+        ({"task": 1.7}, 1.7, "task ids must be integers: got 1.7"),
+        ({"machine": 1.4}, 1, "machine ids must be integers: got 1.4"),
+        ({"machine": math.inf}, 1, "machine ids must be integers: got inf"),
+        ({}, 1.5, "iteration_order ids must be integers: got 1.5"),
+    ], ids=["fractional-task", "fractional-machine", "infinite-machine",
+            "fractional-iteration-order"])
+    def test_non_integer_id_is_malformed(self, example_file, tmp_path, capsys, entry, listed,
+                                         value):
+        def edit(doc):
+            doc["assignments"][1].update(entry)
+            doc["iteration_order"][1] = listed
+        sched = self.tampered(example_file, tmp_path, edit)
+        for argv in (("verify", example_file, sched), ("gantt", sched)):
+            capsys.readouterr()
+            assert run(*argv) == EXIT_USAGE, argv
+            assert capsys.readouterr().err == f"error: cannot read schedule: {value}\n"
+
 
 class TestCompare:
     def test_worked_example_rows(self, example_file, tmp_path):

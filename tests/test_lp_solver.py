@@ -402,6 +402,11 @@ def test_built_programs_match_row_list_reference(kind, family, n, m, seed):
     assert_matches_reference(built_program(kind, family, n, m, seed))
 
 
+def redundant_equalities() -> LinearProgram:
+    """min x0 s.t. x0 + x1 = 2 and twice that row: phase 1 drops one of them."""
+    return LinearProgram([1.0, 0.0], [[1.0, 1.0], [2.0, 2.0]], [EQ, EQ], [2.0, 4.0])
+
+
 class TestKnownPrograms:
     def test_single_active_constraint(self):
         lp = LinearProgram([-1.0, -1.0], [[1.0, 1.0]], [LE], [1.0])
@@ -425,8 +430,7 @@ class TestKnownPrograms:
         assert solve_lp(lp).status == UNBOUNDED
 
     def test_redundant_equalities(self):
-        lp = LinearProgram([1.0, 0.0], [[1.0, 1.0], [2.0, 2.0]], [EQ, EQ], [2.0, 4.0])
-        sol = solve_lp(lp)
+        sol = solve_lp(redundant_equalities())
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(0.0)
 
@@ -567,12 +571,29 @@ class TestContracts:
                                           r"row 122 has residual 8\.70959 > FEAS_TOL 1e-07$"):
             solve_lp(lp)
 
+    def test_infeasible_started_point_is_not_optimal(self, monkeypatch):
+        # The pipelines' path: a crash basis, whose first pivot is one of the
+        # start's own.  The guard refuses the point it corrupts too.
+        inst = generate_instance(GeneratorSpec("layered", 20, 8, seed=100003, density=0.3))
+        groups = partition_machines(inst.platform)
+        lp = dataclasses.replace(build_makespan_lp(inst, groups),
+                                 start=_makespan_start(inst, groups))
+        assert solve_lp(lp).status == OPTIMAL
+        monkeypatch.setattr(lp_solver, "_pivot", corrupt_first_pivot(lp_solver._pivot))
+        with pytest.raises(LpError, match=r"^simplex returned an infeasible point: "
+                                          r"row 20 has residual 3\.00707 > FEAS_TOL 1e-07$"):
+            solve_lp(lp)
+
 
 class TestPivotCounts:
     def test_counts_repeat_exactly(self):
-        lp = built_program("makespan", "layered", 20, 8, 904)
-        counts = {(s.pivots, s.degenerate_pivots) for s in (solve_lp(lp), solve_lp(lp))}
-        assert counts == {(134, 78)}
+        # A makespan and a weighted program through phase 1, and a program
+        # whose phase 1 drops a redundant row.
+        for lp, expected in ((built_program("makespan", "layered", 20, 8, 904), (134, 78)),
+                             (built_program("weighted", "random_dag", 6, 3, 954), (102, 34)),
+                             (redundant_equalities(), (2, 0))):
+            counts = {(s.pivots, s.degenerate_pivots) for s in (solve_lp(lp), solve_lp(lp))}
+            assert counts == {expected}
 
     def test_far_fewer_pivots_than_bland(self):
         # Bland's rule needs about 4,000 pivots on this makespan program.
