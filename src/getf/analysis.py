@@ -22,8 +22,9 @@ chains:
 Each report call reads its chains from one table of the cheapest chain
 ending at each task j: cost(j) = node_cost(j) + min over latest-finishing
 predecessors j' of (link_cost(j', j) + cost(j')).  No entry depends on the
-anchor, so each is computed at most once, from one predecessor list and one
-edge-data dict, and only when an anchor's chain needs it.
+anchor, so each is computed at most once, and only when an anchor's chain
+needs it.  The table reads the graph's predecessor lists and edge-data dict,
+which are built once per graph.
 
 Reports never raise on a violated inequality; they carry pass flags so a
 violation is a loud, inspectable result.
@@ -110,16 +111,15 @@ class BoundReport:
 # Chain construction
 # ---------------------------------------------------------------------------
 
-def latest_finishing(candidates: list[int], finish: dict[int, float],
-                     tol: float = FINISH_TIE_TOL) -> list[int]:
+def latest_finishing(candidates: list[int], finish: dict[int, float]) -> list[int]:
     top = max(finish[j] for j in candidates)
-    return sorted(j for j in candidates if finish[j] >= top - tol)
+    return sorted(j for j in candidates if finish[j] >= top - FINISH_TIE_TOL)
 
 
 def _link_comm(inst: Instance, f: GroupAssignment, s: Schedule):
     """A function (src, dst) -> worst-case transfer time of that edge: data
     over the slowest communication speed from src's machine into dst's
-    machine group, read from one edge-data dict."""
+    machine group, read from the graph's edge-data dict."""
     edge_data = inst.graph.edge_data()
 
     def link(src: int, dst: int) -> float:

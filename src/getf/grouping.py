@@ -213,10 +213,12 @@ def _assign_from_mass(
             f"(total mass {tail[0, j]:.9f} < theta {theta})"
         )
     lj = K - np.argmax(admissible[::-1], axis=0)
-    # Fastest total speed from band l up wins; ties go to the higher band.
-    best = [max(range(ell, K + 1), key=lambda k: (groups.group_speed_rescaled[k], k))
-            for ell in range(1, K + 1)]
-    return GroupAssignment({j: best[ell - 1] for j, ell in enumerate(lj.tolist())}, groups)
+    # best[l]: the fastest total speed from band l up, ties going to the
+    # higher band, in one backward pass (best[0] is unused).
+    speed, best = groups.group_speed_rescaled, [K] * (K + 1)
+    for ell in range(K - 1, 0, -1):
+        best[ell] = ell if speed[ell] > speed[best[ell + 1]] else best[ell + 1]
+    return GroupAssignment({j: best[ell] for j, ell in enumerate(lj.tolist())}, groups)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,11 @@ Conventions:
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 
@@ -47,6 +49,11 @@ class Edge:
 
 @dataclass(frozen=True)
 class TaskGraph:
+    """A task DAG.  Its predecessor and successor lists (in edge order) and
+    its (src, dst) -> data dict are built in one pass over ``edges`` on
+    first use; every call returns those same shared objects, which callers
+    must not mutate."""
+
     tasks: tuple[Task, ...]
     edges: tuple[Edge, ...]
 
@@ -54,21 +61,24 @@ class TaskGraph:
     def n(self) -> int:
         return len(self.tasks)
 
-    def predecessors(self) -> list[list[int]]:
-        """Immediate predecessor ids, indexed by task id."""
+    @cached_property
+    def _adjacency(self) -> tuple[list, list, dict]:
         preds: list[list[int]] = [[] for _ in self.tasks]
-        for e in self.edges:
-            preds[e.dst].append(e.src)
-        return preds
-
-    def successors(self) -> list[list[int]]:
         succs: list[list[int]] = [[] for _ in self.tasks]
         for e in self.edges:
+            preds[e.dst].append(e.src)
             succs[e.src].append(e.dst)
-        return succs
+        return preds, succs, {(e.src, e.dst): e.data for e in self.edges}
+
+    def predecessors(self) -> list[list[int]]:
+        """Immediate predecessor ids, indexed by task id."""
+        return self._adjacency[0]
+
+    def successors(self) -> list[list[int]]:
+        return self._adjacency[1]
 
     def edge_data(self) -> dict[tuple[int, int], float]:
-        return {(e.src, e.dst): e.data for e in self.edges}
+        return self._adjacency[2]
 
 
 @dataclass(frozen=True)
@@ -175,12 +185,8 @@ def validate_instance(inst: Instance) -> ValidationReport:
 
 def topological_order(g: TaskGraph) -> list[int]:
     """Kahn's algorithm, always taking the lowest available id first."""
-    import heapq
-
-    indeg = [0] * g.n
+    indeg = [len(p) for p in g.predecessors()]
     succs = g.successors()
-    for e in g.edges:
-        indeg[e.dst] += 1
     ready = [v for v in range(g.n) if indeg[v] == 0]
     heapq.heapify(ready)
     order: list[int] = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import Instance, Machine, Platform
+from .model import Instance, Machine, Platform, topological_order
 from .scheduler import Schedule, comm_delay
 
 MAKESPAN = "makespan"
@@ -44,13 +44,10 @@ def restrict_platform(inst: Instance, machine_ids: tuple[int, ...]) -> tuple[Ins
     return Instance(inst.graph, Platform(machines, comm)), dict(enumerate(ordered))
 
 
-def _count_topological_orders(preds: list[list[int]], limit: int) -> int:
+def _count_topological_orders(preds: list[list[int]], succs: list[list[int]],
+                              limit: int) -> int:
     n = len(preds)
     indeg = [len(p) for p in preds]
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for j, ps in enumerate(preds):
-        for p in ps:
-            succs[p].append(j)
     count = 0
 
     def walk(remaining: int) -> None:
@@ -103,7 +100,7 @@ def brute_force_schedule(
     weight = [t.weight for t in inst.graph.tasks]
     speed = [inst.platform.speed(i) for i in range(m)]
 
-    n_orders = _count_topological_orders(preds, limits.max_states)
+    n_orders = _count_topological_orders(preds, succs, limits.max_states)
     if m ** n * max(1, n_orders) > limits.max_states:
         raise OracleLimitError(
             f"{m ** n} assignments x {n_orders} orders exceeds the state guard"
@@ -198,8 +195,6 @@ def lower_bounds(inst: Instance) -> tuple[float, float]:
     total_speed = sum(mc.speed for mc in inst.platform.machines)
     s_max = max(mc.speed for mc in inst.platform.machines)
     work = sum(t.demand for t in inst.graph.tasks) / total_speed
-
-    from .model import topological_order
 
     heaviest = {j: inst.graph.tasks[j].demand for j in range(inst.graph.n)}
     preds = inst.graph.predecessors()

@@ -41,6 +41,7 @@ from .grouping import GroupAssignment, trivial_assignment
 from .model import Instance, fill_json, integer_ids, json_list, require_numbers
 
 START_TIE_TOL = 1e-12
+VERIFY_TOL = 1e-9  # slack on every time comparison ``verify_schedule`` makes
 
 
 class SchedulingError(ValueError):
@@ -175,11 +176,17 @@ class Schedule:
 
 
 def schedule_from_dict(doc: dict) -> Schedule:
-    """Rebuild a schedule document; a task listed twice in ``assignments`` or
-    in ``iteration_order``, a value that is not a number, or a task, machine
-    or ``iteration_order`` id that is not an integer makes it malformed
-    (ValueError)."""
+    """Rebuild a schedule document.  It is malformed (ValueError) if it is not
+    an object with an ``assignments`` list, an entry lacks a field, a task is
+    listed twice or ``iteration_order`` names an unassigned one, a value is
+    not a number, or a task, machine or ``iteration_order`` id is not an
+    integer."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("assignments"), list)):
+        raise ValueError("schedule document must be a JSON object with an 'assignments' list")
     entries, listed = doc["assignments"], doc.get("iteration_order") or []
+    if not all(isinstance(e, dict) and {"task", "machine", "start", "end"} <= e.keys()
+               for e in entries):
+        raise ValueError("assignment entries need 'task', 'machine', 'start' and 'end'")
     require_numbers(([v for e in entries for v in (e["task"], e["machine"], e["start"], e["end"])],
                      listed), "schedule")
     tasks = integer_ids([e["task"] for e in entries], "task")
@@ -191,6 +198,9 @@ def schedule_from_dict(doc: dict) -> Schedule:
         if twice:
             raise ValueError(f"task {twice[0]} appears more than once in {what}")
     by_task = dict(zip(tasks, zip(machines, entries)))
+    unassigned = [j for j in order if j not in by_task]
+    if unassigned:
+        raise ValueError(f"iteration_order names task {unassigned[0]}, which has no assignment")
     # Entries the order leaves out are placed last, so the verifier sees them.
     s, ordered = Schedule(), set(order)
     for j in [*order, *(j for j in by_task if j not in ordered)]:
@@ -205,24 +215,19 @@ def comm_delay(inst: Instance, data: float, src_machine: int, dst_machine: int) 
 
 
 def earliest_start(task: int, machine: int | tuple[int, ...] | list[int],
-                   partial: Schedule, inst: Instance,
-                   preds: list[list[int]] | None = None,
-                   edge_data: dict[tuple[int, int], float] | None = None
-                   ) -> float | list[float]:
+                   partial: Schedule, inst: Instance) -> float | list[float]:
     """Earliest feasible start of ``task`` on ``machine`` given the partial
-    schedule: machine availability vs. every predecessor's data arrival.
+    schedule: machine availability vs. every predecessor's data arrival,
+    read from the graph's predecessor lists and edge-data dict.
 
     ``machine`` may also be a tuple or list of machines; the starts on each
     come back as a list in that order, from one walk over the predecessors.
     """
-    if preds is None:
-        preds = inst.graph.predecessors()
-    if edge_data is None:
-        edge_data = inst.graph.edge_data()
+    edge_data = inst.graph.edge_data()
     one = not isinstance(machine, (tuple, list))
     machines = (machine,) if one else machine
     starts = [partial.machine_available(i) for i in machines]
-    for p in preds[task]:
+    for p in inst.graph.predecessors()[task]:
         if not partial.is_scheduled(p):
             raise SchedulingError(f"predecessor {p} of task {task} is not scheduled")
         finish, data = partial.finish[p], edge_data[(p, task)]
@@ -266,8 +271,6 @@ class _StartTable:
     def __init__(self, inst: Instance, f: GroupAssignment, prefer_fast: bool):
         n, m = inst.graph.n, inst.platform.m
         self.inst, self.f = inst, f
-        self.preds = inst.graph.predecessors()
-        self.edge_data = inst.graph.edge_data()
         self.sched = Schedule()
         self.key = [_machine_key(inst, i, prefer_fast) for i in range(m)]
         self.machine_of_col = np.array(sorted(range(m), key=self.key.__getitem__))
@@ -288,7 +291,7 @@ class _StartTable:
                 f"task {task} is assigned to group {self.f.group_of_task[task]}, "
                 "which has no machines"
             )
-        return earliest_start(task, machines, self.sched, self.inst, self.preds, self.edge_data)
+        return earliest_start(task, machines, self.sched, self.inst)
 
     def add(self, task: int) -> None:
         """Give a newly ready task its row."""
@@ -352,7 +355,7 @@ def getf_schedule(inst: Instance, f: GroupAssignment, tie: TieBreak) -> Schedule
     table = _StartTable(inst, f, prefer_fast=True)
     chooser = TieChooser(tie, inst.graph)
     succs = inst.graph.successors()
-    n_unscheduled_preds = [len(p) for p in table.preds]
+    n_unscheduled_preds = [len(p) for p in inst.graph.predecessors()]
     for j, k in enumerate(n_unscheduled_preds):
         if k == 0:
             table.add(j)
@@ -398,8 +401,7 @@ class FeasibilityReport:
 
 
 def verify_schedule(inst: Instance, s: Schedule,
-                    f: GroupAssignment | None = None,
-                    tol: float = 1e-9) -> FeasibilityReport:
+                    f: GroupAssignment | None = None) -> FeasibilityReport:
     """Independent feasibility check of a finished schedule.
 
     A schedule that misses a task, or names a task or machine the instance
@@ -429,12 +431,12 @@ def verify_schedule(inst: Instance, s: Schedule,
     for mach, intervals in by_machine.items():
         intervals.sort()
         for (a0, b0, t0), (a1, b1, t1) in zip(intervals, intervals[1:]):
-            if not a1 >= b0 - tol:
+            if not a1 >= b0 - VERIFY_TOL:
                 findings.append((a1, f"tasks {t0} and {t1} overlap on machine {mach}"))
 
     for e in inst.graph.edges:
         bound = s.finish[e.src] + comm_delay(inst, e.data, s.assignment[e.src], s.assignment[e.dst])
-        if not s.start[e.dst] >= bound - tol:
+        if not s.start[e.dst] >= bound - VERIFY_TOL:
             findings.append((
                 s.start[e.dst],
                 f"task {e.dst} starts at {s.start[e.dst]:.9g} before its data from "
@@ -443,7 +445,7 @@ def verify_schedule(inst: Instance, s: Schedule,
 
     for j in range(n):
         expected = inst.graph.tasks[j].demand / inst.platform.speed(s.assignment[j])
-        if not abs((s.finish[j] - s.start[j]) - expected) <= tol:
+        if not abs((s.finish[j] - s.start[j]) - expected) <= VERIFY_TOL:
             findings.append((s.start[j], f"task {j} duration differs from demand/speed"))
 
     if f is not None:

@@ -366,6 +366,24 @@ class TestVerify:
             assert run(*argv) == EXIT_USAGE, argv
             assert capsys.readouterr().err == f"error: cannot read schedule: {value}\n"
 
+    # Each edit returns the document to write; the example has tasks 0..3.
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["iteration_order"].append(9) or doc,
+         "iteration_order names task 9, which has no assignment"),
+        (lambda doc: [doc],
+         "schedule document must be a JSON object with an 'assignments' list"),
+        (lambda doc: {**doc, "assignments": [{"task": 0, "machine": 0, "end": 1.0}]},
+         "assignment entries need 'task', 'machine', 'start' and 'end'"),
+    ], ids=["unassigned-iteration-order-task", "list-document", "entry-without-start"])
+    def test_malformed_document_named(self, example_file, tmp_path, capsys, edit, message):
+        sched = tmp_path / "sched.json"
+        assert run("solve", example_file, "--algo", "etf", "-o", sched) == EXIT_OK
+        sched.write_text(json.dumps(edit(json.loads(sched.read_text()))))
+        for argv in (("verify", example_file, sched), ("gantt", sched)):
+            capsys.readouterr()
+            assert run(*argv) == EXIT_USAGE, argv
+            assert capsys.readouterr().err == f"error: cannot read schedule: {message}\n"
+
 
 class TestCompare:
     def test_worked_example_rows(self, example_file, tmp_path):

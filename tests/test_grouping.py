@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.grouping import (GroupAssignment, GroupingError, MachineGroups, _band_mass,
-                           _makespan_start,
+                           _assign_from_mass, _makespan_start,
                            MakespanFractional, WeightedFractional,
                            assign_groups_makespan, assign_groups_weighted,
                            build_makespan_lp, build_weighted_lp, collapse_time_indexed,
@@ -165,6 +165,32 @@ class TestGroupAssignmentRule:
         assert g.members == {1: (1, 2), 2: (0,)}
         frac = MakespanFractional(np.array([[0.0], [1.0], [0.0]]), np.array([1.0]), 1.0)
         assert assign_groups_makespan(frac, g).group_of_task[0] == 2
+
+    @staticmethod
+    def ranked_bands(g: MachineGroups) -> list[int]:
+        """The band chosen from each band l = 1..K: all of task l-1's mass is in band l."""
+        f = _assign_from_mass(np.eye(g.K), g, theta=0.5)
+        return [f.group_of_task[ell - 1] for ell in range(1, g.K + 1)]
+
+    @staticmethod
+    def max_definition(g: MachineGroups) -> list[int]:
+        return [max(range(ell, g.K + 1), key=lambda k: (g.group_speed_rescaled[k], k))
+                for ell in range(1, g.K + 1)]
+
+    @given(st.lists(st.sampled_from([0.0, 1.0, 2.5, 3.0]), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_band_ranking_matches_max_definition(self, speeds):
+        # Few distinct speeds, so exact ties and empty bands (speed 0) are common.
+        g = dataclasses.replace(two_band_groups(), K=len(speeds),
+                                group_speed_rescaled=dict(enumerate(speeds, start=1)))
+        assert self.ranked_bands(g) == self.max_definition(g)
+
+    def test_band_ranking_on_near_one_gamma(self):
+        # gamma near 1 gives many bands, most of them empty.
+        inst = make_instance([1.0], [], [1.0, 1.0, 1.5, 2.0, 3.0, 3.0, 7.0, 8.0])
+        g = partition_machines(inst.platform, gamma=1.01)
+        assert g.K > 100 and 0.0 in g.group_speed_rescaled.values()
+        assert self.ranked_bands(g) == self.max_definition(g)
 
     def test_exact_half_tail_is_inclusive(self):
         g = two_band_groups()

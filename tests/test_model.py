@@ -161,6 +161,23 @@ class TestTopologicalOrder:
             assert pos[e.src] < pos[e.dst]
 
 
+class TestAdjacency:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_built_once_and_equal_to_edges(self, family):
+        g = generate_instance(GeneratorSpec(family=family, n=30, m=3, seed=7,
+                                            density=0.3)).graph
+        assert g.edges
+        for read in (g.predecessors, g.successors, g.edge_data):
+            assert read() is read()
+        preds, succs = [[] for _ in g.tasks], [[] for _ in g.tasks]
+        for e in g.edges:
+            preds[e.dst].append(e.src)
+            succs[e.src].append(e.dst)
+        assert g.predecessors() == preds
+        assert g.successors() == succs
+        assert g.edge_data() == {(e.src, e.dst): e.data for e in g.edges}
+
+
 class TestNormalize:
     def test_forced_by_formula(self):
         inst = make_instance([0.5, 2.0], [], [2.0])
