@@ -1,13 +1,14 @@
 """Command-line surface: generate, solve, verify, compare, gantt.
 
-Exit codes: 0 success, 1 usage error (including an unreadable input or an
-unwritable output path), 2 infeasible input, validation failure or a
-library error (LP, grouping, analysis, oracle), 3 bound-report violation.
-GETF_LOG (quiet|info|debug) controls logging verbosity.
+Exit codes: 0 success, 1 usage error (including an unreadable input, an
+unwritable output path or a closed standard output), 2 infeasible input,
+validation failure or a library error (LP, grouping, analysis, oracle), 3
+bound-report violation.  GETF_LOG (quiet|info|debug) controls logging verbosity.
 
 The commands are a thin shell over ``getf.pipeline``: ``solve`` and
 ``compare`` call ``pipeline.run``; ``verify --algo`` calls only
-``pipeline.assign``, to derive the bands its bound report needs.
+``pipeline.assign``, to derive the bands of its bound report and of
+``group_consistent``.
 
 ``solve`` never emits a schedule that fails the independent feasibility
 check, and for the greedy schedulers it computes the separation report
@@ -83,7 +84,15 @@ def _parse_tie(text: str) -> scheduler.TieBreak:
 
 def _write(text: str, out: str | None) -> None:
     if out is None or out == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # Send what is still buffered to devnull, or the exit flush fails too.
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            raise CliError(f"cannot write to standard output: {exc.strerror}",
+                           EXIT_USAGE) from exc
     else:
         try:
             Path(out).write_text(text, encoding="utf-8")
@@ -166,8 +175,7 @@ def cmd_verify(args) -> int:
         0 <= i < inst.platform.m for i in sched.assignment.values())
     if args.algo is not None and placed:
         f = pipeline.assign(inst, args.algo, args.theta, args.gamma)
-        group_ok = scheduler.verify_schedule(inst, sched, f)
-        out["group_consistent"] = group_ok.feasible
+        out["group_consistent"] = all(i in f.machines_for(j) for j, i in sched.assignment.items())
         report = analysis.separation_report(sched, inst, f, f.groups)
         out["separation"] = report.to_dict()
     _write(json.dumps(out, indent=2) + "\n", args.output)

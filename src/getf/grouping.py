@@ -44,6 +44,7 @@ from .model import Instance, Platform, topological_order
 log = logging.getLogger(__name__)
 
 MASS_TOL = 1e-6
+MAX_BANDS = 10_000  # the band-mass arrays and the bound report grow with K
 
 
 class GroupingError(ValueError):
@@ -84,70 +85,58 @@ class GroupAssignment:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
+def _machine_groups(platform: Platform, gamma: float, K: int,
+                    band_of: dict[int, int]) -> MachineGroups:
+    """The bands 1..K of the machines in ``band_of`` (retained id -> band, ids
+    ascending), in one pass; totals add in retained order from 0, as sum does."""
+    nu = platform.m / max(mc.speed for mc in platform.machines)
+    members: dict[int, list[int]] = {k: [] for k in range(1, K + 1)}
+    speed, rescaled = dict.fromkeys(members, 0), dict.fromkeys(members, 0)
+    for i, k in band_of.items():
+        members[k].append(i)
+        speed[k] += platform.speed(i)
+        rescaled[k] += platform.speed(i) * nu
+    return MachineGroups(gamma=gamma, K=K, retained=tuple(band_of), group_of=band_of,
+                         group_speed_rescaled=rescaled, group_speed=speed,
+                         members={k: tuple(ids) for k, ids in members.items()})
+
+
 def trivial_assignment(inst: Instance) -> GroupAssignment:
     """Every task in one band holding every machine."""
-    platform = inst.platform
-    ids = tuple(mc.id for mc in platform.machines)
-    total = sum(mc.speed for mc in platform.machines)
-    nu = platform.m / max(mc.speed for mc in platform.machines)
-    groups = MachineGroups(
-        gamma=2.0,
-        K=1,
-        retained=ids,
-        group_of={i: 1 for i in ids},
-        group_speed_rescaled={1: total * nu},
-        group_speed={1: total},
-        members={1: ids},
-    )
+    groups = _machine_groups(inst.platform, 2.0, 1, {mc.id: 1 for mc in inst.platform.machines})
     return GroupAssignment({t.id: 1 for t in inst.graph.tasks}, groups)
 
 
 def default_gamma(m: int) -> float:
-    """max(2, log2(m)/log2(log2(m))), safe for m <= 2 where that is undefined."""
+    """max(2, log2(m)/log2(log2(m))), and 2 for m <= 2 where that is undefined."""
     if m <= 2:
         return 2.0
-    denom = math.log2(math.log2(m))
-    if denom <= 0:
-        return 2.0
-    return max(2.0, math.log2(m) / denom)
+    return max(2.0, math.log2(m) / math.log2(math.log2(m)))
 
 
 def partition_machines(platform: Platform, gamma: float | None = None) -> MachineGroups:
     """Discard sub-1/m-speed machines and band the rest geometrically.
 
-    ``gamma`` overrides the default band ratio; it must exceed 1.
+    ``gamma`` overrides the default band ratio; it must exceed 1, and give at
+    most ``MAX_BANDS`` bands.
     """
     m = platform.m
-    speeds = {mc.id: mc.speed for mc in platform.machines}
-    s_max = max(speeds.values())
-    threshold = s_max / m
-    retained = tuple(i for i in sorted(speeds) if speeds[i] >= threshold - 1e-15)
-
     g = default_gamma(m) if gamma is None else float(gamma)
     if not g > 1.0:  # NaN too
         raise GroupingError(f"gamma must exceed 1, got {g}")
-    K = max(1, math.ceil(math.log(m, g) - 1e-12)) if m > 1 else 1
+    K = max(1, math.ceil(math.log(m, g) - 1e-12))
+    if K > MAX_BANDS:
+        raise GroupingError(f"gamma {g} needs {K} speed bands for {m} machines; "
+                            f"at most {MAX_BANDS} are allowed")
 
+    s_max = max(mc.speed for mc in platform.machines)
     nu = m / s_max
-    rescaled = {i: speeds[i] * nu for i in retained}
-    group_of: dict[int, int] = {}
-    for i in retained:
-        k = int(math.floor(math.log(rescaled[i], g) + 1e-9)) + 1
-        group_of[i] = min(max(k, 1), K)
-
-    members: dict[int, tuple[int, ...]] = {}
-    speed_orig: dict[int, float] = {}
-    speed_resc: dict[int, float] = {}
-    for k in range(1, K + 1):
-        ids = tuple(i for i in retained if group_of[i] == k)
-        members[k] = ids
-        speed_orig[k] = sum(speeds[i] for i in ids)
-        speed_resc[k] = sum(rescaled[i] for i in ids)
-
-    return MachineGroups(
-        gamma=g, K=K, retained=retained, group_of=group_of,
-        group_speed_rescaled=speed_resc, group_speed=speed_orig, members=members,
-    )
+    band_of: dict[int, int] = {}
+    for mc in platform.machines:  # ids ascend: they are the positions
+        if mc.speed >= s_max / m - 1e-15:
+            k = int(math.floor(math.log(mc.speed * nu, g) + 1e-9)) + 1
+            band_of[mc.id] = min(max(k, 1), K)
+    return _machine_groups(platform, g, K, band_of)
 
 
 # ---------------------------------------------------------------------------

@@ -177,13 +177,15 @@ class Schedule:
 
 def schedule_from_dict(doc: dict) -> Schedule:
     """Rebuild a schedule document.  It is malformed (ValueError) if it is not
-    an object with an ``assignments`` list, an entry lacks a field, a task is
-    listed twice or ``iteration_order`` names an unassigned one, a value is
-    not a number, or a task, machine or ``iteration_order`` id is not an
-    integer."""
+    an object with an ``assignments`` list, an entry lacks a field, a present
+    ``iteration_order`` is not a list or names an unassigned task, a task is
+    listed twice, a value is not a number, or an id is not an integer.
+    Without ``iteration_order``, tasks are placed in start-time order."""
     if not (isinstance(doc, dict) and isinstance(doc.get("assignments"), list)):
         raise ValueError("schedule document must be a JSON object with an 'assignments' list")
-    entries, listed = doc["assignments"], doc.get("iteration_order") or []
+    entries, listed = doc["assignments"], doc.get("iteration_order", [])
+    if not isinstance(listed, list):
+        raise ValueError("'iteration_order' must be a list of task ids")
     if not all(isinstance(e, dict) and {"task", "machine", "start", "end"} <= e.keys()
                for e in entries):
         raise ValueError("assignment entries need 'task', 'machine', 'start' and 'end'")

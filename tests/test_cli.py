@@ -1,13 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from getf import cli, grouping, lp_solver, scheduler
+from getf import cli, grouping, lp_solver, pipeline, scheduler
 from getf.cli import (ALGORITHMS, EXIT_BOUND, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE,
                       compare_batch, main)
 from getf.lp_solver import LpError
@@ -133,6 +136,19 @@ class TestSolve:
             capsys.readouterr()
             assert run(*argv) == EXIT_INFEASIBLE, argv
             assert capsys.readouterr().err == "error: gamma must exceed 1, got nan\n"
+
+    def test_gamma_near_one_refused_exit_2_one_line(self, example_file, tmp_path, capsys):
+        # log_gamma(2) is about 6.9e8 bands: refused before any band is built.
+        sched = tmp_path / "sched.json"
+        assert run("solve", example_file, "--algo", "etf", "-o", sched) == EXIT_OK
+        for argv in (("solve", example_file, "--gamma", "1.000000001"),
+                     ("verify", example_file, sched, "--algo", "getf-weighted",
+                      "--gamma", "1.000000001")):
+            capsys.readouterr()
+            assert run(*argv) == EXIT_INFEASIBLE, argv
+            assert capsys.readouterr().err == (
+                "error: gamma 1.000000001 needs 693147124 speed bands for 2 machines; "
+                f"at most {grouping.MAX_BANDS} are allowed\n")
 
     def test_unknown_tie_rule_usage_error(self, example_file):
         assert run("solve", example_file, "--tie", "coin-flip") == EXIT_USAGE
@@ -385,6 +401,51 @@ class TestVerify:
             assert capsys.readouterr().err == f"error: cannot read schedule: {message}\n"
 
 
+    @pytest.mark.parametrize("value", [5, 0, False, None], ids=["int", "zero", "false", "null"])
+    def test_iteration_order_must_be_a_list(self, example_file, tmp_path, capsys, value):
+        sched = self.tampered(example_file, tmp_path,
+                              lambda doc: doc.update(iteration_order=value))
+        for argv in (("verify", example_file, sched), ("gantt", sched)):
+            capsys.readouterr()
+            assert run(*argv) == EXIT_USAGE, argv
+            assert capsys.readouterr().err == (
+                "error: cannot read schedule: 'iteration_order' must be a list of task ids\n")
+
+    def test_absent_iteration_order_reads_start_order(self, example_file, tmp_path):
+        sched = self.tampered(example_file, tmp_path, lambda doc: doc.pop("iteration_order"))
+        doc = json.loads(sched.read_text())
+        assert schedule_from_dict(doc).iteration_order == [
+            e["task"] for e in sorted(doc["assignments"], key=lambda e: e["start"])]
+
+    @pytest.mark.parametrize("algo,move,consistent", [
+        ("etf", "early-start", True),
+        ("getf-makespan", "outside-band", False),
+    ])
+    def test_group_consistent_reads_bands_only(self, tmp_path, algo, move, consistent):
+        """An infeasible schedule is still band-consistent when every task
+        sits on a machine of its band; etf's one band holds every machine."""
+        inst, sched, out = tmp_path / "inst.json", tmp_path / "sched.json", tmp_path / "v.json"
+        if move == "early-start":
+            assert run("generate", "--family", "layered", "--n", 6, "--m", 2, "--seed", 3,
+                       "-o", inst) == EXIT_OK
+        else:
+            assert run("generate", *TestGoldenOutputs.CASES["layered"], "-o", inst) == EXIT_OK
+        assert run("solve", inst, "--algo", algo, "-o", sched) == EXIT_OK
+        doc = json.loads(sched.read_text())
+        if move == "early-start":
+            last = doc["assignments"][-1]
+            last.update(start=0.0, end=last["end"] - last["start"])
+        else:
+            f = pipeline.assign(parse_instance(inst.read_text()), algo)
+            entry = doc["assignments"][0]
+            entry["machine"] = min(set(range(8)) - set(f.machines_for(entry["task"])))
+        sched.write_text(json.dumps(doc))
+        assert run("verify", inst, sched, "--algo", algo, "-o", out) == EXIT_INFEASIBLE
+        report = json.loads(out.read_text())
+        assert report["feasible"] is False
+        assert report["group_consistent"] is consistent
+
+
 class TestCompare:
     def test_worked_example_rows(self, example_file, tmp_path):
         csv_text = compare_batch(str(example_file.parent), ["getf-makespan", "sls"])
@@ -564,3 +625,66 @@ class TestGoldenOutputs:
             assert run("solve", inst, "--algo", algo, "-o", out) == EXIT_OK
             digests[family, algo] = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digests == {k: v for k, v in self.DIGESTS.items() if k[0] == family}
+
+
+class TestGoldenReports:
+    """SHA-256 of ``getf verify --algo`` reports, and of the runs behind them,
+    pinned before the band constructor was shared between
+    ``partition_machines`` and ``trivial_assignment``.  The ``--gamma 1.01``
+    case has K = 209 bands, most of them empty, and one ``D_k`` per band."""
+
+    WEIGHTED = ("--family", "random-dag", "--n", 10, "--m", 3, "--seed", 14,
+                "--weights", "uniform", "--speed", "0.2:1")
+    DIGESTS = {
+        ("layered", "verify"): "3da8d1c823c5fb49ea42c156e107974f0670f38bc6e619186f378fcf0f2a31c6",
+        ("fork-join", "verify"): "cf5ffa32bb91eae535b390ed258d87a6b9bc0f09ec43614d764f4b8b957fca4b",
+        ("random-dag", "verify"): "ae5fd8d600f5b0d2cdc866d6a69fad2d22d75fcce338a75abb27cfd1564e86f4",
+        ("layered-gamma-1.01", "solve"): "0d32db33229e17ffef9ca12e0f79b9fc285d3718cc1cf88b0e5cdf16200510a6",
+        ("layered-gamma-1.01", "verify"): "3b005ed774f3e8361641d3a25b40d13e41eb85ca1205e206540f599f1ed9f0a1",
+        ("weighted", "generate"): "cc1b8d7c76ae8e2611b26a5ea6bdb26461d08a49680dc02a995db6e0e4ebd791",
+        ("weighted", "solve"): "f32bc518ebb71b2e511c820d48824f31045accc88063ac4e90133a94346f1f13",
+        ("weighted", "verify"): "6d8cfcd2e2c8a61fea3bfde2d0733dc095d13e8eb079a57294bff892a0774bbf",
+    }
+
+    @staticmethod
+    def digests(tmp_path, case, generate, algo, *options) -> dict:
+        inst, sched, report = (tmp_path / f"{case}.{kind}.json"
+                               for kind in ("inst", "sched", "report"))
+        assert run("generate", *generate, "-o", inst) == EXIT_OK
+        assert run("solve", inst, "--algo", algo, *options, "-o", sched) == EXIT_OK
+        assert run("verify", inst, sched, "--algo", algo, *options, "-o", report) == EXIT_OK
+        return {(case, kind): hashlib.sha256(path.read_bytes()).hexdigest()
+                for kind, path in (("generate", inst), ("solve", sched), ("verify", report))}
+
+    def test_report_digests(self, tmp_path):
+        found = {}
+        for family, generate in TestGoldenOutputs.CASES.items():
+            found.update(self.digests(tmp_path, family, generate, "getf-makespan"))
+        found.update(self.digests(tmp_path, "layered-gamma-1.01",
+                                  TestGoldenOutputs.CASES["layered"], "getf-makespan",
+                                  "--gamma", 1.01))
+        found.update(self.digests(tmp_path, "weighted", self.WEIGHTED, "getf-weighted"))
+        assert {k: found[k] for k in self.DIGESTS} == self.DIGESTS
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "verify", "compare", "gantt"])
+def test_closed_stdout_exit_1_one_line(tmp_path, command):
+    """A reader that closes the pipe early gets exit 1 and one error line,
+    with no traceback at the write or at interpreter exit."""
+    inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+    generate = ["generate", "--n", "12", "--m", "3", "--seed", "5"]
+    assert run(*generate, "-o", inst) == EXIT_OK
+    assert run("solve", inst, "--algo", "etf", "-o", sched) == EXIT_OK
+    argv = {"generate": generate, "solve": ["solve", inst, "--algo", "etf"],
+            "verify": ["verify", inst, sched], "compare": ["compare", tmp_path, "--algos", "etf"],
+            "gantt": ["gantt", sched]}[command]
+    src = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                        os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "getf", *map(str, argv)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    proc.stdout.close()
+    err = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == EXIT_USAGE, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -63,6 +63,25 @@ class TestPartition:
             with pytest.raises(GroupingError):
                 partition_machines(inst.platform, gamma=gamma)
 
+    def test_band_count_bounded(self):
+        # K = ceil(log_gamma(m)) on 8 machines: 10,000 bands are built, and
+        # 10,001 are refused before anything of that size is.
+        inst = make_instance([1.0], [], [1.0] * 8)
+        assert partition_machines(inst.platform, 8 ** (1 / 9999.5)).K == 10_000
+        with pytest.raises(GroupingError, match="needs 10001 speed bands for 8 machines"):
+            partition_machines(inst.platform, 8 ** (1 / 10000.5))
+
+    def test_trivial_band_is_the_one_band_partition(self):
+        # Speeds in [1, 2] keep every machine and gamma > m gives one band, so
+        # the partition must equal the trivial band, rescaled totals included.
+        rng = random.Random(14)
+        for _ in range(300):
+            m = rng.randint(1, 12)
+            inst = make_instance([1.0], [], [rng.uniform(1.0, 2.0) for _ in range(m)])
+            gamma = m + 1.0
+            assert partition_machines(inst.platform, gamma) == \
+                dataclasses.replace(trivial_assignment(inst).groups, gamma=gamma)
+
     def test_discarded_total_at_most_fastest(self):
         rng = random.Random(3)
         for trial in range(200):
