@@ -191,9 +191,12 @@ def compare_batch(instance_dir: str, algorithms: list[str],
     """CSV comparison over every instance JSON in a directory.
 
     One row per (instance, algorithm, tie); error rows carry the message in
-    the final column instead of aborting the batch.  A mean summary row per
-    algorithm follows the per-instance rows.  The runtime column is wall
-    clock and is the only nondeterministic column.
+    the final column instead of aborting the batch.  Each file is loaded once;
+    one that fails to load gives an error row per (algorithm, tie).  A mean
+    summary row per algorithm follows the per-instance rows.  The runtime
+    column is the wall time of ``pipeline.run`` (band assignment and
+    placement), empty where it did not return; it is the only
+    nondeterministic column.
     """
     ties = [scheduler.TieBreak.random_rule(s) for s in seeds] if seeds else \
         [scheduler.TieBreak.by_index()]
@@ -205,27 +208,33 @@ def compare_batch(instance_dir: str, algorithms: list[str],
 
     sums: dict[str, list[float]] = {a: [0.0, 0.0, 0.0, 0] for a in algorithms}
     for path in paths:
+        try:
+            inst, load_error = model.load_instance(str(path)), ""
+        except Exception as exc:  # error rows, not aborts
+            inst, load_error = None, str(exc)
         for algo in algorithms:
             for tie in ties:
                 tie_label = tie.variant if tie.variant != scheduler.TieBreak.RANDOM \
                     else f"random:{tie.seed}"
-                t0 = time.perf_counter()
+                runtime = ""
                 try:
-                    inst = model.load_instance(str(path))
+                    if inst is None:
+                        raise CliError(load_error, EXIT_INFEASIBLE)
+                    t0 = time.perf_counter()
                     sched, f = pipeline.run(inst, algo, tie)
+                    runtime = f"{time.perf_counter() - t0:.6f}"
                     feas = scheduler.verify_schedule(inst, sched, f)
                     if not feas.feasible:
                         raise CliError(feas.violations[0], EXIT_INFEASIBLE)
                     rep = analysis.separation_report(sched, inst, f, f.groups)
                     main = rep.inequalities[0]
-                    elapsed = time.perf_counter() - t0
                     writer.writerow([
                         path.name, algo, tie_label,
                         f"{sched.makespan():.9g}",
                         f"{sched.weighted_completion(inst):.9g}",
                         f"{rep.context['P']:.9g}", f"{rep.context['sum_D']:.9g}",
                         f"{rep.context['C']:.9g}", f"{main.slack:.9g}",
-                        f"{elapsed:.6f}", "",
+                        runtime, "",
                     ])
                     agg = sums[algo]
                     agg[0] += sched.makespan()
@@ -233,9 +242,8 @@ def compare_batch(instance_dir: str, algorithms: list[str],
                     agg[2] += main.slack
                     agg[3] += 1
                 except Exception as exc:  # error rows, not aborts
-                    elapsed = time.perf_counter() - t0
                     writer.writerow([path.name, algo, tie_label, "", "", "", "", "", "",
-                                     f"{elapsed:.6f}", str(exc)])
+                                     runtime, str(exc)])
     for algo in algorithms:
         total, wtotal, slack, count = sums[algo]
         if count:

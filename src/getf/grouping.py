@@ -117,13 +117,15 @@ def default_gamma(m: int) -> float:
 def partition_machines(platform: Platform, gamma: float | None = None) -> MachineGroups:
     """Discard sub-1/m-speed machines and band the rest geometrically.
 
-    ``gamma`` overrides the default band ratio; it must exceed 1, and give at
-    most ``MAX_BANDS`` bands.
+    ``gamma`` overrides the default band ratio; it must be finite, exceed 1,
+    and give at most ``MAX_BANDS`` bands.
     """
     m = platform.m
     g = default_gamma(m) if gamma is None else float(gamma)
     if not g > 1.0:  # NaN too
         raise GroupingError(f"gamma must exceed 1, got {g}")
+    if g == math.inf:
+        raise GroupingError(f"gamma must be finite, got {g}")
     K = max(1, math.ceil(math.log(m, g) - 1e-12))
     if K > MAX_BANDS:
         raise GroupingError(f"gamma {g} needs {K} speed bands for {m} machines; "

@@ -137,6 +137,18 @@ class TestSolve:
             assert run(*argv) == EXIT_INFEASIBLE, argv
             assert capsys.readouterr().err == "error: gamma must exceed 1, got nan\n"
 
+    def test_infinite_gamma_exit_2_one_line(self, example_file, tmp_path, capsys):
+        # An infinite ratio would give one band, and the verify report would
+        # hold ``Infinity``, which is not JSON.
+        sched = tmp_path / "sched.json"
+        assert run("solve", example_file, "--algo", "etf", "-o", sched) == EXIT_OK
+        for argv in (("solve", example_file, "--gamma", "inf"),
+                     ("verify", example_file, sched, "--algo", "getf-makespan",
+                      "--gamma", "inf")):
+            capsys.readouterr()
+            assert run(*argv) == EXIT_INFEASIBLE, argv
+            assert capsys.readouterr().err == "error: gamma must be finite, got inf\n"
+
     def test_gamma_near_one_refused_exit_2_one_line(self, example_file, tmp_path, capsys):
         # log_gamma(2) is about 6.9e8 bands: refused before any band is built.
         sched = tmp_path / "sched.json"
@@ -487,6 +499,26 @@ class TestCompare:
         a = compare_batch(str(example_file.parent), ["getf-makespan", "etf"], [3, 4])
         b = compare_batch(str(example_file.parent), ["getf-makespan", "etf"], [3, 4])
         assert strip_runtime(a) == strip_runtime(b)
+
+
+def test_compare_loads_each_file_once(example_file, monkeypatch):
+    (example_file.parent / "cyclic.json").write_text(json.dumps({
+        "tasks": [{"id": 0, "demand": 1.0}, {"id": 1, "demand": 1.0}],
+        "edges": [{"src": 0, "dst": 1}, {"src": 1, "dst": 0}],
+        "machines": [{"id": 0, "speed": 1.0}], "comm_speed": [[1.0]],
+    }))
+    loaded = []
+    load = cli.model.load_instance
+    monkeypatch.setattr(cli.model, "load_instance", lambda path: load(loaded.append(path) or path))
+    rows = [line.split(",", 10) for line in
+            compare_batch(str(example_file.parent), ["getf-makespan", "etf"], [3, 4]).splitlines()]
+    assert sorted(Path(p).name for p in loaded) == ["cyclic.json", "example.json"]
+    failed = [r for r in rows if r[0] == "cyclic.json"]
+    # One error row per (algorithm, tie), each with the load's message and
+    # no runtime; the rows that ran time pipeline.run.
+    assert len(failed) == 4 and len({r[10] for r in failed}) == 1 and "cycle" in failed[0][10]
+    assert all(r[9] == "" for r in failed)
+    assert all(float(r[9]) >= 0 for r in rows if r[0] == "example.json")
 
 
 def test_log_env_var_smoke(example_file, tmp_path, monkeypatch):

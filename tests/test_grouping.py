@@ -63,6 +63,11 @@ class TestPartition:
             with pytest.raises(GroupingError):
                 partition_machines(inst.platform, gamma=gamma)
 
+    def test_gamma_must_be_finite(self):
+        inst = make_instance([1.0], [], [1.0, 2.0])
+        with pytest.raises(GroupingError, match="gamma must be finite, got inf"):
+            partition_machines(inst.platform, gamma=math.inf)
+
     def test_band_count_bounded(self):
         # K = ceil(log_gamma(m)) on 8 machines: 10,000 bands are built, and
         # 10,001 are refused before anything of that size is.

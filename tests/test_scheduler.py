@@ -10,8 +10,8 @@ from getf.grouping import GroupAssignment, partition_machines, trivial_assignmen
 from getf.model import topological_order
 from getf.oracle import brute_force_schedule
 from getf.scheduler import (START_TIE_TOL, Schedule, SchedulingError, TieBreak,
-                            TieChooser, earliest_start, etf_schedule, getf_schedule,
-                            schedule_from_dict, sls_schedule, verify_schedule)
+                            TieChooser, _Placement, earliest_start, etf_schedule,
+                            getf_schedule, schedule_from_dict, sls_schedule, verify_schedule)
 
 from conftest import make_instance
 
@@ -183,6 +183,69 @@ class TestStartTableMatchesNaive:
         s = getf_schedule(inst, f, TieBreak.by_index())
         assert s.assignment == {0: 0, 1: 1, 2: 0}
         assert s.start[2] == later
+        assert s.to_json(inst) == naive_getf(inst, f, TieBreak.by_index()).to_json(inst)
+
+
+def shared_band_assignment(inst, rng):
+    """Three bands that share machines: all of them and two random subsets."""
+    machines = range(inst.platform.m)
+    members = {1: tuple(machines)}
+    for k in (2, 3):
+        members[k] = tuple(sorted(rng.sample(machines, rng.randint(1, len(machines)))))
+    return hand_bands(inst, members, [rng.choice((1, 2, 3)) for _ in range(inst.graph.n)])
+
+
+class TestPlacementEngine:
+    @given(st.integers(0, 10_000), st.sampled_from(FAMILIES))
+    @settings(max_examples=6, deadline=None)
+    def test_byte_identical_with_many_data_bound_rows(self, seed, family):
+        # Wide ready sets and data up to 50x the demands: many ready tasks
+        # wait for data when they become ready, and most of those turn
+        # machine-bound before they are placed.
+        rng = random.Random(seed)
+        inst = generate_instance(GeneratorSpec(
+            family=family, n=rng.randint(40, 120), m=rng.randint(2, 6), seed=seed,
+            density=rng.choice([0.02, 0.05]), data_range=(0.0, rng.choice([20.0, 200.0])),
+            self_comm=rng.choice(["matrix", "infinite"])))
+        for f in (trivial_assignment(inst), random_band_assignment(inst, rng),
+                  shared_band_assignment(inst, rng)):
+            for tie in TIE_RULES:
+                assert getf_schedule(inst, f, tie).to_json(inst) == \
+                    naive_getf(inst, f, tie).to_json(inst)
+
+    def test_data_bound_task_turns_machine_bound(self):
+        # Task 1 waits for data from task 0 until 1 + 3; task 2 fills the
+        # machine until 6 first, so task 1 then waits for the machine alone.
+        inst = make_instance([1.0, 1.0, 5.0], [(0, 1, 3.0)], [1.0], comm=1.0)
+        f = trivial_assignment(inst)
+        engine = _Placement(inst, f, TieChooser(TieBreak.by_index(), inst.graph))
+        engine.add(0)
+        engine.add(2)
+        band = engine.bands[1]
+        assert band.queue == [0, 2] and not band.rows
+        engine.place(*engine.pick())
+        engine.add(1)
+        assert band.rows[1].above == 1 and band.rows[1].best == (4.0, 0)
+        engine.place(*engine.pick())
+        assert not band.rows and band.queue == [1]
+        assert engine.pick() == (1, 6.0, 0)
+        s = getf_schedule(inst, f, TieBreak.by_index())
+        assert s.iteration_order == [0, 2, 1] and s.start[1] == 6.0
+        assert s.to_json(inst) == naive_getf(inst, f, TieBreak.by_index()).to_json(inst)
+
+    def test_row_that_is_not_clear_is_rescanned(self):
+        # Machine preference is 1, 2, 0 (fastest first).  Task 2 waits for
+        # data from task 0 until 1 + 1e-12, 1 + 2.2e-12 and 1 + 1.9e-12 on
+        # machines 0, 1 and 2; the scan passes machine 1 by and takes machine
+        # 2, within the tolerance of machine 0's start.  Task 1 then raises
+        # machine 0 to 1 + 1.5e-12, still above the tolerance from task 2's
+        # best but now within it of machine 1, so the scan takes machine 1.
+        sigma = [[1e12, 1 / 2.2e-12, 1 / 1.9e-12], [1.0] * 3, [1.0] * 3]
+        inst = make_instance([1.0, 1.5e-12, 1.0], [(0, 2, 1.0)], [1.0, 3.0, 2.0], comm=sigma)
+        f = hand_bands(inst, {1: (0,), 2: (0, 1, 2)}, [1, 1, 2])
+        s = getf_schedule(inst, f, TieBreak.by_index())
+        assert s.iteration_order == [0, 1, 2]
+        assert (s.assignment[2], s.start[2]) == (1, 1.0 + 2.2e-12)
         assert s.to_json(inst) == naive_getf(inst, f, TieBreak.by_index()).to_json(inst)
 
 
