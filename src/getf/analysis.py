@@ -112,19 +112,26 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 def latest_finishing(candidates: list[int], finish: dict[int, float]) -> list[int]:
-    top = max(finish[j] for j in candidates)
-    return sorted(j for j in candidates if finish[j] >= top - FINISH_TIE_TOL)
+    top = max(map(finish.__getitem__, candidates))
+    return sorted([j for j in candidates if finish[j] >= top - FINISH_TIE_TOL])
 
 
 def _link_comm(inst: Instance, f: GroupAssignment, s: Schedule):
     """A function (src, dst) -> worst-case transfer time of that edge: data
     over the slowest communication speed from src's machine into dst's
-    machine group, read from the graph's edge-data dict."""
-    edge_data = inst.graph.edge_data()
+    machine group, read from the graph's edge-data dict.  The slowest speeds
+    into a band are found once, on the first link into it."""
+    edge_data, comm = inst.graph.edge_data(), inst.platform.comm_speed
+    assignment, band = s.assignment, f.group_of_task
+    slowest: dict[int, list[float]] = {}  # band -> slowest speed into it, per source machine
 
     def link(src: int, dst: int) -> float:
-        sigma = min(inst.platform.sigma(s.assignment[src], i) for i in f.machines_for(dst))
-        return edge_data[(src, dst)] / sigma
+        a, k = assignment[src], band[dst]
+        into = slowest.get(k)
+        if into is None:
+            machines = f.groups.machines_in(k)
+            into = slowest[k] = [min(row[i] for i in machines) for row in comm]
+        return edge_data[(src, dst)] / into[a]
     return link
 
 
@@ -144,26 +151,34 @@ class _ChainTable:
         self._cost: dict[int, float] = {}
         self._back: dict[int, int | None] = {}
 
-    def cost(self, j: int) -> float:
-        cost, stack = self._cost, [j]
+    def fill(self, order: list[int]) -> dict[int, float]:
+        """The entries of ``order``, filled in one forward pass over it.  An
+        entry whose candidates are not all filled yet is put back behind
+        them, so any order gives the same values."""
+        cost, back, preds_of, finish = self._cost, self._back, self._preds, self._finish
+        link_cost, node_cost, stack = self._link_cost, self._node_cost, order[::-1]
         while stack:
             v = stack.pop()
             if v in cost:
                 continue
-            preds = self._preds[v]
-            cands = latest_finishing(preds, self._finish) if preds else []
-            missing = [p for p in cands if p not in cost]
-            if missing:
-                stack += [v, *missing]  # v again, after its missing predecessors
-                continue
+            preds = preds_of[v]
+            cands = latest_finishing(preds, finish) if preds else ()
             best_p, best_val = None, 0.0
             for p in cands:  # ascending ids, so a value tie keeps the lowest
-                val = cost[p] + self._link_cost(p, v)
+                c = cost.get(p)
+                if c is None:  # v again, after its missing candidates
+                    stack += [v, *(q for q in cands if q not in cost)]
+                    break
+                val = c + link_cost(p, v)
                 if best_p is None or val < best_val - 1e-15:
                     best_p, best_val = p, val
-            cost[v] = self._node_cost(v) + best_val
-            self._back[v] = best_p
-        return cost[j]
+            else:
+                cost[v] = node_cost(v) + best_val
+                back[v] = best_p
+        return {j: cost[j] for j in order}
+
+    def cost(self, j: int) -> float:
+        return self.fill([j])[j]
 
     def chain(self, j: int) -> TerminalChain:
         self.cost(j)
@@ -347,15 +362,14 @@ def per_task_chain_comm(s: Schedule, inst: Instance,
     schedule.  Logs (debug) whenever j is not the latest finisher of its
     prefix.
     """
-    table = _ChainTable(s, inst.graph, _link_comm(inst, f, s))
-    out: dict[int, float] = {}
-    running_max = -math.inf
-    for j in s.iteration_order:
-        out[j] = table.cost(j)
-        if s.finish[j] < running_max - FINISH_TIE_TOL:
-            log.debug("task %d is not the latest finisher of its prefix "
-                      "(finish %.9g < %.9g)", j, s.finish[j], running_max)
-        running_max = max(running_max, s.finish[j])
+    out = _ChainTable(s, inst.graph, _link_comm(inst, f, s)).fill(s.iteration_order)
+    if log.isEnabledFor(logging.DEBUG):
+        running_max = -math.inf
+        for j in s.iteration_order:
+            if s.finish[j] < running_max - FINISH_TIE_TOL:
+                log.debug("task %d is not the latest finisher of its prefix "
+                          "(finish %.9g < %.9g)", j, s.finish[j], running_max)
+            running_max = max(running_max, s.finish[j])
     return out
 
 

@@ -155,12 +155,6 @@ def _proc(inst: Instance, groups: MachineGroups) -> np.ndarray:
     return demand / _speeds(inst, groups)[:, None]
 
 
-def _edge_ends(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
-    edges = inst.graph.edges
-    return (np.array([e.src for e in edges], dtype=int),
-            np.array([e.dst for e in edges], dtype=int))
-
-
 def _running_total(a: np.ndarray, axis: int = 0) -> np.ndarray:
     """Left-to-right sum along ``axis`` (np.sum may pair terms differently)."""
     return np.cumsum(a, axis=axis).take(-1, axis=axis)
@@ -228,7 +222,7 @@ def build_makespan_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
     zero-communication optimal makespan over the retained machines."""
     n, nm = inst.graph.n, len(groups.retained)
     proc = _proc(inst, groups)
-    src, dst = _edge_ends(inst)
+    src, dst, _ = inst.graph.edge_columns()
     eye, minus_eye = np.eye(n), np.diag(-np.ones(n))   # -eye would hold -0.0
     pick = np.tile(eye, nm)                            # row j selects x[., j]
     load = pick * proc.ravel()                         # row j: processing time of j
@@ -280,7 +274,7 @@ def _makespan_start(inst: Instance, groups: MachineGroups) -> np.ndarray:
     """
     n, nm = inst.graph.n, len(groups.retained)
     proc = _proc(inst, groups)
-    src, dst = _edge_ends(inst)
+    src, dst, _ = inst.graph.edge_columns()
     n_edges = len(src)
     edge_row, load_row, horizon_row = 2 * n, 2 * n + n_edges, 2 * n + n_edges + nm
     start = np.full(horizon_row + n, -1)
@@ -365,7 +359,7 @@ def build_weighted_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
 
     Q = horizon_intervals(inst, groups)
     tau = np.array([2.0 ** q for q in range(Q + 1)])
-    src, dst = _edge_ends(inst)
+    src, dst, _ = inst.graph.edge_columns()
     eye, minus_eye = np.eye(n), np.diag(-np.ones(n))
     upto = np.tril(np.ones((Q, Q)))                    # upto[q-1, t-1] = 1 iff t <= q
     prefix = np.tile(np.kron(eye, upto), nm).reshape(n, Q, -1)   # [j, q-1]: x[., j, :q]
@@ -460,7 +454,7 @@ def weighted_slice_feasibility(
         raise GroupingError("collapse_time_indexed must run first")
     speed = _speeds(inst, groups)[:, None]
     demand = np.array([t.demand for t in inst.graph.tasks])
-    src, dst = _edge_ends(inst)
+    src, dst, _ = inst.graph.edge_columns()
     total = _running_total(sol.x_tilde)
     proc = demand * _running_total(sol.x_tilde / speed)
     c2 = 2.0 * sol.C

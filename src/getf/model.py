@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
+import numpy as np
+
 
 class InstanceError(ValueError):
     """Raised when an instance document or value is malformed."""
@@ -49,10 +51,10 @@ class Edge:
 
 @dataclass(frozen=True)
 class TaskGraph:
-    """A task DAG.  Its predecessor and successor lists (in edge order) and
-    its (src, dst) -> data dict are built in one pass over ``edges`` on
-    first use; every call returns those same shared objects, which callers
-    must not mutate."""
+    """A task DAG.  Its predecessor and successor lists (in edge order), its
+    (src, dst) -> data dict, its edge columns and its topological order are
+    each built once, on first use; every call returns those same shared
+    objects, which callers must not mutate."""
 
     tasks: tuple[Task, ...]
     edges: tuple[Edge, ...]
@@ -79,6 +81,38 @@ class TaskGraph:
 
     def edge_data(self) -> dict[tuple[int, int], float]:
         return self._adjacency[2]
+
+    @cached_property
+    def _edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        columns = (np.array([e.src for e in self.edges], dtype=int),
+                   np.array([e.dst for e in self.edges], dtype=int),
+                   np.array([e.data for e in self.edges], dtype=float))
+        for a in columns:
+            a.flags.writeable = False
+        return columns
+
+    def edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges' ``src``, ``dst`` and ``data`` as read-only arrays, in edge order."""
+        return self._edge_columns
+
+    @cached_property
+    def _topological_order(self) -> list[int]:
+        indeg = [len(p) for p in self.predecessors()]
+        succs = self.successors()
+        ready = [v for v in range(self.n) if indeg[v] == 0]
+        heapq.heapify(ready)
+        order: list[int] = []
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            for w in succs[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    heapq.heappush(ready, w)
+        if len(order) != self.n:
+            stuck = sorted(set(range(self.n)) - set(order))
+            raise CycleError(f"cycle detected among tasks {stuck}")
+        return order
 
 
 @dataclass(frozen=True)
@@ -184,23 +218,10 @@ def validate_instance(inst: Instance) -> ValidationReport:
 
 
 def topological_order(g: TaskGraph) -> list[int]:
-    """Kahn's algorithm, always taking the lowest available id first."""
-    indeg = [len(p) for p in g.predecessors()]
-    succs = g.successors()
-    ready = [v for v in range(g.n) if indeg[v] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in succs[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if len(order) != g.n:
-        stuck = sorted(set(range(g.n)) - set(order))
-        raise CycleError(f"cycle detected among tasks {stuck}")
-    return order
+    """Kahn's algorithm, always taking the lowest available id first.  The
+    order is computed once per graph and shared: callers must not mutate it.
+    A cyclic graph raises CycleError on every call."""
+    return g._topological_order
 
 
 def normalize_demands(inst: Instance) -> tuple[Instance, float]:

@@ -34,6 +34,11 @@ it, so every decision matches re-evaluating every ready task on every
 machine in every iteration.  On the benchmark's layered n=1000, m=8 ETF
 instances about 96% of ready tasks are machine-bound; on its n=20 makespan
 instances, about half.
+
+``earliest_start`` reads timelines, finishes and communication rows straight
+from their containers.  ``verify_schedule`` checks edges and durations as
+arrays over the graph's edge columns, with the scalar formulas' IEEE
+operations, and builds messages for failing items only.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ import random
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .grouping import GroupAssignment, trivial_assignment
 from .model import Instance, fill_json, integer_ids, json_list, require_numbers
@@ -135,10 +142,6 @@ class Schedule:
 
     def is_scheduled(self, task: int) -> bool:
         return task in self.assignment
-
-    def machine_available(self, machine: int) -> float:
-        intervals = self.machine_intervals.get(machine)
-        return intervals[-1][1] if intervals else 0.0
 
     def makespan(self) -> float:
         return max(self.finish.values(), default=0.0)
@@ -236,19 +239,21 @@ def earliest_start(task: int, machine: int | tuple[int, ...] | list[int],
     ``machine`` may also be a tuple or list of machines; the starts on each
     come back as a list in that order, from one walk over the predecessors.
     """
-    edge_data = inst.graph.edge_data()
     one = not isinstance(machine, (tuple, list))
     machines = (machine,) if one else machine
-    starts = [partial.machine_available(i) for i in machines]
+    timelines, finish, assignment = partial.machine_intervals, partial.finish, partial.assignment
+    starts = [iv[-1][1] if (iv := timelines.get(i)) else 0.0 for i in machines]
+    edge_data, comm = inst.graph.edge_data(), inst.platform.comm_speed
     for p in inst.graph.predecessors()[task]:
-        if not partial.is_scheduled(p):
+        if p not in assignment:
             raise SchedulingError(f"predecessor {p} of task {task} is not scheduled")
-        finish, data = partial.finish[p], edge_data[(p, task)]
-        sigma = inst.platform.comm_speed[partial.assignment[p]]
-        for k, i in enumerate(machines):
-            arrival = finish + data / sigma[i]  # data/inf == 0.0, the zero-delay sentinel
+        ready, data, sigma = finish[p], edge_data[(p, task)], comm[assignment[p]]
+        k = 0
+        for i in machines:
+            arrival = ready + data / sigma[i]  # data/inf == 0.0, the zero-delay sentinel
             if arrival > starts[k]:
                 starts[k] = arrival
+            k += 1
     return starts[0] if one else starts
 
 
@@ -443,9 +448,11 @@ def sls_schedule(inst: Instance, f: GroupAssignment, priority: list[int]) -> Sch
                 f"priority is not topological: task {e.dst} precedes its predecessor {e.src}"
             )
     sched, lowest_id_first = Schedule(), range(inst.platform.m)
+    demand = [t.demand for t in inst.graph.tasks]
+    speed = [mc.speed for mc in inst.platform.machines]
     for j in priority:
         start, i = _scan(*_group_starts(j, f, sched, inst), lowest_id_first)
-        sched.place(j, i, start, inst.graph.tasks[j].demand / inst.platform.speed(i))
+        sched.place(j, i, start, demand[j] / speed[i])
     return sched
 
 
@@ -469,48 +476,49 @@ def verify_schedule(inst: Instance, s: Schedule,
     group assignment is supplied.  Every check is written so that a NaN
     time fails it.
     """
-    findings: list[tuple[float, str]] = []
-    n = inst.graph.n
-
-    for j in range(n):
-        if j not in s.assignment:
-            findings.append((0.0, f"task {j} is not scheduled"))
-    for j, i in sorted(s.assignment.items()):
-        if not 0 <= j < n:
-            findings.append((0.0, f"unknown task {j} is scheduled"))
-        elif not 0 <= i < inst.platform.m:
-            findings.append((0.0, f"task {j} is placed on unknown machine {i}"))
+    n, m = inst.graph.n, inst.platform.m
+    findings = [(0.0, f"task {j} is not scheduled") for j in range(n) if j not in s.assignment]
+    for j, i in sorted((j, i) for j, i in s.assignment.items()
+                       if not (0 <= j < n and 0 <= i < m)):
+        findings.append((0.0, f"task {j} is placed on unknown machine {i}" if 0 <= j < n
+                         else f"unknown task {j} is scheduled"))
     if findings:
-        return FeasibilityReport([m for _, m in sorted(findings, key=lambda kv: kv[0])])
+        return FeasibilityReport([msg for _, msg in sorted(findings, key=lambda kv: kv[0])])
 
+    tasks = range(n)
+    start, finish, machine = (list(map(times.__getitem__, tasks))
+                              for times in (s.start, s.finish, s.assignment))
     by_machine: dict[int, list[tuple[float, float, int]]] = {}
-    for j in range(n):
-        by_machine.setdefault(s.assignment[j], []).append((s.start[j], s.finish[j], j))
+    for a, b, j, i in zip(start, finish, tasks, machine):
+        by_machine.setdefault(i, []).append((a, b, j))
     for mach, intervals in by_machine.items():
         intervals.sort()
         for (a0, b0, t0), (a1, b1, t1) in zip(intervals, intervals[1:]):
             if not a1 >= b0 - VERIFY_TOL:
                 findings.append((a1, f"tasks {t0} and {t1} overlap on machine {mach}"))
 
-    for e in inst.graph.edges:
-        bound = s.finish[e.src] + comm_delay(inst, e.data, s.assignment[e.src], s.assignment[e.dst])
-        if not s.start[e.dst] >= bound - VERIFY_TOL:
-            findings.append((
-                s.start[e.dst],
-                f"task {e.dst} starts at {s.start[e.dst]:.9g} before its data from "
-                f"task {e.src} arrives at {bound:.9g}",
-            ))
-
-    for j in range(n):
-        expected = inst.graph.tasks[j].demand / inst.platform.speed(s.assignment[j])
-        if not abs((s.finish[j] - s.start[j]) - expected) <= VERIFY_TOL:
-            findings.append((s.start[j], f"task {j} duration differs from demand/speed"))
+    # Edges and durations are checked as arrays, with the IEEE operations of
+    # the scalar formulas; messages are built for the failing items only.
+    src, dst, data = inst.graph.edge_columns()
+    t_start, t_finish, on = (np.array(start, dtype=float), np.array(finish, dtype=float),
+                             np.array(machine, dtype=int))
+    with np.errstate(all="ignore"):
+        bound = t_finish[src] + data / np.array(inst.platform.comm_speed)[on[src], on[dst]]
+        early = ~(t_start[dst] >= bound - VERIFY_TOL)
+        expected = np.array([t.demand for t in inst.graph.tasks]) / np.array(
+            [mc.speed for mc in inst.platform.machines])[on]
+        off = ~(np.abs((t_finish - t_start) - expected) <= VERIFY_TOL)
+    for k in np.flatnonzero(early).tolist():
+        a, b = int(src[k]), int(dst[k])
+        findings.append((start[b], f"task {b} starts at {start[b]:.9g} before its data from "
+                                   f"task {a} arrives at {float(bound[k]):.9g}"))
+    for j in np.flatnonzero(off).tolist():
+        findings.append((start[j], f"task {j} duration differs from demand/speed"))
 
     if f is not None:
-        for j in range(n):
-            allowed = set(f.machines_for(j))
-            if s.assignment[j] not in allowed:
-                findings.append((s.start[j], f"task {j} placed outside its machine group"))
+        for j, i in zip(tasks, machine):
+            if i not in f.machines_for(j):
+                findings.append((start[j], f"task {j} placed outside its machine group"))
 
     findings.sort(key=lambda kv: kv[0])
-    return FeasibilityReport([m for _, m in findings])
+    return FeasibilityReport([msg for _, msg in findings])

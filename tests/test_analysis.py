@@ -1,5 +1,11 @@
+import hashlib
 import json
+import logging
+import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +23,8 @@ from getf.grouping import (GroupAssignment, partition_machines,
                            trivial_assignment)
 from getf.model import normalize_demands, topological_order
 from getf.oracle import brute_force_schedule
-from getf.scheduler import Schedule, TieBreak, etf_schedule, getf_schedule, sls_schedule
+from getf.scheduler import (Schedule, TieBreak, etf_schedule, getf_schedule, schedule_from_dict,
+                            sls_schedule, verify_schedule)
 
 from conftest import make_instance
 from test_scheduler import random_band_assignment
@@ -303,6 +310,47 @@ class TestPerTaskChains:
         s = getf_schedule(inst, f, TieBreak.by_index())
         assert set(per_task_chain_comm(s, inst, f).values()) == {0.0}
 
+    @staticmethod
+    def sls_with_late_finishers():
+        inst = generate_instance(GeneratorSpec(family="layered", n=60, m=4, seed=21,
+                                               density=0.2))
+        f = trivial_assignment(inst)
+        s = sls_schedule(inst, f, topological_order(inst.graph))
+        expected, running_max = [], -math.inf
+        for j in s.iteration_order:
+            if s.finish[j] < running_max - analysis.FINISH_TIE_TOL:
+                expected.append(f"task {j} is not the latest finisher of its prefix "
+                                f"(finish {s.finish[j]:.9g} < {running_max:.9g})")
+            running_max = max(running_max, s.finish[j])
+        assert expected
+        return inst, f, s, expected
+
+    def test_debug_lines(self, caplog):
+        inst, f, s, expected = self.sls_with_late_finishers()
+        with caplog.at_level(logging.DEBUG, logger="getf.analysis"):
+            per_task_chain_comm(s, inst, f)
+        assert [r.getMessage() for r in caplog.records] == expected
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="getf.analysis"):
+            per_task_chain_comm(s, inst, f)
+        assert not caplog.records
+
+    def test_getf_log_debug_emits_the_lines(self):
+        _, _, _, expected = self.sls_with_late_finishers()
+        code = ("from getf import cli\n"
+                "from test_analysis import TestPerTaskChains\n"
+                "cli._configure_logging()\n"
+                "inst, f, s, _ = TestPerTaskChains.sls_with_late_finishers()\n"
+                "cli.analysis.per_task_chain_comm(s, inst, f)\n")
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(analysis.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "GETF_LOG": "debug",
+                 "PYTHONPATH": os.pathsep.join([src, here, os.environ.get("PYTHONPATH", "")])})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [f"DEBUG getf.analysis: {m}" for m in expected]
+
 
 class TestWeightedTheorem:
     def test_single_task_all_terms_forced(self):
@@ -477,6 +525,22 @@ class TestChainTableMatchesPerAnchorDP:
                 table, per_anchor = reports_per_anchor_and_table(reports)
                 assert table == per_anchor
 
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_order_not_topological(self, seed):
+        # A loaded schedule may list its tasks in any order; each value, and
+        # the order of the keys, must not depend on it.
+        rng = random.Random(seed)
+        inst = generate_instance(GeneratorSpec(
+            family=FAMILIES[seed % 3], n=rng.randint(2, 30), m=rng.randint(1, 5), seed=seed,
+            density=rng.choice([0.2, 0.5]), speed_range=(0.2, 1.0)))
+        f = random_band_assignment(inst, rng)
+        doc = getf_schedule(inst, f, TieBreak.by_index()).to_dict(inst)
+        rng.shuffle(doc["iteration_order"])
+        s = schedule_from_dict(doc)
+        expected = {j: reference_min_comm(s, inst, f, j)[1] for j in s.iteration_order}
+        assert json.dumps(per_task_chain_comm(s, inst, f)) == json.dumps(expected)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_weighted_report_same_bytes(self, seed):
         rng = random.Random(seed)
@@ -491,3 +555,65 @@ class TestChainTableMatchesPerAnchorDP:
             table, per_anchor = reports_per_anchor_and_table(
                 lambda: weighted_theorem_report(s, inst, f, groups, wsol).to_json())
             assert table == per_anchor
+
+
+class TestGoldenCertifyPath:
+    """SHA-256 of what the certify path writes, on two seeded layered
+    instances: the SLS schedule, its separation report, its per-task chain
+    costs and its ``violations``, once as scheduled and once loaded back
+    with every tenth task half a time unit early and the iteration order
+    reversed, which is not topological.  The banded instance spreads its
+    tasks over the speed bands.  Pinned before ``earliest_start``,
+    ``verify_schedule`` and the chain table stopped making per-edge method
+    calls."""
+
+    CASES = {  # name -> (instance, whether tasks spread over the bands)
+        "layered-300": (GeneratorSpec(family="layered", n=300, m=8, seed=31, density=0.05,
+                                      weights="uniform"), False),
+        "layered-banded-280": (GeneratorSpec(family="layered", n=280, m=6, seed=32,
+                                             density=0.1, speed_range=(0.2, 1.0)), True),
+    }
+    DIGESTS = {
+        ("layered-300", "schedule"): "a93e513f37aa4d4ceeaaedf98fd4cc208129188695c07899594749db7af6c670",
+        ("layered-300", "sls.separation"): "ec44f3a1457223fa221afe3f103b6e01185e9895f43f2d883d687535d4aa497a",
+        ("layered-300", "sls.chain"): "58d721504624ccf2c4265de5cfab6b7e3c5e35921c062598066186d35e153a09",
+        ("layered-300", "sls.violations"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        ("layered-300", "loaded.separation"): "ec44f3a1457223fa221afe3f103b6e01185e9895f43f2d883d687535d4aa497a",
+        ("layered-300", "loaded.chain"): "50f80f6e70910716ae69bdc42f331ff2f139f6d1dd8c69df5a010801428abb42",
+        ("layered-300", "loaded.violations"): "783d55ffbff9c8a74b1cc636fd4aea51f00a2b57972d37a83c153ae8cd872abf",
+        ("layered-banded-280", "schedule"): "5d1fdcb9fc655dbc30b373e27aad755de871f805417c74d6703457550786d895",
+        ("layered-banded-280", "sls.separation"): "a0b2e00c5affaeb493f49a73c3b5a3d9efe29c52ab0cb2e7092f49ea151b503b",
+        ("layered-banded-280", "sls.chain"): "22a1b36b5d657e678f57e3f637596a2df7ebae9112823d49fe76b26a3005641d",
+        ("layered-banded-280", "sls.violations"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        ("layered-banded-280", "loaded.separation"): "a0b2e00c5affaeb493f49a73c3b5a3d9efe29c52ab0cb2e7092f49ea151b503b",
+        ("layered-banded-280", "loaded.chain"): "a882db9b796b30f7f7478fcee0a11f743784ab3657f276a575d9da30d256f48f",
+        ("layered-banded-280", "loaded.violations"): "aa288b96aa3ec5c522abfa9c2489b63715a541fc81f99de050ca973137f84ba8",
+    }
+
+    @staticmethod
+    def outputs(spec: GeneratorSpec, banded: bool) -> dict[str, str]:
+        inst = generate_instance(spec)
+        if banded:
+            groups = partition_machines(inst.platform)
+            bands = [k for k in range(1, groups.K + 1) if groups.machines_in(k)]
+            f = GroupAssignment({j: bands[j % len(bands)] for j in range(inst.graph.n)}, groups)
+        else:
+            f = trivial_assignment(inst)
+        s = sls_schedule(inst, f, topological_order(inst.graph))
+        doc = s.to_dict(inst)
+        for e in doc["assignments"][::10]:  # overlaps and early starts
+            e["start"] -= 0.5
+            e["end"] -= 0.5
+        loaded = schedule_from_dict({**doc, "iteration_order": s.iteration_order[::-1]})
+        out = {"schedule": s.to_json(inst)}
+        for name, sched in (("sls", s), ("loaded", loaded)):
+            out[f"{name}.separation"] = separation_report(sched, inst, f, f.groups).to_json()
+            out[f"{name}.chain"] = json.dumps(per_task_chain_comm(sched, inst, f))
+            out[f"{name}.violations"] = json.dumps(verify_schedule(inst, sched, f).violations)
+        return out
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_digests(self, case):
+        found = {(case, k): hashlib.sha256(v.encode()).hexdigest()
+                 for k, v in self.outputs(*self.CASES[case]).items()}
+        assert found == {k: v for k, v in self.DIGESTS.items() if k[0] == case}

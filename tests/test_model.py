@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.grouping import trivial_assignment
-from getf.model import (InstanceError, normalize_demands, parse_instance,
+from getf.model import (CycleError, InstanceError, normalize_demands, parse_instance,
                         serialize_instance, topological_order, validate_instance)
 from getf.scheduler import TieBreak, getf_schedule
 
@@ -160,6 +160,16 @@ class TestTopologicalOrder:
         for e in inst.graph.edges:
             assert pos[e.src] < pos[e.dst]
 
+    def test_computed_once_and_shared(self, example_instance):
+        g = example_instance.graph
+        assert topological_order(g) is topological_order(g)
+
+    def test_cycle_raises_on_every_call(self):
+        inst = make_instance([1, 1, 1], [(0, 1, 0), (1, 2, 0), (2, 1, 0)], [1.0])
+        for _ in range(3):
+            with pytest.raises(CycleError, match=r"cycle detected among tasks \[1, 2\]"):
+                topological_order(inst.graph)
+
 
 class TestAdjacency:
     @pytest.mark.parametrize("family", FAMILIES)
@@ -176,6 +186,24 @@ class TestAdjacency:
         assert g.predecessors() == preds
         assert g.successors() == succs
         assert g.edge_data() == {(e.src, e.dst): e.data for e in g.edges}
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_edge_columns_built_once_and_read_only(self, family):
+        g = generate_instance(GeneratorSpec(family=family, n=30, m=3, seed=7,
+                                            density=0.3)).graph
+        assert g.edge_columns() is g.edge_columns()
+        src, dst, data = g.edge_columns()
+        assert src.tolist() == [e.src for e in g.edges]
+        assert dst.tolist() == [e.dst for e in g.edges]
+        assert data.tolist() == [e.data for e in g.edges]
+        for column in (src, dst, data):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_edge_columns_of_edgeless_graph(self):
+        src, dst, data = make_instance([1.0], [], [1.0]).graph.edge_columns()
+        assert src.dtype.kind == dst.dtype.kind == "i" and data.dtype.kind == "f"
+        assert len(src) == len(dst) == len(data) == 0
 
 
 class TestNormalize:

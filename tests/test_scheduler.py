@@ -9,8 +9,8 @@ from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.grouping import GroupAssignment, partition_machines, trivial_assignment
 from getf.model import topological_order
 from getf.oracle import brute_force_schedule
-from getf.scheduler import (START_TIE_TOL, Schedule, SchedulingError, TieBreak,
-                            TieChooser, _Placement, earliest_start, etf_schedule,
+from getf.scheduler import (START_TIE_TOL, VERIFY_TOL, Schedule, SchedulingError, TieBreak,
+                            TieChooser, _Placement, comm_delay, earliest_start, etf_schedule,
                             getf_schedule, schedule_from_dict, sls_schedule, verify_schedule)
 
 from conftest import make_instance
@@ -515,6 +515,108 @@ class TestVerify:
         s = Schedule()
         s.place(0, 0, 0.0, 1.0)
         assert not verify_schedule(example_instance, s).feasible
+
+
+def reference_verify(inst, s, f=None):
+    """``verify_schedule`` as a scalar loop over edges and tasks, kept as the
+    reference for the array checks."""
+    findings = []
+    n = inst.graph.n
+
+    for j in range(n):
+        if j not in s.assignment:
+            findings.append((0.0, f"task {j} is not scheduled"))
+    for j, i in sorted(s.assignment.items()):
+        if not 0 <= j < n:
+            findings.append((0.0, f"unknown task {j} is scheduled"))
+        elif not 0 <= i < inst.platform.m:
+            findings.append((0.0, f"task {j} is placed on unknown machine {i}"))
+    if findings:
+        return [m for _, m in sorted(findings, key=lambda kv: kv[0])]
+
+    by_machine = {}
+    for j in range(n):
+        by_machine.setdefault(s.assignment[j], []).append((s.start[j], s.finish[j], j))
+    for mach, intervals in by_machine.items():
+        intervals.sort()
+        for (a0, b0, t0), (a1, b1, t1) in zip(intervals, intervals[1:]):
+            if not a1 >= b0 - VERIFY_TOL:
+                findings.append((a1, f"tasks {t0} and {t1} overlap on machine {mach}"))
+
+    for e in inst.graph.edges:
+        bound = s.finish[e.src] + comm_delay(inst, e.data, s.assignment[e.src], s.assignment[e.dst])
+        if not s.start[e.dst] >= bound - VERIFY_TOL:
+            findings.append((
+                s.start[e.dst],
+                f"task {e.dst} starts at {s.start[e.dst]:.9g} before its data from "
+                f"task {e.src} arrives at {bound:.9g}",
+            ))
+
+    for j in range(n):
+        expected = inst.graph.tasks[j].demand / inst.platform.speed(s.assignment[j])
+        if not abs((s.finish[j] - s.start[j]) - expected) <= VERIFY_TOL:
+            findings.append((s.start[j], f"task {j} duration differs from demand/speed"))
+
+    if f is not None:
+        for j in range(n):
+            allowed = set(f.machines_for(j))
+            if s.assignment[j] not in allowed:
+                findings.append((s.start[j], f"task {j} placed outside its machine group"))
+
+    findings.sort(key=lambda kv: kv[0])
+    return [m for _, m in findings]
+
+
+ODD_TIMES = (math.nan, math.inf, -math.inf, 0.0, -1.0)
+
+# Corruptions of a feasible schedule: (kind, task pick, amount pick).  The
+# last three kinds stop the check early, so they are drawn less often.
+corruptions = st.lists(st.tuples(
+    st.sampled_from(["shift"] * 4 + ["stretch", "move", "move", "odd-start", "odd-finish"] * 2
+                    + ["drop", "unknown-machine", "unknown-task"]),
+    st.integers(0, 10_000), st.integers(0, 10_000)), max_size=6)
+
+
+class TestVerifyMatchesScalarReference:
+    """Corrupted schedules get the same ``violations``, text and order, from
+    ``verify_schedule`` as from the scalar reference."""
+
+    @given(st.integers(0, 10_000), corruptions, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_same_violations(self, seed, changes, banded):
+        rng = random.Random(seed)
+        inst = generate_instance(GeneratorSpec(
+            family=FAMILIES[seed % 3], n=rng.randint(2, 15), m=rng.randint(1, 5), seed=seed,
+            density=rng.choice([0.2, 0.5]), self_comm=rng.choice(["matrix", "infinite"]),
+            speed_range=(0.2, 1.0)))
+        n, m = inst.graph.n, inst.platform.m
+        f = random_band_assignment(inst, rng) if banded else trivial_assignment(inst)
+        base = getf_schedule(inst, f, TieBreak.by_index())
+        s = Schedule(dict(base.assignment), dict(base.start), dict(base.finish))
+        for kind, a, b in changes:
+            j = a % n
+            if j not in s.assignment:
+                continue
+            if kind == "shift":  # early starts and overlaps, duration kept
+                d = (b % 7 - 3) * 0.5
+                s.start[j] -= d
+                s.finish[j] -= d
+            elif kind == "stretch":
+                s.finish[j] += (b % 5 - 2) * 0.25
+            elif kind == "move":  # possibly outside the band
+                s.assignment[j] = b % m
+            elif kind == "odd-start":
+                s.start[j] = ODD_TIMES[b % len(ODD_TIMES)]
+            elif kind == "odd-finish":
+                s.finish[j] = ODD_TIMES[b % len(ODD_TIMES)]
+            elif kind == "drop":
+                del s.assignment[j], s.start[j], s.finish[j]
+            elif kind == "unknown-machine":
+                s.assignment[j] = (m, -1)[b % 2]
+            else:
+                s.assignment[n + b % 3] = 0
+        for group in (None, f):
+            assert verify_schedule(inst, s, group).violations == reference_verify(inst, s, group)
 
 
 def test_schedule_json_round_trip(example_instance):
