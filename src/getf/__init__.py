@@ -23,7 +23,7 @@ from .model import (Edge, Instance, InstanceError, Machine, Platform, Task,
                     instance_to_dict, load_instance, normalize_demands,
                     parse_instance, serialize_instance, topological_order,
                     validate_instance)
-from .oracle import OracleLimits, brute_force_schedule, lower_bounds, restrict_platform
+from .oracle import brute_force_schedule, lower_bounds, restrict_platform
 from .scheduler import (FeasibilityReport, Schedule, TieBreak, earliest_start,
                         etf_schedule, getf_schedule, schedule_from_dict,
                         sls_schedule, verify_schedule)

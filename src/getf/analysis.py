@@ -232,7 +232,8 @@ def machine_idle_in_window(s: Schedule, machine: int, lo: float, hi: float) -> f
         return 0.0
     busy = 0.0
     for a, b, _ in s.machine_intervals.get(machine, ()):
-        busy += max(0.0, min(b, hi) - max(a, lo))
+        if b > lo and a < hi:  # a skipped interval would add exactly +0.0
+            busy += max(0.0, min(b, hi) - max(a, lo))
     return (hi - lo) - busy
 
 

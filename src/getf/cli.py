@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error (including an unreadable input, an
 unwritable output path or a closed standard output), 2 infeasible input,
-validation failure or a library error (LP, grouping, analysis, oracle), 3
+validation failure or a library error (LP, grouping, analysis), 3
 bound-report violation.  GETF_LOG (quiet|info|debug) controls logging verbosity.
 
 The commands are a thin shell over ``getf.pipeline``: ``solve`` and
@@ -34,7 +34,6 @@ from .generator import (FORK_JOIN, LAYERED, RANDOM_DAG, SELF_COMM_INFINITE,
                         SELF_COMM_MATRIX, WEIGHTS_SINK_ONLY, WEIGHTS_UNIFORM,
                         WEIGHTS_ZERO, GeneratorError, GeneratorSpec, generate_instance)
 from .lp_solver import LpError
-from .oracle import OracleLimitError
 from .pipeline import ALGORITHMS
 
 log = logging.getLogger("getf")
@@ -363,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
     except (model.InstanceError, grouping.GroupingError, scheduler.SchedulingError,
-            LpError, analysis.AnalysisError, OracleLimitError) as exc:
+            LpError, analysis.AnalysisError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INFEASIBLE
 

@@ -163,16 +163,18 @@ def residuals(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int,
-           counts: list[int], sparse: bool = False) -> None:
+           counts: list[int]) -> None:
     """Pivot on (row, col).  counts is [pivots, degenerate pivots]; a pivot is
     degenerate when its step moves the unperturbed point by at most PIVOT_TOL.
-    With ``sparse``, only the rows holding a nonzero in col are updated: the
-    same values, and faster while the column is mostly zeros."""
+    When fewer than half the rows hold a nonzero in col, only those rows are
+    updated; otherwise the whole tableau takes one outer-product update.  Both
+    give the same values, a zero's sign aside: a row with a zero factor keeps
+    its entries."""
     counts[0] += 1
     counts[1] += bool(abs(tableau[row, -1]) <= PIVOT_TOL * abs(tableau[row, col]))
     tableau[row, :] /= tableau[row, col]
-    if sparse:
-        hit = np.flatnonzero(tableau[:, col])
+    hit = np.flatnonzero(tableau[:, col])
+    if 2 * hit.size < len(tableau):
         hit = hit[hit != row]
         tableau[hit] -= np.outer(tableau[hit, col], tableau[row, :])
     else:
@@ -250,15 +252,15 @@ def _subtract_rows(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _install(tableau: np.ndarray, basis: np.ndarray, start: np.ndarray,
              counts: list[int]) -> None:
     """Pivot start[i] into row i, in row order, without pricing or a ratio
-    test; raise LpError on a singular or infeasible start.  These pivots
-    run on a tableau that is still about as sparse as A, so each updates only
-    the rows its column touches."""
+    test; raise LpError on a singular or infeasible start.  The tableau is
+    still about as sparse as A here, so most of these pivots update only
+    the rows their column touches."""
     for row in np.flatnonzero(start >= 0).tolist():
         col = int(start[row])
         if not abs(tableau[row, col]) >= PIVOT_TOL:
             raise LpError(f"start is singular: column {col} has pivot "
                           f"{tableau[row, col]:.6g} in row {row}")
-        _pivot(tableau, basis, row, col, counts, sparse=True)
+        _pivot(tableau, basis, row, col, counts)
     low = int(np.argmin(tableau[:-1, -1]))
     if tableau[low, -1] < -FEAS_TOL:
         raise LpError(f"start is infeasible: row {low} has basic value "

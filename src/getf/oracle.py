@@ -5,14 +5,14 @@ topological order, placing tasks greedily at their earliest feasible start
 for the fixed (assignment, order) pair.  With a fixed assignment and fixed
 per-machine sequencing, delaying any start can never help, so componentwise
 minimal starts are optimal and the enumeration is exact.  Intended strictly
-for acceptance-test ground truth; the state guard aborts anything larger
-than desk scale.
+for acceptance-test ground truth: instances beyond MAX_TASKS tasks or
+MAX_MACHINES machines are refused, which caps the search at
+3^7 assignments x 7! orders, about 1.1e7 states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import Instance, Machine, Platform, topological_order
 from .scheduler import Schedule, comm_delay
@@ -25,11 +25,8 @@ class OracleLimitError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_tasks: int = 7
-    max_machines: int = 3
-    max_states: int = 100_000_000
+MAX_TASKS = 7
+MAX_MACHINES = 3
 
 
 def restrict_platform(inst: Instance, machine_ids: tuple[int, ...]) -> tuple[Instance, dict[int, int]]:
@@ -44,38 +41,10 @@ def restrict_platform(inst: Instance, machine_ids: tuple[int, ...]) -> tuple[Ins
     return Instance(inst.graph, Platform(machines, comm)), dict(enumerate(ordered))
 
 
-def _count_topological_orders(preds: list[list[int]], succs: list[list[int]],
-                              limit: int) -> int:
-    n = len(preds)
-    indeg = [len(p) for p in preds]
-    count = 0
-
-    def walk(remaining: int) -> None:
-        nonlocal count
-        if count > limit:
-            return
-        if remaining == 0:
-            count += 1
-            return
-        for v in range(n):
-            if indeg[v] == 0:
-                indeg[v] = -1
-                for w in succs[v]:
-                    indeg[w] -= 1
-                walk(remaining - 1)
-                for w in succs[v]:
-                    indeg[w] += 1
-                indeg[v] = 0
-
-    walk(n)
-    return count
-
-
 def brute_force_schedule(
     inst: Instance,
     ignore_comm: bool = False,
     objective: str = MAKESPAN,
-    limits: OracleLimits = OracleLimits(),
 ) -> tuple[float, Schedule]:
     """Exact optimum over (machine assignment) x (topological order) pairs.
 
@@ -85,10 +54,10 @@ def brute_force_schedule(
     """
     n = inst.graph.n
     m = inst.platform.m
-    if n > limits.max_tasks or m > limits.max_machines:
+    if n > MAX_TASKS or m > MAX_MACHINES:
         raise OracleLimitError(
             f"instance ({n} tasks, {m} machines) exceeds oracle limits "
-            f"({limits.max_tasks}, {limits.max_machines})"
+            f"({MAX_TASKS}, {MAX_MACHINES})"
         )
     if objective not in (MAKESPAN, WEIGHTED):
         raise ValueError(f"unknown objective {objective!r}")
@@ -99,12 +68,6 @@ def brute_force_schedule(
     demand = [t.demand for t in inst.graph.tasks]
     weight = [t.weight for t in inst.graph.tasks]
     speed = [inst.platform.speed(i) for i in range(m)]
-
-    n_orders = _count_topological_orders(preds, succs, limits.max_states)
-    if m ** n * max(1, n_orders) > limits.max_states:
-        raise OracleLimitError(
-            f"{m ** n} assignments x {n_orders} orders exceeds the state guard"
-        )
 
     def delay(src_task: int, dst_task: int, src_m: int, dst_m: int) -> float:
         if ignore_comm:

@@ -26,10 +26,9 @@ stays so.  Machine-bound tasks of one band share the band's availability
 vector, hence one scan result, and wait in a per-band list sorted by tie
 rank.  The other, *data-bound*, tasks keep their starts, a count of starts
 still above availability (at 0 the task joins its band's list) and their
-cached scan, redone only when a placement raised the scanned machine or the
-row is not clear: another distinct start lies within the tolerance of its
-best.  Each iteration takes the smallest scanned start over the bands and
-the data-bound rows and lets the tie rule choose among everything tied with
+cached scan, redone whenever a placement raised one of their starts.  Each
+iteration takes the smallest scanned start over the bands and the
+data-bound rows and lets the tie rule choose among everything tied with
 it, so every decision matches re-evaluating every ready task on every
 machine in every iteration.  On the benchmark's layered n=1000, m=8 ETF
 instances about 96% of ready tasks are machine-bound; on its n=20 makespan
@@ -270,15 +269,6 @@ def _scan(machines, starts, pref) -> tuple[float, int]:
     return best_t, best_m
 
 
-def _clear_of(best: float, t: float) -> bool:
-    """Whether start ``t`` lies beyond the tolerance above ``best``, as
-    rounded.  If every start of a row that differs from its scanned best is
-    clear of it, that best is the row's minimum on its most preferred
-    machine, and raising another start to a value clear of it leaves the
-    scan's answer unchanged."""
-    return t - best > START_TIE_TOL and best < t - START_TIE_TOL
-
-
 def _group_starts(task: int, f: GroupAssignment, partial: Schedule,
                   inst: Instance) -> tuple[tuple[int, ...], list[float]]:
     """The machines of ``task``'s group and its earliest starts on them."""
@@ -295,7 +285,7 @@ class _Row:
     """A data-bound ready task: its starts in group order, how many still
     exceed their machine's availability, and its cached scan."""
 
-    __slots__ = ("starts", "above", "best", "clear")
+    __slots__ = ("starts", "above", "best")
 
     def __init__(self, starts: list[float], above: int, machines, pref):
         self.starts, self.above = starts, above
@@ -303,8 +293,6 @@ class _Row:
 
     def rescan(self, machines, pref) -> None:
         self.best = _scan(machines, self.starts, pref)
-        t = self.best[0]
-        self.clear = _clear_of(t, min([s for s in self.starts if s != t], default=math.inf))
 
 
 class _Band:
@@ -406,8 +394,7 @@ class _Placement:
                         continue
                 if t < now:
                     row.starts[c] = now
-                    if machine == row.best[1] or not (row.clear and _clear_of(row.best[0], now)):
-                        row.rescan(band.machines, self.pref)
+                    row.rescan(band.machines, self.pref)
             for j in bound:
                 del band.rows[j]
                 insort(band.queue, self.chooser.rank[j])

@@ -60,8 +60,8 @@ def corrupt_first_pivot(pivot):
     RHS of its row: one wrong tableau update for the residual guard to catch."""
     done = []
 
-    def corrupted(tableau, basis, row, col, counts, **kwargs):
-        pivot(tableau, basis, row, col, counts, **kwargs)
+    def corrupted(tableau, basis, row, col, counts):
+        pivot(tableau, basis, row, col, counts)
         if not done:
             tableau[row, -1] += 3.0
             done.append(row)

@@ -404,6 +404,31 @@ def test_idle_window_arithmetic():
     assert machine_idle_in_window(s, 1, 0.0, 2.0) == pytest.approx(2.0)
 
 
+def reference_idle_in_window(s: Schedule, machine: int, lo: float, hi: float) -> float:
+    """machine_idle_in_window as it was before it skipped the intervals
+    outside the window: every interval adds its clipped overlap."""
+    if hi <= lo:
+        return 0.0
+    busy = 0.0
+    for a, b, _ in s.machine_intervals.get(machine, ()):
+        busy += max(0.0, min(b, hi) - max(a, lo))
+    return (hi - lo) - busy
+
+
+TIMES = st.floats(-4, 4) | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(TIMES, TIMES), max_size=10), TIMES, TIMES)
+def test_idle_window_matches_unskipped_loop(intervals, lo, hi):
+    # Unsorted, overlapping and reversed intervals, NaN and infinite times,
+    # and windows with lo >= hi: skipping intervals changes no bit.
+    s = Schedule()
+    s.machine_intervals[0] = [(a, b, j) for j, (a, b) in enumerate(intervals)]
+    assert repr(machine_idle_in_window(s, 0, lo, hi)) == \
+        repr(reference_idle_in_window(s, 0, lo, hi))
+
+
 def test_report_json_shape(example_instance):
     s, f = getf_on_example(example_instance)
     doc = separation_report(s, example_instance, f, f.groups).to_dict()

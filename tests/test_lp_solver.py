@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -624,6 +625,51 @@ class TestPivotCounts:
         inst = generate_instance(GeneratorSpec("layered", 20, 8, seed=100003))
         x = solve_lp(build_makespan_lp(inst, partition_machines(inst.platform))).x
         assert digests == {hashlib.sha256(x.tobytes()).hexdigest()}
+
+
+def full_update_pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int,
+                      counts: list[int]) -> None:
+    """lp_solver._pivot as it was before the pivot column chose its update:
+    the whole tableau takes one outer-product update on every pivot."""
+    counts[0] += 1
+    counts[1] += bool(abs(tableau[row, -1]) <= PIVOT_TOL * abs(tableau[row, col]))
+    tableau[row, :] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row, :])
+    basis[row] = col
+
+
+def solution_bits(lp: LinearProgram) -> tuple:
+    sol = solve_lp(lp)
+    x = None if sol.x is None else sol.x.tobytes()
+    return sol.status, x, repr(sol.objective), sol.pivots, sol.degenerate_pivots
+
+
+def assert_updates_agree(lp: LinearProgram) -> None:
+    """The data-chosen update and the full one give the same bits."""
+    chosen = solution_bits(lp)
+    with mock.patch.object(lp_solver, "_pivot", full_update_pivot):
+        assert solution_bits(lp) == chosen
+
+
+class TestPivotUpdates:
+    def test_started_makespan_programs(self):
+        # The 48 programs of a makespan-lp benchmark run at seed 1.
+        for k in range(48):
+            inst = generate_instance(GeneratorSpec("layered", 20, 8, seed=100_003 + k,
+                                                   density=0.3, weights="zero"))
+            groups = partition_machines(inst.platform)
+            assert_updates_agree(dataclasses.replace(build_makespan_lp(inst, groups),
+                                                     start=_makespan_start(inst, groups)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(programs())
+    def test_drawn_programs(self, lp):
+        assert_updates_agree(lp)
+
+    def test_weighted_program(self):
+        assert_updates_agree(built_program("weighted", "random_dag", 6, 3, 954))
 
 
 def one_line_lp_error(lp: LinearProgram, match: str) -> None:

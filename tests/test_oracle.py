@@ -3,8 +3,8 @@ import random
 import pytest
 
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
-from getf.oracle import (WEIGHTED, OracleLimitError, OracleLimits,
-                         brute_force_schedule, lower_bounds, restrict_platform)
+from getf.oracle import (WEIGHTED, OracleLimitError, brute_force_schedule,
+                         lower_bounds, restrict_platform)
 from getf.scheduler import verify_schedule
 
 from conftest import make_instance
@@ -50,7 +50,7 @@ class TestBruteForce:
     def test_limits_enforced(self):
         inst = make_instance([1.0] * 8, [], [1.0], comm=1.0)
         with pytest.raises(OracleLimitError):
-            brute_force_schedule(inst, limits=OracleLimits(max_tasks=7))
+            brute_force_schedule(inst)
 
     def test_deterministic(self, example_instance):
         a = brute_force_schedule(example_instance, ignore_comm=True)
