@@ -197,11 +197,10 @@ class _ChainTable:
         return self.chain(best), best_val
 
 
-def min_comm_terminal_chain(s: Schedule, inst: Instance, f: GroupAssignment,
-                            anchor: int | None = None) -> tuple[TerminalChain, float]:
+def min_comm_terminal_chain(s: Schedule, inst: Instance,
+                            f: GroupAssignment) -> tuple[TerminalChain, float]:
     """The terminal chain minimizing total communication time, and that time."""
-    anchors = ([anchor] if anchor is not None
-               else latest_finishing(sorted(s.assignment), s.finish))
+    anchors = latest_finishing(sorted(s.assignment), s.finish)
     return _ChainTable(s, inst.graph, _link_comm(inst, f, s)).cheapest(anchors)
 
 

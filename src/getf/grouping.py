@@ -160,16 +160,17 @@ def _running_total(a: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.cumsum(a, axis=axis).take(-1, axis=axis)
 
 
-def _stack_lp(objective: np.ndarray, *blocks) -> LinearProgram:
-    """The program whose rows are the blocks (sense, bounds, *parts) in order;
-    a block's rows are its column parts laid side by side."""
-    rows, senses, bounds = [], [], []
-    for sense, bound, *parts in blocks:
-        rows.append(np.hstack(parts))
-        senses.append(np.full(len(rows[-1]), sense))
-        bounds.append(np.broadcast_to(bound, len(rows[-1])))
-    return LinearProgram(objective, np.vstack(rows), np.concatenate(senses),
-                         np.concatenate(bounds))
+def _zero_program(n_cols: int, *shapes) -> tuple:
+    """(A, sense, b, *blocks): a zero (rows, n_cols) matrix whose rows split
+    into consecutive blocks, each block's row indices shaped like its entry of
+    ``shapes``.  The first block's rows are = 1 and every other row is <= 0."""
+    blocks, start = [], 0
+    for shape in shapes:
+        blocks.append(start + np.arange(np.prod(shape)).reshape(shape))
+        start += blocks[-1].size
+    sense, b = np.full(start, LE), np.zeros(start)
+    sense[blocks[0]], b[blocks[0]] = EQ, 1.0
+    return (np.zeros((start, n_cols)), sense, b, *blocks)
 
 
 def _check_mass(total: np.ndarray) -> None:
@@ -223,29 +224,28 @@ def build_makespan_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
     n, nm = inst.graph.n, len(groups.retained)
     proc = _proc(inst, groups)
     src, dst, _ = inst.graph.edge_columns()
-    eye, minus_eye = np.eye(n), np.diag(-np.ones(n))   # -eye would hold -0.0
-    pick = np.tile(eye, nm)                            # row j selects x[., j]
-    load = pick * proc.ravel()                         # row j: processing time of j
-    objective = np.zeros(nm * n + n + 1)
-    objective[-1] = 1.0
-
-    def t_col(rows: int, value: float) -> np.ndarray:
-        return np.full((rows, 1), value)
-
-    return _stack_lp(
-        objective,
-        # every task fully assigned
-        (EQ, 1.0, pick, np.zeros((n, n)), t_col(n, 0.0)),
-        # processing time <= C_j
-        (LE, 0.0, load, minus_eye, t_col(n, 0.0)),
-        # C_src + proc(dst) <= C_dst
-        (LE, 0.0, load[dst], eye[src] - eye[dst], t_col(len(src), 0.0)),
-        # machine load <= T
-        (LE, 0.0, np.kron(np.eye(nm), np.ones(n)) * proc.ravel(), np.zeros((nm, n)),
-         t_col(nm, -1.0)),
-        # C_j <= T
-        (LE, 0.0, np.zeros((n, nm * n)), eye, t_col(n, -1.0)),
-    )
+    x = np.arange(nm * n).reshape(nm, n)               # column of x[i, j]
+    C, T = nm * n + np.arange(n), nm * n + n
+    A, sense, b, assign, capacity, chain, load, horizon = _zero_program(
+        T + 1, n, n, len(src), (nm, 1), n)
+    # every task fully assigned
+    A[assign, x] = 1.0
+    # processing time <= C_j
+    A[capacity, x] = proc
+    A[capacity, C] = -1.0
+    # C_src + proc(dst) <= C_dst
+    A[chain, x[:, dst]] = proc[:, dst]
+    A[chain, C[src]] = 1.0
+    A[chain, C[dst]] = -1.0
+    # machine load <= T
+    A[load, x] = proc
+    A[load, T] = -1.0
+    # C_j <= T
+    A[horizon, C] = 1.0
+    A[horizon, T] = -1.0
+    objective = np.zeros(T + 1)
+    objective[T] = 1.0
+    return LinearProgram(objective, A, sense, b)
 
 
 def extract_makespan_fractional(
@@ -360,32 +360,31 @@ def build_weighted_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
     Q = horizon_intervals(inst, groups)
     tau = np.array([2.0 ** q for q in range(Q + 1)])
     src, dst, _ = inst.graph.edge_columns()
-    eye, minus_eye = np.eye(n), np.diag(-np.ones(n))
-    upto = np.tril(np.ones((Q, Q)))                    # upto[q-1, t-1] = 1 iff t <= q
-    prefix = np.tile(np.kron(eye, upto), nm).reshape(n, Q, -1)   # [j, q-1]: x[., j, :q]
-    pick = prefix[:, -1]                               # row j: every x[., j, .]
-    proc_x = np.repeat(proc.ravel(), Q)                # proc of x[i, j, q]
-    load = pick * proc_x                               # row j: processing time of j
-    objective = np.zeros(nm * n * Q + n)
-    objective[nm * n * Q:] = [t.weight for t in inst.graph.tasks]
-
-    return _stack_lp(
-        objective,
-        # all mass placed
-        (EQ, 1.0, pick, np.zeros((n, n))),
-        # processing <= C_j
-        (LE, 0.0, load, minus_eye),
-        # chain growth
-        (LE, 0.0, load[dst], eye[src] - eye[dst]),
-        # successor mass lags predecessor, one row per (edge, q)
-        (LE, 0.0, (prefix[dst] - prefix[src]).reshape(-1, nm * n * Q),
-         np.zeros((len(src) * Q, n))),
-        # left interval edge <= C_j
-        (LE, 0.0, pick * np.tile(tau[:-1], nm * n), minus_eye),
-        # prefix load fits the interval, one row per (machine, q)
-        (LE, np.tile(tau[1:], nm), np.kron(np.eye(nm), np.tile(upto, n)) * proc_x,
-         np.zeros((nm * Q, n))),
-    )
+    x = np.arange(nm * n * Q).reshape(nm, n, Q)        # column of x[i, j, q]
+    C = nm * n * Q + np.arange(n)
+    q, t = np.tril_indices(Q)                          # every pair t <= q, as q-1, t-1
+    A, sense, b, assign, capacity, chain, lag, left, prefix = _zero_program(
+        nm * n * Q + n, (n, 1), (n, 1), (len(src), 1), (len(src), Q), (n, 1), (nm, 1, Q))
+    # all mass placed
+    A[assign, x] = 1.0
+    # processing <= C_j
+    A[capacity, x] = proc[:, :, None]
+    A[capacity[:, 0], C] = -1.0
+    # chain growth
+    A[chain, x[:, dst]] = proc[:, dst, None]
+    A[chain[:, 0], C[src]] = 1.0
+    A[chain[:, 0], C[dst]] = -1.0
+    # successor mass lags predecessor, one row per (edge, q)
+    A[lag[:, q], x[:, dst[:, None], t]] = 1.0
+    A[lag[:, q], x[:, src[:, None], t]] = -1.0
+    # left interval edge <= C_j
+    A[left, x] = tau[:-1]
+    A[left[:, 0], C] = -1.0
+    # prefix load fits the interval, one row per (machine, q)
+    A[prefix[..., q], x[:, :, t]] = proc[:, :, None]
+    b[prefix] = tau[1:]
+    objective = np.concatenate([np.zeros(nm * n * Q), [task.weight for task in inst.graph.tasks]])
+    return LinearProgram(objective, A, sense, b)
 
 
 def extract_weighted_fractional(

@@ -537,9 +537,10 @@ class TestChainTableMatchesPerAnchorDP:
                 expected = {j: reference_min_comm(s, inst, f, j)[1] for j in s.iteration_order}
                 got = per_task_chain_comm(s, inst, f)
                 assert got == expected and json.dumps(got) == json.dumps(expected)
-                for anchor in [None, *range(inst.graph.n)]:
-                    assert min_comm_terminal_chain(s, inst, f, anchor) == \
-                        reference_min_comm(s, inst, f, anchor)
+                assert min_comm_terminal_chain(s, inst, f) == reference_min_comm(s, inst, f)
+                table = analysis._ChainTable(s, inst.graph, analysis._link_comm(inst, f, s))
+                for anchor in range(inst.graph.n):
+                    assert table.cheapest([anchor]) == reference_min_comm(s, inst, f, anchor)
 
                 def reports():
                     out = [separation_report(s, inst, f, f.groups).to_json(),

@@ -43,6 +43,9 @@ MALFORMED_DOCS = {
     "null-weight": lambda d: d["tasks"][0].update(weight=None),
     "overflowing-speed": lambda d: d["machines"][0].update(speed=10 ** 400),
     "non-numeric-comm-speed": lambda d: d["comm_speed"][0].__setitem__(0, "a"),
+    "edge-to-missing-task": lambda d: d["edges"][0].update(src=7, dst=1),
+    "negative-edge-data": lambda d: d["edges"][0].update(data=-1.0),
+    "zero-comm-speed": lambda d: d["comm_speed"][0].__setitem__(1, 0.0),
 }
 
 # Documents whose strings and booleans float() and int() would take as numbers.
@@ -166,6 +169,33 @@ class TestSolve:
         assert run("solve", example_file, "--tie", "coin-flip") == EXIT_USAGE
         assert run("solve", example_file, "--tie", "random:x") == EXIT_USAGE
 
+    @pytest.mark.parametrize("tie, rule", [("largest-demand", scheduler.TieBreak.largest_demand),
+                                            ("most-succ", scheduler.TieBreak.most_successors)])
+    def test_named_tie_rules_reach_the_scheduler(self, example_file, tmp_path, tie, rule):
+        out = tmp_path / "sched.json"
+        assert run("solve", example_file, "--algo", "getf-makespan", "--tie", tie,
+                   "-o", out) == EXIT_OK
+        inst = parse_instance(EXAMPLE_JSON)
+        assert out.read_text() == pipeline.run(inst, "getf-makespan", rule())[0].to_json(inst)
+
+    def test_infeasible_pipeline_schedule_exit_2(self, example_file, monkeypatch, capsys):
+        # Task 3 waits for data from tasks 0 and 1; starting it one unit
+        # early must be caught before anything is written.
+        pipeline_run = pipeline.run
+
+        def early_run(inst, *args):
+            sched, f = pipeline_run(inst, *args)
+            doc = sched.to_dict(inst)
+            doc["assignments"][3]["start"] -= 1.0
+            doc["assignments"][3]["end"] -= 1.0
+            return schedule_from_dict(doc), f
+        monkeypatch.setattr(pipeline, "run", early_run)
+        assert run("solve", example_file, "--algo", "etf") == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: schedule failed verification: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_DOCS))
     def test_malformed_document_exit_2_one_line(self, tmp_path, capsys, case):
         doc = json.loads(EXAMPLE_JSON)
@@ -288,6 +318,20 @@ class TestVerify:
         doc["assignments"][0]["start"] = -3.0  # break duration and ordering
         sched.write_text(json.dumps(doc))
         assert run("verify", example_file, sched) == EXIT_INFEASIBLE
+
+    def test_late_schedule_breaks_the_separation_exit_3(self, example_file, tmp_path):
+        # Every time shifted by +100 keeps the ETF schedule feasible, but the
+        # makespan now exceeds P + sum_D + C along any terminal chain.
+        def shift(doc):
+            for entry in doc["assignments"]:
+                entry["start"] += 100.0
+                entry["end"] += 100.0
+        sched = self.tampered(example_file, tmp_path, shift)
+        out = tmp_path / "verify.json"
+        assert run("verify", example_file, sched, "--algo", "etf", "-o", out) == EXIT_BOUND
+        doc = json.loads(out.read_text())
+        assert doc["feasible"] is True and doc["group_consistent"] is True
+        assert doc["separation"]["inequalities"][0]["pass"] is False
 
     def test_with_pipeline_report(self, example_file, tmp_path):
         sched = tmp_path / "sched.json"
@@ -499,6 +543,10 @@ class TestCompare:
         a = compare_batch(str(example_file.parent), ["getf-makespan", "etf"], [3, 4])
         b = compare_batch(str(example_file.parent), ["getf-makespan", "etf"], [3, 4])
         assert strip_runtime(a) == strip_runtime(b)
+
+    def test_unknown_algorithm_usage_error(self, example_file, capsys):
+        assert run("compare", example_file.parent, "--algos", "lpt") == EXIT_USAGE
+        assert capsys.readouterr().err == "error: unknown algorithm 'lpt'\n"
 
 
 def test_compare_loads_each_file_once(example_file, monkeypatch):

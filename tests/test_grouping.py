@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.grouping import (GroupAssignment, GroupingError, MachineGroups, _band_mass,
-                           _assign_from_mass, _makespan_start,
+                           _assign_from_mass, _makespan_start, _proc,
                            MakespanFractional, WeightedFractional,
                            assign_groups_makespan, assign_groups_weighted,
                            build_makespan_lp, build_weighted_lp, collapse_time_indexed,
@@ -17,7 +18,7 @@ from getf.grouping import (GroupAssignment, GroupingError, MachineGroups, _band_
                            partition_machines, solve_makespan_relaxation,
                            solve_weighted_relaxation, trivial_assignment,
                            weighted_slice_feasibility)
-from getf.lp_solver import LE, solve_lp
+from getf.lp_solver import EQ, LE, LinearProgram, solve_lp
 from getf.model import normalize_demands
 from getf.oracle import brute_force_schedule, restrict_platform
 
@@ -617,3 +618,114 @@ class TestMakespanStart:
             frac = extract_makespan_fractional(inst, groups, plain)
             assert (assign_groups_makespan(solve_makespan_relaxation(inst, groups), groups)
                     .to_json() == assign_groups_makespan(frac, groups).to_json()), k
+
+
+# ---------------------------------------------------------------------------
+# Reference: the builders that stacked dense eye/kron/tile blocks.  The
+# builders that write each block by index must give the same bytes.
+# ---------------------------------------------------------------------------
+
+def reference_stack_lp(objective, *blocks):
+    rows, senses, bounds = [], [], []
+    for sense, bound, *parts in blocks:
+        rows.append(np.hstack(parts))
+        senses.append(np.full(len(rows[-1]), sense))
+        bounds.append(np.broadcast_to(bound, len(rows[-1])))
+    return LinearProgram(objective, np.vstack(rows), np.concatenate(senses),
+                         np.concatenate(bounds))
+
+
+def reference_build_makespan_lp(inst, groups):
+    n, nm = inst.graph.n, len(groups.retained)
+    proc = _proc(inst, groups)
+    src, dst, _ = inst.graph.edge_columns()
+    eye, minus_eye = np.eye(n), np.diag(-np.ones(n))   # -eye would hold -0.0
+    pick = np.tile(eye, nm)                            # row j selects x[., j]
+    load = pick * proc.ravel()                         # row j: processing time of j
+    objective = np.zeros(nm * n + n + 1)
+    objective[-1] = 1.0
+
+    def t_col(rows, value):
+        return np.full((rows, 1), value)
+
+    return reference_stack_lp(
+        objective,
+        (EQ, 1.0, pick, np.zeros((n, n)), t_col(n, 0.0)),
+        (LE, 0.0, load, minus_eye, t_col(n, 0.0)),
+        (LE, 0.0, load[dst], eye[src] - eye[dst], t_col(len(src), 0.0)),
+        (LE, 0.0, np.kron(np.eye(nm), np.ones(n)) * proc.ravel(), np.zeros((nm, n)),
+         t_col(nm, -1.0)),
+        (LE, 0.0, np.zeros((n, nm * n)), eye, t_col(n, -1.0)),
+    )
+
+
+def reference_build_weighted_lp(inst, groups):
+    n, nm = inst.graph.n, len(groups.retained)
+    proc = _proc(inst, groups)
+    Q = horizon_intervals(inst, groups)
+    tau = np.array([2.0 ** q for q in range(Q + 1)])
+    src, dst, _ = inst.graph.edge_columns()
+    eye, minus_eye = np.eye(n), np.diag(-np.ones(n))
+    upto = np.tril(np.ones((Q, Q)))                    # upto[q-1, t-1] = 1 iff t <= q
+    prefix = np.tile(np.kron(eye, upto), nm).reshape(n, Q, -1)   # [j, q-1]: x[., j, :q]
+    pick = prefix[:, -1]                               # row j: every x[., j, .]
+    proc_x = np.repeat(proc.ravel(), Q)                # proc of x[i, j, q]
+    load = pick * proc_x                               # row j: processing time of j
+    objective = np.zeros(nm * n * Q + n)
+    objective[nm * n * Q:] = [t.weight for t in inst.graph.tasks]
+
+    return reference_stack_lp(
+        objective,
+        (EQ, 1.0, pick, np.zeros((n, n))),
+        (LE, 0.0, load, minus_eye),
+        (LE, 0.0, load[dst], eye[src] - eye[dst]),
+        (LE, 0.0, (prefix[dst] - prefix[src]).reshape(-1, nm * n * Q),
+         np.zeros((len(src) * Q, n))),
+        (LE, 0.0, pick * np.tile(tau[:-1], nm * n), minus_eye),
+        (LE, np.tile(tau[1:], nm), np.kron(np.eye(nm), np.tile(upto, n)) * proc_x,
+         np.zeros((nm * Q, n))),
+    )
+
+
+def assert_same_program(got, expected):
+    for name in ("objective", "A", "sense", "b"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@given(seed=st.integers(0, 10_000), family=st.sampled_from(FAMILIES),
+       n=st.integers(1, 12), m=st.integers(1, 6),
+       density=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+       speeds=st.sampled_from([(1.0, 2.0), (0.5, 1.0), (0.05, 1.0), (0.05, 0.05), (0.1, 8.0)]),
+       demands=st.sampled_from([(1.0, 4.0), (1.0, 1.0), (0.5, 100.0)]),
+       weights=st.sampled_from(["zero", "uniform", "sink_only"]),
+       gamma=st.sampled_from([None, 1.01, 1.5, 3.0]))
+@settings(max_examples=200, deadline=None)
+def test_builders_match_stacked_reference(seed, family, n, m, density, speeds, demands,
+                                          weights, gamma):
+    inst = generate_instance(GeneratorSpec(family, n, m, seed=seed, density=density,
+                                           speed_range=speeds, demand_range=demands,
+                                           weights=weights))
+    groups = partition_machines(inst.platform, gamma)
+    assert_same_program(build_makespan_lp(inst, groups), reference_build_makespan_lp(inst, groups))
+    normalized, _ = normalize_demands(inst)
+    groups = partition_machines(normalized.platform, gamma)
+    assert_same_program(build_weighted_lp(normalized, groups),
+                        reference_build_weighted_lp(normalized, groups))
+
+
+@pytest.mark.parametrize("build", [build_makespan_lp, build_weighted_lp])
+def test_build_peak_memory_near_the_matrix(build):
+    # Stacking dense blocks held each coefficient two to four times (a peak
+    # of 3.2x A for the makespan program and 3.5x for the weighted one here).
+    inst, _ = normalize_demands(generate_instance(GeneratorSpec(
+        "layered", 30, 8, seed=100_008, density=0.3, weights="uniform")))
+    groups = partition_machines(inst.platform)
+    tracemalloc.start()
+    try:
+        lp = build(inst, groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * lp.A.nbytes, (peak, lp.A.nbytes)

@@ -233,7 +233,7 @@ class TestPlacementEngine:
         assert s.iteration_order == [0, 2, 1] and s.start[1] == 6.0
         assert s.to_json(inst) == naive_getf(inst, f, TieBreak.by_index()).to_json(inst)
 
-    def test_row_that_is_not_clear_is_rescanned(self):
+    def test_raising_a_start_that_is_not_the_best_moves_the_scan(self):
         # Machine preference is 1, 2, 0 (fastest first).  Task 2 waits for
         # data from task 0 until 1 + 1e-12, 1 + 2.2e-12 and 1 + 1.9e-12 on
         # machines 0, 1 and 2; the scan passes machine 1 by and takes machine
