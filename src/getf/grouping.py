@@ -8,7 +8,7 @@ ratio gamma (band k covers [gamma^(k-1), gamma^k), top band closed).
 Two fractional relaxations then drive task assignment:
 
   * the makespan program: fractional machine assignments x[i,j], completion
-    times C[j] and a horizon T to minimize;
+    times C[j] and a horizon T to minimize, with a greedy LPT start;
   * the weighted-completion program: time-indexed fractions x[i,j,q] over
     geometric deadline intervals (tau[q-1], tau[q]], minimizing
     sum_j weight[j] * C[j].
@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,7 +220,19 @@ class MakespanFractional:
 
 def build_makespan_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
     """Fractional-assignment program whose optimum T* lower-bounds the
-    zero-communication optimal makespan over the retained machines."""
+    zero-communication optimal makespan over the retained machines, with a
+    feasible starting basis.
+
+    The start is greedy LPT (Graham 1969): tasks in decreasing demand, ties
+    by id, each goes whole to the retained machine that minimizes load +
+    proc, and that x[i_j, j] is basic in assignment row j.  Along the
+    topological order, C_j = proc + the largest predecessor C is basic in its
+    tight row: the first incoming-edge row that attains that C, or the
+    processing row of a task without predecessors.  T is basic in the argmax
+    machine-load row or, if some C_j is larger, the argmax C_j <= T row.
+    Every other row keeps its slack.  The basis is triangular with +-1 on its
+    diagonal, so it is nonsingular.
+    """
     n, nm = inst.graph.n, len(groups.retained)
     proc = _proc(inst, groups)
     src, dst, _ = inst.graph.edge_columns()
@@ -245,7 +257,28 @@ def build_makespan_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
     A[horizon, T] = -1.0
     objective = np.zeros(T + 1)
     objective[T] = 1.0
-    return LinearProgram(objective, A, sense, b)
+    # the LPT start: the column made basic in each row, -1 keeping its slack
+    start = np.full(len(b), -1)
+    busy, machine = np.zeros(nm), np.zeros(n, dtype=int)
+    for j in sorted(range(n), key=lambda j: (-inst.graph.tasks[j].demand, j)):
+        i = int(np.argmin(busy + proc[:, j]))
+        machine[j] = i
+        busy[i] += proc[i, j]
+        start[assign[j]] = x[i, j]
+    incoming: list[list[int]] = [[] for _ in range(n)]
+    for e, j in enumerate(dst.tolist()):
+        incoming[j].append(e)
+    finish = np.zeros(n)
+    for j in topological_order(inst.graph):
+        ready = max((finish[src[e]] for e in incoming[j]), default=0.0)
+        finish[j] = ready + proc[machine[j], j]
+        tight = next((chain[e] for e in incoming[j] if finish[src[e]] == ready), capacity[j])
+        start[tight] = C[j]
+    if busy.max() >= finish.max():
+        start[load[int(np.argmax(busy)), 0]] = T
+    else:
+        start[horizon[int(np.argmax(finish))]] = T
+    return LinearProgram(objective, A, sense, b, start)
 
 
 def extract_makespan_fractional(
@@ -259,57 +292,10 @@ def extract_makespan_fractional(
     return MakespanFractional(x, sol.x[nm * n: nm * n + n], float(sol.x[nm * n + n]))
 
 
-def _makespan_start(inst: Instance, groups: MachineGroups) -> np.ndarray:
-    """A feasible starting basis for ``build_makespan_lp``'s program.
-
-    Greedy LPT (Graham 1969): tasks in decreasing demand, ties by id, each
-    goes whole to the retained machine that minimizes load + proc, and that
-    x[i_j, j] is basic in assignment row j.  Along the topological order,
-    C_j = proc + the largest predecessor C is basic in its tight row: the
-    first incoming-edge row that attains that C, or the processing row of a
-    task without predecessors.  T is basic in the argmax machine-load row or,
-    if some C_j is larger, the argmax C_j <= T row.  Every other row keeps
-    its slack.  The basis is triangular with +-1 on its diagonal, so it is
-    nonsingular.
-    """
-    n, nm = inst.graph.n, len(groups.retained)
-    proc = _proc(inst, groups)
-    src, dst, _ = inst.graph.edge_columns()
-    n_edges = len(src)
-    edge_row, load_row, horizon_row = 2 * n, 2 * n + n_edges, 2 * n + n_edges + nm
-    start = np.full(horizon_row + n, -1)
-
-    load = np.zeros(nm)
-    machine = np.zeros(n, dtype=int)
-    for j in sorted(range(n), key=lambda j: (-inst.graph.tasks[j].demand, j)):
-        i = int(np.argmin(load + proc[:, j]))
-        machine[j] = i
-        load[i] += proc[i, j]
-        start[j] = i * n + j
-
-    incoming: list[list[int]] = [[] for _ in range(n)]
-    for e, j in enumerate(dst.tolist()):
-        incoming[j].append(e)
-    C = np.zeros(n)
-    for j in topological_order(inst.graph):
-        ready = max((C[src[e]] for e in incoming[j]), default=0.0)
-        C[j] = ready + proc[machine[j], j]
-        tight = next((edge_row + e for e in incoming[j] if C[src[e]] == ready), n + j)
-        start[tight] = nm * n + j
-
-    if load.max() >= C.max():
-        start[load_row + int(np.argmax(load))] = nm * n + n
-    else:
-        start[horizon_row + int(np.argmax(C))] = nm * n + n
-    return start
-
-
 def solve_makespan_relaxation(
     inst: Instance, groups: MachineGroups
 ) -> MakespanFractional:
-    """Solve the makespan program from ``_makespan_start``'s basis."""
-    lp = replace(build_makespan_lp(inst, groups), start=_makespan_start(inst, groups))
-    return extract_makespan_fractional(inst, groups, solve_lp(lp))
+    return extract_makespan_fractional(inst, groups, solve_lp(build_makespan_lp(inst, groups)))
 
 
 def assign_groups_makespan(

@@ -249,20 +249,21 @@ class TestSolve:
         # The worked example's program has 18 rows: 4 assignment, 4 processing,
         # 4 edge, 2 machine-load and 4 C_j <= T rows.  Task 0 starts on
         # machine 1, x[1, 0] being column 4; C_2 is column 2 * 4 + 2.
-        makespan_start = grouping._makespan_start
+        build_makespan_lp = grouping.build_makespan_lp
 
         def bad_start(inst, groups):
-            start = makespan_start(inst, groups)
+            lp = build_makespan_lp(inst, groups)
+            start = lp.start
             if fault == "malformed":
-                return start[:-1]
-            if fault == "singular":
+                lp.start = start[:-1]
+            elif fault == "singular":
                 start[1] = start[0]            # x[1, 0] has no entry in task 1's row
-                return start
-            start[start == 10] = -1            # C_2 leaves its tight edge row ...
-            start[4 + 2] = 10                  # ... for its processing row
-            return start
+            else:
+                start[start == 10] = -1        # C_2 leaves its tight edge row ...
+                start[4 + 2] = 10              # ... for its processing row
+            return lp
 
-        monkeypatch.setattr(grouping, "_makespan_start", bad_start)
+        monkeypatch.setattr(grouping, "build_makespan_lp", bad_start)
         assert run("solve", example_file, "--algo", "getf-makespan") == EXIT_INFEASIBLE
         assert capsys.readouterr().err == f"error: {message}\n"
 

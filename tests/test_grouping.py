@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.grouping import (GroupAssignment, GroupingError, MachineGroups, _band_mass,
-                           _assign_from_mass, _makespan_start, _proc,
+                           _assign_from_mass, _proc,
                            MakespanFractional, WeightedFractional,
                            assign_groups_makespan, assign_groups_weighted,
                            build_makespan_lp, build_weighted_lp, collapse_time_indexed,
@@ -19,7 +19,7 @@ from getf.grouping import (GroupAssignment, GroupingError, MachineGroups, _band_
                            solve_weighted_relaxation, trivial_assignment,
                            weighted_slice_feasibility)
 from getf.lp_solver import EQ, LE, LinearProgram, solve_lp
-from getf.model import normalize_demands
+from getf.model import normalize_demands, topological_order
 from getf.oracle import brute_force_schedule, restrict_platform
 
 from conftest import make_instance
@@ -566,14 +566,13 @@ class TestMakespanStart:
     def test_start_is_feasible_and_nonsingular(self, case):
         inst, gamma = START_CASES[case]
         groups = partition_machines(inst.platform, gamma)
-        lp = dataclasses.replace(build_makespan_lp(inst, groups),
-                                 start=_makespan_start(inst, groups))
+        lp = build_makespan_lp(inst, groups)
         values, cond = basic_point(lp)
         assert cond < 1e6
         assert values.min() >= -1e-12
         # Slack rows hold the row's own slack, so the point they give is feasible.
         assert np.all(lp.sense[lp.start < 0] == LE)
-        started, plain = solve_lp(lp), solve_lp(build_makespan_lp(inst, groups))
+        started, plain = solve_lp(lp), solve_lp(dataclasses.replace(lp, start=None))
         assert started.objective == pytest.approx(plain.objective, rel=1e-9)
 
     def test_edge_cases_are_what_they_say(self):
@@ -587,7 +586,7 @@ class TestMakespanStart:
         # machine 1 (finishing at 2), task 1 to machine 0 (2 < 2 + 4/3), and
         # task 0 to machine 1 (2 + 2/3 < 2 + 1).  x[i, j] is column i * n + j.
         inst, _ = START_CASES["no edges"]
-        start = _makespan_start(inst, partition_machines(inst.platform))
+        start = build_makespan_lp(inst, partition_machines(inst.platform)).start
         assert start[:3].tolist() == [1 * 3 + 0, 0 * 3 + 1, 1 * 3 + 2]
         # T = 8/3 on machine 1's load row (row 2n + 1), above every C_j.
         assert start[2 * 3 + 1] == 2 * 3 + 3 and start[2 * 3] == -1
@@ -596,8 +595,7 @@ class TestMakespanStart:
         # Tasks 0 and 1 both finish at 1 on their own machines, so C_2's tight
         # row is the first edge into task 2, edge 0 (row 2n + 0).
         inst, _ = START_CASES["tied demands"]
-        groups = partition_machines(inst.platform)
-        start = _makespan_start(inst, groups)
+        start = build_makespan_lp(inst, partition_machines(inst.platform)).start
         n, nm = 4, 2
         C = nm * n
         assert start[2 * n + 0] == C + 2 and start[2 * n + 1] == -1
@@ -611,8 +609,8 @@ class TestMakespanStart:
                                                    density=0.3))
             groups = partition_machines(inst.platform)
             lp = build_makespan_lp(inst, groups)
-            plain = solve_lp(lp)
-            started = solve_lp(dataclasses.replace(lp, start=_makespan_start(inst, groups)))
+            plain = solve_lp(dataclasses.replace(lp, start=None))
+            started = solve_lp(lp)
             assert started.objective == pytest.approx(plain.objective, rel=1e-9), k
             assert started.pivots < plain.pivots, k
             frac = extract_makespan_fractional(inst, groups, plain)
@@ -621,8 +619,10 @@ class TestMakespanStart:
 
 
 # ---------------------------------------------------------------------------
-# Reference: the builders that stacked dense eye/kron/tile blocks.  The
-# builders that write each block by index must give the same bytes.
+# Reference: the builders that stacked dense eye/kron/tile blocks, and the
+# makespan start that kept its own copy of the program's row offsets.  The
+# builders that write each block, and the start, by index must give the same
+# bytes.
 # ---------------------------------------------------------------------------
 
 def reference_stack_lp(objective, *blocks):
@@ -633,6 +633,39 @@ def reference_stack_lp(objective, *blocks):
         bounds.append(np.broadcast_to(bound, len(rows[-1])))
     return LinearProgram(objective, np.vstack(rows), np.concatenate(senses),
                          np.concatenate(bounds))
+
+
+def reference_makespan_start(inst, groups):
+    n, nm = inst.graph.n, len(groups.retained)
+    proc = _proc(inst, groups)
+    src, dst, _ = inst.graph.edge_columns()
+    n_edges = len(src)
+    edge_row, load_row, horizon_row = 2 * n, 2 * n + n_edges, 2 * n + n_edges + nm
+    start = np.full(horizon_row + n, -1)
+
+    load = np.zeros(nm)
+    machine = np.zeros(n, dtype=int)
+    for j in sorted(range(n), key=lambda j: (-inst.graph.tasks[j].demand, j)):
+        i = int(np.argmin(load + proc[:, j]))
+        machine[j] = i
+        load[i] += proc[i, j]
+        start[j] = i * n + j
+
+    incoming: list[list[int]] = [[] for _ in range(n)]
+    for e, j in enumerate(dst.tolist()):
+        incoming[j].append(e)
+    C = np.zeros(n)
+    for j in topological_order(inst.graph):
+        ready = max((C[src[e]] for e in incoming[j]), default=0.0)
+        C[j] = ready + proc[machine[j], j]
+        tight = next((edge_row + e for e in incoming[j] if C[src[e]] == ready), n + j)
+        start[tight] = nm * n + j
+
+    if load.max() >= C.max():
+        start[load_row + int(np.argmax(load))] = nm * n + n
+    else:
+        start[horizon_row + int(np.argmax(C))] = nm * n + n
+    return start
 
 
 def reference_build_makespan_lp(inst, groups):
@@ -648,7 +681,7 @@ def reference_build_makespan_lp(inst, groups):
     def t_col(rows, value):
         return np.full((rows, 1), value)
 
-    return reference_stack_lp(
+    lp = reference_stack_lp(
         objective,
         (EQ, 1.0, pick, np.zeros((n, n)), t_col(n, 0.0)),
         (LE, 0.0, load, minus_eye, t_col(n, 0.0)),
@@ -657,6 +690,7 @@ def reference_build_makespan_lp(inst, groups):
          t_col(nm, -1.0)),
         (LE, 0.0, np.zeros((n, nm * n)), eye, t_col(n, -1.0)),
     )
+    return dataclasses.replace(lp, start=reference_makespan_start(inst, groups))
 
 
 def reference_build_weighted_lp(inst, groups):
@@ -688,8 +722,11 @@ def reference_build_weighted_lp(inst, groups):
 
 
 def assert_same_program(got, expected):
-    for name in ("objective", "A", "sense", "b"):
+    for name in ("objective", "A", "sense", "b", "start"):
         a, b = getattr(got, name), getattr(expected, name)
+        if a is None or b is None:                     # the weighted program has no start
+            assert a is b, name
+            continue
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
 

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from getf import lp_solver
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
-from getf.grouping import (_makespan_start, build_makespan_lp, build_weighted_lp,
-                           partition_machines, solve_makespan_relaxation)
+from getf.grouping import (build_makespan_lp, build_weighted_lp, partition_machines,
+                           solve_makespan_relaxation)
 from getf.lp_solver import (EQ, FEAS_TOL, GE, INFEASIBLE, LE, OPTIMAL, PIVOT_TOL, UNBOUNDED,
                             LinearProgram, LpError, LpSolution, residuals, solve_lp)
 from getf.model import normalize_demands
@@ -111,17 +111,22 @@ def highs_objective(lp: LinearProgram) -> float:
     return objective
 
 
+def unstarted(lp: LinearProgram) -> LinearProgram:
+    """``lp`` without its starting basis, so ``solve_lp`` runs phase 1 from
+    the slack basis."""
+    return dataclasses.replace(lp, start=None)
+
+
 def built_program(kind: str, family: str, n: int, m: int, seed: int) -> LinearProgram:
-    """kind "makespan-start" is the makespan program with its crash basis."""
+    """kind "makespan" is the makespan program without its crash basis,
+    "makespan-start" the program as built."""
     spec = GeneratorSpec(family, n, m, seed=seed, density=0.3, weights="uniform",
                          speed_range=(0.5, 1.0) if kind == "weighted" else (1.0, 2.0))
     inst = generate_instance(spec)
     if kind == "makespan":
-        return build_makespan_lp(inst, partition_machines(inst.platform))
+        return unstarted(build_makespan_lp(inst, partition_machines(inst.platform)))
     if kind == "makespan-start":
-        groups = partition_machines(inst.platform)
-        return dataclasses.replace(build_makespan_lp(inst, groups),
-                                   start=_makespan_start(inst, groups))
+        return build_makespan_lp(inst, partition_machines(inst.platform))
     inst, _ = normalize_demands(inst)
     return build_weighted_lp(inst, partition_machines(inst.platform))
 
@@ -152,16 +157,34 @@ def test_objective_matches_highs(kind, family, n, m, seed):
     assert sol.objective == pytest.approx(expected, rel=1e-7, abs=1e-7)
 
 
-@pytest.mark.parametrize("demand_hi,speed_range", [(1e5, (1.0, 2.0)), (1e4, (0.01, 1.0))])
-def test_wide_range_program_solves_from_its_start(demand_hi, speed_range):
-    # Demands spanning four or five decades: the unstarted solve of this program
-    # calls it infeasible (1e5) or its point fails the residual guard (1e4).
+# Makespan programs whose demands span four or five decades, keyed by the top
+# of the demand range, with HiGHS's optimum.  Solved unstarted, the first is
+# called infeasible and the second's point fails the residual guard.
+WIDE_RANGE_OPTIMA = {1e5: 93859.66371352605, 1e4: 24595.405494975847}
+WIDE_RANGE_CASES = [(1e5, (1.0, 2.0)), (1e4, (0.01, 1.0))]
+
+
+def wide_range_instance(demand_hi: float, speed_range: tuple[float, float]):
     inst = generate_instance(GeneratorSpec("layered", 20, 8, seed=2, density=0.3,
                                            demand_range=(1.0, demand_hi),
                                            speed_range=speed_range))
-    groups = partition_machines(inst.platform)
-    expected = highs_objective(build_makespan_lp(inst, groups))
+    return inst, partition_machines(inst.platform)
+
+
+@pytest.mark.parametrize("demand_hi,speed_range", WIDE_RANGE_CASES)
+def test_wide_range_program_solves_from_its_start(demand_hi, speed_range):
+    inst, groups = wide_range_instance(demand_hi, speed_range)
+    expected = WIDE_RANGE_OPTIMA[demand_hi]
+    sol = solve_lp(build_makespan_lp(inst, groups))
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(expected, rel=1e-9)
     assert solve_makespan_relaxation(inst, groups).T == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("demand_hi,speed_range", WIDE_RANGE_CASES)
+def test_wide_range_optimum_is_highs(demand_hi, speed_range):
+    lp = build_makespan_lp(*wide_range_instance(demand_hi, speed_range))
+    assert highs_objective(lp) == pytest.approx(WIDE_RANGE_OPTIMA[demand_hi], rel=1e-9)
 
 
 # Weighted relaxations that Bland's rule failed on: 100057 ended on an
@@ -576,9 +599,7 @@ class TestContracts:
         # The pipelines' path: a crash basis, whose first pivot is one of the
         # start's own.  The guard refuses the point it corrupts too.
         inst = generate_instance(GeneratorSpec("layered", 20, 8, seed=100003, density=0.3))
-        groups = partition_machines(inst.platform)
-        lp = dataclasses.replace(build_makespan_lp(inst, groups),
-                                 start=_makespan_start(inst, groups))
+        lp = build_makespan_lp(inst, partition_machines(inst.platform))
         assert solve_lp(lp).status == OPTIMAL
         monkeypatch.setattr(lp_solver, "_pivot", corrupt_first_pivot(lp_solver._pivot))
         with pytest.raises(LpError, match=r"^simplex returned an infeasible point: "
@@ -599,7 +620,7 @@ class TestPivotCounts:
     def test_far_fewer_pivots_than_bland(self):
         # Bland's rule needs about 4,000 pivots on this makespan program.
         inst = generate_instance(GeneratorSpec("layered", 20, 8, seed=100003, density=0.3))
-        sol = solve_lp(build_makespan_lp(inst, partition_machines(inst.platform)))
+        sol = solve_lp(unstarted(build_makespan_lp(inst, partition_machines(inst.platform))))
         assert sol.status == OPTIMAL
         assert 0 < sol.pivots < 1000
         assert 0 <= sol.degenerate_pivots <= sol.pivots
@@ -613,6 +634,7 @@ class TestPivotCounts:
                   "from getf.lp_solver import solve_lp\n"
                   "inst = generate_instance(GeneratorSpec('layered', 20, 8, seed=100003))\n"
                   "lp = build_makespan_lp(inst, partition_machines(inst.platform))\n"
+                  "lp.start = None\n"
                   "print(hashlib.sha256(solve_lp(lp).x.tobytes()).hexdigest())\n")
         digests = set()
         for threads in ("1", "2"):
@@ -623,7 +645,7 @@ class TestPivotCounts:
                                  env=env, capture_output=True, text=True, timeout=120, check=True)
             digests.add(out.stdout.strip())
         inst = generate_instance(GeneratorSpec("layered", 20, 8, seed=100003))
-        x = solve_lp(build_makespan_lp(inst, partition_machines(inst.platform))).x
+        x = solve_lp(unstarted(build_makespan_lp(inst, partition_machines(inst.platform)))).x
         assert digests == {hashlib.sha256(x.tobytes()).hexdigest()}
 
 
@@ -659,9 +681,7 @@ class TestPivotUpdates:
         for k in range(48):
             inst = generate_instance(GeneratorSpec("layered", 20, 8, seed=100_003 + k,
                                                    density=0.3, weights="zero"))
-            groups = partition_machines(inst.platform)
-            assert_updates_agree(dataclasses.replace(build_makespan_lp(inst, groups),
-                                                     start=_makespan_start(inst, groups)))
+            assert_updates_agree(build_makespan_lp(inst, partition_machines(inst.platform)))
 
     @settings(max_examples=200, deadline=None)
     @given(programs())
