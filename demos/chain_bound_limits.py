@@ -9,15 +9,15 @@ light edge 1 -> 2, so the certified bound falls short of the real makespan
 and the report says so loudly.
 """
 
-from getf import (Edge, Instance, Machine, Platform, Task, TaskGraph, TieBreak,
-                  getf_schedule, separation_report, trivial_assignment)
+from getf import (Instance, Machine, Platform, TaskGraph, TieBreak, getf_schedule,
+                  separation_report, trivial_assignment)
 
 
 def main():
     inst = Instance(
         TaskGraph(
-            (Task(0, 1.0), Task(1, 2.0), Task(2, 1.0)),
-            (Edge(0, 2, 4.0), Edge(1, 2, 0.5)),
+            demand=(1.0, 2.0, 1.0), weight=(0.0, 0.0, 0.0),
+            src=(0, 1), dst=(2, 2), data=(4.0, 0.5),  # edges 0 -> 2 and 1 -> 2
         ),
         Platform(
             (Machine(0, 1.0), Machine(1, 1.0), Machine(2, 1.0)),

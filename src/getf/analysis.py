@@ -210,7 +210,7 @@ def min_comm_terminal_chain(s: Schedule, inst: Instance,
 
 def chain_processing_time(chain: TerminalChain, s: Schedule, inst: Instance) -> float:
     return sum(
-        inst.graph.tasks[j].demand / inst.platform.speed(s.assignment[j])
+        inst.graph.demand[j] / inst.platform.speed(s.assignment[j])
         for j in chain.tasks
     )
 
@@ -218,8 +218,8 @@ def chain_processing_time(chain: TerminalChain, s: Schedule, inst: Instance) -> 
 def group_loads(inst: Instance, f: GroupAssignment, groups: MachineGroups) -> dict[int, float]:
     """D_k: total demand assigned to band k over the band's original speed."""
     demand_by_group: dict[int, float] = {k: 0.0 for k in range(1, groups.K + 1)}
-    for t in inst.graph.tasks:
-        demand_by_group[f.group_of_task[t.id]] += t.demand
+    for j, d in enumerate(inst.graph.demand):
+        demand_by_group[f.group_of_task[j]] += d
     out: dict[int, float] = {}
     for k, total in demand_by_group.items():
         out[k] = total / groups.group_speed[k] if total > 0 else 0.0
@@ -319,13 +319,13 @@ def identical_report(s: Schedule, inst: Instance,
         return sum(comm_delay(inst, edge_data[(a, b)], src, i) for i in range(m)) / m
 
     def node_cost(j: int) -> float:
-        return (m - 1) / m * inst.graph.tasks[j].demand / speed
+        return (m - 1) / m * inst.graph.demand[j] / speed
 
     table = _ChainTable(s, inst.graph, link_cost, node_cost)
     chain, _ = table.cheapest(latest_finishing(sorted(s.assignment), s.finish))
     c_prime = sum(link_cost(a, b) for a, b in chain.links())
     chain_proc = chain_processing_time(chain, s, inst)
-    avg_load = sum(t.demand for t in inst.graph.tasks) / (m * speed)
+    avg_load = sum(inst.graph.demand) / (m * speed)
 
     report = BoundReport(
         kind="identical",
@@ -389,7 +389,7 @@ def weighted_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
     c_star, q_of = wsol.C.tolist(), wsol.q_of.tolist()
     g, K = groups.gamma, groups.K
     factor = 32.0 * (g + K)
-    weights = {t.id: t.weight for t in inst.graph.tasks}
+    weights = dict(enumerate(inst.graph.weight))
 
     report = BoundReport(
         kind="weighted_theorem",
@@ -402,7 +402,7 @@ def weighted_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
     prefix_load: dict[int, float] = {k: 0.0 for k in range(1, K + 1)}
     for j in s.iteration_order:
         k = f.group_of_task[j]
-        prefix_load[k] += inst.graph.tasks[j].demand
+        prefix_load[k] += inst.graph.demand[j]
         proc_j = chain_processing_time(table.chain(j), s, inst)
         loads_j = sum(
             prefix_load[k] / groups.group_speed[k]

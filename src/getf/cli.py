@@ -111,7 +111,7 @@ def _load_instance(path: str) -> model.Instance:
 def _load_schedule(path: str) -> scheduler.Schedule:
     try:
         return scheduler.schedule_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CliError(f"cannot read schedule: {exc}", EXIT_USAGE) from exc
 
 

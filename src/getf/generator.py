@@ -16,6 +16,8 @@ Weight modes: ``zero`` (all weights 0), ``uniform`` (positive uniform
 weights), and ``sink_only`` (a unit-demand collector task is appended,
 fed by every sink over zero-data edges, and carries the only weight --
 the makespan-as-weighted-completion reduction).
+
+The graph's columns are filled straight from the draws.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .model import Edge, Instance, Machine, Platform, Task, TaskGraph
+from .model import Instance, Machine, Platform, TaskGraph
 
 LAYERED = "layered"
 FORK_JOIN = "fork_join"
@@ -126,19 +128,22 @@ def generate_instance(spec: GeneratorSpec) -> Instance:
     else:
         pairs = _edges_random(spec, rng)
 
-    tasks = [
-        Task(j, rng.uniform(*spec.demand_range), 0.0) for j in range(spec.n)
-    ]
-    edges = [Edge(u, v, rng.uniform(*spec.data_range)) for u, v in sorted(pairs)]
+    demand = [rng.uniform(*spec.demand_range) for _ in range(spec.n)]
+    weight = [0.0] * spec.n
+    pairs.sort()
+    src, dst = [u for u, _ in pairs], [v for _, v in pairs]
+    data = [rng.uniform(*spec.data_range) for _ in pairs]
 
     if spec.weights == WEIGHTS_UNIFORM:
-        tasks = [Task(t.id, t.demand, rng.uniform(0.1, 1.0)) for t in tasks]
+        weight = [rng.uniform(0.1, 1.0) for _ in range(spec.n)]
     elif spec.weights == WEIGHTS_SINK_ONLY:
-        has_succ = {e.src for e in edges}
-        sinks = [t.id for t in tasks if t.id not in has_succ]
-        collector = len(tasks)
-        edges += [Edge(s, collector, 0.0) for s in sinks]
-        tasks.append(Task(collector, 1.0, 1.0))
+        has_succ = set(src)
+        sinks = [j for j in range(spec.n) if j not in has_succ]
+        src += sinks
+        dst += [spec.n] * len(sinks)
+        data += [0.0] * len(sinks)
+        demand.append(1.0)
+        weight.append(1.0)
 
     machines = [Machine(i, rng.uniform(*spec.speed_range)) for i in range(spec.m)]
     comm_rows = []
@@ -152,6 +157,6 @@ def generate_instance(spec: GeneratorSpec) -> Instance:
         comm_rows.append(tuple(row))
 
     return Instance(
-        TaskGraph(tuple(tasks), tuple(edges)),
+        TaskGraph(tuple(demand), tuple(weight), tuple(src), tuple(dst), tuple(data)),
         Platform(tuple(machines), tuple(comm_rows)),
     )

@@ -104,7 +104,7 @@ def _machine_groups(platform: Platform, gamma: float, K: int,
 def trivial_assignment(inst: Instance) -> GroupAssignment:
     """Every task in one band holding every machine."""
     groups = _machine_groups(inst.platform, 2.0, 1, {mc.id: 1 for mc in inst.platform.machines})
-    return GroupAssignment({t.id: 1 for t in inst.graph.tasks}, groups)
+    return GroupAssignment(dict.fromkeys(range(inst.graph.n), 1), groups)
 
 
 def default_gamma(m: int) -> float:
@@ -151,7 +151,7 @@ def _speeds(inst: Instance, groups: MachineGroups) -> np.ndarray:
 
 def _proc(inst: Instance, groups: MachineGroups) -> np.ndarray:
     """(nm, n) processing times demand[j] / speed[i] on the retained machines."""
-    demand = np.array([t.demand for t in inst.graph.tasks])
+    demand = np.array(inst.graph.demand)
     return demand / _speeds(inst, groups)[:, None]
 
 
@@ -260,7 +260,7 @@ def build_makespan_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
     # the LPT start: the column made basic in each row, -1 keeping its slack
     start = np.full(len(b), -1)
     busy, machine = np.zeros(nm), np.zeros(n, dtype=int)
-    for j in sorted(range(n), key=lambda j: (-inst.graph.tasks[j].demand, j)):
+    for j in sorted(range(n), key=lambda j: (-inst.graph.demand[j], j)):
         i = int(np.argmin(busy + proc[:, j]))
         machine[j] = i
         busy[i] += proc[i, j]
@@ -324,7 +324,7 @@ class WeightedFractional:
 
 def horizon_intervals(inst: Instance, groups: MachineGroups) -> int:
     """Number of geometric deadline intervals covering the serial horizon."""
-    total = sum(t.demand for t in inst.graph.tasks)
+    total = sum(inst.graph.demand)
     slowest = min(inst.platform.speed(i) for i in groups.retained)
     return max(1, math.ceil(math.log2(total / slowest) - 1e-12))
 
@@ -369,7 +369,7 @@ def build_weighted_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
     # prefix load fits the interval, one row per (machine, q)
     A[prefix[..., q], x[:, :, t]] = proc[:, :, None]
     b[prefix] = tau[1:]
-    objective = np.concatenate([np.zeros(nm * n * Q), [task.weight for task in inst.graph.tasks]])
+    objective = np.concatenate([np.zeros(nm * n * Q), inst.graph.weight])
     return LinearProgram(objective, A, sense, b)
 
 
@@ -438,7 +438,7 @@ def weighted_slice_feasibility(
     if sol.x_tilde is None:
         raise GroupingError("collapse_time_indexed must run first")
     speed = _speeds(inst, groups)[:, None]
-    demand = np.array([t.demand for t in inst.graph.tasks])
+    demand = np.array(inst.graph.demand)
     src, dst, _ = inst.graph.edge_columns()
     total = _running_total(sol.x_tilde)
     proc = demand * _running_total(sol.x_tilde / speed)

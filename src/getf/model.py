@@ -13,6 +13,12 @@ Conventions:
     start(j) >= finish(j') + data / comm_speed[m(j')][m(j)];
   * a communication speed of ``math.inf`` means zero delay and is encoded
     as ``null`` in JSON; every other number in an instance is finite.
+
+A ``TaskGraph`` is stored once, as columns: ``demand`` and ``weight`` per
+task, ``src``, ``dst`` and ``data`` per edge.  The loader and the generator
+fill them straight from their lists, and ``validate_instance`` walks
+them item by item.  ``Task`` and ``Edge`` records exist only in the graph's ``tasks``
+and ``edges`` views, built on first access.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 
@@ -51,42 +57,73 @@ class Edge:
 
 @dataclass(frozen=True)
 class TaskGraph:
-    """A task DAG.  Its predecessor and successor lists (in edge order), its
-    (src, dst) -> data dict, its edge columns and its topological order are
-    each built once, on first use; every call returns those same shared
-    objects, which callers must not mutate."""
+    """A task DAG held as columns: task j has ``demand[j]`` and ``weight[j]``,
+    and edge k runs from ``src[k]`` to ``dst[k]`` carrying ``data[k]``.  The
+    columns are immutable sequences (the loader and the generator give
+    tuples), indexed one item at a time by the placement and chain loops.
 
-    tasks: tuple[Task, ...]
-    edges: tuple[Edge, ...]
+    Everything else is built once, on first use, and shared by every call,
+    so callers must not mutate it: the predecessor and successor lists (in
+    edge order) with the edge data aligned to each predecessor list, the
+    (src, dst) -> data dict, the edge columns as arrays, the topological
+    order, and the ``tasks`` and ``edges`` views, tuples of ``Task`` and
+    ``Edge`` records for callers that want records (the package reads the
+    columns).
+    """
+
+    demand: tuple[float, ...]
+    weight: tuple[float, ...]
+    src: tuple[int, ...]
+    dst: tuple[int, ...]
+    data: tuple[float, ...]
 
     @property
     def n(self) -> int:
-        return len(self.tasks)
+        return len(self.demand)
 
     @cached_property
-    def _adjacency(self) -> tuple[list, list, dict]:
-        preds: list[list[int]] = [[] for _ in self.tasks]
-        succs: list[list[int]] = [[] for _ in self.tasks]
-        for e in self.edges:
-            preds[e.dst].append(e.src)
-            succs[e.src].append(e.dst)
-        return preds, succs, {(e.src, e.dst): e.data for e in self.edges}
+    def tasks(self) -> tuple[Task, ...]:
+        """The tasks as records, ids 0..n-1."""
+        return tuple(map(Task, range(self.n), self.demand, self.weight))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as records, in edge order."""
+        return tuple(map(Edge, self.src, self.dst, self.data))
+
+    @cached_property
+    def _adjacency(self) -> tuple[list, list, list]:
+        preds: list[list[int]] = [[] for _ in range(self.n)]
+        pred_data: list[list[float]] = [[] for _ in range(self.n)]
+        succs: list[list[int]] = [[] for _ in range(self.n)]
+        for s, d, w in zip(self.src, self.dst, self.data):
+            preds[d].append(s)
+            pred_data[d].append(w)
+            succs[s].append(d)
+        return preds, pred_data, succs
 
     def predecessors(self) -> list[list[int]]:
         """Immediate predecessor ids, indexed by task id."""
         return self._adjacency[0]
 
-    def successors(self) -> list[list[int]]:
+    def predecessor_data(self) -> list[list[float]]:
+        """The data on each edge into a task, aligned with ``predecessors()``."""
         return self._adjacency[1]
 
-    def edge_data(self) -> dict[tuple[int, int], float]:
+    def successors(self) -> list[list[int]]:
         return self._adjacency[2]
 
     @cached_property
+    def _edge_data(self) -> dict[tuple[int, int], float]:
+        return dict(zip(zip(self.src, self.dst), self.data))
+
+    def edge_data(self) -> dict[tuple[int, int], float]:
+        return self._edge_data
+
+    @cached_property
     def _edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        columns = (np.array([e.src for e in self.edges], dtype=int),
-                   np.array([e.dst for e in self.edges], dtype=int),
-                   np.array([e.data for e in self.edges], dtype=float))
+        columns = (np.array(self.src, dtype=int), np.array(self.dst, dtype=int),
+                   np.array(self.data, dtype=float))
         for a in columns:
             a.flags.writeable = False
         return columns
@@ -157,41 +194,58 @@ def validate_instance(inst: Instance) -> ValidationReport:
 
     Disconnected DAGs and zero-data edges are legal.
     """
+    return _validate(inst, range(inst.graph.n))
+
+
+def _validate(inst: Instance, task_ids) -> ValidationReport:
+    """``validate_instance``, with the task ids the document gave (a graph
+    numbers its tasks by position)."""
     report = ValidationReport()
     g, p = inst.graph, inst.platform
     n, m = g.n, p.m
+    demand, weight, src, dst, data = g.demand, g.weight, g.src, g.dst, g.data
+    finite = math.isfinite
 
-    for idx, task in enumerate(g.tasks):
-        if task.id != idx:
-            report.violations.append(f"task ids must be dense 0..n-1, found {task.id} at position {idx}")
-        if not math.isfinite(task.demand):
-            report.violations.append(f"non-finite demand, task {task.id}")
-        elif not task.demand > 0:
-            report.violations.append(f"nonpositive demand, task {task.id}")
-        if not math.isfinite(task.weight):
-            report.violations.append(f"non-finite weight, task {task.id}")
-        elif task.weight < 0:
-            report.violations.append(f"negative weight, task {task.id}")
+    # Every check below zips the columns, which would stop at the shortest.
+    if len(weight) != n:
+        report.violations.append(f"task columns differ in length: demand {n}, weight {len(weight)}")
+    if not len(src) == len(dst) == len(data):
+        report.violations.append(
+            f"edge columns differ in length: src {len(src)}, dst {len(dst)}, data {len(data)}")
+    if report.violations:
+        return report
+
+    for idx, (tid, d, w) in enumerate(zip(task_ids, demand, weight)):
+        if tid != idx:
+            report.violations.append(f"task ids must be dense 0..n-1, found {tid} at position {idx}")
+        if not finite(d):
+            report.violations.append(f"non-finite demand, task {tid}")
+        elif not d > 0:
+            report.violations.append(f"nonpositive demand, task {tid}")
+        if not finite(w):
+            report.violations.append(f"non-finite weight, task {tid}")
+        elif w < 0:
+            report.violations.append(f"negative weight, task {tid}")
 
     seen_pairs: set[tuple[int, int]] = set()
-    for e in g.edges:
-        if not (0 <= e.src < n) or not (0 <= e.dst < n):
-            report.violations.append(f"edge ({e.src},{e.dst}) references missing task")
+    for s, d, w in zip(src, dst, data):
+        if not (0 <= s < n) or not (0 <= d < n):
+            report.violations.append(f"edge ({s},{d}) references missing task")
             continue
-        if e.src == e.dst:
-            report.violations.append(f"self edge on task {e.src}")
-        if (e.src, e.dst) in seen_pairs:
-            report.violations.append(f"parallel edge ({e.src},{e.dst})")
-        seen_pairs.add((e.src, e.dst))
-        if not math.isfinite(e.data):
-            report.violations.append(f"non-finite data on edge ({e.src},{e.dst})")
-        elif e.data < 0:
-            report.violations.append(f"negative data on edge ({e.src},{e.dst})")
+        if s == d:
+            report.violations.append(f"self edge on task {s}")
+        if (s, d) in seen_pairs:
+            report.violations.append(f"parallel edge ({s},{d})")
+        seen_pairs.add((s, d))
+        if not finite(w):
+            report.violations.append(f"non-finite data on edge ({s},{d})")
+        elif w < 0:
+            report.violations.append(f"negative data on edge ({s},{d})")
 
     for idx, mac in enumerate(p.machines):
         if mac.id != idx:
             report.violations.append(f"machine ids must be dense 0..m-1, found {mac.id} at position {idx}")
-        if not math.isfinite(mac.speed):
+        if not finite(mac.speed):
             report.violations.append(f"non-finite speed, machine {mac.id}")
         elif not mac.speed > 0:
             report.violations.append(f"nonpositive speed, machine {mac.id}")
@@ -203,7 +257,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
             for j, s in enumerate(row):
                 if s == math.inf:  # zero delay
                     continue
-                if not math.isfinite(s):
+                if not finite(s):
                     report.violations.append(f"non-finite comm speed, pair ({i},{j})")
                 elif not s > 0:
                     report.violations.append(f"nonpositive comm speed, pair ({i},{j})")
@@ -231,14 +285,13 @@ def normalize_demands(inst: Instance) -> tuple[Instance, float]:
     (1.0 when the instance is already normalized).  Edge data volumes and
     machine speeds are untouched, so communication times are preserved.
     """
-    min_ratio = min(
-        t.demand / mac.speed for t in inst.graph.tasks for mac in inst.platform.machines
-    )
+    g = inst.graph
+    # Rounded division is monotone, so this is the smallest demand/speed of any pair.
+    min_ratio = min(g.demand) / max(mc.speed for mc in inst.platform.machines)
     if min_ratio >= 1.0 - 1e-12:  # tolerate one ulp of drift: keeps this idempotent
         return inst, 1.0
     scale = 1.0 / min_ratio
-    tasks = tuple(Task(t.id, t.demand * scale, t.weight) for t in inst.graph.tasks)
-    graph = TaskGraph(tasks, inst.graph.edges)
+    graph = replace(g, demand=tuple(d * scale for d in g.demand))
     return Instance(graph, inst.platform), scale
 
 
@@ -252,13 +305,11 @@ def normalize_demands(inst: Instance) -> tuple[Instance, float]:
 
 def instance_to_dict(inst: Instance) -> dict:
     """The instance as its JSON document; the inverse of ``instance_from_dict``."""
+    g = inst.graph
     return {
-        "tasks": [
-            {"id": t.id, "demand": t.demand, "weight": t.weight} for t in inst.graph.tasks
-        ],
-        "edges": [
-            {"src": e.src, "dst": e.dst, "data": e.data} for e in inst.graph.edges
-        ],
+        "tasks": [{"id": j, "demand": d, "weight": w}
+                  for j, d, w in zip(range(g.n), g.demand, g.weight)],
+        "edges": [{"src": s, "dst": d, "data": w} for s, d, w in zip(g.src, g.dst, g.data)],
         "machines": [{"id": mc.id, "speed": mc.speed} for mc in inst.platform.machines],
         "comm_speed": [
             [None if s == math.inf else s for s in row] for row in inst.platform.comm_speed
@@ -295,14 +346,14 @@ def serialize_instance(inst: Instance) -> str:
     g, p = inst.graph, inst.platform
     template = (
         '{\n  "tasks": ' + json_list([_TASK_JSON] * g.n, "  ")
-        + ',\n  "edges": ' + json_list([_EDGE_JSON] * len(g.edges), "  ")
+        + ',\n  "edges": ' + json_list([_EDGE_JSON] * len(g.src), "  ")
         + ',\n  "machines": ' + json_list([_MACHINE_JSON] * p.m, "  ")
         + ',\n  "comm_speed": ' + json_list(
             ["    " + json_list(["      %s"] * len(row), "    ") for row in p.comm_speed], "  ")
         + "\n}\n"
     )
-    leaves = [v for t in g.tasks for v in (t.id, t.demand, t.weight)]
-    leaves += [v for e in g.edges for v in (e.src, e.dst, e.data)]
+    leaves = list(chain.from_iterable(zip(range(g.n), g.demand, g.weight)))
+    leaves += chain.from_iterable(zip(g.src, g.dst, g.data))
     leaves += [v for mc in p.machines for v in (mc.id, mc.speed)]
     leaves += [None if s == math.inf else s for row in p.comm_speed for s in row]
     return fill_json(template, leaves)
@@ -366,19 +417,16 @@ def instance_from_dict(doc: dict) -> Instance:
     task_ids, machine_ids, srcs, dsts = (integer_ids(ids, "task, machine and edge")
                                          for ids in (task_ids, machine_ids, srcs, dsts))
     try:
-        tasks = list(map(Task, task_ids, map(float, demands), map(float, weights)))
-        edges = list(map(Edge, srcs, dsts, map(float, data)))
+        graph = TaskGraph(tuple(map(float, demands)), tuple(map(float, weights)),
+                          tuple(srcs), tuple(dsts), tuple(map(float, data)))
         machines = list(map(Machine, machine_ids, map(float, speeds)))
         comm_rows = [tuple(math.inf if s is None else float(s) for s in row)
                      for row in doc["comm_speed"]]
     except OverflowError as exc:               # float() of an int beyond the float range
         raise InstanceError(f"instance values must be numbers: {exc}") from None
 
-    inst = Instance(
-        graph=TaskGraph(tuple(tasks), tuple(edges)),
-        platform=Platform(tuple(machines), tuple(comm_rows)),
-    )
-    report = validate_instance(inst)
+    inst = Instance(graph, Platform(tuple(machines), tuple(comm_rows)))
+    report = _validate(inst, task_ids)
     if not report.ok:
         raise InstanceError("; ".join(report.violations))
     return inst
@@ -387,7 +435,7 @@ def instance_from_dict(doc: dict) -> Instance:
 def parse_instance(text: str) -> Instance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, too-deep nesting
         raise InstanceError(f"malformed JSON: {exc}") from exc
     return instance_from_dict(doc)
 

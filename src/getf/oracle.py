@@ -65,8 +65,7 @@ def brute_force_schedule(
     preds = inst.graph.predecessors()
     succs = inst.graph.successors()
     edge_data = inst.graph.edge_data()
-    demand = [t.demand for t in inst.graph.tasks]
-    weight = [t.weight for t in inst.graph.tasks]
+    demand, weight = inst.graph.demand, inst.graph.weight
     speed = [inst.platform.speed(i) for i in range(m)]
 
     def delay(src_task: int, dst_task: int, src_m: int, dst_m: int) -> float:
@@ -157,12 +156,13 @@ def lower_bounds(inst: Instance) -> tuple[float, float]:
     """
     total_speed = sum(mc.speed for mc in inst.platform.machines)
     s_max = max(mc.speed for mc in inst.platform.machines)
-    work = sum(t.demand for t in inst.graph.tasks) / total_speed
+    work = sum(inst.graph.demand) / total_speed
 
-    heaviest = {j: inst.graph.tasks[j].demand for j in range(inst.graph.n)}
+    demand = inst.graph.demand
+    heaviest = dict(enumerate(demand))
     preds = inst.graph.predecessors()
     for j in topological_order(inst.graph):
         if preds[j]:
-            heaviest[j] = inst.graph.tasks[j].demand + max(heaviest[p] for p in preds[j])
+            heaviest[j] = demand[j] + max(heaviest[p] for p in preds[j])
     chain = max(heaviest.values(), default=0.0) / s_max
     return work, chain

@@ -34,10 +34,11 @@ machine in every iteration.  On the benchmark's layered n=1000, m=8 ETF
 instances about 96% of ready tasks are machine-bound; on its n=20 makespan
 instances, about half.
 
-``earliest_start`` reads timelines, finishes and communication rows straight
-from their containers.  ``verify_schedule`` checks edges and durations as
-arrays over the graph's edge columns, with the scalar formulas' IEEE
-operations, and builds messages for failing items only.
+``earliest_start`` reads timelines, finishes, communication rows and the
+edge data aligned with each predecessor list straight from their
+containers.  ``verify_schedule`` checks edges and durations as arrays over
+the graph's edge columns, with the scalar formulas' IEEE operations, and
+builds messages for failing items only.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class TieChooser:
         v = rule.variant
         self.rng = random.Random(rule.seed) if v == TieBreak.RANDOM else None
         if v == TieBreak.LARGEST_DEMAND:
-            key = [-t.demand for t in graph.tasks]
+            key = [-d for d in graph.demand]
         elif v == TieBreak.MOST_SUCCESSORS:
             key = [-len(s) for s in graph.successors()]
         elif v in (TieBreak.BY_INDEX, TieBreak.RANDOM):
@@ -146,7 +147,7 @@ class Schedule:
         return max(self.finish.values(), default=0.0)
 
     def weighted_completion(self, inst: Instance) -> float:
-        return sum(t.weight * self.finish[t.id] for t in inst.graph.tasks)
+        return sum(w * self.finish[j] for j, w in enumerate(inst.graph.weight))
 
     def place(self, task: int, machine: int, start: float, duration: float) -> None:
         end = start + duration
@@ -233,7 +234,7 @@ def earliest_start(task: int, machine: int | tuple[int, ...] | list[int],
                    partial: Schedule, inst: Instance) -> float | list[float]:
     """Earliest feasible start of ``task`` on ``machine`` given the partial
     schedule: machine availability vs. every predecessor's data arrival,
-    read from the graph's predecessor lists and edge-data dict.
+    read from the graph's predecessor lists and the edge data aligned with them.
 
     ``machine`` may also be a tuple or list of machines; the starts on each
     come back as a list in that order, from one walk over the predecessors.
@@ -242,11 +243,11 @@ def earliest_start(task: int, machine: int | tuple[int, ...] | list[int],
     machines = (machine,) if one else machine
     timelines, finish, assignment = partial.machine_intervals, partial.finish, partial.assignment
     starts = [iv[-1][1] if (iv := timelines.get(i)) else 0.0 for i in machines]
-    edge_data, comm = inst.graph.edge_data(), inst.platform.comm_speed
-    for p in inst.graph.predecessors()[task]:
+    g, comm = inst.graph, inst.platform.comm_speed
+    for p, data in zip(g.predecessors()[task], g.predecessor_data()[task]):
         if p not in assignment:
             raise SchedulingError(f"predecessor {p} of task {task} is not scheduled")
-        ready, data, sigma = finish[p], edge_data[(p, task)], comm[assignment[p]]
+        ready, sigma = finish[p], comm[assignment[p]]
         k = 0
         for i in machines:
             arrival = ready + data / sigma[i]  # data/inf == 0.0, the zero-delay sentinel
@@ -377,7 +378,7 @@ class _Placement:
     def place(self, task: int, start: float, machine: int) -> None:
         """Append ``task`` to ``machine`` and raise the starts on it."""
         self.sched.place(task, machine, start,
-                         self.inst.graph.tasks[task].demand / self.inst.platform.speed(machine))
+                         self.inst.graph.demand[task] / self.inst.platform.speed(machine))
         old, now = self.avail[machine], self.sched.finish[task]
         self.avail[machine] = now
         for band in self.bands_on[machine]:
@@ -429,13 +430,13 @@ def sls_schedule(inst: Instance, f: GroupAssignment, priority: list[int]) -> Sch
     if sorted(priority) != list(range(n)):
         raise SchedulingError("priority must enumerate every task exactly once")
     position = {j: k for k, j in enumerate(priority)}
-    for e in inst.graph.edges:
-        if position[e.src] > position[e.dst]:
+    for a, b in zip(inst.graph.src, inst.graph.dst):
+        if position[a] > position[b]:
             raise SchedulingError(
-                f"priority is not topological: task {e.dst} precedes its predecessor {e.src}"
+                f"priority is not topological: task {b} precedes its predecessor {a}"
             )
     sched, lowest_id_first = Schedule(), range(inst.platform.m)
-    demand = [t.demand for t in inst.graph.tasks]
+    demand = inst.graph.demand
     speed = [mc.speed for mc in inst.platform.machines]
     for j in priority:
         start, i = _scan(*_group_starts(j, f, sched, inst), lowest_id_first)
@@ -492,7 +493,7 @@ def verify_schedule(inst: Instance, s: Schedule,
     with np.errstate(all="ignore"):
         bound = t_finish[src] + data / np.array(inst.platform.comm_speed)[on[src], on[dst]]
         early = ~(t_start[dst] >= bound - VERIFY_TOL)
-        expected = np.array([t.demand for t in inst.graph.tasks]) / np.array(
+        expected = np.array(inst.graph.demand) / np.array(
             [mc.speed for mc in inst.platform.machines])[on]
         off = ~(np.abs((t_finish - t_start) - expected) <= VERIFY_TOL)
     for k in np.flatnonzero(early).tolist():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from getf.model import Edge, Instance, Machine, Platform, Task, TaskGraph, parse_instance
+from getf.model import Instance, Machine, Platform, TaskGraph, parse_instance
 
 # Four tasks on two unit-speed machines, finite self-communication.  GETF
 # reaches makespan 5 here while priority-order list scheduling reaches 6,
@@ -43,8 +43,10 @@ def make_instance(demands, edges, speeds, comm=None, weights=None) -> Instance:
     """
     n, m = len(demands), len(speeds)
     weights = weights or [0.0] * n
-    tasks = tuple(Task(j, float(demands[j]), float(weights[j])) for j in range(n))
-    edge_t = tuple(Edge(s, d, float(w)) for s, d, w in edges)
+    graph = TaskGraph(tuple(float(demands[j]) for j in range(n)),
+                      tuple(float(weights[j]) for j in range(n)),
+                      tuple(s for s, _, _ in edges), tuple(d for _, d, _ in edges),
+                      tuple(float(w) for _, _, w in edges))
     machines = tuple(Machine(i, float(speeds[i])) for i in range(m))
     if comm is None:
         rows = tuple(tuple(math.inf for _ in range(m)) for _ in range(m))
@@ -52,7 +54,7 @@ def make_instance(demands, edges, speeds, comm=None, weights=None) -> Instance:
         rows = tuple(tuple(float(comm) for _ in range(m)) for _ in range(m))
     else:
         rows = tuple(tuple(math.inf if v is None else float(v) for v in row) for row in comm)
-    return Instance(TaskGraph(tasks, edge_t), Platform(machines, rows))
+    return Instance(graph, Platform(machines, rows))
 
 
 def corrupt_first_pivot(pivot):

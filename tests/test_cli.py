@@ -48,6 +48,12 @@ MALFORMED_DOCS = {
     "zero-comm-speed": lambda d: d["comm_speed"][0].__setitem__(1, 0.0),
 }
 
+# Texts that json.loads refuses with an error other than JSONDecodeError.
+UNREADABLE_JSON = {
+    "long-integer": EXAMPLE_JSON.replace('"demand": 3.0', '"demand": ' + "9" * 5000),  # ValueError
+    "deep-nesting": "[" * 200_000,  # RecursionError
+}
+
 # Documents whose strings and booleans float() and int() would take as numbers.
 NON_NUMBER_DOCS = {
     "string-demand": lambda d: d["tasks"][0].update(demand="3.5"),
@@ -293,6 +299,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: not UTF-8 text: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_JSON))
+    def test_unreadable_instance_exit_2_one_line(self, example_file, tmp_path, capsys,
+                                                 case, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(UNREADABLE_JSON[case])
+        argv = [command, bad] + ([example_file] if command == "verify" else [])
+        assert run(*argv) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: malformed JSON: ") and err.count("\n") == 1, err
+
 
 class TestVerify:
     @staticmethod
@@ -457,6 +474,15 @@ class TestVerify:
             assert run(*argv) == EXIT_USAGE, argv
             assert capsys.readouterr().err == f"error: cannot read schedule: {message}\n"
 
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_JSON))
+    def test_unreadable_schedule_exit_1_one_line(self, example_file, tmp_path, capsys, case):
+        bad = tmp_path / "sched.json"
+        bad.write_text(UNREADABLE_JSON[case])
+        for argv in (("verify", example_file, bad), ("gantt", bad)):
+            capsys.readouterr()
+            assert run(*argv) == EXIT_USAGE, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot read schedule: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("value", [5, 0, False, None], ids=["int", "zero", "false", "null"])
     def test_iteration_order_must_be_a_list(self, example_file, tmp_path, capsys, value):

@@ -8,8 +8,8 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from getf.model import (Edge, Instance, Machine, Platform, Task, TaskGraph,
-                        instance_to_dict, serialize_instance)
+from getf.model import (Instance, Machine, Platform, TaskGraph, instance_to_dict,
+                        serialize_instance)
 from getf.scheduler import Schedule
 
 
@@ -27,22 +27,27 @@ numbers = st.one_of(
 )
 
 
+def columns(rows: list[tuple], width: int) -> list[tuple]:
+    """The ``width`` columns of ``rows``, empty ones too."""
+    return [tuple(row[k] for row in rows) for k in range(width)]
+
+
 @st.composite
 def instances(draw) -> Instance:
     n, m = draw(st.integers(0, 5)), draw(st.integers(0, 4))
-    tasks = tuple(Task(j, draw(numbers), draw(numbers)) for j in range(n))
-    edges = tuple(Edge(draw(st.integers(0, 9)), draw(st.integers(0, 9)), draw(numbers))
-                  for _ in range(draw(st.integers(0, 6))))
+    tasks = [(draw(numbers), draw(numbers)) for _ in range(n)]
+    edges = [(draw(st.integers(0, 9)), draw(st.integers(0, 9)), draw(numbers))
+             for _ in range(draw(st.integers(0, 6)))]
     machines = tuple(Machine(i, draw(numbers)) for i in range(m))
     comm = tuple(tuple(draw(st.one_of(numbers, st.just(math.inf)))
                        for _ in range(draw(st.integers(0, m)))) for _ in range(m))
-    return Instance(TaskGraph(tasks, edges), Platform(machines, comm))
+    return Instance(TaskGraph(*columns(tasks, 2), *columns(edges, 3)), Platform(machines, comm))
 
 
 @st.composite
 def schedules(draw) -> tuple[Schedule, Instance]:
     n = draw(st.integers(0, 6))
-    inst = Instance(TaskGraph(tuple(Task(j, 1.0, draw(numbers)) for j in range(n)), ()),
+    inst = Instance(TaskGraph((1.0,) * n, tuple(draw(numbers) for _ in range(n)), (), (), ()),
                     Platform((Machine(0, 1.0),), ((math.inf,),)))
     order = draw(st.permutations(range(n)))
     s = Schedule()
@@ -53,21 +58,21 @@ def schedules(draw) -> tuple[Schedule, Instance]:
 
 
 ONE_MACHINE = Instance(
-    TaskGraph((Task(0, 2), Task(1, 1.5, 0.0)), ()),  # no edges, an int demand
+    TaskGraph((2, 1.5), (0.0, 0.0), (), (), ()),  # no edges, an int demand
     Platform((Machine(0, 1.0),), ((math.inf,),)),  # m=1, a null comm speed
 )
 
 
 class TestByteIdentity:
     @given(instances())
-    @example(Instance(TaskGraph((), ()), Platform((), ())))
+    @example(Instance(TaskGraph((), (), (), (), ()), Platform((), ())))
     @example(ONE_MACHINE)
     @settings(max_examples=150, deadline=None)
     def test_serialize_instance(self, inst):
         assert serialize_instance(inst) == reference(instance_to_dict(inst))
 
     @given(schedules())
-    @example((Schedule(), Instance(TaskGraph((), ()), Platform((), ()))))
+    @example((Schedule(), Instance(TaskGraph((), (), (), (), ()), Platform((), ()))))
     @settings(max_examples=150, deadline=None)
     def test_schedule_to_json(self, case):
         s, inst = case
@@ -77,7 +82,7 @@ class TestByteIdentity:
         s = Schedule()
         for j, start in enumerate([0.0, -0.0, 5e-324, 1e300, math.inf, math.nan, 7]):
             s.place(j, 0, start, 1.0)
-        inst = Instance(TaskGraph(tuple(Task(j, 1.0, 1.0) for j in range(7)), ()),
+        inst = Instance(TaskGraph((1.0,) * 7, (1.0,) * 7, (), (), ()),
                         ONE_MACHINE.platform)
         text = s.to_json(inst)
         assert text == reference(s.to_dict(inst))
