@@ -16,7 +16,7 @@ def main():
                          demand_range=(1.0, 4.0), speed_range=(0.5, 6.0),
                          comm_range=(1.0, 4.0), data_range=(0.0, 3.0))
     inst = generate_instance(spec)
-    print(f"instance: {inst.graph.n} tasks, {len(inst.graph.edges)} edges, "
+    print(f"instance: {inst.graph.n} tasks, {len(inst.graph.src)} edges, "
           f"{inst.platform.m} machines")
 
     groups = partition_machines(inst.platform)

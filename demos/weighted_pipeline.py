@@ -17,7 +17,7 @@ def main():
                          comm_range=(1.0, 4.0), data_range=(0.0, 3.0),
                          weights="uniform")
     inst, scale = normalize_demands(generate_instance(spec))
-    weights = {t.id: t.weight for t in inst.graph.tasks}
+    weights = dict(enumerate(inst.graph.weight))
     print(f"instance: {inst.graph.n} tasks on {inst.platform.m} machines "
           f"(demand scale applied: {scale:g})")
 

@@ -18,7 +18,7 @@ from .grouping import (GroupAssignment, MachineGroups, MakespanFractional,
                        solve_makespan_relaxation, solve_weighted_relaxation,
                        trivial_assignment, weighted_slice_feasibility)
 from .lp_solver import LinearProgram, LpSolution, solve_lp
-from .model import (Edge, Instance, InstanceError, Machine, Platform, Task,
+from .model import (Instance, InstanceError, Machine, Platform, Task,
                     TaskGraph, ValidationReport, instance_from_dict,
                     instance_to_dict, load_instance, normalize_demands,
                     parse_instance, serialize_instance, topological_order,

@@ -23,8 +23,8 @@ Each report call reads its chains from one table of the cheapest chain
 ending at each task j: cost(j) = node_cost(j) + min over latest-finishing
 predecessors j' of (link_cost(j', j) + cost(j')).  No entry depends on the
 anchor, so each is computed at most once, and only when an anchor's chain
-needs it.  The table reads the graph's predecessor lists and edge-data dict,
-which are built once per graph.
+needs it.  The reports read the graph's predecessor lists and the edge data
+aligned with them, both built once per graph.
 
 Reports never raise on a violated inequality; they carry pass flags so a
 violation is a loud, inspectable result.
@@ -116,12 +116,19 @@ def latest_finishing(candidates: list[int], finish: dict[int, float]) -> list[in
     return sorted([j for j in candidates if finish[j] >= top - FINISH_TIE_TOL])
 
 
+def _link_data(g: TaskGraph):
+    """(a, b) -> the data on edge (a, b), found in b's predecessor list, where
+    a appears once (parallel edges are refused)."""
+    preds, data = g.predecessors(), g.predecessor_data()
+    return lambda a, b: data[b][preds[b].index(a)]
+
+
 def _link_comm(inst: Instance, f: GroupAssignment, s: Schedule):
     """A function (src, dst) -> worst-case transfer time of that edge: data
     over the slowest communication speed from src's machine into dst's
-    machine group, read from the graph's edge-data dict.  The slowest speeds
-    into a band are found once, on the first link into it."""
-    edge_data, comm = inst.graph.edge_data(), inst.platform.comm_speed
+    machine group.  The slowest speeds into a band are found once, on the
+    first link into it."""
+    data_of, comm = _link_data(inst.graph), inst.platform.comm_speed
     assignment, band = s.assignment, f.group_of_task
     slowest: dict[int, list[float]] = {}  # band -> slowest speed into it, per source machine
 
@@ -131,7 +138,7 @@ def _link_comm(inst: Instance, f: GroupAssignment, s: Schedule):
         if into is None:
             machines = f.groups.machines_in(k)
             into = slowest[k] = [min(row[i] for i in machines) for row in comm]
-        return edge_data[(src, dst)] / into[a]
+        return data_of(src, dst) / into[a]
     return link
 
 
@@ -240,12 +247,12 @@ def idle_bound_replay(chain: TerminalChain, s: Schedule, inst: Instance,
                       f: GroupAssignment, report: BoundReport) -> None:
     """Assert, per chain link and per machine of the successor's group, that
     idle time inside the link window is covered by the link's transfer time."""
-    edge_data = inst.graph.edge_data()
+    data_of = _link_data(inst.graph)
     for a, b in chain.links():
-        window_lo, window_hi = s.finish[a], s.start[b]
+        window_lo, window_hi, data = s.finish[a], s.start[b], data_of(a, b)
         for i in f.machines_for(b):
             idle = machine_idle_in_window(s, i, window_lo, window_hi)
-            bound = comm_delay(inst, edge_data[(a, b)], s.assignment[a], i)
+            bound = comm_delay(inst, data, s.assignment[a], i)
             report.add(f"idle[{a}->{b}]@m{i}", idle, bound)
 
 
@@ -312,11 +319,11 @@ def identical_report(s: Schedule, inst: Instance,
         raise AnalysisError("identical_report requires identical machine speeds")
     speed = speeds.pop()
     m = inst.platform.m
-    edge_data = inst.graph.edge_data()
+    data_of = _link_data(inst.graph)
 
     def link_cost(a: int, b: int) -> float:
-        src = s.assignment[a]
-        return sum(comm_delay(inst, edge_data[(a, b)], src, i) for i in range(m)) / m
+        src, data = s.assignment[a], data_of(a, b)
+        return sum(comm_delay(inst, data, src, i) for i in range(m)) / m
 
     def node_cost(j: int) -> float:
         return (m - 1) / m * inst.graph.demand[j] / speed

@@ -45,6 +45,7 @@ log = logging.getLogger(__name__)
 
 MASS_TOL = 1e-6
 MAX_BANDS = 10_000  # the band-mass arrays and the bound report grow with K
+MAX_TABLEAU_BYTES = 2 ** 30  # solve_lp's dense tableau: (rows + 1) x (cols + rows + 2) floats
 
 
 class GroupingError(ValueError):
@@ -160,14 +161,20 @@ def _running_total(a: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.cumsum(a, axis=axis).take(-1, axis=axis)
 
 
-def _zero_program(n_cols: int, *shapes) -> tuple:
+def _zero_program(name: str, n_cols: int, *shapes) -> tuple:
     """(A, sense, b, *blocks): a zero (rows, n_cols) matrix whose rows split
     into consecutive blocks, each block's row indices shaped like its entry of
-    ``shapes``.  The first block's rows are = 1 and every other row is <= 0."""
+    ``shapes``.  The first block's rows are = 1 and every other row is <= 0.
+    A program whose tableau would exceed MAX_TABLEAU_BYTES is refused first."""
     blocks, start = [], 0
     for shape in shapes:
         blocks.append(start + np.arange(np.prod(shape)).reshape(shape))
         start += blocks[-1].size
+    tableau = (start + 1) * (n_cols + start + 2) * 8
+    if tableau > MAX_TABLEAU_BYTES:
+        raise GroupingError(
+            f"the {name} program has {start} rows and {n_cols} columns; its simplex tableau "
+            f"would take {tableau:,} bytes, over the {MAX_TABLEAU_BYTES:,}-byte budget")
     sense, b = np.full(start, LE), np.zeros(start)
     sense[blocks[0]], b[blocks[0]] = EQ, 1.0
     return (np.zeros((start, n_cols)), sense, b, *blocks)
@@ -239,7 +246,7 @@ def build_makespan_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
     x = np.arange(nm * n).reshape(nm, n)               # column of x[i, j]
     C, T = nm * n + np.arange(n), nm * n + n
     A, sense, b, assign, capacity, chain, load, horizon = _zero_program(
-        T + 1, n, n, len(src), (nm, 1), n)
+        "makespan", T + 1, n, n, len(src), (nm, 1), n)
     # every task fully assigned
     A[assign, x] = 1.0
     # processing time <= C_j
@@ -350,7 +357,8 @@ def build_weighted_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
     C = nm * n * Q + np.arange(n)
     q, t = np.tril_indices(Q)                          # every pair t <= q, as q-1, t-1
     A, sense, b, assign, capacity, chain, lag, left, prefix = _zero_program(
-        nm * n * Q + n, (n, 1), (n, 1), (len(src), 1), (len(src), Q), (n, 1), (nm, 1, Q))
+        "weighted", nm * n * Q + n, (n, 1), (n, 1), (len(src), 1), (len(src), Q), (n, 1),
+        (nm, 1, Q))
     # all mass placed
     A[assign, x] = 1.0
     # processing <= C_j

@@ -17,8 +17,8 @@ Conventions:
 A ``TaskGraph`` is stored once, as columns: ``demand`` and ``weight`` per
 task, ``src``, ``dst`` and ``data`` per edge.  The loader and the generator
 fill them straight from their lists, and ``validate_instance`` walks
-them item by item.  ``Task`` and ``Edge`` records exist only in the graph's ``tasks``
-and ``edges`` views, built on first access.
+them item by item.  Readers of one link's data take it from
+``predecessor_data()``, aligned with ``predecessors()``.
 """
 
 from __future__ import annotations
@@ -43,16 +43,11 @@ class CycleError(InstanceError):
 
 @dataclass(frozen=True)
 class Task:
+    """Built only by ``TaskGraph.tasks``, which perfbench's ``lower_bound`` reads."""
+
     id: int
     demand: float
     weight: float = 0.0
-
-
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    data: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -65,10 +60,8 @@ class TaskGraph:
     Everything else is built once, on first use, and shared by every call,
     so callers must not mutate it: the predecessor and successor lists (in
     edge order) with the edge data aligned to each predecessor list, the
-    (src, dst) -> data dict, the edge columns as arrays, the topological
-    order, and the ``tasks`` and ``edges`` views, tuples of ``Task`` and
-    ``Edge`` records for callers that want records (the package reads the
-    columns).
+    edge columns as arrays, the topological order, and the ``tasks`` view
+    of ``Task`` records, which the package does not read.
     """
 
     demand: tuple[float, ...]
@@ -85,11 +78,6 @@ class TaskGraph:
     def tasks(self) -> tuple[Task, ...]:
         """The tasks as records, ids 0..n-1."""
         return tuple(map(Task, range(self.n), self.demand, self.weight))
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """The edges as records, in edge order."""
-        return tuple(map(Edge, self.src, self.dst, self.data))
 
     @cached_property
     def _adjacency(self) -> tuple[list, list, list]:
@@ -112,13 +100,6 @@ class TaskGraph:
 
     def successors(self) -> list[list[int]]:
         return self._adjacency[2]
-
-    @cached_property
-    def _edge_data(self) -> dict[tuple[int, int], float]:
-        return dict(zip(zip(self.src, self.dst), self.data))
-
-    def edge_data(self) -> dict[tuple[int, int], float]:
-        return self._edge_data
 
     @cached_property
     def _edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,6 +135,9 @@ class TaskGraph:
 
 @dataclass(frozen=True)
 class Machine:
+    """A record, not a column: perfbench reads ``Platform.machines`` and its
+    self-check rebuilds them with ``dataclasses.replace``."""
+
     id: int
     speed: float
 
@@ -282,7 +266,7 @@ def normalize_demands(inst: Instance) -> tuple[Instance, float]:
     """Scale demands so the smallest processing time over any machine is >= 1.
 
     Returns the scaled instance and the multiplier applied to every demand
-    (1.0 when the instance is already normalized).  Edge data volumes and
+    (1.0 when the instance is already normalized).  Data volumes and
     machine speeds are untouched, so communication times are preserved.
     """
     g = inst.graph

@@ -4,10 +4,11 @@ The brute-force search enumerates every machine assignment and every
 topological order, placing tasks greedily at their earliest feasible start
 for the fixed (assignment, order) pair.  With a fixed assignment and fixed
 per-machine sequencing, delaying any start can never help, so componentwise
-minimal starts are optimal and the enumeration is exact.  Intended strictly
-for acceptance-test ground truth: instances beyond MAX_TASKS tasks or
-MAX_MACHINES machines are refused, which caps the search at
-3^7 assignments x 7! orders, about 1.1e7 states.
+minimal starts are optimal and the enumeration is exact; the optimum is
+rebuilt through ``earliest_start``.  Intended strictly for acceptance-test
+ground truth: instances beyond MAX_TASKS tasks or MAX_MACHINES machines are
+refused, which caps the search at 3^7 assignments x 7! orders, about 1.1e7
+states.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .model import Instance, Machine, Platform, topological_order
-from .scheduler import Schedule, comm_delay
+from .scheduler import Schedule, earliest_start
 
 MAKESPAN = "makespan"
 WEIGHTED = "weighted"
@@ -48,9 +49,10 @@ def brute_force_schedule(
 ) -> tuple[float, Schedule]:
     """Exact optimum over (machine assignment) x (topological order) pairs.
 
-    ``ignore_comm`` zeroes every communication delay, yielding the
-    zero-communication optimum the approximation bounds compare against.
-    Deterministic: returns the first optimal schedule in enumeration order.
+    ``ignore_comm`` searches over a platform whose communication speeds are
+    all ``math.inf`` (zero delay), yielding the zero-communication optimum
+    the approximation bounds compare against.  Deterministic: returns the
+    first optimal schedule in enumeration order.
     """
     n = inst.graph.n
     m = inst.platform.m
@@ -62,16 +64,13 @@ def brute_force_schedule(
     if objective not in (MAKESPAN, WEIGHTED):
         raise ValueError(f"unknown objective {objective!r}")
 
-    preds = inst.graph.predecessors()
-    succs = inst.graph.successors()
-    edge_data = inst.graph.edge_data()
-    demand, weight = inst.graph.demand, inst.graph.weight
+    if ignore_comm:
+        free = ((math.inf,) * m,) * m
+        inst = Instance(inst.graph, Platform(inst.platform.machines, free))
+    g = inst.graph
+    preds, pred_data, succs = g.predecessors(), g.predecessor_data(), g.successors()
+    demand, weight, comm = g.demand, g.weight, inst.platform.comm_speed
     speed = [inst.platform.speed(i) for i in range(m)]
-
-    def delay(src_task: int, dst_task: int, src_m: int, dst_m: int) -> float:
-        if ignore_comm:
-            return 0.0
-        return comm_delay(inst, edge_data[(src_task, dst_task)], src_m, dst_m)
 
     best_value = math.inf
     best_assign: list[int] | None = None
@@ -97,8 +96,8 @@ def brute_force_schedule(
                 continue
             i = assign[v]
             start = avail[i]
-            for p in preds[v]:
-                arrival = finish[p] + delay(p, v, assign[p], i)
+            for p, data in zip(preds[v], pred_data[v]):
+                arrival = finish[p] + data / comm[assign[p]][i]  # data/inf == 0.0
                 if arrival > start:
                     start = arrival
             end = start + demand[v] / speed[i]
@@ -134,16 +133,9 @@ def brute_force_schedule(
     if best_assign is None:
         raise OracleLimitError("search finished without a schedule")
     sched = Schedule()
-    avail = [0.0] * m
     for v in best_order:
         i = best_assign[v]
-        start = avail[i]
-        for p in preds[v]:
-            arrival = sched.finish[p] + delay(p, v, best_assign[p], i)
-            if arrival > start:
-                start = arrival
-        sched.place(v, i, start, demand[v] / speed[i])
-        avail[i] = sched.finish[v]
+        sched.place(v, i, earliest_start(v, i, sched, inst), demand[v] / speed[i])
     return best_value, sched
 
 

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from getf.model import Instance, Machine, Platform, TaskGraph, parse_instance
+from getf.model import (Instance, Machine, Platform, TaskGraph, instance_from_dict,
+                        instance_to_dict, parse_instance)
 
 # Four tasks on two unit-speed machines, finite self-communication.  GETF
 # reaches makespan 5 here while priority-order list scheduling reaches 6,
@@ -55,6 +56,14 @@ def make_instance(demands, edges, speeds, comm=None, weights=None) -> Instance:
     else:
         rows = tuple(tuple(math.inf if v is None else float(v) for v in row) for row in comm)
     return Instance(graph, Platform(machines, rows))
+
+
+def shuffle_edges(inst: Instance, rng) -> Instance:
+    """``inst`` reloaded from its document with the edges listed in a random
+    order, so predecessor lists are no longer in ascending id order."""
+    doc = instance_to_dict(inst)
+    rng.shuffle(doc["edges"])
+    return instance_from_dict(doc)
 
 
 def corrupt_first_pivot(pivot):

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -170,6 +172,32 @@ class TestSolve:
             assert capsys.readouterr().err == (
                 "error: gamma 1.000000001 needs 693147124 speed bands for 2 machines; "
                 f"at most {grouping.MAX_BANDS} are allowed\n")
+
+    @pytest.mark.parametrize("algo, message", [
+        ("getf-makespan", "the makespan program has 18 rows and 13 columns; its simplex "
+                          "tableau would take 5,016 bytes, over the 5,000-byte budget"),
+        ("getf-weighted", "the weighted program has 34 rows and 28 columns; its simplex "
+                          "tableau would take 17,920 bytes, over the 5,000-byte budget"),
+    ])
+    def test_oversized_program_refused_before_allocation(self, example_file, tmp_path,
+                                                        monkeypatch, capsys, algo, message):
+        # A small budget stands in for an instance too large to allocate.
+        monkeypatch.setattr(grouping, "MAX_TABLEAU_BYTES", 5000)
+        zeros = grouping.np.zeros
+
+        def no_matrix(shape, *args, **kwargs):
+            assert not (isinstance(shape, tuple) and len(shape) == 2), "A was allocated"
+            return zeros(shape, *args, **kwargs)
+        monkeypatch.setattr(grouping.np, "zeros", no_matrix)
+        sched = tmp_path / "sched.out"
+        assert run("solve", example_file, "--algo", "etf", "-o", sched) == EXIT_OK
+        for argv in (("solve", example_file, "--algo", algo),
+                     ("verify", example_file, sched, "--algo", algo)):
+            capsys.readouterr()
+            assert run(*argv) == EXIT_INFEASIBLE, argv
+            assert capsys.readouterr().err == f"error: {message}\n"
+        rows = list(csv.reader(io.StringIO(compare_batch(str(example_file.parent), [algo]))))
+        assert rows[1][:2] == ["example.json", algo] and rows[1][-1] == message
 
     def test_unknown_tie_rule_usage_error(self, example_file):
         assert run("solve", example_file, "--tie", "coin-flip") == EXIT_USAGE
@@ -350,6 +378,21 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["feasible"] is True and doc["group_consistent"] is True
         assert doc["separation"]["inequalities"][0]["pass"] is False
+
+    def test_feasible_sls_schedule_over_the_separation_exit_0(self, tmp_path):
+        # The decomposition is a theorem for the greedy schedulers only: this
+        # feasible SLS schedule exceeds it (96.46 > 95.87), which verify
+        # reports for sls without failing, and fails as an ETF schedule.
+        inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+        assert run("generate", "--n", 400, "--m", 8, "--density", 0.05, "--seed", 1,
+                   "-o", inst) == EXIT_OK
+        assert run("solve", inst, "--algo", "sls", "-o", sched) == EXIT_OK
+        out = tmp_path / "verify.json"
+        for algo, code in (("sls", EXIT_OK), ("etf", EXIT_BOUND)):
+            assert run("verify", inst, sched, "--algo", algo, "-o", out) == code
+            doc = json.loads(out.read_text())
+            assert doc["feasible"] is True and doc["group_consistent"] is True
+            assert doc["separation"]["inequalities"][0]["pass"] is False
 
     def test_with_pipeline_report(self, example_file, tmp_path):
         sched = tmp_path / "sched.json"

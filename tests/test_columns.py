@@ -2,9 +2,8 @@
 
 Validation over the columns gives the violations, text and order, of the
 per-record validation it replaced (kept below as the reference); the load,
-schedule, verify, report and write path builds no ``Task`` or ``Edge``
-record; and the record views, the edge-data dict and the predecessor data
-agree with the columns.
+schedule, verify, report, oracle and write path builds no ``Task`` record;
+and the ``tasks`` view and the predecessor data agree with the columns.
 """
 
 import json
@@ -16,11 +15,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from getf import analysis, cli
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
-from getf.grouping import trivial_assignment
-from getf.model import (Edge, Instance, InstanceError, Machine, Platform, Task, TaskGraph,
+from getf.grouping import (assign_groups_makespan, assign_groups_weighted, partition_machines,
+                           solve_makespan_relaxation, solve_weighted_relaxation,
+                           trivial_assignment)
+from getf.model import (Instance, InstanceError, Machine, Platform, Task, TaskGraph,
                         load_instance, normalize_demands, parse_instance, serialize_instance,
                         topological_order, validate_instance)
-from getf.scheduler import sls_schedule, verify_schedule
+from getf.oracle import MAKESPAN, WEIGHTED, brute_force_schedule
+from getf.scheduler import TieBreak, getf_schedule, sls_schedule, verify_schedule
 
 RefTask = namedtuple("RefTask", "id demand weight")
 RefEdge = namedtuple("RefEdge", "src dst data")
@@ -215,11 +217,10 @@ class TestValidationParity:
 
 @pytest.fixture
 def no_records(monkeypatch):
-    """Make building a Task or Edge record fail."""
+    """Make building a Task record fail."""
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"a {type(self).__name__} record was built")
     monkeypatch.setattr(Task, "__init__", refuse)
-    monkeypatch.setattr(Edge, "__init__", refuse)
 
 
 def test_hot_path_builds_no_records(tmp_path, no_records, capsys):
@@ -240,8 +241,24 @@ def test_hot_path_builds_no_records(tmp_path, no_records, capsys):
             == cli.EXIT_OK
     with pytest.raises(AssertionError, match="Task record was built"):
         inst.graph.tasks
-    with pytest.raises(AssertionError, match="Edge record was built"):
-        inst.graph.edges
+
+    # Identical speeds for identical_report; n and m within the oracle's limits.
+    small = generate_instance(GeneratorSpec(family="random_dag", n=6, m=2, seed=3, density=0.5,
+                                            speed_range=(1.0, 1.0), weights="uniform"))
+    for objective in (MAKESPAN, WEIGHTED):
+        for ignore_comm in (False, True):
+            assert brute_force_schedule(small, ignore_comm, objective)[1].assignment
+    opt, best = brute_force_schedule(small, ignore_comm=True)
+    assert analysis.identical_report(best, small, opt_ignore_comm=opt).inequalities
+    groups = partition_machines(small.platform)
+    frac = solve_makespan_relaxation(small, groups)
+    f = assign_groups_makespan(frac, groups)
+    sched = getf_schedule(small, f, TieBreak.by_index())
+    assert analysis.makespan_theorem_report(sched, small, f, groups, frac.T).inequalities
+    wsol = solve_weighted_relaxation(small, groups)
+    f = assign_groups_weighted(wsol, groups)
+    sched = getf_schedule(small, f, TieBreak.by_index())
+    assert analysis.weighted_theorem_report(sched, small, f, groups, wsol).inequalities
 
 
 class TestViews:
@@ -249,11 +266,8 @@ class TestViews:
     def test_views_equal_the_columns_and_are_built_once(self, family):
         g = generate_instance(GeneratorSpec(family=family, n=30, m=3, seed=7, density=0.3,
                                             weights="uniform")).graph
-        assert g.tasks is g.tasks and g.edges is g.edges
+        assert g.tasks is g.tasks
         assert g.tasks == tuple(Task(j, d, w) for j, d, w in zip(range(g.n), g.demand, g.weight))
-        assert g.edges == tuple(Edge(s, d, w) for s, d, w in zip(g.src, g.dst, g.data))
-        assert g.edge_data() is g.edge_data()
-        assert g.edge_data() == {(e.src, e.dst): e.data for e in g.edges}
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_predecessor_data_lines_up_with_predecessors(self, family):

@@ -24,7 +24,7 @@ def test_different_seeds_differ():
 def test_layered_density_zero_independent():
     inst = generate_instance(GeneratorSpec(family=LAYERED, n=10, m=2, seed=7, density=0.0))
     assert inst.graph.n == 10
-    assert inst.graph.edges == ()
+    assert inst.graph.src == inst.graph.dst == inst.graph.data == ()
 
 
 def test_fork_join_shape():
@@ -45,8 +45,8 @@ def test_all_families_valid_and_acyclic(family, seed):
     inst = generate_instance(spec)
     report = validate_instance(inst)
     assert report.ok, report.violations
-    for e in inst.graph.edges:
-        assert e.src < e.dst
+    for src, dst in zip(inst.graph.src, inst.graph.dst):
+        assert src < dst
 
 
 def test_infinite_self_comm_mode():
@@ -78,8 +78,7 @@ def test_sink_only_appends_collector():
     preds = inst.graph.predecessors()
     feeding = preds[6]
     assert feeding  # every original sink feeds it over zero-data edges
-    data = inst.graph.edge_data()
-    assert all(data[(s, 6)] == 0.0 for s in feeding)
+    assert inst.graph.predecessor_data()[6] == [0.0] * len(feeding)
     succs = inst.graph.successors()
     assert all(succs[j] for j in range(6))  # no other sinks remain
 

@@ -468,10 +468,10 @@ def reference_slice_feasibility(inst, machines, C, Q, q_of, x_tilde):
             proc = demand[j] * sum(x_tilde[(i, j)] / speed[i] for i in machines)
             worst = max(worst, proc - 2.0 * C[j], 2.0 * C[j] - t_tilde)
         in_slice = set(slice_tasks)
-        for e in inst.graph.edges:
-            if e.src in in_slice and e.dst in in_slice:
-                proc = demand[e.dst] * sum(x_tilde[(i, e.dst)] / speed[i] for i in machines)
-                worst = max(worst, 2.0 * C[e.src] + proc - 2.0 * C[e.dst])
+        for src, dst in zip(inst.graph.src, inst.graph.dst):
+            if src in in_slice and dst in in_slice:
+                proc = demand[dst] * sum(x_tilde[(i, dst)] / speed[i] for i in machines)
+                worst = max(worst, 2.0 * C[src] + proc - 2.0 * C[dst])
         for i in machines:
             load = sum(demand[j] * x_tilde[(i, j)] / speed[i] for j in slice_tasks)
             worst = max(worst, load - t_tilde)

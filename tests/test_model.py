@@ -157,8 +157,8 @@ class TestTopologicalOrder:
         order = topological_order(inst.graph)
         assert sorted(order) == list(range(inst.graph.n))
         pos = {j: k for k, j in enumerate(order)}
-        for e in inst.graph.edges:
-            assert pos[e.src] < pos[e.dst]
+        for src, dst in zip(inst.graph.src, inst.graph.dst):
+            assert pos[src] < pos[dst]
 
     def test_computed_once_and_shared(self, example_instance):
         g = example_instance.graph
@@ -176,16 +176,15 @@ class TestAdjacency:
     def test_built_once_and_equal_to_edges(self, family):
         g = generate_instance(GeneratorSpec(family=family, n=30, m=3, seed=7,
                                             density=0.3)).graph
-        assert g.edges
-        for read in (g.predecessors, g.successors, g.edge_data):
+        assert g.src
+        for read in (g.predecessors, g.successors, g.predecessor_data):
             assert read() is read()
-        preds, succs = [[] for _ in g.tasks], [[] for _ in g.tasks]
-        for e in g.edges:
-            preds[e.dst].append(e.src)
-            succs[e.src].append(e.dst)
+        preds, succs = [[] for _ in range(g.n)], [[] for _ in range(g.n)]
+        for src, dst in zip(g.src, g.dst):
+            preds[dst].append(src)
+            succs[src].append(dst)
         assert g.predecessors() == preds
         assert g.successors() == succs
-        assert g.edge_data() == {(e.src, e.dst): e.data for e in g.edges}
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_edge_columns_built_once_and_read_only(self, family):
@@ -193,9 +192,8 @@ class TestAdjacency:
                                             density=0.3)).graph
         assert g.edge_columns() is g.edge_columns()
         src, dst, data = g.edge_columns()
-        assert src.tolist() == [e.src for e in g.edges]
-        assert dst.tolist() == [e.dst for e in g.edges]
-        assert data.tolist() == [e.data for e in g.edges]
+        assert (src.tolist(), dst.tolist(), data.tolist()) == (list(g.src), list(g.dst),
+                                                               list(g.data))
         for column in (src, dst, data):
             with pytest.raises(ValueError):
                 column[0] = 0

@@ -1,13 +1,114 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
-from getf.oracle import (WEIGHTED, OracleLimitError, brute_force_schedule,
-                         lower_bounds, restrict_platform)
-from getf.scheduler import verify_schedule
+from getf.model import instance_from_dict
+from getf.oracle import (MAKESPAN, MAX_MACHINES, MAX_TASKS, WEIGHTED, OracleLimitError,
+                         brute_force_schedule, lower_bounds, restrict_platform)
+from getf.scheduler import Schedule, comm_delay, verify_schedule
 
 from conftest import make_instance
+
+
+def reference_brute_force_schedule(inst, ignore_comm=False, objective=MAKESPAN):
+    """The search as it read a (src, dst) -> data dict, zeroed every delay
+    under ``ignore_comm``, and rebuilt its optimum with its own placement loop."""
+    n = inst.graph.n
+    m = inst.platform.m
+    if n > MAX_TASKS or m > MAX_MACHINES:
+        raise OracleLimitError("beyond the oracle's limits")
+    g = inst.graph
+    preds = g.predecessors()
+    succs = g.successors()
+    data_of = dict(zip(zip(g.src, g.dst), g.data))
+    demand, weight = g.demand, g.weight
+    speed = [inst.platform.speed(i) for i in range(m)]
+
+    best_value = math.inf
+    best_assign = best_order = None
+    assign = [0] * n
+    indeg0 = [len(p) for p in preds]
+
+    def place_rest(order, indeg, avail, finish, partial):
+        nonlocal best_value, best_assign, best_order
+        if partial >= best_value - 1e-15:
+            return
+        if len(order) == n:
+            if partial < best_value - 1e-15:
+                best_value, best_assign, best_order = partial, assign.copy(), order.copy()
+            return
+        for v in range(n):
+            if indeg[v] != 0:
+                continue
+            i = assign[v]
+            start = avail[i]
+            for p in preds[v]:
+                arrival = finish[p] + (
+                    0.0 if ignore_comm else comm_delay(inst, data_of[(p, v)], assign[p], i))
+                if arrival > start:
+                    start = arrival
+            end = start + demand[v] / speed[i]
+            new_partial = max(partial, end) if objective == MAKESPAN \
+                else partial + weight[v] * end
+            saved_avail = avail[i]
+            avail[i] = end
+            finish[v] = end
+            indeg[v] = -1
+            for w in succs[v]:
+                indeg[w] -= 1
+            order.append(v)
+            place_rest(order, indeg, avail, finish, new_partial)
+            order.pop()
+            for w in succs[v]:
+                indeg[w] += 1
+            indeg[v] = 0
+            del finish[v]
+            avail[i] = saved_avail
+
+    def enumerate_assignments(j):
+        if j == n:
+            place_rest([], indeg0.copy(), [0.0] * m, {}, 0.0)
+            return
+        for i in range(m):
+            assign[j] = i
+            enumerate_assignments(j + 1)
+
+    enumerate_assignments(0)
+    sched = Schedule()
+    avail = [0.0] * m
+    for v in best_order:
+        i = best_assign[v]
+        start = avail[i]
+        for p in preds[v]:
+            arrival = sched.finish[p] + (
+                0.0 if ignore_comm else comm_delay(inst, data_of[(p, v)], best_assign[p], i))
+            if arrival > start:
+                start = arrival
+        sched.place(v, i, start, demand[v] / speed[i])
+        avail[i] = sched.finish[v]
+    return best_value, sched
+
+
+@st.composite
+def oracle_documents(draw) -> dict:
+    """Small instance documents: edges listed in any order, some carrying no
+    data, and ``null`` (infinite) communication speeds."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    pairs = sorted({(min(a, b), max(a, b)) for a, b in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8)) if a != b})
+    edges = [{"src": a, "dst": b, "data": draw(st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0]))}
+             for a, b in pairs]
+    values, weights = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), st.sampled_from([0.0, 1.0, 2.0])
+    return {
+        "tasks": [{"id": j, "demand": draw(values), "weight": draw(weights)} for j in range(n)],
+        "edges": draw(st.permutations(edges)),
+        "machines": [{"id": i, "speed": draw(values)} for i in range(m)],
+        "comm_speed": [[draw(st.sampled_from([None, 0.5, 1.0, 2.0, 4.0])) for _ in range(m)]
+                       for _ in range(m)],
+    }
 
 
 class TestBruteForce:
@@ -51,6 +152,17 @@ class TestBruteForce:
         inst = make_instance([1.0] * 8, [], [1.0], comm=1.0)
         with pytest.raises(OracleLimitError):
             brute_force_schedule(inst)
+
+    @given(oracle_documents())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, doc):
+        inst = instance_from_dict(doc)
+        for objective in (MAKESPAN, WEIGHTED):
+            for ignore_comm in (False, True):
+                value, sched = brute_force_schedule(inst, ignore_comm, objective)
+                ref_value, ref_sched = reference_brute_force_schedule(inst, ignore_comm, objective)
+                assert value == ref_value
+                assert sched.to_json(inst) == ref_sched.to_json(inst)
 
     def test_deterministic(self, example_instance):
         a = brute_force_schedule(example_instance, ignore_comm=True)

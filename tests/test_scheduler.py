@@ -543,13 +543,13 @@ def reference_verify(inst, s, f=None):
             if not a1 >= b0 - VERIFY_TOL:
                 findings.append((a1, f"tasks {t0} and {t1} overlap on machine {mach}"))
 
-    for e in inst.graph.edges:
-        bound = s.finish[e.src] + comm_delay(inst, e.data, s.assignment[e.src], s.assignment[e.dst])
-        if not s.start[e.dst] >= bound - VERIFY_TOL:
+    for src, dst, data in zip(inst.graph.src, inst.graph.dst, inst.graph.data):
+        bound = s.finish[src] + comm_delay(inst, data, s.assignment[src], s.assignment[dst])
+        if not s.start[dst] >= bound - VERIFY_TOL:
             findings.append((
-                s.start[e.dst],
-                f"task {e.dst} starts at {s.start[e.dst]:.9g} before its data from "
-                f"task {e.src} arrives at {bound:.9g}",
+                s.start[dst],
+                f"task {dst} starts at {s.start[dst]:.9g} before its data from "
+                f"task {src} arrives at {bound:.9g}",
             ))
 
     for j in range(n):
