@@ -8,7 +8,9 @@ ratio gamma (band k covers [gamma^(k-1), gamma^k), top band closed).
 Two fractional relaxations then drive task assignment:
 
   * the makespan program: fractional machine assignments x[i,j], completion
-    times C[j] and a horizon T to minimize, with a greedy LPT start;
+    times C[j] and a horizon T to minimize, with a greedy LPT start.  It
+    holds no row that other rows imply: no chain row for a transitive edge,
+    processing rows for sources only, C_j <= T rows for sinks only;
   * the weighted-completion program: time-indexed fractions x[i,j,q] over
     geometric deadline intervals (tau[q-1], tau[q]], minimizing
     sum_j weight[j] * C[j].
@@ -230,44 +232,62 @@ def build_makespan_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
     zero-communication optimal makespan over the retained machines, with a
     feasible starting basis.
 
+    Its rows, in blocks: each task fully assigned; processing time <= C_j
+    for each source (a task without predecessors); C_a + proc(c) <= C_c for
+    each edge (a, c) that is not transitive; each machine's load <= T; and
+    C_j <= T for each sink (a task without successors).  The rows left out
+    are implied by the ones kept, so the feasible set and T* are those of
+    the program with every row: a transitive edge's row by the chain rows
+    along its other path (C grows by a nonnegative proc at each step), a
+    processing row by any of the task's chain rows (C >= 0), and a C_j <= T
+    row by a successor's chain row and, in turn, a sink's C <= T row.
+
     The start is greedy LPT (Graham 1969): tasks in decreasing demand, ties
     by id, each goes whole to the retained machine that minimizes load +
     proc, and that x[i_j, j] is basic in assignment row j.  Along the
     topological order, C_j = proc + the largest predecessor C is basic in its
-    tight row: the first incoming-edge row that attains that C, or the
-    processing row of a task without predecessors.  T is basic in the argmax
-    machine-load row or, if some C_j is larger, the argmax C_j <= T row.
-    Every other row keeps its slack.  The basis is triangular with +-1 on its
-    diagonal, so it is nonsingular.
+    tight row: the first kept incoming-edge row that attains that C, or the
+    processing row of a source.  T is basic in the argmax machine-load row
+    or, if some C_j is larger, the argmax C_j <= T row over the sinks.
+    Every other row keeps its slack.  Demands are positive, so finishes
+    never fall along a path: the largest predecessor C is always attained on
+    a kept edge and the largest C at a sink, and the start names kept rows
+    only.  The basis is triangular with +-1 on its diagonal, so it is
+    nonsingular.
     """
-    n, nm = inst.graph.n, len(groups.retained)
+    g = inst.graph
+    n, nm = g.n, len(groups.retained)
     proc = _proc(inst, groups)
-    src, dst, _ = inst.graph.edge_columns()
+    src, dst, _ = g.edge_columns()
+    kept = ~g.transitive_edges()
+    src, dst = src[kept], dst[kept]
+    sources = np.flatnonzero(np.bincount(dst, minlength=n) == 0)
+    sinks = np.flatnonzero(np.bincount(src, minlength=n) == 0)
     x = np.arange(nm * n).reshape(nm, n)               # column of x[i, j]
     C, T = nm * n + np.arange(n), nm * n + n
     A, sense, b, assign, capacity, chain, load, horizon = _zero_program(
-        "makespan", T + 1, n, n, len(src), (nm, 1), n)
+        "makespan", T + 1, n, len(sources), len(src), (nm, 1), len(sinks))
     # every task fully assigned
     A[assign, x] = 1.0
-    # processing time <= C_j
-    A[capacity, x] = proc
-    A[capacity, C] = -1.0
-    # C_src + proc(dst) <= C_dst
+    # processing time <= C_j, sources only
+    A[capacity, x[:, sources]] = proc[:, sources]
+    A[capacity, C[sources]] = -1.0
+    # C_src + proc(dst) <= C_dst, kept edges only
     A[chain, x[:, dst]] = proc[:, dst]
     A[chain, C[src]] = 1.0
     A[chain, C[dst]] = -1.0
     # machine load <= T
     A[load, x] = proc
     A[load, T] = -1.0
-    # C_j <= T
-    A[horizon, C] = 1.0
+    # C_j <= T, sinks only
+    A[horizon, C[sinks]] = 1.0
     A[horizon, T] = -1.0
     objective = np.zeros(T + 1)
     objective[T] = 1.0
     # the LPT start: the column made basic in each row, -1 keeping its slack
     start = np.full(len(b), -1)
     busy, machine = np.zeros(nm), np.zeros(n, dtype=int)
-    for j in sorted(range(n), key=lambda j: (-inst.graph.demand[j], j)):
+    for j in sorted(range(n), key=lambda j: (-g.demand[j], j)):
         i = int(np.argmin(busy + proc[:, j]))
         machine[j] = i
         busy[i] += proc[i, j]
@@ -275,16 +295,18 @@ def build_makespan_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
     incoming: list[list[int]] = [[] for _ in range(n)]
     for e, j in enumerate(dst.tolist()):
         incoming[j].append(e)
+    source_row = dict(zip(sources.tolist(), capacity.tolist()))
     finish = np.zeros(n)
-    for j in topological_order(inst.graph):
+    for j in topological_order(g):
         ready = max((finish[src[e]] for e in incoming[j]), default=0.0)
         finish[j] = ready + proc[machine[j], j]
-        tight = next((chain[e] for e in incoming[j] if finish[src[e]] == ready), capacity[j])
-        start[tight] = C[j]
-    if busy.max() >= finish.max():
+        tight = next((chain[e] for e in incoming[j] if finish[src[e]] == ready), None)
+        start[source_row[j] if tight is None else tight] = C[j]
+    last = finish[sinks]
+    if busy.max() >= last.max():
         start[load[int(np.argmax(busy)), 0]] = T
     else:
-        start[horizon[int(np.argmax(finish))]] = T
+        start[horizon[int(np.argmax(last))]] = T
     return LinearProgram(objective, A, sense, b, start)
 
 

@@ -60,8 +60,9 @@ class TaskGraph:
     Everything else is built once, on first use, and shared by every call,
     so callers must not mutate it: the predecessor and successor lists (in
     edge order) with the edge data aligned to each predecessor list, the
-    edge columns as arrays, the topological order, and the ``tasks`` view
-    of ``Task`` records, which the package does not read.
+    edge columns as arrays, the transitive-edge mask, the topological
+    order, and the ``tasks`` view of ``Task`` records, which the package
+    does not read.
     """
 
     demand: tuple[float, ...]
@@ -112,6 +113,28 @@ class TaskGraph:
     def edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The edges' ``src``, ``dst`` and ``data`` as read-only arrays, in edge order."""
         return self._edge_columns
+
+    @cached_property
+    def _transitive(self) -> np.ndarray:
+        # anc[j]: the strict ancestors of j as a bitset.  An edge (a, c) is
+        # transitive iff a is an ancestor of some predecessor of c; no
+        # predecessor p = a can match, as a DAG's anc[a] never holds a.
+        preds, anc = self.predecessors(), [0] * self.n
+        reach = [0] * self.n           # OR of anc[p] over c's predecessors p
+        for c in self._topological_order:
+            below = bits = 0
+            for p in preds[c]:
+                below |= anc[p]
+                bits |= 1 << p
+            reach[c], anc[c] = below, below | bits
+        mask = np.array([reach[c] >> a & 1 for a, c in zip(self.src, self.dst)], dtype=bool)
+        mask.flags.writeable = False
+        return mask
+
+    def transitive_edges(self) -> np.ndarray:
+        """A read-only bool array aligned with ``edge_columns()``: True for an
+        edge (a, c) that another path a -> b -> ... -> c makes implied."""
+        return self._transitive
 
     @cached_property
     def _topological_order(self) -> list[int]:

@@ -36,7 +36,9 @@ instances, about half.
 
 ``earliest_start`` reads timelines, finishes, communication rows and the
 edge data aligned with each predecessor list straight from their
-containers.  ``verify_schedule`` checks edges and durations as arrays over
+containers.  ``sls_schedule`` calls no helper per task: it keeps one
+availability list and runs the same predecessor walk and scan inline.
+``verify_schedule`` checks edges and durations as arrays over
 the graph's edge columns, with the scalar formulas' IEEE operations, and
 builds messages for failing items only.
 """
@@ -270,16 +272,15 @@ def _scan(machines, starts, pref) -> tuple[float, int]:
     return best_t, best_m
 
 
-def _group_starts(task: int, f: GroupAssignment, partial: Schedule,
-                  inst: Instance) -> tuple[tuple[int, ...], list[float]]:
-    """The machines of ``task``'s group and its earliest starts on them."""
+def _group_machines(task: int, f: GroupAssignment) -> tuple[int, ...]:
+    """The machines of ``task``'s group, which must not be empty."""
     machines = f.machines_for(task)
     if not machines:
         raise SchedulingError(
             f"task {task} is assigned to group {f.group_of_task[task]}, "
             "which has no machines"
         )
-    return machines, earliest_start(task, machines, partial, inst)
+    return machines
 
 
 class _Row:
@@ -330,7 +331,8 @@ class _Placement:
 
     def add(self, task: int) -> None:
         """Take in a newly ready task."""
-        machines, starts = _group_starts(task, self.f, self.sched, self.inst)
+        machines = _group_machines(task, self.f)
+        starts = earliest_start(task, machines, self.sched, self.inst)
         k = self.f.group_of_task[task]
         band = self.bands.get(k)
         if band is None:
@@ -435,12 +437,33 @@ def sls_schedule(inst: Instance, f: GroupAssignment, priority: list[int]) -> Sch
             raise SchedulingError(
                 f"priority is not topological: task {b} precedes its predecessor {a}"
             )
-    sched, lowest_id_first = Schedule(), range(inst.platform.m)
-    demand = inst.graph.demand
+    # earliest_start and _scan, inlined over one availability list (the
+    # finish of the last task placed on each machine), with the same
+    # comparisons in the same order, so the schedule is the same to the bit.
+    g, comm = inst.graph, inst.platform.comm_speed
+    demand, preds, pred_data = g.demand, g.predecessors(), g.predecessor_data()
     speed = [mc.speed for mc in inst.platform.machines]
+    sched, avail = Schedule(), [0.0] * inst.platform.m
+    finish, assignment = sched.finish, sched.assignment
     for j in priority:
-        start, i = _scan(*_group_starts(j, f, sched, inst), lowest_id_first)
-        sched.place(j, i, start, demand[j] / speed[i])
+        machines = _group_machines(j, f)
+        starts = [avail[i] for i in machines]
+        for p, data in zip(preds[j], pred_data[j]):
+            ready, sigma = finish[p], comm[assignment[p]]
+            k = 0
+            for i in machines:
+                arrival = ready + data / sigma[i]  # data/inf == 0.0, the zero-delay sentinel
+                if arrival > starts[k]:
+                    starts[k] = arrival
+                k += 1
+        best_t = best_m = None          # machine ties go to the lowest id
+        for i, t in zip(machines, starts):
+            if best_t is None or t < best_t - START_TIE_TOL or (
+                abs(t - best_t) <= START_TIE_TOL and i < best_m
+            ):
+                best_t, best_m = t, i
+        sched.place(j, best_m, best_t, demand[j] / speed[best_m])
+        avail[best_m] = finish[j]
     return sched
 
 

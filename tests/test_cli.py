@@ -20,6 +20,7 @@ from getf.model import parse_instance
 from getf.scheduler import schedule_from_dict, verify_schedule
 
 from conftest import EXAMPLE_JSON, corrupt_first_pivot
+from test_grouping import reference_build_makespan_lp
 
 
 @pytest.fixture
@@ -174,15 +175,15 @@ class TestSolve:
                 f"at most {grouping.MAX_BANDS} are allowed\n")
 
     @pytest.mark.parametrize("algo, message", [
-        ("getf-makespan", "the makespan program has 18 rows and 13 columns; its simplex "
-                          "tableau would take 5,016 bytes, over the 5,000-byte budget"),
+        ("getf-makespan", "the makespan program has 14 rows and 13 columns; its simplex "
+                          "tableau would take 3,480 bytes, over the 3,000-byte budget"),
         ("getf-weighted", "the weighted program has 34 rows and 28 columns; its simplex "
-                          "tableau would take 17,920 bytes, over the 5,000-byte budget"),
+                          "tableau would take 17,920 bytes, over the 3,000-byte budget"),
     ])
     def test_oversized_program_refused_before_allocation(self, example_file, tmp_path,
                                                         monkeypatch, capsys, algo, message):
         # A small budget stands in for an instance too large to allocate.
-        monkeypatch.setattr(grouping, "MAX_TABLEAU_BYTES", 5000)
+        monkeypatch.setattr(grouping, "MAX_TABLEAU_BYTES", 3000)
         zeros = grouping.np.zeros
 
         def no_matrix(shape, *args, **kwargs):
@@ -273,6 +274,26 @@ class TestSolve:
         assert run("solve", example_file, "--algo", "getf-makespan") == EXIT_INFEASIBLE
         assert capsys.readouterr().err == "error: simplex iteration limit exceeded\n"
 
+    @staticmethod
+    def solve_with_bad_start(example_file, monkeypatch, build, fault, column, moved_to):
+        """Solve the worked example with `build`'s program and a start spoilt
+        by `fault`; for "infeasible", basic `column` leaves its row for row
+        `moved_to`.  Task 0 starts on machine 1, x[1, 0] being column 4."""
+        def bad_start(inst, groups):
+            lp = build(inst, groups)
+            start = lp.start
+            if fault == "malformed":
+                lp.start = start[:-1]
+            elif fault == "singular":
+                start[1] = start[0]            # x[1, 0] has no entry in task 1's row
+            else:
+                start[start == column] = -1
+                start[moved_to] = column
+            return lp
+
+        monkeypatch.setattr(grouping, "build_makespan_lp", bad_start)
+        return run("solve", example_file, "--algo", "getf-makespan")
+
     @pytest.mark.parametrize("fault,message", [
         ("malformed", "start must be a (18,) integer array, got shape (17,) of int64"),
         ("singular", "start is singular: column 4 has pivot 0 in row 1"),
@@ -280,25 +301,29 @@ class TestSolve:
     ])
     def test_bad_lp_start_exit_2_one_line(self, example_file, monkeypatch, capsys, fault,
                                           message):
-        # The worked example's program has 18 rows: 4 assignment, 4 processing,
-        # 4 edge, 2 machine-load and 4 C_j <= T rows.  Task 0 starts on
-        # machine 1, x[1, 0] being column 4; C_2 is column 2 * 4 + 2.
-        build_makespan_lp = grouping.build_makespan_lp
+        # The full program (every row, as `reference_build_makespan_lp` writes
+        # it) has 18 rows: 4 assignment, 4 processing, 4 edge, 2 machine-load
+        # and 4 C_j <= T rows.  C_2, column 2 * 4 + 2, leaves its tight edge
+        # row for its processing row, row 4 + 2.
+        assert self.solve_with_bad_start(example_file, monkeypatch,
+                                         reference_build_makespan_lp, fault,
+                                         column=2 * 4 + 2, moved_to=4 + 2) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == f"error: {message}\n"
 
-        def bad_start(inst, groups):
-            lp = build_makespan_lp(inst, groups)
-            start = lp.start
-            if fault == "malformed":
-                lp.start = start[:-1]
-            elif fault == "singular":
-                start[1] = start[0]            # x[1, 0] has no entry in task 1's row
-            else:
-                start[start == 10] = -1        # C_2 leaves its tight edge row ...
-                start[4 + 2] = 10              # ... for its processing row
-            return lp
-
-        monkeypatch.setattr(grouping, "build_makespan_lp", bad_start)
-        assert run("solve", example_file, "--algo", "getf-makespan") == EXIT_INFEASIBLE
+    @pytest.mark.parametrize("fault,message", [
+        ("malformed", "start must be a (14,) integer array, got shape (13,) of int64"),
+        ("infeasible", "start is infeasible: row 13 has basic value -2 < -FEAS_TOL 1e-07"),
+    ])
+    def test_bad_reduced_lp_start_exit_2_one_line(self, example_file, monkeypatch, capsys,
+                                                  fault, message):
+        # The program the pipeline builds has 14 rows: 4 assignment, 2
+        # processing (sources 0 and 1), 4 edge, 2 machine-load and 2 C_j <= T
+        # rows (sinks 2 and 3, rows 12 and 13).  T, column 2 * 4 + 4, is basic
+        # in sink 3's row, as C_3 = 4 is the largest C_j; it moves to sink 2's
+        # row, and C_2 = 2 < C_3.
+        assert self.solve_with_bad_start(example_file, monkeypatch,
+                                         grouping.build_makespan_lp, fault,
+                                         column=2 * 4 + 4, moved_to=12) == EXIT_INFEASIBLE
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_infeasible_lp_point_exit_2_one_line(self, tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 import tracemalloc
@@ -18,9 +19,11 @@ from getf.grouping import (GroupAssignment, GroupingError, MachineGroups, _band_
                            partition_machines, solve_makespan_relaxation,
                            solve_weighted_relaxation, trivial_assignment,
                            weighted_slice_feasibility)
-from getf.lp_solver import EQ, LE, LinearProgram, solve_lp
+from getf.lp_solver import EQ, FEAS_TOL, LE, OPTIMAL, LinearProgram, residuals, solve_lp
 from getf.model import normalize_demands, topological_order
 from getf.oracle import brute_force_schedule, restrict_platform
+from getf.pipeline import run as run_pipeline
+from getf.scheduler import TieBreak
 
 from conftest import make_instance
 
@@ -593,13 +596,16 @@ class TestMakespanStart:
 
     def test_tied_completions_take_the_first_incoming_edge(self):
         # Tasks 0 and 1 both finish at 1 on their own machines, so C_2's tight
-        # row is the first edge into task 2, edge 0 (row 2n + 0).
+        # row is the first edge into task 2, edge 0.  The rows are 4
+        # assignment, 2 processing (sources 0 and 1), 3 edge, 2 machine-load
+        # and 1 C_j <= T (sink 3), so edge e is row n + 2 + e.
         inst, _ = START_CASES["tied demands"]
         start = build_makespan_lp(inst, partition_machines(inst.platform)).start
         n, nm = 4, 2
         C = nm * n
-        assert start[2 * n + 0] == C + 2 and start[2 * n + 1] == -1
-        assert start[2 * n + 2] == C + 3                   # the single edge into task 3
+        assert len(start) == n + 2 + 3 + nm + 1
+        assert start[n + 2 + 0] == C + 2 and start[n + 2 + 1] == -1
+        assert start[n + 2 + 2] == C + 3                   # the single edge into task 3
         assert start[n + 0] == C + 0 and start[n + 1] == C + 1   # no predecessors
 
     def test_seed_one_programs_match_the_unstarted_solve(self):
@@ -621,8 +627,9 @@ class TestMakespanStart:
 # ---------------------------------------------------------------------------
 # Reference: the builders that stacked dense eye/kron/tile blocks, and the
 # makespan start that kept its own copy of the program's row offsets.  The
-# builders that write each block, and the start, by index must give the same
-# bytes.
+# makespan reference is the full program, with every row; the builder's
+# program is the full one without the rows that other rows imply, and the
+# weighted builder must give the reference's bytes.
 # ---------------------------------------------------------------------------
 
 def reference_stack_lp(objective, *blocks):
@@ -693,6 +700,45 @@ def reference_build_makespan_lp(inst, groups):
     return dataclasses.replace(lp, start=reference_makespan_start(inst, groups))
 
 
+def reference_transitive(graph):
+    """Edge (a, c) is transitive iff a depth-first search from some other
+    successor of a reaches c."""
+    succs = graph.successors()
+
+    def reaches(u, target):
+        seen, stack = {u}, [u]
+        while stack:
+            v = stack.pop()
+            if v == target:
+                return True
+            for w in succs[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return False
+
+    return np.array([any(reaches(b, c) for b in succs[a] if b != c)
+                     for a, c in zip(graph.src, graph.dst)], dtype=bool)
+
+
+def reference_kept_rows(graph, nm):
+    """The rows of the full makespan program that the reduced one keeps:
+    every assignment row, the processing rows of sources, the chain rows of
+    edges that are not transitive, every load row, the C_j <= T rows of sinks."""
+    sources = [not p for p in graph.predecessors()]
+    sinks = [not s for s in graph.successors()]
+    return np.concatenate([np.ones(graph.n, bool), sources, ~reference_transitive(graph),
+                           np.ones(nm, bool), sinks]).astype(bool)
+
+
+def reference_reduced_makespan_lp(inst, groups):
+    """The full program and its start, restricted to the kept rows."""
+    full = reference_build_makespan_lp(inst, groups)
+    kept = reference_kept_rows(inst.graph, len(groups.retained))
+    return LinearProgram(full.objective, full.A[kept], full.sense[kept], full.b[kept],
+                         full.start[kept])
+
+
 def reference_build_weighted_lp(inst, groups):
     n, nm = inst.graph.n, len(groups.retained)
     proc = _proc(inst, groups)
@@ -745,11 +791,71 @@ def test_builders_match_stacked_reference(seed, family, n, m, density, speeds, d
                                            speed_range=speeds, demand_range=demands,
                                            weights=weights))
     groups = partition_machines(inst.platform, gamma)
-    assert_same_program(build_makespan_lp(inst, groups), reference_build_makespan_lp(inst, groups))
+    assert_same_program(build_makespan_lp(inst, groups),
+                        reference_reduced_makespan_lp(inst, groups))
     normalized, _ = normalize_demands(inst)
     groups = partition_machines(normalized.platform, gamma)
     assert_same_program(build_weighted_lp(normalized, groups),
                         reference_build_weighted_lp(normalized, groups))
+
+
+def implied_row_instance(seed, family, n, m, density, kind):
+    """kind "generated" is the generator's instance; "tied" is its graph
+    with integer demands 1..3 on unit speeds, where many finishes tie;
+    "dense" is a DAG without parallel edges in which each pair u < v is an
+    edge with probability 0.9, its edges listed in a random order."""
+    rng = random.Random(seed)
+    if kind == "dense":
+        edges = [(u, v, float(rng.randint(0, 2)))
+                 for v in range(n) for u in range(v) if rng.random() < 0.9]
+        rng.shuffle(edges)
+        return make_instance([rng.randint(1, 3) for _ in range(n)], edges,
+                             [rng.choice([1.0, 2.0]) for _ in range(m)], comm=1.0)
+    inst = generate_instance(GeneratorSpec(family, n, m, seed=seed, density=density))
+    if kind == "tied":
+        g = inst.graph
+        return make_instance([rng.randint(1, 3) for _ in range(n)],
+                             list(zip(g.src, g.dst, g.data)), [1.0] * m, comm=1.0)
+    return inst
+
+
+@given(seed=st.integers(0, 10_000), family=st.sampled_from(FAMILIES),
+       n=st.integers(1, 14), m=st.integers(1, 5),
+       density=st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+       kind=st.sampled_from(["generated", "tied", "dense"]))
+@settings(max_examples=100, deadline=None)
+def test_dropped_rows_are_implied(seed, family, n, m, density, kind):
+    inst = implied_row_instance(seed, family, n, m, density, kind)
+    groups = partition_machines(inst.platform)
+    assert (inst.graph.transitive_edges().tolist()
+            == reference_transitive(inst.graph).tolist())
+    full, reduced = reference_build_makespan_lp(inst, groups), build_makespan_lp(inst, groups)
+    kept = reference_kept_rows(inst.graph, len(groups.retained))
+    # The start names kept rows only, with the full program's columns.
+    assert np.all(full.start[~kept] == -1)
+    assert reduced.start.tolist() == full.start[kept].tolist()
+    got, want = solve_lp(reduced), solve_lp(full)
+    assert got.status == want.status == OPTIMAL
+    assert got.objective == pytest.approx(want.objective, rel=1e-9)
+    assert np.all(residuals(full, got.x)[~kept] <= FEAS_TOL)
+
+
+def test_random_dag_160_program_shape_and_schedule():
+    # 3837 edges, of which 334 are not transitive; 3 sources, 4 sinks and 16
+    # retained machines.  The program with every row had 4333 rows.
+    inst = generate_instance(GeneratorSpec("random_dag", 160, 16, seed=1, density=0.3))
+    g, groups = inst.graph, partition_machines(inst.platform)
+    lp = build_makespan_lp(inst, groups)
+    sources = sum(not p for p in g.predecessors())
+    sinks = sum(not s for s in g.successors())
+    kept = int((~g.transitive_edges()).sum())
+    assert (sources, kept, sinks, len(groups.retained)) == (3, 334, 4, 16)
+    assert lp.A.shape == (g.n + sources + kept + len(groups.retained) + sinks, 16 * 160 + 161)
+    assert lp.A.shape[0] == 517
+    # The schedule digest of the build that kept every row.
+    sched, _ = run_pipeline(inst, "getf-makespan", TieBreak.by_index())
+    assert hashlib.sha256(sched.to_json(inst).encode()).hexdigest() == (
+        "11fece15b57b15f7365f87eecf9879e65170cd12afd6b4876ed28a28596feeaf")
 
 
 @pytest.mark.parametrize("build", [build_makespan_lp, build_weighted_lp])

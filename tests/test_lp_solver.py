@@ -21,6 +21,7 @@ from getf.lp_solver import (EQ, FEAS_TOL, GE, INFEASIBLE, LE, OPTIMAL, PIVOT_TOL
 from getf.model import normalize_demands
 
 from conftest import corrupt_first_pivot
+from test_grouping import reference_build_makespan_lp
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +120,15 @@ def unstarted(lp: LinearProgram) -> LinearProgram:
 
 def built_program(kind: str, family: str, n: int, m: int, seed: int) -> LinearProgram:
     """kind "makespan" is the makespan program without its crash basis,
-    "makespan-start" the program as built."""
+    "makespan-start" the program as built, and "makespan-full" the program
+    with every row, implied ones included, without its crash basis."""
     spec = GeneratorSpec(family, n, m, seed=seed, density=0.3, weights="uniform",
                          speed_range=(0.5, 1.0) if kind == "weighted" else (1.0, 2.0))
     inst = generate_instance(spec)
     if kind == "makespan":
         return unstarted(build_makespan_lp(inst, partition_machines(inst.platform)))
+    if kind == "makespan-full":
+        return unstarted(reference_build_makespan_lp(inst, partition_machines(inst.platform)))
     if kind == "makespan-start":
         return build_makespan_lp(inst, partition_machines(inst.platform))
     inst, _ = normalize_demands(inst)
@@ -609,9 +613,9 @@ class TestContracts:
 
 class TestPivotCounts:
     def test_counts_repeat_exactly(self):
-        # A makespan and a weighted program through phase 1, and a program
-        # whose phase 1 drops a redundant row.
-        for lp, expected in ((built_program("makespan", "layered", 20, 8, 904), (134, 78)),
+        # A makespan program with every row and a weighted program through
+        # phase 1, and a program whose phase 1 drops a redundant row.
+        for lp, expected in ((built_program("makespan-full", "layered", 20, 8, 904), (134, 78)),
                              (built_program("weighted", "random_dag", 6, 3, 954), (102, 34)),
                              (redundant_equalities(), (2, 0))):
             counts = {(s.pivots, s.degenerate_pivots) for s in (solve_lp(lp), solve_lp(lp))}

@@ -10,7 +10,8 @@ from getf.grouping import GroupAssignment, partition_machines, trivial_assignmen
 from getf.model import topological_order
 from getf.oracle import brute_force_schedule
 from getf.scheduler import (START_TIE_TOL, VERIFY_TOL, Schedule, SchedulingError, TieBreak,
-                            TieChooser, _Placement, comm_delay, earliest_start, etf_schedule,
+                            TieChooser, _Placement, _scan, comm_delay, earliest_start,
+                            etf_schedule,
                             getf_schedule, schedule_from_dict, sls_schedule, verify_schedule)
 
 from conftest import make_instance
@@ -65,6 +66,32 @@ def naive_sls(inst, f, priority):
         t, mach = naive_best_placement(j, f.machines_for(j), sched, inst, False)
         sched.place(j, mach, t, inst.graph.tasks[j].demand / inst.platform.speed(mach))
     return sched
+
+
+def reference_sls_schedule(inst, f, priority):
+    """``sls_schedule`` with one ``earliest_start`` call per task, which reads
+    availability from the machines' timelines, and the shared scan."""
+    sched, lowest_id_first = Schedule(), range(inst.platform.m)
+    for j in priority:
+        machines = f.machines_for(j)
+        start, i = _scan(machines, earliest_start(j, machines, sched, inst), lowest_id_first)
+        sched.place(j, i, start, inst.graph.demand[j] / inst.platform.speed(i))
+    return sched
+
+
+def random_topological_order(inst, rng):
+    """A topological order that takes a random ready task at each step."""
+    preds, succs = inst.graph.predecessors(), inst.graph.successors()
+    waiting = [len(p) for p in preds]
+    ready, order = [j for j, k in enumerate(waiting) if k == 0], []
+    while ready:
+        j = ready.pop(rng.randrange(len(ready)))
+        order.append(j)
+        for w in succs[j]:
+            waiting[w] -= 1
+            if waiting[w] == 0:
+                ready.append(w)
+    return order
 
 
 def random_band_assignment(inst, rng):
@@ -448,6 +475,25 @@ class TestSls:
         f = trivial_assignment(example_instance)
         with pytest.raises(SchedulingError, match="every task"):
             sls_schedule(example_instance, f, [0, 1, 2])
+
+    @given(st.integers(0, 10_000), st.sampled_from(["generated", "tied"]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_task_helper_reference(self, seed, kind):
+        rng = random.Random(seed)
+        if kind == "tied":     # zero-data edges, inf comm speeds, starts tied or 1 ulp apart
+            inst = tie_heavy_instance(rng)
+            banded = split_band_assignment(inst, rng)
+        else:
+            inst = generate_instance(GeneratorSpec(
+                family=rng.choice(FAMILIES), n=rng.randint(1, 40), m=rng.randint(1, 8),
+                seed=seed, density=rng.choice([0.05, 0.2, 0.5]),
+                data_range=rng.choice([(0.0, 0.0), (0.0, 4.0)]),
+                self_comm=rng.choice(["matrix", "infinite"])))
+            banded = random_band_assignment(inst, rng)
+        for order in (topological_order(inst.graph), random_topological_order(inst, rng)):
+            for f in (trivial_assignment(inst), banded):
+                assert sls_schedule(inst, f, order).to_json(inst) == \
+                    reference_sls_schedule(inst, f, order).to_json(inst)
 
     def test_list_bound_on_independent_tasks(self):
         for k in range(8):
