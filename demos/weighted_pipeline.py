@@ -17,14 +17,13 @@ def main():
                          comm_range=(1.0, 4.0), data_range=(0.0, 3.0),
                          weights="uniform")
     inst, scale = normalize_demands(generate_instance(spec))
-    weights = dict(enumerate(inst.graph.weight))
     print(f"instance: {inst.graph.n} tasks on {inst.platform.m} machines "
           f"(demand scale applied: {scale:g})")
 
     groups = partition_machines(inst.platform)
     wsol = solve_weighted_relaxation(inst, groups)
     print(f"\ndeadline intervals: Q = {wsol.Q}, edges at {list(wsol.tau)}")
-    print(f"fractional objective sum w*C* = {wsol.objective(weights):.4g}")
+    print(f"fractional objective sum w*C* = {wsol.objective(inst.graph.weight):.4g}")
     print("per-task interval estimates q(j) and captured mass alpha:")
     for j in range(inst.graph.n):
         print(f"  task {j}: C* = {wsol.C[j]:8.4g}  q = {wsol.q_of[j]}  "

@@ -5,10 +5,10 @@ derived from LP relaxations, plus machine-checked decomposition bounds on
 every produced schedule.
 """
 
-from .analysis import (BoundReport, Inequality, TerminalChain, chain_comm_time,
-                       identical_report, makespan_theorem_report,
-                       min_comm_terminal_chain, per_task_chain_comm,
-                       separation_report, weighted_theorem_report)
+from .analysis import (BoundReport, Inequality, chain_comm_time, identical_report,
+                       makespan_theorem_report, min_comm_terminal_chain,
+                       per_task_chain_comm, separation_report,
+                       weighted_theorem_report)
 from .generator import GeneratorSpec, generate_instance
 from .grouping import (GroupAssignment, MachineGroups, MakespanFractional,
                        WeightedFractional, assign_groups_makespan,

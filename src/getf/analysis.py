@@ -2,8 +2,8 @@
 
 A terminal chain walks backwards from a latest-finishing task through
 latest-finishing immediate predecessors until it reaches a task with no
-predecessor.  Every report here decomposes schedule quantities along such
-chains:
+predecessor; it is a tuple of task ids, root first.  Every report here
+decomposes schedule quantities along such chains:
 
   * ``separation_report``: makespan <= P + sum_k D_k + C, where P is the
     chain's processing time, D_k the total demand mapped to band k divided
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from .grouping import GroupAssignment, MachineGroups, WeightedFractional, weighted_slice_feasibility
 from .model import Instance, TaskGraph
-from .scheduler import Schedule, comm_delay
+from .scheduler import Schedule
 
 log = logging.getLogger(__name__)
 
@@ -49,14 +49,6 @@ REL_SLACK_TOL = 1e-6
 
 class AnalysisError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TerminalChain:
-    tasks: tuple[int, ...]
-
-    def links(self) -> list[tuple[int, int]]:
-        return list(zip(self.tasks, self.tasks[1:]))
 
 
 @dataclass(frozen=True)
@@ -142,10 +134,10 @@ def _link_comm(inst: Instance, f: GroupAssignment, s: Schedule):
     return link
 
 
-def chain_comm_time(chain: TerminalChain, s: Schedule, f: GroupAssignment,
+def chain_comm_time(chain: tuple[int, ...], s: Schedule, f: GroupAssignment,
                     inst: Instance) -> float:
     link = _link_comm(inst, f, s)
-    return sum(link(a, b) for a, b in chain.links())
+    return sum(link(a, b) for a, b in zip(chain, chain[1:]))
 
 
 class _ChainTable:
@@ -187,14 +179,14 @@ class _ChainTable:
     def cost(self, j: int) -> float:
         return self.fill([j])[j]
 
-    def chain(self, j: int) -> TerminalChain:
+    def chain(self, j: int) -> tuple[int, ...]:
         self.cost(j)
         tasks = [j]
         while self._back[tasks[-1]] is not None:
             tasks.append(self._back[tasks[-1]])
-        return TerminalChain(tuple(reversed(tasks)))
+        return tuple(reversed(tasks))
 
-    def cheapest(self, anchors: list[int]) -> tuple[TerminalChain, float]:
+    def cheapest(self, anchors: list[int]) -> tuple[tuple[int, ...], float]:
         """The cheapest chain over ``anchors``; value ties go to the lowest id."""
         best, best_val = None, 0.0
         for a in sorted(anchors):
@@ -205,7 +197,7 @@ class _ChainTable:
 
 
 def min_comm_terminal_chain(s: Schedule, inst: Instance,
-                            f: GroupAssignment) -> tuple[TerminalChain, float]:
+                            f: GroupAssignment) -> tuple[tuple[int, ...], float]:
     """The terminal chain minimizing total communication time, and that time."""
     anchors = latest_finishing(sorted(s.assignment), s.finish)
     return _ChainTable(s, inst.graph, _link_comm(inst, f, s)).cheapest(anchors)
@@ -215,10 +207,10 @@ def min_comm_terminal_chain(s: Schedule, inst: Instance,
 # Separation decomposition
 # ---------------------------------------------------------------------------
 
-def chain_processing_time(chain: TerminalChain, s: Schedule, inst: Instance) -> float:
+def chain_processing_time(chain: tuple[int, ...], s: Schedule, inst: Instance) -> float:
     return sum(
         inst.graph.demand[j] / inst.platform.speed(s.assignment[j])
-        for j in chain.tasks
+        for j in chain
     )
 
 
@@ -243,21 +235,21 @@ def machine_idle_in_window(s: Schedule, machine: int, lo: float, hi: float) -> f
     return (hi - lo) - busy
 
 
-def idle_bound_replay(chain: TerminalChain, s: Schedule, inst: Instance,
+def idle_bound_replay(chain: tuple[int, ...], s: Schedule, inst: Instance,
                       f: GroupAssignment, report: BoundReport) -> None:
     """Assert, per chain link and per machine of the successor's group, that
     idle time inside the link window is covered by the link's transfer time."""
-    data_of = _link_data(inst.graph)
-    for a, b in chain.links():
+    data_of, comm = _link_data(inst.graph), inst.platform.comm_speed
+    for a, b in zip(chain, chain[1:]):
         window_lo, window_hi, data = s.finish[a], s.start[b], data_of(a, b)
+        sigma = comm[s.assignment[a]]
         for i in f.machines_for(b):
             idle = machine_idle_in_window(s, i, window_lo, window_hi)
-            bound = comm_delay(inst, data, s.assignment[a], i)
-            report.add(f"idle[{a}->{b}]@m{i}", idle, bound)
+            report.add(f"idle[{a}->{b}]@m{i}", idle, data / sigma[i])
 
 
 def _chain_terms(s: Schedule, inst: Instance, f: GroupAssignment,
-                 groups: MachineGroups) -> tuple[TerminalChain, dict, dict[int, float]]:
+                 groups: MachineGroups) -> tuple[tuple[int, ...], dict, dict[int, float]]:
     """The min-comm chain, the context terms P, C, sum_D, gamma and K that
     both makespan reports start with, and the band loads D_k."""
     chain, comm = min_comm_terminal_chain(s, inst, f)
@@ -276,7 +268,7 @@ def separation_report(s: Schedule, inst: Instance, f: GroupAssignment,
         kind="separation",
         objective=s.makespan(),
         context={**terms, **{f"D_{k}": v for k, v in sorted(loads.items())},
-                 "chain": list(chain.tasks)},
+                 "chain": list(chain)},
     )
     report.add("makespan<=P+sumD+C", s.makespan(),
                terms["P"] + terms["sum_D"] + terms["C"])
@@ -292,7 +284,7 @@ def makespan_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
     report = BoundReport(
         kind="makespan_theorem",
         objective=s.makespan(),
-        context={**terms, "T*": tstar, "chain": list(chain.tasks)},
+        context={**terms, "T*": tstar, "chain": list(chain)},
     )
     report.add("P<=2*gamma*T*", terms["P"], 2.0 * g * tstar)
     report.add("sumD<=2*K*T*", terms["sum_D"], 2.0 * K * tstar)
@@ -318,19 +310,19 @@ def identical_report(s: Schedule, inst: Instance,
     if len(speeds) != 1:
         raise AnalysisError("identical_report requires identical machine speeds")
     speed = speeds.pop()
-    m = inst.platform.m
+    m, comm = inst.platform.m, inst.platform.comm_speed
     data_of = _link_data(inst.graph)
 
     def link_cost(a: int, b: int) -> float:
-        src, data = s.assignment[a], data_of(a, b)
-        return sum(comm_delay(inst, data, src, i) for i in range(m)) / m
+        data = data_of(a, b)
+        return sum(data / sigma for sigma in comm[s.assignment[a]]) / m
 
     def node_cost(j: int) -> float:
         return (m - 1) / m * inst.graph.demand[j] / speed
 
     table = _ChainTable(s, inst.graph, link_cost, node_cost)
     chain, _ = table.cheapest(latest_finishing(sorted(s.assignment), s.finish))
-    c_prime = sum(link_cost(a, b) for a, b in chain.links())
+    c_prime = sum(link_cost(a, b) for a, b in zip(chain, chain[1:]))
     chain_proc = chain_processing_time(chain, s, inst)
     avg_load = sum(inst.graph.demand) / (m * speed)
 
@@ -338,7 +330,7 @@ def identical_report(s: Schedule, inst: Instance,
         kind="identical",
         objective=s.makespan(),
         context={"C'": c_prime, "chain_P": chain_proc, "avg_load": avg_load,
-                 "m": float(m), "chain": list(chain.tasks)},
+                 "m": float(m), "chain": list(chain)},
     )
     report.add(
         "makespan<=avg_load+((m-1)/m)*chainP+C'",
@@ -396,7 +388,7 @@ def weighted_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
     c_star, q_of = wsol.C.tolist(), wsol.q_of.tolist()
     g, K = groups.gamma, groups.K
     factor = 32.0 * (g + K)
-    weights = dict(enumerate(inst.graph.weight))
+    weights = inst.graph.weight
 
     report = BoundReport(
         kind="weighted_theorem",

@@ -32,8 +32,7 @@ import time
 from pathlib import Path
 
 from . import analysis, grouping, model, pipeline, scheduler
-from .generator import (FORK_JOIN, LAYERED, RANDOM_DAG, SELF_COMM_INFINITE,
-                        SELF_COMM_MATRIX, WEIGHTS_SINK_ONLY, WEIGHTS_UNIFORM,
+from .generator import (FORK_JOIN, LAYERED, RANDOM_DAG, WEIGHTS_SINK_ONLY, WEIGHTS_UNIFORM,
                         WEIGHTS_ZERO, GeneratorError, GeneratorSpec, generate_instance)
 from .lp_solver import LpError
 from .pipeline import ALGORITHMS
@@ -124,12 +123,11 @@ def cmd_generate(args) -> int:
     family = {"layered": LAYERED, "fork-join": FORK_JOIN, "random-dag": RANDOM_DAG}[args.family]
     weights = {"zero": WEIGHTS_ZERO, "uniform": WEIGHTS_UNIFORM,
                "sink-only": WEIGHTS_SINK_ONLY}[args.weights]
-    self_comm = {"matrix": SELF_COMM_MATRIX, "infinite": SELF_COMM_INFINITE}[args.self_comm]
     spec = GeneratorSpec(
         family=family, n=args.n, m=args.m, seed=args.seed, density=args.density,
         demand_range=_parse_range(args.demand), speed_range=_parse_range(args.speed),
         comm_range=_parse_range(args.comm), data_range=_parse_range(args.data),
-        self_comm=self_comm, weights=weights,
+        self_comm=args.self_comm, weights=weights,
     )
     try:
         inst = generate_instance(spec)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,7 +348,7 @@ class WeightedFractional:
     alpha: np.ndarray | None = None       # (n,) mass captured by intervals 1..q_of
     x_tilde: np.ndarray | None = None     # (nm, n) collapsed fractions
 
-    def objective(self, weights: dict[int, float]) -> float:
+    def objective(self, weights: Sequence[float]) -> float:
         return sum(weights[j] * cj for j, cj in enumerate(self.C.tolist()))
 
 

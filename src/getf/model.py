@@ -177,9 +177,6 @@ class Platform:
     def speed(self, machine_id: int) -> float:
         return self.machines[machine_id].speed
 
-    def sigma(self, src_machine: int, dst_machine: int) -> float:
-        return self.comm_speed[src_machine][dst_machine]
-
 
 @dataclass(frozen=True)
 class Instance:

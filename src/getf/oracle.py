@@ -30,16 +30,16 @@ MAX_TASKS = 7
 MAX_MACHINES = 3
 
 
-def restrict_platform(inst: Instance, machine_ids: tuple[int, ...]) -> tuple[Instance, dict[int, int]]:
-    """Sub-instance over a machine subset; returns it plus new->old id map."""
+def restrict_platform(inst: Instance, machine_ids: tuple[int, ...]) -> Instance:
+    """Sub-instance over a machine subset; new machine k is the k-th smallest
+    of ``machine_ids``."""
     ordered = sorted(machine_ids)
     machines = tuple(
         Machine(new_id, inst.platform.speed(old)) for new_id, old in enumerate(ordered)
     )
-    comm = tuple(
-        tuple(inst.platform.sigma(a, b) for b in ordered) for a in ordered
-    )
-    return Instance(inst.graph, Platform(machines, comm)), dict(enumerate(ordered))
+    comm = inst.platform.comm_speed
+    sub_comm = tuple(tuple(comm[a][b] for b in ordered) for a in ordered)
+    return Instance(inst.graph, Platform(machines, sub_comm))
 
 
 def brute_force_schedule(
@@ -151,10 +151,10 @@ def lower_bounds(inst: Instance) -> tuple[float, float]:
     work = sum(inst.graph.demand) / total_speed
 
     demand = inst.graph.demand
-    heaviest = dict(enumerate(demand))
+    heaviest = list(demand)
     preds = inst.graph.predecessors()
     for j in topological_order(inst.graph):
         if preds[j]:
             heaviest[j] = demand[j] + max(heaviest[p] for p in preds[j])
-    chain = max(heaviest.values(), default=0.0) / s_max
+    chain = max(heaviest, default=0.0) / s_max
     return work, chain

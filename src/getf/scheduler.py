@@ -142,9 +142,6 @@ class Schedule:
     iteration_order: list[int] = field(default_factory=list)
     machine_intervals: dict[int, list[tuple[float, float, int]]] = field(default_factory=dict)
 
-    def is_scheduled(self, task: int) -> bool:
-        return task in self.assignment
-
     def makespan(self) -> float:
         return max(self.finish.values(), default=0.0)
 
@@ -227,11 +224,6 @@ def schedule_from_dict(doc: dict) -> Schedule:
     return s
 
 
-def comm_delay(inst: Instance, data: float, src_machine: int, dst_machine: int) -> float:
-    sigma = inst.platform.sigma(src_machine, dst_machine)
-    return data / sigma  # data/inf == 0.0, the zero-delay sentinel
-
-
 def earliest_start(task: int, machine: int | tuple[int, ...] | list[int],
                    partial: Schedule, inst: Instance) -> float | list[float]:
     """Earliest feasible start of ``task`` on ``machine`` given the partial
@@ -291,10 +283,7 @@ class _Row:
 
     def __init__(self, starts: list[float], above: int, machines, pref):
         self.starts, self.above = starts, above
-        self.rescan(machines, pref)
-
-    def rescan(self, machines, pref) -> None:
-        self.best = _scan(machines, self.starts, pref)
+        self.best = _scan(machines, starts, pref)
 
 
 class _Band:
@@ -397,7 +386,7 @@ class _Placement:
                         continue
                 if t < now:
                     row.starts[c] = now
-                    row.rescan(band.machines, self.pref)
+                    row.best = _scan(band.machines, row.starts, self.pref)
             for j in bound:
                 del band.rows[j]
                 insort(band.queue, self.chooser.rank[j])

@@ -13,7 +13,9 @@ third of the mixed ensemble).  The clause is asserted as stated anyway;
 see the failure message for the measured rate.
 """
 
+import itertools
 import random
+import statistics
 import time
 
 import pytest
@@ -21,8 +23,8 @@ import pytest
 from getf.analysis import (identical_report, machine_idle_in_window,
                            makespan_theorem_report, separation_report,
                            weighted_theorem_report)
-from getf.generator import (FAMILIES, SELF_COMM_INFINITE, SELF_COMM_MATRIX,
-                            GeneratorSpec, generate_instance)
+from getf.generator import (FAMILIES, LAYERED, RANDOM_DAG, SELF_COMM_INFINITE,
+                            SELF_COMM_MATRIX, GeneratorSpec, generate_instance)
 from getf.grouping import (GroupAssignment, assign_groups_makespan,
                            assign_groups_weighted, partition_machines,
                            solve_makespan_relaxation, solve_weighted_relaxation,
@@ -199,7 +201,7 @@ def test_criterion_4_lp_lower_bound():
         inst = generate_instance(spec)
         groups = partition_machines(inst.platform)
         frac = solve_makespan_relaxation(inst, groups)
-        sub, _ = restrict_platform(inst, groups.retained)
+        sub = restrict_platform(inst, groups.retained)
         opt, _ = brute_force_schedule(sub, ignore_comm=True)
         work, chain = lower_bounds(inst)
         if frac.T > opt * (1 + 1e-6):
@@ -381,3 +383,45 @@ def test_criterion_8_feasibility_and_determinism():
                     f"nondeterministic={nondeterministic}", elapsed)
     assert infeasible == 0
     assert nondeterministic == 0
+
+
+# ---------------------------------------------------------------------------
+# 9. Many bands: speeds across (1/(2m), 1), where ETF's guarantee does not apply
+# ---------------------------------------------------------------------------
+
+def test_criterion_9_many_band_stress():
+    """The makespan pipeline on 24 instances whose machines span a speed
+    ratio of 2m, so there are several bands and slow machines are discarded.
+    A failing inequality is a defect, reported with its instance."""
+    t0 = time.time()
+    infeasible, failures, getf_over_etf = [], [], []
+    max_bands = discarded = 0
+    worst_ratio = 0.0
+    cases = itertools.product((LAYERED, RANDOM_DAG), (20, 40, 80), (16, 32), range(2))
+    for k, (family, n, m, _) in enumerate(cases, start=1):
+        spec = GeneratorSpec(family=family, n=n, m=m, seed=900_000 + k, density=0.2,
+                             speed_range=(1 / (2 * m), 1.0))
+        inst = generate_instance(spec)
+        groups = partition_machines(inst.platform)
+        frac = solve_makespan_relaxation(inst, groups)
+        f = assign_groups_makespan(frac, groups)
+        s = getf_schedule(inst, f, TieBreak.by_index())
+        if not verify_schedule(inst, s, f).feasible:
+            infeasible.append(spec)
+        checked = [*makespan_theorem_report(s, inst, f, groups, frac.T).inequalities,
+                   separation_report(s, inst, f, groups).inequalities[0]]
+        failures += [(spec, iq.name, iq.lhs, iq.rhs) for iq in checked if not iq.passed]
+        max_bands = max(max_bands, groups.K)
+        discarded += m - len(groups.retained)
+        worst_ratio = max(worst_ratio, s.makespan() / frac.T)
+        getf_over_etf.append(s.makespan() / etf_schedule(inst, TieBreak.by_index()).makespan())
+    elapsed = time.time() - t0
+    ok = not infeasible and not failures and elapsed < 60
+    announce(9, ok, f"24 many-band instances: K <= {max_bands}, {discarded} machines "
+                    f"discarded, makespan/T* <= {worst_ratio:.3f}, GETF/ETF median "
+                    f"{statistics.median(getf_over_etf):.3f} min {min(getf_over_etf):.3f} "
+                    f"max {max(getf_over_etf):.3f}, infeasible={len(infeasible)} "
+                    f"failures={len(failures)}", elapsed)
+    assert not infeasible, f"infeasible schedule on {infeasible[0]}"
+    assert not failures, f"inequality failed: {failures[0]}"
+    assert elapsed < 60

@@ -15,7 +15,7 @@ from getf.analysis import (chain_comm_time, chain_processing_time, identical_rep
                            latest_finishing, machine_idle_in_window,
                            makespan_theorem_report, min_comm_terminal_chain,
                            per_task_chain_comm, separation_report,
-                           weighted_theorem_report, TerminalChain)
+                           weighted_theorem_report)
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.grouping import (GroupAssignment, partition_machines,
                            assign_groups_makespan, assign_groups_weighted,
@@ -65,13 +65,13 @@ class TestTerminalChain:
     def test_single_task(self):
         inst = make_instance([1.0], [], [1.0])
         s = etf_schedule(inst, TieBreak.by_index())
-        assert min_comm_terminal_chain(s, inst, trivial_assignment(inst))[0].tasks == (0,)
+        assert min_comm_terminal_chain(s, inst, trivial_assignment(inst))[0] == (0,)
 
     def test_path_dag_unique_chain(self):
         inst = make_instance([1, 1, 1], [(0, 1, 1.0), (1, 2, 1.0)], [1.0], comm=2.0)
         s = etf_schedule(inst, TieBreak.by_index())
         chain, _ = min_comm_terminal_chain(s, inst, trivial_assignment(inst))
-        assert chain.tasks == (0, 1, 2)
+        assert chain == (0, 1, 2)
 
     def test_backward_walk_invariant(self):
         rng = random.Random(61)
@@ -82,9 +82,9 @@ class TestTerminalChain:
             s = etf_schedule(inst, TieBreak.by_index())
             chain, _ = min_comm_terminal_chain(s, inst, trivial_assignment(inst))
             preds = inst.graph.predecessors()
-            assert not preds[chain.tasks[0]]
-            assert chain.tasks[-1] in latest_finishing(sorted(s.assignment), s.finish)
-            for a, b in chain.links():
+            assert not preds[chain[0]]
+            assert chain[-1] in latest_finishing(sorted(s.assignment), s.finish)
+            for a, b in zip(chain, chain[1:]):
                 assert a in preds[b]
                 assert a in latest_finishing(preds[b], s.finish)
 
@@ -92,23 +92,19 @@ class TestTerminalChain:
 class TestChainComm:
     def test_worked_example_links(self, example_instance):
         s, f = getf_on_example(example_instance)
-        from getf.analysis import TerminalChain
-        assert chain_comm_time(TerminalChain((1, 3)), s, f, example_instance) \
-            == pytest.approx(1.0)
-        assert chain_comm_time(TerminalChain((0, 3)), s, f, example_instance) \
-            == pytest.approx(2.0)
+        assert chain_comm_time((1, 3), s, f, example_instance) == pytest.approx(1.0)
+        assert chain_comm_time((0, 3), s, f, example_instance) == pytest.approx(2.0)
 
     def test_zero_data_chain(self):
         inst = make_instance([1, 1], [(0, 1, 0.0)], [1.0, 1.0], comm=1.0)
         f = trivial_assignment(inst)
         s = getf_schedule(inst, f, TieBreak.by_index())
-        from getf.analysis import TerminalChain
-        assert chain_comm_time(TerminalChain((0, 1)), s, f, inst) == 0.0
+        assert chain_comm_time((0, 1), s, f, inst) == 0.0
 
     def test_min_comm_picks_cheapest(self, example_instance):
         s, f = getf_on_example(example_instance)
         chain, comm = min_comm_terminal_chain(s, example_instance, f)
-        assert chain.tasks == (1, 3)
+        assert chain == (1, 3)
         assert comm == pytest.approx(1.0)
 
     def test_min_comm_matches_exhaustive_enumeration(self):
@@ -121,17 +117,16 @@ class TestChainComm:
             s = getf_schedule(inst, f, TieBreak.by_index())
             chain, comm = min_comm_terminal_chain(s, inst, f)
             enumerated = all_terminal_chains(s, inst)
-            from getf.analysis import TerminalChain
-            best = min(chain_comm_time(TerminalChain(c), s, f, inst) for c in enumerated)
+            best = min(chain_comm_time(c, s, f, inst) for c in enumerated)
             assert comm == pytest.approx(best, abs=1e-9)
-            assert chain.tasks in enumerated
+            assert chain in enumerated
 
     def test_path_dag_no_choice(self):
         inst = make_instance([1, 1, 1], [(0, 1, 2.0), (1, 2, 3.0)], [1.0, 1.0], comm=1.0)
         f = trivial_assignment(inst)
         s = getf_schedule(inst, f, TieBreak.by_index())
         chain, comm = min_comm_terminal_chain(s, inst, f)
-        assert chain.tasks == (0, 1, 2)
+        assert chain == (0, 1, 2)
         assert comm == pytest.approx(chain_comm_time(chain, s, f, inst))
 
 
@@ -480,7 +475,7 @@ def reference_min_cost_chain(g, finish, anchors, link_cost, node_cost):
     while cur is not None:
         chain.append(cur)
         cur = back[cur]
-    return TerminalChain(tuple(reversed(chain))), best_val
+    return tuple(reversed(chain)), best_val
 
 
 def reference_min_comm(s, inst, f, anchor=None):
@@ -488,7 +483,7 @@ def reference_min_comm(s, inst, f, anchor=None):
     data_of = dict(zip(zip(g.src, g.dst), g.data))
 
     def link(src, dst):
-        sigma = min(inst.platform.sigma(s.assignment[src], i) for i in f.machines_for(dst))
+        sigma = min(inst.platform.comm_speed[s.assignment[src]][i] for i in f.machines_for(dst))
         return data_of[(src, dst)] / sigma
     anchors = [anchor] if anchor is not None else latest_finishing(sorted(s.assignment), s.finish)
     return reference_min_cost_chain(inst.graph, s.finish, anchors, link, lambda j: 0.0)

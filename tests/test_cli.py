@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from getf import cli, grouping, lp_solver, pipeline, scheduler
+from getf import analysis, cli, grouping, lp_solver, model, oracle, pipeline, scheduler
 from getf.cli import (ALGORITHMS, EXIT_BOUND, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE,
                       compare_batch, main)
 from getf.lp_solver import LpError
@@ -840,6 +840,59 @@ class TestGoldenReports:
                                   "--gamma", 1.01))
         found.update(self.digests(tmp_path, "weighted", self.WEIGHTED, "getf-weighted"))
         assert {k: found[k] for k in self.DIGESTS} == self.DIGESTS
+
+
+class TestGoldenTheoremReports:
+    """SHA-256 of the ``to_json()`` of the reports ``getf verify`` does not
+    write: ``makespan_theorem_report`` on each ``TestGoldenOutputs`` case under
+    getf-makespan, ``weighted_theorem_report`` on ``TestGoldenReports.WEIGHTED``,
+    and ``identical_report`` on a unit-speed ETF schedule against the
+    oracle's zero-communication optimum.  The chain-table tests compare these
+    reports with references that share their link-cost code, so only a pin
+    sees a change of summation order there."""
+
+    IDENTICAL = ("--family", "fork-join", "--n", 6, "--m", 3, "--seed", 17,
+                 "--speed", "1:1")
+    DIGESTS = {
+        "layered": "ac9a31681c36047b440a0861675af9c416248ecad10cb39cf6ade0ebe1d42b31",
+        "fork-join": "18ef205f247d93bbc8d0ed162742b0c0c0471bb069e1b43e2e748f5084cdf1fa",
+        "random-dag": "2dc79cd6b889bc84355bbe0c6db57f28011ab1c1b1682da343875b46b19c0e09",
+        "weighted": "bc4b9e52070074fc458e05c3390ea6b233a7754e0341ad81928afbf34aa06d26",
+        "identical": "69a1f86ae149fd8a3a997e5ce0fc0591d290e6971f83a167fcfa24dded90fd19",
+    }
+
+    @staticmethod
+    def generate(tmp_path, case, options) -> model.Instance:
+        path = tmp_path / f"{case}.json"
+        assert run("generate", *options, "-o", path) == EXIT_OK
+        return model.load_instance(str(path))
+
+    def test_report_digests(self, tmp_path):
+        reports = {}
+        for case, options in TestGoldenOutputs.CASES.items():
+            inst = self.generate(tmp_path, case, options)
+            groups = grouping.partition_machines(inst.platform)
+            frac = grouping.solve_makespan_relaxation(inst, groups)
+            f = grouping.assign_groups_makespan(frac, groups)
+            s = scheduler.getf_schedule(inst, f, scheduler.TieBreak.by_index())
+            reports[case] = analysis.makespan_theorem_report(s, inst, f, groups, frac.T)
+
+        inst, _ = model.normalize_demands(
+            self.generate(tmp_path, "weighted", TestGoldenReports.WEIGHTED))
+        groups = grouping.partition_machines(inst.platform)
+        wsol = grouping.solve_weighted_relaxation(inst, groups)
+        f = grouping.assign_groups_weighted(wsol, groups)
+        s = scheduler.getf_schedule(inst, f, scheduler.TieBreak.by_index())
+        reports["weighted"] = analysis.weighted_theorem_report(s, inst, f, groups, wsol)
+
+        inst = self.generate(tmp_path, "identical", self.IDENTICAL)
+        opt, _ = oracle.brute_force_schedule(inst, ignore_comm=True)
+        s = scheduler.etf_schedule(inst, scheduler.TieBreak.by_index())
+        reports["identical"] = analysis.identical_report(s, inst, opt)
+
+        assert all(rep.passed for rep in reports.values())
+        assert {case: hashlib.sha256(rep.to_json().encode()).hexdigest()
+                for case, rep in reports.items()} == self.DIGESTS
 
 
 @pytest.mark.parametrize("command", ["generate", "solve", "verify", "compare", "gantt"])

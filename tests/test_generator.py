@@ -54,10 +54,10 @@ def test_infinite_self_comm_mode():
                          self_comm=SELF_COMM_INFINITE)
     inst = generate_instance(spec)
     for i in range(3):
-        assert inst.platform.sigma(i, i) == math.inf
+        assert inst.platform.comm_speed[i][i] == math.inf
         for k in range(3):
             if k != i:
-                assert inst.platform.sigma(i, k) < math.inf
+                assert inst.platform.comm_speed[i][k] < math.inf
 
 
 def test_uniform_weights_positive():

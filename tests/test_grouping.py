@@ -150,7 +150,7 @@ class TestMakespanRelaxation:
             inst = generate_instance(spec)
             groups = partition_machines(inst.platform)
             frac = solve_makespan_relaxation(inst, groups)
-            sub, _ = restrict_platform(inst, groups.retained)
+            sub = restrict_platform(inst, groups.retained)
             opt, _ = brute_force_schedule(sub, ignore_comm=True)
             assert frac.T <= opt * (1 + 1e-6) + 1e-9
 

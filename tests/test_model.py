@@ -30,14 +30,14 @@ class TestParse:
         assert example_instance.graph.n == 4
         assert example_instance.platform.m == 2
         assert example_instance.graph.tasks[3].demand == 3.0
-        assert example_instance.platform.sigma(0, 0) == 2.0
+        assert example_instance.platform.comm_speed[0][0] == 2.0
 
     def test_minimal_instance(self):
         doc = {"tasks": [{"id": 0, "demand": 1.0}], "edges": [],
                "machines": [{"id": 0, "speed": 1.0}], "comm_speed": [[None]]}
         inst = parse_instance(json.dumps(doc))
         assert inst.graph.n == 1
-        assert inst.platform.sigma(0, 0) == math.inf
+        assert inst.platform.comm_speed[0][0] == math.inf
 
     def test_two_cycle_rejected(self):
         doc = {"tasks": [{"id": 0, "demand": 1.0}, {"id": 1, "demand": 1.0}],

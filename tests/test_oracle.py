@@ -8,7 +8,7 @@ from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.model import instance_from_dict
 from getf.oracle import (MAKESPAN, MAX_MACHINES, MAX_TASKS, WEIGHTED, OracleLimitError,
                          brute_force_schedule, lower_bounds, restrict_platform)
-from getf.scheduler import Schedule, comm_delay, verify_schedule
+from getf.scheduler import Schedule, verify_schedule
 
 from conftest import make_instance
 
@@ -24,7 +24,7 @@ def reference_brute_force_schedule(inst, ignore_comm=False, objective=MAKESPAN):
     preds = g.predecessors()
     succs = g.successors()
     data_of = dict(zip(zip(g.src, g.dst), g.data))
-    demand, weight = g.demand, g.weight
+    demand, weight, comm = g.demand, g.weight, inst.platform.comm_speed
     speed = [inst.platform.speed(i) for i in range(m)]
 
     best_value = math.inf
@@ -47,7 +47,7 @@ def reference_brute_force_schedule(inst, ignore_comm=False, objective=MAKESPAN):
             start = avail[i]
             for p in preds[v]:
                 arrival = finish[p] + (
-                    0.0 if ignore_comm else comm_delay(inst, data_of[(p, v)], assign[p], i))
+                    0.0 if ignore_comm else data_of[(p, v)] / comm[assign[p]][i])
                 if arrival > start:
                     start = arrival
             end = start + demand[v] / speed[i]
@@ -84,7 +84,7 @@ def reference_brute_force_schedule(inst, ignore_comm=False, objective=MAKESPAN):
         start = avail[i]
         for p in preds[v]:
             arrival = sched.finish[p] + (
-                0.0 if ignore_comm else comm_delay(inst, data_of[(p, v)], best_assign[p], i))
+                0.0 if ignore_comm else data_of[(p, v)] / comm[best_assign[p]][i])
             if arrival > start:
                 start = arrival
         sched.place(v, i, start, demand[v] / speed[i])
@@ -201,7 +201,6 @@ class TestLowerBounds:
 
 
 def test_restrict_platform_renumbers(example_instance):
-    sub, mapping = restrict_platform(example_instance, (1,))
+    sub = restrict_platform(example_instance, (1,))
     assert sub.platform.m == 1
-    assert mapping == {0: 1}
-    assert sub.platform.sigma(0, 0) == 2.0
+    assert sub.platform.comm_speed[0][0] == 2.0

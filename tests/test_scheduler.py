@@ -10,7 +10,7 @@ from getf.grouping import GroupAssignment, partition_machines, trivial_assignmen
 from getf.model import topological_order
 from getf.oracle import brute_force_schedule
 from getf.scheduler import (START_TIE_TOL, VERIFY_TOL, Schedule, SchedulingError, TieBreak,
-                            TieChooser, _Placement, _scan, comm_delay, earliest_start,
+                            TieChooser, _Placement, _scan, earliest_start,
                             etf_schedule,
                             getf_schedule, schedule_from_dict, sls_schedule, verify_schedule)
 
@@ -49,8 +49,8 @@ def naive_getf(inst, f, tie):
     chooser = TieChooser(tie, inst.graph)
     sched = Schedule()
     while len(sched.assignment) < inst.graph.n:
-        ready = [j for j in range(inst.graph.n) if not sched.is_scheduled(j)
-                 and all(sched.is_scheduled(p) for p in preds[j])]
+        ready = [j for j in range(inst.graph.n) if j not in sched.assignment
+                 and all(p in sched.assignment for p in preds[j])]
         best = {j: naive_best_placement(j, f.machines_for(j), sched, inst, True)
                 for j in ready}
         min_t = min(t for t, _ in best.values())
@@ -589,8 +589,9 @@ def reference_verify(inst, s, f=None):
             if not a1 >= b0 - VERIFY_TOL:
                 findings.append((a1, f"tasks {t0} and {t1} overlap on machine {mach}"))
 
+    comm = inst.platform.comm_speed
     for src, dst, data in zip(inst.graph.src, inst.graph.dst, inst.graph.data):
-        bound = s.finish[src] + comm_delay(inst, data, s.assignment[src], s.assignment[dst])
+        bound = s.finish[src] + data / comm[s.assignment[src]][s.assignment[dst]]
         if not s.start[dst] >= bound - VERIFY_TOL:
             findings.append((
                 s.start[dst],
