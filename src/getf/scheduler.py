@@ -26,18 +26,33 @@ stays so.  Machine-bound tasks of one band share the band's availability
 vector, hence one scan result, and wait in a per-band list sorted by tie
 rank.  The other, *data-bound*, tasks keep their starts, a count of starts
 still above availability (at 0 the task joins its band's list) and their
-cached scan, redone whenever a placement raised one of their starts.  Each
-iteration takes the smallest scanned start over the bands and the
-data-bound rows and lets the tie rule choose among everything tied with
-it, so every decision matches re-evaluating every ready task on every
-machine in every iteration.  On the benchmark's layered n=1000, m=8 ETF
-instances about 96% of ready tasks are machine-bound; on its n=20 makespan
-instances, about half.
+cached scan.  Each iteration takes the smallest scanned start over the
+bands and the data-bound rows and lets the tie rule choose among
+everything tied with it, so every decision matches re-evaluating every
+ready task on every machine in every iteration.  On the benchmark's
+layered n=1000, m=8 ETF instances about 96% of ready tasks are
+machine-bound; on its n=20 makespan instances, about half.
+
+Two exact shortcuts skip scans whose result is known.  Let ``lo`` be the
+smallest start and ``second`` the next smallest.  If ``lo < second -
+START_TIE_TOL`` and ``second - lo > START_TIE_TOL``, both in floating
+point, ``lo`` is a *lone minimum*: the scan returns it and its machine in
+any group order and under any preference, so ``_scan`` returns it without
+the loop.  Subtraction rounds monotonically, so by the first test ``lo``
+replaces any best before it, which is at least ``second``, and by the
+second no later start ties with it.  Both are needed: 1000 + 9 ulp passes
+the second against 1000, but 1000 + 9 ulp - START_TIE_TOL rounds to 1000,
+and below START_TIE_TOL pairs pass the first but not the second.  A
+placement that raises a data-bound task's start on a machine other than
+that of its cached lone minimum only stores the new start: ``lo`` stays,
+``second`` can only grow and both tests are monotone in ``second``, so
+the cached scan is still the scan.  Every other raise redoes the scan.
 
 ``earliest_start`` reads timelines, finishes, communication rows and the
 edge data aligned with each predecessor list straight from their
-containers.  ``sls_schedule`` calls no helper per task: it keeps one
-availability list and runs the same predecessor walk and scan inline.
+containers.  ``sls_schedule`` keeps one availability list, runs the same
+predecessor walk inline and calls the shared ``_scan`` with the machine
+ids as preference.
 ``verify_schedule`` checks edges and durations as arrays over
 the graph's edge columns, with the scalar formulas' IEEE operations, and
 builds messages for failing items only.
@@ -251,17 +266,29 @@ def earliest_start(task: int, machine: int | tuple[int, ...] | list[int],
     return starts[0] if one else starts
 
 
-def _scan(machines, starts, pref) -> tuple[float, int]:
+def _scan(machines, starts, pref) -> tuple[float, int, bool]:
     """The sequential scan that gives a task its machine.  In group order, a
     start replaces the best so far when it is more than ``START_TIE_TOL``
-    smaller, or within the tolerance on a preferred machine (lower ``pref``)."""
+    smaller, or within the tolerance on a preferred machine (lower ``pref``).
+
+    Returns the best start, its machine, and whether that start was a lone
+    minimum, taken without the scan (see the module docstring)."""
+    lo = second = math.inf
+    for i, t in zip(machines, starts):
+        if t < second:
+            if t < lo:
+                lo, second, lo_m = t, lo, i
+            else:
+                second = t
+    if lo < second - START_TIE_TOL and second - lo > START_TIE_TOL:
+        return lo, lo_m, True
     best_t = best_m = None
     for i, t in zip(machines, starts):
         if best_t is None or t < best_t - START_TIE_TOL or (
             abs(t - best_t) <= START_TIE_TOL and pref[i] < pref[best_m]
         ):
             best_t, best_m = t, i
-    return best_t, best_m
+    return best_t, best_m, False
 
 
 def _group_machines(task: int, f: GroupAssignment) -> tuple[int, ...]:
@@ -277,7 +304,8 @@ def _group_machines(task: int, f: GroupAssignment) -> tuple[int, ...]:
 
 class _Row:
     """A data-bound ready task: its starts in group order, how many still
-    exceed their machine's availability, and its cached scan."""
+    exceed their machine's availability, and its cached scan (start,
+    machine, and whether the start was a lone minimum)."""
 
     __slots__ = ("starts", "above", "best")
 
@@ -309,7 +337,8 @@ class _Placement:
         m = inst.platform.m
         self.inst, self.f, self.chooser = inst, f, chooser
         self.sched = Schedule()
-        fastest_first = sorted(range(m), key=lambda i: (-inst.platform.speed(i), i))
+        self.speed = [mc.speed for mc in inst.platform.machines]
+        fastest_first = sorted(range(m), key=lambda i: (-self.speed[i], i))
         self.pref = [0] * m
         for r, i in enumerate(fastest_first):
             self.pref[i] = r
@@ -320,15 +349,18 @@ class _Placement:
 
     def add(self, task: int) -> None:
         """Take in a newly ready task."""
-        machines = _group_machines(task, self.f)
-        starts = earliest_start(task, machines, self.sched, self.inst)
         k = self.f.group_of_task[task]
         band = self.bands.get(k)
         if band is None:
-            band = self.bands[k] = _Band(machines)
-            for i in machines:
+            band = self.bands[k] = _Band(_group_machines(task, self.f))
+            for i in band.machines:
                 self.bands_on[i].append(band)
-        above = sum(t > self.avail[i] for i, t in zip(machines, starts))
+        machines, avail = band.machines, self.avail
+        starts = earliest_start(task, machines, self.sched, self.inst)
+        above = 0
+        for i, t in zip(machines, starts):
+            if t > avail[i]:
+                above += 1
         if above:
             band.rows[task] = _Row(starts, above, machines, self.pref)
         else:
@@ -338,10 +370,9 @@ class _Placement:
     def pick(self) -> tuple[int, float, int]:
         """Remove the task the tie rule takes among the ready tasks tied at
         the smallest scanned start; returns it with its start and machine."""
-        avail, chooser = self.avail, self.chooser
-        live = [b for b in self.bands.values() if b.queue or b.rows]
+        avail, chooser, bands = self.avail, self.chooser, self.bands.values()
         lo = math.inf
-        for b in live:
+        for b in bands:
             if b.queue:
                 if b.best is None:
                     b.best = _scan(b.machines, [avail[i] for i in b.machines], self.pref)
@@ -350,26 +381,28 @@ class _Placement:
             for row in b.rows.values():
                 if row.best[0] < lo:
                     lo = row.best[0]
+        # Every best is at least lo, so best - lo is never negative.
         tied = []
-        for b in live:
-            if b.queue and abs(b.best[0] - lo) <= START_TIE_TOL:
+        for b in bands:
+            if b.queue and b.best[0] - lo <= START_TIE_TOL:
                 # Ranks are ids under the random rule, which draws among every
                 # tied id; the other rules take the lowest rank, the band's head.
                 tied += b.queue if chooser.rng else (chooser.task_of_rank[b.queue[0]],)
-            tied += [j for j, row in b.rows.items() if abs(row.best[0] - lo) <= START_TIE_TOL]
+            tied += [j for j, row in b.rows.items() if row.best[0] - lo <= START_TIE_TOL]
         task = chooser.choose(tied)
         self.ready -= 1
         band = self.bands[self.f.group_of_task[task]]
         row = band.rows.pop(task, None)
         if row is not None:
-            return (task, *row.best)
-        del band.queue[bisect_left(band.queue, chooser.rank[task])]
-        return (task, *band.best)
+            best = row.best
+        else:
+            del band.queue[bisect_left(band.queue, chooser.rank[task])]
+            best = band.best
+        return task, best[0], best[1]
 
     def place(self, task: int, start: float, machine: int) -> None:
         """Append ``task`` to ``machine`` and raise the starts on it."""
-        self.sched.place(task, machine, start,
-                         self.inst.graph.demand[task] / self.inst.platform.speed(machine))
+        self.sched.place(task, machine, start, self.inst.graph.demand[task] / self.speed[machine])
         old, now = self.avail[machine], self.sched.finish[task]
         self.avail[machine] = now
         for band in self.bands_on[machine]:
@@ -386,7 +419,10 @@ class _Placement:
                         continue
                 if t < now:
                     row.starts[c] = now
-                    row.best = _scan(band.machines, row.starts, self.pref)
+                    # A lone minimum on another machine stays lone and smallest.
+                    _, best_m, lone = row.best
+                    if not lone or best_m == machine:
+                        row.best = _scan(band.machines, row.starts, self.pref)
             for j in bound:
                 del band.rows[j]
                 insort(band.queue, self.chooser.rank[j])
@@ -426,13 +462,14 @@ def sls_schedule(inst: Instance, f: GroupAssignment, priority: list[int]) -> Sch
             raise SchedulingError(
                 f"priority is not topological: task {b} precedes its predecessor {a}"
             )
-    # earliest_start and _scan, inlined over one availability list (the
-    # finish of the last task placed on each machine), with the same
-    # comparisons in the same order, so the schedule is the same to the bit.
+    # earliest_start, inlined over one availability list (the finish of the
+    # last task placed on each machine), with the same comparisons in the same
+    # order, so the schedule is the same to the bit.  Machine ties go to the
+    # lowest id.
     g, comm = inst.graph, inst.platform.comm_speed
     demand, preds, pred_data = g.demand, g.predecessors(), g.predecessor_data()
     speed = [mc.speed for mc in inst.platform.machines]
-    sched, avail = Schedule(), [0.0] * inst.platform.m
+    sched, avail, lowest_id_first = Schedule(), [0.0] * inst.platform.m, range(inst.platform.m)
     finish, assignment = sched.finish, sched.assignment
     for j in priority:
         machines = _group_machines(j, f)
@@ -445,12 +482,7 @@ def sls_schedule(inst: Instance, f: GroupAssignment, priority: list[int]) -> Sch
                 if arrival > starts[k]:
                     starts[k] = arrival
                 k += 1
-        best_t = best_m = None          # machine ties go to the lowest id
-        for i, t in zip(machines, starts):
-            if best_t is None or t < best_t - START_TIE_TOL or (
-                abs(t - best_t) <= START_TIE_TOL and i < best_m
-            ):
-                best_t, best_m = t, i
+        best_t, best_m, _ = _scan(machines, starts, lowest_id_first)
         sched.place(j, best_m, best_t, demand[j] / speed[best_m])
         avail[best_m] = finish[j]
     return sched

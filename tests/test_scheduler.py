@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -68,13 +69,27 @@ def naive_sls(inst, f, priority):
     return sched
 
 
+def reference_scan(machines, starts, pref):
+    """The sequential scan without the lone-minimum shortcut: in group order,
+    a start replaces the best so far when it is more than ``START_TIE_TOL``
+    smaller, or within the tolerance on a preferred machine (lower ``pref``)."""
+    best_t = best_m = None
+    for i, t in zip(machines, starts):
+        if best_t is None or t < best_t - START_TIE_TOL or (
+            abs(t - best_t) <= START_TIE_TOL and pref[i] < pref[best_m]
+        ):
+            best_t, best_m = t, i
+    return best_t, best_m
+
+
 def reference_sls_schedule(inst, f, priority):
     """``sls_schedule`` with one ``earliest_start`` call per task, which reads
-    availability from the machines' timelines, and the shared scan."""
+    availability from the machines' timelines, and the reference scan."""
     sched, lowest_id_first = Schedule(), range(inst.platform.m)
     for j in priority:
         machines = f.machines_for(j)
-        start, i = _scan(machines, earliest_start(j, machines, sched, inst), lowest_id_first)
+        start, i = reference_scan(machines, earliest_start(j, machines, sched, inst),
+                                  lowest_id_first)
         sched.place(j, i, start, inst.graph.demand[j] / inst.platform.speed(i))
     return sched
 
@@ -213,6 +228,62 @@ class TestStartTableMatchesNaive:
         assert s.to_json(inst) == naive_getf(inst, f, TieBreak.by_index()).to_json(inst)
 
 
+def ulps_above(x, k):
+    for _ in range(k):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def near_starts(base, size):
+    """``size`` starts spread around an anchor near ``base`` (``base`` plus 0
+    to 0.5 START_TIE_TOL plus 0 to 12 ulps), each the anchor plus 0, 1 or 2
+    START_TIE_TOL plus 0 to 12 ulps."""
+    ulps = st.integers(0, 12)
+    anchor = st.builds(lambda c, k: ulps_above(base + c * START_TIE_TOL, k),
+                       st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5]), ulps)
+    return anchor.flatmap(lambda a: st.lists(
+        st.builds(lambda c, k: ulps_above(a + c * START_TIE_TOL, k),
+                  st.sampled_from([0.0, 1.0, 2.0]), ulps),
+        min_size=size, max_size=size))
+
+
+class TestScan:
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference_scan(self, data):
+        m = data.draw(st.integers(1, 8))
+        pref = data.draw(st.permutations(range(m)))
+        machines = data.draw(st.permutations(range(m)))[:data.draw(st.integers(1, m))]
+        base = data.draw(st.sampled_from([0.0, 1.0, 1000.0, 1e6]))
+        starts = data.draw(near_starts(base, len(machines)))
+        assert _scan(machines, starts, pref)[:2] == reference_scan(machines, starts, pref)
+
+    @pytest.mark.parametrize("lo, second", [
+        # 9 ulps apart, more than START_TIE_TOL, but second - START_TIE_TOL
+        # rounds to lo: the first half of the lone test fails.
+        (1000.0, ulps_above(1000.0, 9)),
+        # second - START_TIE_TOL stays above lo, but second - lo rounds to
+        # START_TIE_TOL: the second half fails.
+        (ulps_above(0.1 * START_TIE_TOL, 7), 1.1 * START_TIE_TOL),
+    ])
+    def test_both_halves_of_the_lone_test_are_needed(self, lo, second):
+        # Machine 0 has the smaller start and machine 1 is preferred.  In one
+        # of the two group orders the scan keeps machine 1's start, so lo may
+        # not be taken without the scan.
+        found = set()
+        for machines, starts in (((0, 1), [lo, second]), ((1, 0), [second, lo])):
+            got = _scan(machines, starts, [1, 0])
+            assert got == (*reference_scan(machines, starts, [1, 0]), False)
+            found.add(got)
+        assert (second, 1, False) in found
+
+    def test_lone_minimum_is_taken_in_any_order(self):
+        starts = [3.0, 1.0, 1.0 + 2 * START_TIE_TOL]
+        for pref in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
+            assert _scan((0, 1, 2), starts, pref) == (1.0, 1, True)
+            assert _scan((2, 1, 0), starts[::-1], pref) == (1.0, 1, True)
+
+
 def shared_band_assignment(inst, rng):
     """Three bands that share machines: all of them and two random subsets."""
     machines = range(inst.platform.m)
@@ -220,6 +291,44 @@ def shared_band_assignment(inst, rng):
     for k in (2, 3):
         members[k] = tuple(sorted(rng.sample(machines, rng.randint(1, len(machines)))))
     return hand_bands(inst, members, [rng.choice((1, 2, 3)) for _ in range(inst.graph.n)])
+
+
+def step_placement(inst, f, tie, check):
+    """``getf_schedule``'s loop, calling ``check(engine)`` after every placement."""
+    engine = _Placement(inst, f, TieChooser(tie, inst.graph))
+    succs = inst.graph.successors()
+    waiting = [len(p) for p in inst.graph.predecessors()]
+    for j, k in enumerate(waiting):
+        if k == 0:
+            engine.add(j)
+    while engine.ready:
+        j, start, machine = engine.pick()
+        engine.place(j, start, machine)
+        check(engine)
+        for w in succs[j]:
+            waiting[w] -= 1
+            if waiting[w] == 0:
+                engine.add(w)
+    return engine.sched
+
+
+def check_cached_scans(engine):
+    """Every cached start and scan equals one made afresh: a data-bound row's
+    starts are ``earliest_start``'s and its best is the reference scan of
+    them, with the lone flag a fresh ``_scan`` gives; a machine-bound task's
+    starts are the availabilities, whose scan a band's ``best`` holds."""
+    sched, inst, pref = engine.sched, engine.inst, engine.pref
+    for band in engine.bands.values():
+        free = [engine.avail[i] for i in band.machines]
+        if band.best is not None:
+            assert band.best[:2] == reference_scan(band.machines, free, pref)
+        for r in band.queue:
+            task = engine.chooser.task_of_rank[r]
+            assert earliest_start(task, band.machines, sched, inst) == free
+        for task, row in band.rows.items():
+            assert row.starts == earliest_start(task, band.machines, sched, inst)
+            assert row.best[:2] == reference_scan(band.machines, row.starts, pref)
+            assert row.best == _scan(band.machines, row.starts, pref)
 
 
 class TestPlacementEngine:
@@ -240,6 +349,20 @@ class TestPlacementEngine:
                 assert getf_schedule(inst, f, tie).to_json(inst) == \
                     naive_getf(inst, f, tie).to_json(inst)
 
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=12, deadline=None)
+    def test_cached_scans_match_a_fresh_scan_after_every_placement(self, seed):
+        rng = random.Random(seed)
+        wide = generate_instance(GeneratorSpec(
+            family=FAMILIES[seed % 3], n=rng.randint(20, 60), m=rng.randint(2, 6), seed=seed,
+            density=rng.choice([0.02, 0.05, 0.2]), data_range=(0.0, rng.choice([4.0, 50.0]))))
+        dense = tie_heavy_instance(rng)
+        for inst, f in ((wide, trivial_assignment(wide)), (wide, shared_band_assignment(wide, rng)),
+                        (dense, trivial_assignment(dense)), (dense, shared_band_assignment(dense, rng))):
+            tie = rng.choice(TIE_RULES)
+            s = step_placement(inst, f, tie, check_cached_scans)
+            assert s.to_json(inst) == getf_schedule(inst, f, tie).to_json(inst)
+
     def test_data_bound_task_turns_machine_bound(self):
         # Task 1 waits for data from task 0 until 1 + 3; task 2 fills the
         # machine until 6 first, so task 1 then waits for the machine alone.
@@ -252,7 +375,7 @@ class TestPlacementEngine:
         assert band.queue == [0, 2] and not band.rows
         engine.place(*engine.pick())
         engine.add(1)
-        assert band.rows[1].above == 1 and band.rows[1].best == (4.0, 0)
+        assert band.rows[1].above == 1 and band.rows[1].best == (4.0, 0, True)
         engine.place(*engine.pick())
         assert not band.rows and band.queue == [1]
         assert engine.pick() == (1, 6.0, 0)
@@ -274,6 +397,36 @@ class TestPlacementEngine:
         assert s.iteration_order == [0, 1, 2]
         assert (s.assignment[2], s.start[2]) == (1, 1.0 + 2.2e-12)
         assert s.to_json(inst) == naive_getf(inst, f, TieBreak.by_index()).to_json(inst)
+
+
+class TestGoldenLargeSchedules:
+    """SHA-256 of ``to_json`` for n=1000, m=8 ETF schedules, taken before the
+    lone-minimum shortcut and the skip rule.  The naive reference is too slow
+    at this size, so these pins carry byte identity here."""
+
+    DIGESTS = {
+        ("layered", "by-index"): "caec2da5da48ca4b77fd20e53c27257c285a43a4e9d0e389be5c0ed443de7d87",
+        ("layered", "random"): "568387e1bfbea90388939eafc5aa84238cdff90e3bab08d5b2d4d89ead359c32",
+        ("layered", "largest-demand"):
+            "0d7b0fc7f7fa011f50a0123e57cbd655a0fd6d5b2acb66141efca2276b57a079",
+        ("layered", "most-successors"):
+            "a094761a2e0563d8f78879dfb5276671b141dd3d6fa1de7f531d9abdbfa6cc91",
+        ("fork_join", "by-index"): "757e5181eea4908a5d0c37313cf5cc6e4d31e7d95af442c1f21bd424a2bf35a6",
+        ("fork_join", "random"): "72242a4a0ab164c60fb93297b2ce49194777bda44cbaa5b8e0c2a8a912f702a1",
+        ("fork_join", "largest-demand"):
+            "3e03e6d6ee0ffb67231f8f51c02419188902a1ad21dd4cd52a524f8ef380ebff",
+        ("fork_join", "most-successors"):
+            "757e5181eea4908a5d0c37313cf5cc6e4d31e7d95af442c1f21bd424a2bf35a6",
+    }
+
+    @pytest.mark.parametrize("family", ["layered", "fork_join"])
+    def test_digests(self, family):
+        inst = generate_instance(GeneratorSpec(family, 1000, 8, seed=100_003, density=0.05))
+        f = trivial_assignment(inst)
+        found = {(family, tie.variant): hashlib.sha256(
+                     getf_schedule(inst, f, tie).to_json(inst).encode()).hexdigest()
+                 for tie in TIE_RULES}
+        assert found == {k: v for k, v in self.DIGESTS.items() if k[0] == family}
 
 
 class TestEarliestStart:
