@@ -285,29 +285,34 @@ def build_makespan_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
     A[horizon, T] = -1.0
     objective = np.zeros(T + 1)
     objective[T] = 1.0
-    # the LPT start: the column made basic in each row, -1 keeping its slack
-    start = np.full(len(b), -1)
-    busy, machine = np.zeros(nm), np.zeros(n, dtype=int)
+    # The LPT start: the column made basic in each row, -1 keeping its slack.
+    # It runs on lists: Python floats add and compare as float64 does, and
+    # min and index take the first minimum and maximum, as argmin and argmax do.
+    start = [-1] * len(b)
+    proc_of, x_of, assign_row = proc.T.tolist(), x.T.tolist(), assign.tolist()
+    busy, machine = [0.0] * nm, [0] * n
     for j in sorted(range(n), key=lambda j: (-g.demand[j], j)):
-        i = int(np.argmin(busy + proc[:, j]))
+        p = proc_of[j]
+        i = min(range(nm), key=lambda i: busy[i] + p[i])
         machine[j] = i
-        busy[i] += proc[i, j]
-        start[assign[j]] = x[i, j]
+        busy[i] += p[i]
+        start[assign_row[j]] = x_of[j][i]
+    src_of, chain_row, C_of = src.tolist(), chain.tolist(), C.tolist()
     incoming: list[list[int]] = [[] for _ in range(n)]
     for e, j in enumerate(dst.tolist()):
         incoming[j].append(e)
     source_row = dict(zip(sources.tolist(), capacity.tolist()))
-    finish = np.zeros(n)
+    finish = [0.0] * n
     for j in topological_order(g):
-        ready = max((finish[src[e]] for e in incoming[j]), default=0.0)
-        finish[j] = ready + proc[machine[j], j]
-        tight = next((chain[e] for e in incoming[j] if finish[src[e]] == ready), None)
-        start[source_row[j] if tight is None else tight] = C[j]
-    last = finish[sinks]
-    if busy.max() >= last.max():
-        start[load[int(np.argmax(busy)), 0]] = T
+        ready = max((finish[src_of[e]] for e in incoming[j]), default=0.0)
+        finish[j] = ready + proc_of[j][machine[j]]
+        tight = next((chain_row[e] for e in incoming[j] if finish[src_of[e]] == ready), None)
+        start[source_row[j] if tight is None else tight] = C_of[j]
+    last = [finish[j] for j in sinks.tolist()]
+    if max(busy) >= max(last):
+        start[load[busy.index(max(busy)), 0]] = T
     else:
-        start[horizon[int(np.argmax(last))]] = T
+        start[horizon[last.index(max(last))]] = T
     return LinearProgram(objective, A, sense, b, start)
 
 

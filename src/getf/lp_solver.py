@@ -32,6 +32,14 @@ below -PIVOT_TOL on the true bounds, dual simplex steps repair the basis at
 the end of each phase (the pipelines' programs have not needed one).  No
 random numbers are drawn: identical inputs give bit-identical outputs.
 
+Cost: on the pipelines' programs (about 65 x 230 at n=20) a pivot's cost is
+mostly per-call overhead, not arithmetic.  So pivots, the ratio test and
+pricing call ndarray methods and ufuncs directly (``x.nonzero()``,
+``a.argmin()``, ``column[hit][:, None] * r``) in place of numpy's module-level
+wrappers (``flatnonzero``, ``argmin``, ``outer``).  These compute the same
+elementwise operations in the same order, so every bit is kept; no pivot
+uses BLAS (``@``, ``dot``), whose sums may be reordered.
+
 Starting basis: ``start[i]`` names the structural column made basic in row
 i's position, -1 keeping row i's own slack.  Every row that starts on an
 artificial (an ``=`` row, or a ``>=`` row after rows with b < 0 are
@@ -117,9 +125,12 @@ class LinearProgram:
                                 ("sense", self.sense, rows), ("b", self.b, rows)):
             if arr.shape != (size,):
                 raise LpError(f"{name} has shape {arr.shape}, expected ({size},)")
-        bad = np.flatnonzero(~np.isin(self.sense, (LE, EQ, GE)))
+        sense = self.sense
+        # True == 1, but a bool array is no sense code: -sense would raise.
+        valid = (sense == LE) | (sense == EQ) | (sense == GE)
+        bad = (~valid | (sense.dtype == bool)).nonzero()[0]
         if bad.size:
-            raise LpError(f"row {bad[0]} has sense code {self.sense[bad[0]].item()!r}, "
+            raise LpError(f"row {bad[0]} has sense code {sense.tolist()[bad[0]]!r}, "
                           f"expected -1 (<=), 0 (=) or 1 (>=)")
         for name, arr in (("objective", self.objective), ("A", self.A), ("b", self.b)):
             if not np.isfinite(arr).all():
@@ -132,12 +143,12 @@ class LinearProgram:
         if start.shape != (rows,) or start.dtype.kind not in "iu":
             raise LpError(f"start must be a ({rows},) integer array, "
                           f"got shape {start.shape} of {start.dtype}")
-        bad = np.flatnonzero((start < -1) | (start >= n))
+        bad = ((start < -1) | (start >= n)).nonzero()[0]
         if bad.size:
             raise LpError(f"start names column {start[bad[0]]} in row {bad[0]}, "
                           f"expected -1 or 0..{n - 1}")
         on_artificial = (np.where(self.b < 0, -self.sense, self.sense) != LE) & (start < 0)
-        for i in np.flatnonzero(on_artificial)[:1]:
+        for i in on_artificial.nonzero()[0][:1]:
             raise LpError(f"start leaves row {i} on its artificial: "
                           f"every = or >= row needs a column")
 
@@ -170,17 +181,19 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int,
     updated; otherwise the whole tableau takes one outer-product update.  Both
     give the same values, a zero's sign aside: a row with a zero factor keeps
     its entries."""
+    r = tableau[row]
     counts[0] += 1
-    counts[1] += bool(abs(tableau[row, -1]) <= PIVOT_TOL * abs(tableau[row, col]))
-    tableau[row, :] /= tableau[row, col]
-    hit = np.flatnonzero(tableau[:, col])
+    counts[1] += bool(abs(r[-1]) <= PIVOT_TOL * abs(r[col]))
+    r /= r[col]
+    column = tableau[:, col]
+    hit = column.nonzero()[0]
     if 2 * hit.size < len(tableau):
         hit = hit[hit != row]
-        tableau[hit] -= np.outer(tableau[hit, col], tableau[row, :])
+        tableau[hit] -= column[hit][:, None] * r
     else:
-        factors = tableau[:, col].copy()
+        factors = column.copy()
         factors[row] = 0.0
-        tableau -= np.outer(factors, tableau[row, :])
+        tableau -= factors[:, None] * r
     basis[row] = col
 
 
@@ -188,13 +201,14 @@ def _leaving(tableau: np.ndarray, basis: np.ndarray, col: int) -> int:
     """Minimum ratio on the perturbed RHS; ties within 1e-12 go to the
     largest pivot element, then to the lowest basis index.  -1 if unbounded."""
     column = tableau[:-1, col]
-    rows = np.flatnonzero(column > PIVOT_TOL)
-    if not rows.size:
-        return -1
+    rows = (column > PIVOT_TOL).nonzero()[0]
+    if rows.size <= 1:                          # unbounded, or no tie to break
+        return int(rows[0]) if rows.size else -1
     ratios = tableau[rows, -2] / column[rows]
     rows = rows[ratios <= ratios.min() + 1e-12]
-    rows = rows[column[rows] == column[rows].max()]
-    return int(rows[np.argmin(basis[rows])])
+    pivots = column[rows]
+    rows = rows[pivots == pivots.max()]
+    return int(rows[basis[rows].argmin()])
 
 
 def _simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int,
@@ -202,9 +216,10 @@ def _simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int,
     """Primal simplex with Dantzig pricing over the first ncols columns."""
     if not ncols:
         return OPTIMAL                          # a program without variables
+    cost = tableau[-1, :ncols]                  # a view: pivots update it in place
     for _ in range(max_iter):
-        col = int(np.argmin(tableau[-1, :ncols]))
-        if not tableau[-1, col] < -PIVOT_TOL:
+        col = int(cost.argmin())
+        if not cost[col] < -PIVOT_TOL:
             return OPTIMAL
         row = _leaving(tableau, basis, col)
         if row < 0:
@@ -227,10 +242,10 @@ def _restore_true_bounds(tableau: np.ndarray, basis: np.ndarray, ncols: int,
     stuck = np.zeros(tableau.shape[0] - 1, dtype=bool)
     for _ in range(max_iter):
         low = np.where(stuck, 0.0, tableau[:-1, -1])
-        if not np.any(low < -PIVOT_TOL):
+        if not (low < -PIVOT_TOL).any():
             return True
-        row = int(np.argmin(low))
-        cols = np.flatnonzero(tableau[row, :ncols] < -PIVOT_TOL)
+        row = int(low.argmin())
+        cols = (tableau[row, :ncols] < -PIVOT_TOL).nonzero()[0]
         if not cols.size:
             if low[row] < -FEAS_TOL:
                 return False
@@ -239,7 +254,7 @@ def _restore_true_bounds(tableau: np.ndarray, basis: np.ndarray, ncols: int,
         step = -tableau[row, cols]
         cost = np.maximum(tableau[-1, cols], 0.0)
         cols = cols[cost / step <= ((cost + PIVOT_TOL) / step).min()]
-        _pivot(tableau, basis, row, int(cols[np.argmin(tableau[row, cols])]), counts)
+        _pivot(tableau, basis, row, int(cols[tableau[row, cols].argmin()]), counts)
     raise LpError("simplex iteration limit exceeded")
 
 
@@ -255,13 +270,14 @@ def _install(tableau: np.ndarray, basis: np.ndarray, start: np.ndarray,
     test; raise LpError on a singular or infeasible start.  The tableau is
     still about as sparse as A here, so most of these pivots update only
     the rows their column touches."""
-    for row in np.flatnonzero(start >= 0).tolist():
-        col = int(start[row])
+    for row, col in enumerate(start.tolist()):
+        if col < 0:
+            continue
         if not abs(tableau[row, col]) >= PIVOT_TOL:
             raise LpError(f"start is singular: column {col} has pivot "
                           f"{tableau[row, col]:.6g} in row {row}")
         _pivot(tableau, basis, row, col, counts)
-    low = int(np.argmin(tableau[:-1, -1]))
+    low = int(tableau[:-1, -1].argmin())
     if tableau[low, -1] < -FEAS_TOL:
         raise LpError(f"start is infeasible: row {low} has basic value "
                       f"{tableau[low, -1]:.6g} < -FEAS_TOL {FEAS_TOL:g}")
@@ -322,13 +338,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
         # Drive remaining artificials out of the basis; drop redundant rows.
         keep = np.ones(rows + 1, dtype=bool)
-        for i in range(rows):
-            if basis[i] >= art0:
-                candidates = np.flatnonzero(np.abs(tableau[i, :art0]) > PIVOT_TOL)
-                if candidates.size:
-                    _pivot(tableau, basis, i, int(candidates[0]), counts)
-                else:
-                    keep[i] = False             # all-zero row: redundant constraint
+        # A pivot in row i changes basis[i] alone, so the rows are listed once.
+        for i in (basis >= art0).nonzero()[0].tolist():
+            candidates = (np.abs(tableau[i, :art0]) > PIVOT_TOL).nonzero()[0]
+            if candidates.size:
+                _pivot(tableau, basis, i, int(candidates[0]), counts)
+            else:
+                keep[i] = False                 # all-zero row: redundant constraint
         if not keep.all():
             tableau, basis = tableau[keep], basis[keep[:-1]]
     else:

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -562,6 +563,30 @@ class TestContracts:
         with pytest.raises(LpError, match="row 1 has sense code"):
             lp.check()
 
+    @pytest.mark.parametrize("sense,message", [
+        (np.array([-1.0, 0.5]), "row 1 has sense code 0.5, "),
+        (np.array([1.0, np.nan]), "row 1 has sense code nan, "),
+        (np.array(["<="]), "row 0 has sense code '<=', "),
+        (np.array([None]), "row 0 has sense code None, "),
+        (np.array([0, 2**70], dtype=object), "row 1 has sense code 1180591620717411303424, "),
+        (np.array([True]), "row 0 has sense code True, "),
+    ], ids=["half", "nan", "str", "none", "big-int", "bool"])
+    def test_sense_code_is_refused_in_any_dtype(self, sense, message):
+        # A bool code equals 1 but cannot be negated, and object codes have
+        # no .item(): each must still give the one-line LpError.
+        match = "^" + re.escape(message + "expected -1 (<=), 0 (=) or 1 (>=)") + "$"
+        A = np.ones((len(sense), 2))
+        with pytest.raises(LpError, match=match):
+            LinearProgram([1.0, 1.0], A, sense, np.ones(len(sense)))
+        lp = LinearProgram([1.0, 1.0], A, np.full(len(sense), LE), np.ones(len(sense)))
+        lp.sense = sense
+        one_line_lp_error(lp, match)
+
+    def test_float_and_object_codes_still_solve(self):
+        for sense in (np.array([1.0]), np.array([1], dtype=object)):
+            sol = solve_lp(LinearProgram([1.0, 1.0], [[1.0, 1.0]], sense, [1.0]))
+            assert sol.status == OPTIMAL and sol.objective == 1.0
+
     def test_non_finite_entries(self):
         with pytest.raises(LpError, match="A has non-finite"):
             LinearProgram([1.0, 1.0], [[1.0, np.nan]], [LE], [1.0])
@@ -679,13 +704,31 @@ def assert_updates_agree(lp: LinearProgram) -> None:
         assert solution_bits(lp) == chosen
 
 
+def makespan_lp_programs() -> list[LinearProgram]:
+    """The 48 started programs of a makespan-lp benchmark run at seed 1."""
+    programs = []
+    for k in range(48):
+        inst = generate_instance(GeneratorSpec("layered", 20, 8, seed=100_003 + k,
+                                               density=0.3, weights="zero"))
+        programs.append(build_makespan_lp(inst, partition_machines(inst.platform)))
+    return programs
+
+
+def weighted_lp_programs() -> list[LinearProgram]:
+    """24 programs of a weighted-lp benchmark run at seed 1."""
+    programs = []
+    for k in range(24):
+        inst = generate_instance(GeneratorSpec("random_dag", 10, 3, seed=100_003 + k,
+                                               density=0.3, weights="uniform"))
+        inst, _ = normalize_demands(inst)
+        programs.append(build_weighted_lp(inst, partition_machines(inst.platform)))
+    return programs
+
+
 class TestPivotUpdates:
     def test_started_makespan_programs(self):
-        # The 48 programs of a makespan-lp benchmark run at seed 1.
-        for k in range(48):
-            inst = generate_instance(GeneratorSpec("layered", 20, 8, seed=100_003 + k,
-                                                   density=0.3, weights="zero"))
-            assert_updates_agree(build_makespan_lp(inst, partition_machines(inst.platform)))
+        for lp in makespan_lp_programs():
+            assert_updates_agree(lp)
 
     @settings(max_examples=200, deadline=None)
     @given(programs())
@@ -694,6 +737,40 @@ class TestPivotUpdates:
 
     def test_weighted_program(self):
         assert_updates_agree(built_program("weighted", "random_dag", 6, 3, 954))
+
+
+def solve_digest(programs: list[LinearProgram]) -> str:
+    """SHA-256 over each solve's status, x bytes, pivot counts and max_residual."""
+    h = hashlib.sha256()
+    for lp in programs:
+        sol = solve_lp(lp)
+        h.update(repr((sol.status, sol.pivots, sol.degenerate_pivots, sol.max_residual)).encode())
+        h.update(b"" if sol.x is None else sol.x.tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenSolves:
+    # Digests taken when the pivot, ratio test and pricing still called
+    # numpy's module-level wrappers: a change to any operation, or to its
+    # order, in the solve moves a bit somewhere in here.
+    DIGESTS = {
+        "makespan-started":
+            "9f0b8f3e9424c413223ffe218b40e9b2c3bf726f8c41dcd77e6f1bda44191be8",
+        "makespan-unstarted":
+            "dcb5ea8beefc2fd4837cf2aac2d02c0a54d01ab9296396202865b9d4dc2775d8",
+        "weighted":
+            "4c8ff50e55cc8711de08b0b8c61b97bb8f7faefa70d4b4ff6805690312c77cac",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_digest(self, name):
+        if name == "weighted":
+            programs = weighted_lp_programs()
+        else:
+            programs = makespan_lp_programs()
+            if name == "makespan-unstarted":          # phase 1 and the drive-out
+                programs = [unstarted(lp) for lp in programs]
+        assert solve_digest(programs) == self.DIGESTS[name]
 
 
 def one_line_lp_error(lp: LinearProgram, match: str) -> None:
