@@ -62,9 +62,9 @@ class CliError(RuntimeError):
 
 
 def _parse_range(text: str) -> tuple[float, float]:
-    lo, _, hi = text.partition(":")
+    lo, colon, hi = text.partition(":")
     try:
-        return (float(lo), float(hi)) if hi else (float(lo), float(lo))
+        return (float(lo), float(hi)) if colon else (float(lo), float(lo))
     except ValueError:
         raise CliError(f"range must be lo:hi numbers, got {text!r}", EXIT_USAGE) from None
 

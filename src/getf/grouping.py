@@ -26,9 +26,10 @@ arrays flattened row-major, followed by C (and T in the makespan program).
 Each task is mapped to the fastest admissible band: l_j is the largest band
 index such that at least ``theta`` of the task's fractional mass sits in
 bands l_j..K, and the task goes to the band with maximum total speed among
-those.  Every sum that feeds a decision or a report runs left to right over
-machines, then intervals, in the order of the loops it replaced: np.sum may
-pair terms differently and change the last bit.
+those, totals within a relative ``BAND_TIE_TOL`` counting as tied and ties
+going to the higher band.  Every sum that feeds a decision or a report runs
+left to right over machines, then intervals, in the order of the loops it
+replaced: np.sum may pair terms differently and change the last bit.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .model import Instance, Platform, topological_order
 log = logging.getLogger(__name__)
 
 MASS_TOL = 1e-6
+BAND_TIE_TOL = 1e-12  # band total speeds this close, relative to the larger, tie
 MAX_BANDS = 10_000  # the band-mass arrays and the bound report grow with K
 MAX_TABLEAU_BYTES = 2 ** 30  # solve_lp's dense tableau: (rows + 1) x (cols + rows + 2) floats
 
@@ -61,8 +63,7 @@ class MachineGroups:
     K: int
     retained: tuple[int, ...]          # machine ids, ascending; rows of every LP array
     group_of: dict[int, int]           # retained machine id -> band 1..K
-    group_speed_rescaled: dict[int, float]   # band ranking key (fastest machine = m)
-    group_speed: dict[int, float]      # original-unit totals, used by bound math
+    group_speed: dict[int, float]      # original-unit totals: rank the bands, bound math
     members: dict[int, tuple[int, ...]]
 
     def machines_in(self, k: int) -> tuple[int, ...]:
@@ -93,16 +94,13 @@ def _machine_groups(platform: Platform, gamma: float, K: int,
                     band_of: dict[int, int]) -> MachineGroups:
     """The bands 1..K of the machines in ``band_of`` (retained id -> band, ids
     ascending), in one pass; totals add in retained order from 0, as sum does."""
-    nu = platform.m / max(mc.speed for mc in platform.machines)
     members: dict[int, list[int]] = {k: [] for k in range(1, K + 1)}
-    speed, rescaled = dict.fromkeys(members, 0), dict.fromkeys(members, 0)
+    speed = dict.fromkeys(members, 0)
     for i, k in band_of.items():
         members[k].append(i)
         speed[k] += platform.speed(i)
-        rescaled[k] += platform.speed(i) * nu
     return MachineGroups(gamma=gamma, K=K, retained=tuple(band_of), group_of=band_of,
-                         group_speed_rescaled=rescaled, group_speed=speed,
-                         members={k: tuple(ids) for k, ids in members.items()})
+                         group_speed=speed, members={k: tuple(ids) for k, ids in members.items()})
 
 
 def trivial_assignment(inst: Instance) -> GroupAssignment:
@@ -209,11 +207,13 @@ def _assign_from_mass(
             f"(total mass {tail[0, j]:.9f} < theta {theta})"
         )
     lj = K - np.argmax(admissible[::-1], axis=0)
-    # best[l]: the fastest total speed from band l up, ties going to the
-    # higher band, in one backward pass (best[0] is unused).
-    speed, best = groups.group_speed_rescaled, [K] * (K + 1)
+    # best[l]: the fastest total speed from band l up, ties (within
+    # BAND_TIE_TOL, which rounding in the totals needs) going to the higher
+    # band, in one backward pass (best[0] is unused).
+    speed, best = groups.group_speed, [K] * (K + 1)
     for ell in range(K - 1, 0, -1):
-        best[ell] = ell if speed[ell] > speed[best[ell + 1]] else best[ell + 1]
+        b = best[ell + 1]
+        best[ell] = ell if speed[ell] - speed[b] > BAND_TIE_TOL * speed[ell] else b
     return GroupAssignment({j: best[ell] for j, ell in enumerate(lj.tolist())}, groups)
 
 

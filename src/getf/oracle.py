@@ -132,10 +132,12 @@ def brute_force_schedule(
 
     if best_assign is None:
         raise OracleLimitError("search finished without a schedule")
-    sched = Schedule()
+    sched, avail = Schedule(), [0.0] * m
     for v in best_order:
         i = best_assign[v]
-        sched.place(v, i, earliest_start(v, i, sched, inst), demand[v] / speed[i])
+        (start,) = earliest_start(v, (i,), avail, sched, inst)
+        sched.place(v, i, start, demand[v] / speed[i])
+        avail[i] = sched.finish[v]
     return best_value, sched
 
 

@@ -48,11 +48,13 @@ that of its cached lone minimum only stores the new start: ``lo`` stays,
 ``second`` can only grow and both tests are monotone in ``second``, so
 the cached scan is still the scan.  Every other raise redoes the scan.
 
-``earliest_start`` reads timelines, finishes, communication rows and the
-edge data aligned with each predecessor list straight from their
-containers.  ``sls_schedule`` keeps one availability list, runs the same
-predecessor walk inline and calls the shared ``_scan`` with the machine
-ids as preference.
+``earliest_start`` is the one predecessor walk: it starts from the
+availability list its caller keeps (the finish of the last task placed on
+each machine) and reads finishes, communication rows and the edge data
+aligned with each predecessor list straight from their containers.
+``sls_schedule`` keeps such a list too, calls ``earliest_start`` once per
+task and picks the machine with the shared ``_scan``, the machine ids as
+preference.
 ``verify_schedule`` checks edges and durations as arrays over
 the graph's edge columns, with the scalar formulas' IEEE operations, and
 builds messages for failing items only.
@@ -239,19 +241,15 @@ def schedule_from_dict(doc: dict) -> Schedule:
     return s
 
 
-def earliest_start(task: int, machine: int | tuple[int, ...] | list[int],
-                   partial: Schedule, inst: Instance) -> float | list[float]:
-    """Earliest feasible start of ``task`` on ``machine`` given the partial
-    schedule: machine availability vs. every predecessor's data arrival,
-    read from the graph's predecessor lists and the edge data aligned with them.
-
-    ``machine`` may also be a tuple or list of machines; the starts on each
-    come back as a list in that order, from one walk over the predecessors.
-    """
-    one = not isinstance(machine, (tuple, list))
-    machines = (machine,) if one else machine
-    timelines, finish, assignment = partial.machine_intervals, partial.finish, partial.assignment
-    starts = [iv[-1][1] if (iv := timelines.get(i)) else 0.0 for i in machines]
+def earliest_start(task: int, machines, avail, partial: Schedule,
+                   inst: Instance) -> list[float]:
+    """Earliest feasible starts of ``task`` on each of ``machines``, in that
+    order, from one walk over its predecessors: the later of ``avail[i]``,
+    the time machine ``i`` becomes free, and every predecessor's data
+    arrival in the partial schedule, read from the graph's predecessor lists
+    and the edge data aligned with them."""
+    starts = [avail[i] for i in machines]
+    finish, assignment = partial.finish, partial.assignment
     g, comm = inst.graph, inst.platform.comm_speed
     for p, data in zip(g.predecessors()[task], g.predecessor_data()[task]):
         if p not in assignment:
@@ -263,7 +261,7 @@ def earliest_start(task: int, machine: int | tuple[int, ...] | list[int],
             if arrival > starts[k]:
                 starts[k] = arrival
             k += 1
-    return starts[0] if one else starts
+    return starts
 
 
 def _scan(machines, starts, pref) -> tuple[float, int, bool]:
@@ -356,7 +354,7 @@ class _Placement:
             for i in band.machines:
                 self.bands_on[i].append(band)
         machines, avail = band.machines, self.avail
-        starts = earliest_start(task, machines, self.sched, self.inst)
+        starts = earliest_start(task, machines, avail, self.sched, self.inst)
         above = 0
         for i, t in zip(machines, starts):
             if t > avail[i]:
@@ -462,29 +460,14 @@ def sls_schedule(inst: Instance, f: GroupAssignment, priority: list[int]) -> Sch
             raise SchedulingError(
                 f"priority is not topological: task {b} precedes its predecessor {a}"
             )
-    # earliest_start, inlined over one availability list (the finish of the
-    # last task placed on each machine), with the same comparisons in the same
-    # order, so the schedule is the same to the bit.  Machine ties go to the
-    # lowest id.
-    g, comm = inst.graph, inst.platform.comm_speed
-    demand, preds, pred_data = g.demand, g.predecessors(), g.predecessor_data()
-    speed = [mc.speed for mc in inst.platform.machines]
+    demand, speed = inst.graph.demand, [mc.speed for mc in inst.platform.machines]
     sched, avail, lowest_id_first = Schedule(), [0.0] * inst.platform.m, range(inst.platform.m)
-    finish, assignment = sched.finish, sched.assignment
     for j in priority:
         machines = _group_machines(j, f)
-        starts = [avail[i] for i in machines]
-        for p, data in zip(preds[j], pred_data[j]):
-            ready, sigma = finish[p], comm[assignment[p]]
-            k = 0
-            for i in machines:
-                arrival = ready + data / sigma[i]  # data/inf == 0.0, the zero-delay sentinel
-                if arrival > starts[k]:
-                    starts[k] = arrival
-                k += 1
-        best_t, best_m, _ = _scan(machines, starts, lowest_id_first)
+        best_t, best_m, _ = _scan(machines, earliest_start(j, machines, avail, sched, inst),
+                                  lowest_id_first)
         sched.place(j, best_m, best_t, demand[j] / speed[best_m])
-        avail[best_m] = finish[j]
+        avail[best_m] = sched.finish[j]
     return sched
 
 

@@ -88,6 +88,7 @@ class TestGenerate:
         assert run("generate", "--family", "layered", "--m", "2") == EXIT_USAGE
         unwritable = tmp_path / "missing" / "x.json"
         for argv in (("generate", "--n", 3, "--m", 2, "--demand", "abc"),
+                     ("generate", "--n", 3, "--m", 2, "--demand", "2:"),
                      ("generate", "--n", 0, "--m", 2),
                      ("compare", tmp_path, "--seeds", "x"),
                      ("generate", "--n", 3, "--m", 2, "--speed", "inf"),

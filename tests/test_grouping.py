@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
-from getf.grouping import (GroupAssignment, GroupingError, MachineGroups, _band_mass,
-                           _assign_from_mass, _proc,
+from getf.grouping import (BAND_TIE_TOL, GroupAssignment, GroupingError, MachineGroups,
+                           _band_mass, _assign_from_mass, _proc,
                            MakespanFractional, WeightedFractional,
                            assign_groups_makespan, assign_groups_weighted,
                            build_makespan_lp, build_weighted_lp, collapse_time_indexed,
@@ -39,7 +39,6 @@ class TestPartition:
         assert {i: inst.platform.speed(i) * 4 / 8.0 for i in g.retained} == \
             {0: 4.0, 1: 2.0, 2: 1.0}
         assert g.group_of == {0: 2, 1: 2, 2: 1}
-        assert g.group_speed_rescaled == {1: 1.0, 2: 6.0}
         assert g.group_speed == {1: 2.0, 2: 12.0}
 
     def test_identical_speeds_single_band(self):
@@ -187,12 +186,24 @@ class TestGroupAssignmentRule:
         assert f.group_of_task == {0: 1, 1: 1}
 
     def test_rescaled_speed_tie_goes_to_higher_band(self):
-        # Rescaled band totals tie at 3.0; the original totals would rank the
-        # low band first, as 2.2 + 1.6 = 3.8000000000000003 > 3.8.
+        # Band totals tie at 3.8 (rescaled, at 3.0), but 2.2 + 1.6 =
+        # 3.8000000000000003 > 3.8 would rank the low band first without
+        # BAND_TIE_TOL.
         g = partition_machines(make_instance([1.0], [], [3.8, 2.2, 1.6]).platform)
         assert g.members == {1: (1, 2), 2: (0,)}
         frac = MakespanFractional(np.array([[0.0], [1.0], [0.0]]), np.array([1.0]), 1.0)
         assert assign_groups_makespan(frac, g).group_of_task[0] == 2
+
+    def test_total_speed_tie_goes_to_higher_band(self):
+        # Bands 2 and 3 both total 13.0; their rescaled totals s_i * m / s_max
+        # round to 9.285714285714286 and 9.285714285714285, the lower band first.
+        g = partition_machines(make_instance([1.0], [], [3.0, 5.0, 5.0, 6.0, 7.0]).platform,
+                               gamma=2.0)
+        assert g.members == {1: (), 2: (0, 1, 2), 3: (3, 4)}
+        assert g.group_speed[2] == g.group_speed[3] == 13.0
+        frac = MakespanFractional(np.array([[0.0], [1.0], [0.0], [0.0], [0.0]]),
+                                  np.array([1.0]), 1.0)
+        assert assign_groups_makespan(frac, g).group_of_task[0] == 3
 
     @staticmethod
     def ranked_bands(g: MachineGroups) -> list[int]:
@@ -202,7 +213,7 @@ class TestGroupAssignmentRule:
 
     @staticmethod
     def max_definition(g: MachineGroups) -> list[int]:
-        return [max(range(ell, g.K + 1), key=lambda k: (g.group_speed_rescaled[k], k))
+        return [max(range(ell, g.K + 1), key=lambda k: (g.group_speed[k], k))
                 for ell in range(1, g.K + 1)]
 
     @given(st.lists(st.sampled_from([0.0, 1.0, 2.5, 3.0]), min_size=1, max_size=40))
@@ -210,14 +221,14 @@ class TestGroupAssignmentRule:
     def test_band_ranking_matches_max_definition(self, speeds):
         # Few distinct speeds, so exact ties and empty bands (speed 0) are common.
         g = dataclasses.replace(two_band_groups(), K=len(speeds),
-                                group_speed_rescaled=dict(enumerate(speeds, start=1)))
+                                group_speed=dict(enumerate(speeds, start=1)))
         assert self.ranked_bands(g) == self.max_definition(g)
 
     def test_band_ranking_on_near_one_gamma(self):
         # gamma near 1 gives many bands, most of them empty.
         inst = make_instance([1.0], [], [1.0, 1.0, 1.5, 2.0, 3.0, 3.0, 7.0, 8.0])
         g = partition_machines(inst.platform, gamma=1.01)
-        assert g.K > 100 and 0.0 in g.group_speed_rescaled.values()
+        assert g.K > 100 and 0.0 in g.group_speed.values()
         assert self.ranked_bands(g) == self.max_definition(g)
 
     def test_exact_half_tail_is_inclusive(self):
@@ -260,8 +271,8 @@ class TestGroupAssignmentRule:
                 assert lj <= chosen <= groups.K
                 assert sum(mass[k2] for k2 in range(1, lj + 1)) > 0.5 - 1e-6
                 for k2 in range(lj, groups.K + 1):
-                    assert (groups.group_speed_rescaled[chosen]
-                            >= groups.group_speed_rescaled[k2] - 1e-12)
+                    assert (groups.group_speed[chosen]
+                            >= groups.group_speed[k2] * (1 - BAND_TIE_TOL))
 
 
 class TestWeightedRelaxation:
@@ -434,7 +445,7 @@ def reference_assign(mass_of, groups, theta):
                 break
         assert lj != 0
         chosen[j] = max(range(lj, groups.K + 1),
-                        key=lambda k: (groups.group_speed_rescaled.get(k, 0.0), k))
+                        key=lambda k: (groups.group_speed.get(k, 0.0), k))
     return GroupAssignment(chosen, groups)
 
 

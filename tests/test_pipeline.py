@@ -89,15 +89,17 @@ def test_tracer_finds_every_traced_name(tmp_path):
                if s.name not in ("op", "cli.solve"))
 
 
-def test_tracer_counts_one_earliest_start_per_task(tmp_path):
+@pytest.mark.parametrize("algo", ["etf", "sls"])
+def test_tracer_counts_one_earliest_start_per_task(tmp_path, algo):
     """The benchmark counts ``scheduler.earliest_start`` through its module
-    attribute; ETF must call it once per task, inside the placement span."""
+    attribute; ETF and SLS must call it once per task, inside the placement
+    span."""
     spans = load_spans()
     tracer = spans.Tracer(getf)
     inst = generate_instance(GeneratorSpec("layered", 40, 8, seed=40, density=0.1))
     path = tmp_path / "layered.json"
     path.write_text(model.serialize_instance(inst), encoding="utf-8")
-    argv = ["solve", str(path), "--algo", "etf", "-o", str(tmp_path / "sched.json")]
+    argv = ["solve", str(path), "--algo", algo, "-o", str(tmp_path / "sched.json")]
     assert tracer.run_op(0, lambda: getf.cli.main(argv)) == 0
     assert tracer.count("scheduler.earliest_start", "scheduler.place") == inst.graph.n
     assert tracer.count("scheduler.earliest_start") == inst.graph.n

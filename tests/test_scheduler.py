@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,13 +30,21 @@ def random_instance(k: int, **overrides):
     return generate_instance(GeneratorSpec(**params))
 
 
+def timeline_avail(partial, inst):
+    """Each machine's availability, rebuilt from its timeline: the end of the
+    last interval placed on it, or 0.0."""
+    timelines = partial.machine_intervals
+    return [iv[-1][1] if (iv := timelines.get(i)) else 0.0 for i in range(inst.platform.m)]
+
+
 def naive_best_placement(task, machines, partial, inst, prefer_fast):
     """Sequential scan over the group, re-evaluating every start."""
     def key(i):
         return (-inst.platform.speed(i), i) if prefer_fast else (i,)
     best_t, best_m = None, None
+    avail = timeline_avail(partial, inst)
     for i in machines:
-        t = earliest_start(task, i, partial, inst)
+        (t,) = earliest_start(task, (i,), avail, partial, inst)
         if best_t is None or t < best_t - START_TIE_TOL or (
             abs(t - best_t) <= START_TIE_TOL and key(i) < key(best_m)
         ):
@@ -83,12 +92,13 @@ def reference_scan(machines, starts, pref):
 
 
 def reference_sls_schedule(inst, f, priority):
-    """``sls_schedule`` with one ``earliest_start`` call per task, which reads
-    availability from the machines' timelines, and the reference scan."""
+    """``sls_schedule`` with availability rebuilt from the machines' timelines
+    for each task, and the reference scan."""
     sched, lowest_id_first = Schedule(), range(inst.platform.m)
     for j in priority:
         machines = f.machines_for(j)
-        start, i = reference_scan(machines, earliest_start(j, machines, sched, inst),
+        avail = timeline_avail(sched, inst)
+        start, i = reference_scan(machines, earliest_start(j, machines, avail, sched, inst),
                                   lowest_id_first)
         sched.place(j, i, start, inst.graph.demand[j] / inst.platform.speed(i))
     return sched
@@ -316,17 +326,20 @@ def check_cached_scans(engine):
     """Every cached start and scan equals one made afresh: a data-bound row's
     starts are ``earliest_start``'s and its best is the reference scan of
     them, with the lone flag a fresh ``_scan`` gives; a machine-bound task's
-    starts are the availabilities, whose scan a band's ``best`` holds."""
+    starts are the availabilities, whose scan a band's ``best`` holds.  The
+    engine's availabilities are the timelines'."""
     sched, inst, pref = engine.sched, engine.inst, engine.pref
+    avail = timeline_avail(sched, inst)
+    assert engine.avail == avail
     for band in engine.bands.values():
-        free = [engine.avail[i] for i in band.machines]
+        free = [avail[i] for i in band.machines]
         if band.best is not None:
             assert band.best[:2] == reference_scan(band.machines, free, pref)
         for r in band.queue:
             task = engine.chooser.task_of_rank[r]
-            assert earliest_start(task, band.machines, sched, inst) == free
+            assert earliest_start(task, band.machines, avail, sched, inst) == free
         for task, row in band.rows.items():
-            assert row.starts == earliest_start(task, band.machines, sched, inst)
+            assert row.starts == earliest_start(task, band.machines, avail, sched, inst)
             assert row.best[:2] == reference_scan(band.machines, row.starts, pref)
             assert row.best == _scan(band.machines, row.starts, pref)
 
@@ -434,21 +447,37 @@ class TestEarliestStart:
         partial = Schedule()
         partial.place(0, 0, 0.0, 1.0)
         partial.place(1, 1, 0.0, 1.0)
+        avail = timeline_avail(partial, example_instance)
         # max(machine free at 1, data from task 0 at 1+2/2, data from task 1 at 1+1/1)
-        assert earliest_start(3, 0, partial, example_instance) == pytest.approx(2.0)
+        assert earliest_start(3, (0,), avail, partial, example_instance) == [pytest.approx(2.0)]
 
     def test_worked_example_task2_on_m1(self, example_instance):
         partial = Schedule()
         partial.place(0, 0, 0.0, 1.0)
         partial.place(1, 1, 0.0, 1.0)
-        assert earliest_start(2, 1, partial, example_instance) == pytest.approx(3.0)
+        avail = timeline_avail(partial, example_instance)
+        assert earliest_start(2, (1,), avail, partial, example_instance) == [pytest.approx(3.0)]
 
     def test_source_task_idle_machine(self, example_instance):
-        assert earliest_start(0, 0, Schedule(), example_instance) == 0.0
+        assert earliest_start(0, (0,), [0.0, 0.0], Schedule(), example_instance) == [0.0]
 
     def test_unscheduled_predecessor_raises(self, example_instance):
         with pytest.raises(SchedulingError, match="predecessor"):
-            earliest_start(3, 0, Schedule(), example_instance)
+            earliest_start(3, (0,), [0.0, 0.0], Schedule(), example_instance)
+
+    def test_any_machine_sequence_gives_one_list(self):
+        inst = generate_instance(GeneratorSpec("layered", 6, 3, seed=1))
+        assert inst.graph.predecessors()[5]
+        sched = Schedule()
+        for j in range(5):
+            sched.place(j, j % 3, float(j), 1.0 + j)
+        avail = timeline_avail(sched, inst)
+        starts = [earliest_start(task, machines, avail, sched, inst)
+                  for task in (0, 5)
+                  for machines in ((0, 1, 2), [0, 1, 2], range(3), np.arange(3))]
+        assert all(type(s) is list for s in starts)
+        assert starts[:4] == [avail] * 4
+        assert starts[4:] == [starts[4]] * 4
 
 
 class TestGetf:
@@ -509,8 +538,9 @@ class TestGetf:
             for j in s.iteration_order:
                 ready = [v for v in range(inst.graph.n)
                          if v not in done and all(p in done for p in preds[v])]
+                avail = timeline_avail(replay, inst)
                 starts = {
-                    v: min(earliest_start(v, i, replay, inst) for i in f.machines_for(v))
+                    v: min(earliest_start(v, f.machines_for(v), avail, replay, inst))
                     for v in ready
                 }
                 assert starts[j] == pytest.approx(min(starts.values()), abs=1e-9)
