@@ -383,8 +383,6 @@ def weighted_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
     sum_j w_j C_j <= 32*(gamma+K) * sum_j w_j C*_j + sum_j w_j C(S,j); and
     the per-interval feasibility substitution of the collapsed fractions.
     """
-    if wsol.q_of is None:
-        raise AnalysisError("weighted solution must be collapsed first")
     c_star, q_of = wsol.C.tolist(), wsol.q_of.tolist()
     g, K = groups.gamma, groups.K
     factor = 32.0 * (g + K)

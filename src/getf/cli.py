@@ -208,7 +208,7 @@ def compare_batch(instance_dir: str, algorithms: list[str],
     writer.writerow(["instance", "algorithm", "tie", "makespan", "weighted_completion",
                      "P", "sum_D", "C", "bound_slack", "runtime_s", "error"])
 
-    sums: dict[str, list[float]] = {a: [0.0, 0.0, 0.0, 0] for a in algorithms}
+    written: dict[str, list[tuple[float, float, float]]] = {a: [] for a in algorithms}
     for path in paths:
         try:
             inst, load_error = model.load_instance(str(path)), ""
@@ -229,29 +229,22 @@ def compare_batch(instance_dir: str, algorithms: list[str],
                     if not feas.feasible:
                         raise CliError(feas.violations[0], EXIT_INFEASIBLE)
                     rep = analysis.separation_report(sched, inst, f, f.groups)
-                    main = rep.inequalities[0]
+                    row = (sched.makespan(), sched.weighted_completion(inst),
+                           rep.inequalities[0].slack)
                     writer.writerow([
-                        path.name, algo, tie_label,
-                        f"{sched.makespan():.9g}",
-                        f"{sched.weighted_completion(inst):.9g}",
+                        path.name, algo, tie_label, f"{row[0]:.9g}", f"{row[1]:.9g}",
                         f"{rep.context['P']:.9g}", f"{rep.context['sum_D']:.9g}",
-                        f"{rep.context['C']:.9g}", f"{main.slack:.9g}",
+                        f"{rep.context['C']:.9g}", f"{row[2]:.9g}",
                         runtime, "",
                     ])
-                    agg = sums[algo]
-                    agg[0] += sched.makespan()
-                    agg[1] += sched.weighted_completion(inst)
-                    agg[2] += main.slack
-                    agg[3] += 1
+                    written[algo].append(row)
                 except Exception as exc:  # error rows, not aborts
                     writer.writerow([path.name, algo, tie_label, "", "", "", "", "", "",
                                      runtime, str(exc)])
     for algo in algorithms:
-        total, wtotal, slack, count = sums[algo]
-        if count:
-            writer.writerow(["(mean)", algo, "", f"{total / count:.9g}",
-                             f"{wtotal / count:.9g}", "", "", "",
-                             f"{slack / count:.9g}", "", ""])
+        if rows := written[algo]:
+            makespan, wc, slack = (f"{sum(col) / len(rows):.9g}" for col in zip(*rows))
+            writer.writerow(["(mean)", algo, "", makespan, wc, "", "", "", slack, "", ""])
     return buf.getvalue()
 
 
@@ -259,6 +252,8 @@ def cmd_compare(args) -> int:
     if not Path(args.directory).is_dir():
         raise CliError(f"not a directory: {args.directory!r}", EXIT_USAGE)
     algorithms = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algorithms:
+        raise CliError(f"--algos needs at least one algorithm, got {args.algos!r}", EXIT_USAGE)
     for a in algorithms:
         if a not in ALGORITHMS:
             raise CliError(f"unknown algorithm {a!r}", EXIT_USAGE)

@@ -18,10 +18,12 @@ Two fractional relaxations then drive task assignment:
 Both programs are built over retained machines with their original speeds,
 so optimal values are directly comparable with schedule times.  Their
 solutions are numpy arrays whose rows follow ``groups.retained`` and whose
-columns are task ids: ``MakespanFractional.x`` has shape (nm, n),
-``WeightedFractional.x`` has shape (nm, n, Q) with interval q at index q-1,
-and the collapsed ``x_tilde`` has shape (nm, n).  The LP variables are these
+columns are task ids: ``MakespanFractional.x`` has shape (nm, n), the
+weighted program's x has shape (nm, n, Q) with interval q at index q-1, and
+the collapsed ``x_tilde`` has shape (nm, n).  The LP variables are these
 arrays flattened row-major, followed by C (and T in the makespan program).
+``collapse_time_indexed(x, C)`` alone builds a ``WeightedFractional``, so
+every one carries its interval estimates, captured masses and ``x_tilde``.
 
 Each task is mapped to the fastest admissible band: l_j is the largest band
 index such that at least ``theta`` of the task's fractional mass sits in
@@ -116,13 +118,9 @@ def default_gamma(m: int) -> float:
     return max(2.0, math.log2(m) / math.log2(math.log2(m)))
 
 
-def partition_machines(platform: Platform, gamma: float | None = None) -> MachineGroups:
-    """Discard sub-1/m-speed machines and band the rest geometrically.
-
-    ``gamma`` overrides the default band ratio; it must be finite, exceed 1,
-    and give at most ``MAX_BANDS`` bands.
-    """
-    m = platform.m
+def band_layout(m: int, gamma: float | None = None) -> tuple[float, int]:
+    """The band ratio, ``gamma`` or the default, and the band count K for m
+    machines; the ratio must be finite, exceed 1, and give K <= ``MAX_BANDS``."""
     g = default_gamma(m) if gamma is None else float(gamma)
     if not g > 1.0:  # NaN too
         raise GroupingError(f"gamma must exceed 1, got {g}")
@@ -132,7 +130,19 @@ def partition_machines(platform: Platform, gamma: float | None = None) -> Machin
     if K > MAX_BANDS:
         raise GroupingError(f"gamma {g} needs {K} speed bands for {m} machines; "
                             f"at most {MAX_BANDS} are allowed")
+    return g, K
 
+
+def check_theta(theta: float) -> None:
+    """Refuse a band-rule threshold outside (0, 1)."""
+    if not 0.0 < theta < 1.0:
+        raise GroupingError(f"theta must lie in (0,1), got {theta}")
+
+
+def partition_machines(platform: Platform, gamma: float | None = None) -> MachineGroups:
+    """Discard sub-1/m-speed machines and band the rest geometrically."""
+    m = platform.m
+    g, K = band_layout(m, gamma)
     s_max = max(mc.speed for mc in platform.machines)
     nu = m / s_max
     band_of: dict[int, int] = {}
@@ -196,8 +206,7 @@ def _band_mass(x: np.ndarray, groups: MachineGroups) -> np.ndarray:
 def _assign_from_mass(
     mass: np.ndarray, groups: MachineGroups, theta: float
 ) -> GroupAssignment:
-    if not 0.0 < theta < 1.0:
-        raise GroupingError(f"theta must lie in (0,1), got {theta}")
+    check_theta(theta)
     K = groups.K
     tail = np.cumsum(mass[::-1], axis=0)[::-1]        # tail[l-1]: bands K down to l
     admissible = tail >= theta - 1e-9
@@ -349,9 +358,9 @@ class WeightedFractional:
     tau: tuple[float, ...]                # tau[q] = 2**q, q = 0..Q
     x: np.ndarray                         # (nm, n, Q); interval q at index q-1
     C: np.ndarray                         # (n,)
-    q_of: np.ndarray | None = None        # (n,) interval estimate 1..Q, set by collapse
-    alpha: np.ndarray | None = None       # (n,) mass captured by intervals 1..q_of
-    x_tilde: np.ndarray | None = None     # (nm, n) collapsed fractions
+    q_of: np.ndarray                      # (n,) interval estimate 1..Q
+    alpha: np.ndarray                     # (n,) mass captured by intervals 1..q_of
+    x_tilde: np.ndarray                   # (nm, n) collapsed fractions
 
     def objective(self, weights: Sequence[float]) -> float:
         return sum(weights[j] * cj for j, cj in enumerate(self.C.tolist()))
@@ -411,53 +420,54 @@ def build_weighted_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
 
 def extract_weighted_fractional(
     inst: Instance, groups: MachineGroups, sol: LpSolution
-) -> WeightedFractional:
+) -> tuple[np.ndarray, np.ndarray]:
+    """The optimum's fractions x, shaped (nm, n, Q), and completion times C."""
     if not sol.is_optimal:
         raise GroupingError(f"weighted relaxation not optimal: {sol.status}")
     n, nm = inst.graph.n, len(groups.retained)
     Q = horizon_intervals(inst, groups)
     x = sol.x[: nm * n * Q].reshape(nm, n, Q)
     _check_mass(_running_total(x.transpose(1, 0, 2).reshape(n, -1), axis=1))
-    return WeightedFractional(Q, tuple(2.0 ** q for q in range(Q + 1)), x,
-                              sol.x[nm * n * Q: nm * n * Q + n])
+    return x, sol.x[nm * n * Q: nm * n * Q + n]
 
 
-def collapse_time_indexed(sol: WeightedFractional) -> WeightedFractional:
-    """Fill q_of, alpha and the collapsed fractions x_tilde.
+def collapse_time_indexed(x: np.ndarray, C: np.ndarray) -> WeightedFractional:
+    """The weighted solution of fractions x (nm, n, Q) and completion times C.
 
     q_of[j] is the smallest interval q with both at-least-half cumulative mass
     and C[j] <= 2^q; it is clamped to Q (with a warning) if C[j] overruns the
     horizon.  x_tilde renormalizes the first q_of[j] intervals' mass.
     """
-    nm, n, Q = sol.x.shape
-    cum = np.cumsum(_running_total(sol.x), axis=1)     # (n, Q): mass in intervals 1..q
-    fits = (cum >= 0.5 - MASS_TOL) & (sol.C[:, None] <= np.array(sol.tau[1:]) + MASS_TOL)
+    nm, n, Q = x.shape
+    tau = tuple(2.0 ** q for q in range(Q + 1))
+    cum = np.cumsum(_running_total(x), axis=1)         # (n, Q): mass in intervals 1..q
+    fits = (cum >= 0.5 - MASS_TOL) & (C[:, None] <= np.array(tau[1:]) + MASS_TOL)
     q_of = np.where(fits.any(axis=1), fits.argmax(axis=1) + 1, Q)
     for j in np.flatnonzero(~fits.any(axis=1)):
         log.warning(
             "interval estimate for task %d clamped to Q=%d (C*=%g > %g)",
-            j, Q, sol.C[j], sol.tau[Q],
+            j, Q, C[j], tau[Q],
         )
-    kept = np.where(np.arange(Q) < q_of[:, None], sol.x, 0.0)    # intervals 1..q_of[j]
+    kept = np.where(np.arange(Q) < q_of[:, None], x, 0.0)        # intervals 1..q_of[j]
     alpha = _running_total(kept.transpose(1, 0, 2).reshape(n, -1), axis=1)
     for j in np.flatnonzero(alpha < 1e-9)[:1]:
         raise GroupingError(f"cannot collapse task {j}: captured mass {alpha[j]} too small")
     x_tilde = _running_total(kept, axis=2) / alpha
-    return WeightedFractional(sol.Q, sol.tau, sol.x, sol.C, q_of, alpha, x_tilde)
+    return WeightedFractional(Q, tau, x, C, q_of, alpha, x_tilde)
 
 
 def solve_weighted_relaxation(
     inst: Instance, groups: MachineGroups
 ) -> WeightedFractional:
-    raw = extract_weighted_fractional(inst, groups, solve_lp(build_weighted_lp(inst, groups)))
-    return collapse_time_indexed(raw)
+    # Two calls in sequence, never one inside the other: perfbench times
+    # both as grouping.extract, so a nested collapse would count twice.
+    x, C = extract_weighted_fractional(inst, groups, solve_lp(build_weighted_lp(inst, groups)))
+    return collapse_time_indexed(x, C)
 
 
 def assign_groups_weighted(
     sol: WeightedFractional, groups: MachineGroups, theta: float = 0.5
 ) -> GroupAssignment:
-    if sol.x_tilde is None:
-        raise GroupingError("collapse_time_indexed must run before group assignment")
     return _assign_from_mass(_band_mass(sol.x_tilde, groups), groups, theta)
 
 
@@ -471,8 +481,6 @@ def weighted_slice_feasibility(
     the makespan relaxation built over the slice's tasks.  Returns the worst
     residual per nonempty slice (<= 0 means satisfied exactly).
     """
-    if sol.x_tilde is None:
-        raise GroupingError("collapse_time_indexed must run first")
     speed = _speeds(inst, groups)[:, None]
     demand = np.array(inst.graph.demand)
     src, dst, _ = inst.graph.edge_columns()

@@ -20,8 +20,10 @@ ALGORITHMS = ("getf-makespan", "getf-weighted", "etf", "sls")
 def assign(inst: model.Instance, algo: str, theta: float = 0.5,
            gamma: float | None = None) -> grouping.GroupAssignment:
     """The band assignment of ``algo``; etf and sls use the single
-    all-machines band."""
+    all-machines band, and refuse the theta and gamma the others refuse."""
     if algo in ("etf", "sls"):
+        grouping.band_layout(inst.platform.m, gamma)
+        grouping.check_theta(theta)
         return grouping.trivial_assignment(inst)
     if algo == "getf-makespan":
         groups = grouping.partition_machines(inst.platform, gamma)

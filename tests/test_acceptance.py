@@ -425,3 +425,42 @@ def test_criterion_9_many_band_stress():
     assert not infeasible, f"infeasible schedule on {infeasible[0]}"
     assert not failures, f"inequality failed: {failures[0]}"
     assert elapsed < 60
+
+
+def test_criterion_9_many_band_stress_weighted():
+    """The weighted pipeline on 12 instances whose machines span a speed
+    ratio of 2m, kept to n <= 10 for the time-indexed program's size.  A
+    failing inequality is a defect, reported with its instance."""
+    t0 = time.time()
+    infeasible, failures, getf_over_etf = [], [], []
+    max_bands = discarded = 0
+    worst_ratio = 0.0
+    cases = itertools.product((LAYERED, RANDOM_DAG), (6, 8, 10), (16, 32))
+    for k, (family, n, m) in enumerate(cases, start=1):
+        spec = GeneratorSpec(family=family, n=n, m=m, seed=920_000 + k, density=0.2,
+                             speed_range=(1 / (2 * m), 1.0), weights="uniform")
+        inst, _ = normalize_demands(generate_instance(spec))
+        groups = partition_machines(inst.platform)
+        wsol = solve_weighted_relaxation(inst, groups)
+        f = assign_groups_weighted(wsol, groups)
+        s = getf_schedule(inst, f, TieBreak.by_index())
+        if not verify_schedule(inst, s, f).feasible:
+            infeasible.append(spec)
+        rep = weighted_theorem_report(s, inst, f, groups, wsol)
+        failures += [(spec, iq.name, iq.lhs, iq.rhs) for iq in rep.inequalities if not iq.passed]
+        max_bands = max(max_bands, groups.K)
+        discarded += m - len(groups.retained)
+        wc = s.weighted_completion(inst)
+        worst_ratio = max(worst_ratio, wc / wsol.objective(inst.graph.weight))
+        getf_over_etf.append(
+            wc / etf_schedule(inst, TieBreak.by_index()).weighted_completion(inst))
+    elapsed = time.time() - t0
+    ok = not infeasible and not failures and elapsed < 60
+    announce(9, ok, f"12 many-band weighted instances: K <= {max_bands}, {discarded} "
+                    f"machines discarded, sum wC/LP <= {worst_ratio:.3f}, GETF/ETF "
+                    f"median {statistics.median(getf_over_etf):.3f} min "
+                    f"{min(getf_over_etf):.3f} max {max(getf_over_etf):.3f}, "
+                    f"infeasible={len(infeasible)} failures={len(failures)}", elapsed)
+    assert not infeasible, f"infeasible schedule on {infeasible[0]}"
+    assert not failures, f"inequality failed: {failures[0]}"
+    assert elapsed < 60

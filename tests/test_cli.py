@@ -91,6 +91,7 @@ class TestGenerate:
                      ("generate", "--n", 3, "--m", 2, "--demand", "2:"),
                      ("generate", "--n", 0, "--m", 2),
                      ("compare", tmp_path, "--seeds", "x"),
+                     ("compare", tmp_path, "--algos", ","),
                      ("generate", "--n", 3, "--m", 2, "--speed", "inf"),
                      ("generate", "--n", 3, "--m", 2, "--comm", "1:inf"),
                      ("generate", "--n", 3, "--m", 2, "--demand", "1:inf"),
@@ -144,8 +145,11 @@ class TestSolve:
         sched = tmp_path / "sched.json"
         assert run("solve", example_file, "--algo", "etf", "-o", sched) == EXIT_OK
         for argv in (("solve", example_file, "--gamma", "nan"),
+                     ("solve", example_file, "--algo", "etf", "--gamma", "nan"),
+                     ("solve", example_file, "--algo", "sls", "--gamma", "nan"),
                      ("verify", example_file, sched, "--algo", "getf-makespan",
-                      "--gamma", "nan")):
+                      "--gamma", "nan"),
+                     ("verify", example_file, sched, "--algo", "etf", "--gamma", "nan")):
             capsys.readouterr()
             assert run(*argv) == EXIT_INFEASIBLE, argv
             assert capsys.readouterr().err == "error: gamma must exceed 1, got nan\n"
@@ -156,11 +160,26 @@ class TestSolve:
         sched = tmp_path / "sched.json"
         assert run("solve", example_file, "--algo", "etf", "-o", sched) == EXIT_OK
         for argv in (("solve", example_file, "--gamma", "inf"),
+                     ("solve", example_file, "--algo", "etf", "--gamma", "inf"),
+                     ("solve", example_file, "--algo", "sls", "--gamma", "inf"),
                      ("verify", example_file, sched, "--algo", "getf-makespan",
-                      "--gamma", "inf")):
+                      "--gamma", "inf"),
+                     ("verify", example_file, sched, "--algo", "sls", "--gamma", "inf")):
             capsys.readouterr()
             assert run(*argv) == EXIT_INFEASIBLE, argv
             assert capsys.readouterr().err == "error: gamma must be finite, got inf\n"
+
+    def test_theta_outside_unit_interval_exit_2_one_line(self, example_file, tmp_path, capsys):
+        # ETF and SLS build no bands, but refuse the theta the band rule refuses.
+        sched = tmp_path / "sched.json"
+        assert run("solve", example_file, "--algo", "etf", "-o", sched) == EXIT_OK
+        for argv in (("solve", example_file, "--theta", "5"),
+                     ("solve", example_file, "--algo", "etf", "--theta", "5"),
+                     ("solve", example_file, "--algo", "sls", "--theta", "5"),
+                     ("verify", example_file, sched, "--algo", "etf", "--theta", "5")):
+            capsys.readouterr()
+            assert run(*argv) == EXIT_INFEASIBLE, argv
+            assert capsys.readouterr().err == "error: theta must lie in (0,1), got 5.0\n"
 
     def test_gamma_near_one_refused_exit_2_one_line(self, example_file, tmp_path, capsys):
         # log_gamma(2) is about 6.9e8 bands: refused before any band is built.

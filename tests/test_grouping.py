@@ -310,35 +310,34 @@ class TestCollapse:
         Q = Q or len(per_interval)
         x = np.zeros((1, 1, Q))                 # one machine, one task
         x[0, 0, :len(per_interval)] = per_interval
-        return WeightedFractional(Q, tuple(2.0 ** q for q in range(Q + 1)), x,
-                                  np.array([cstar]))
+        return x, np.array([cstar])
 
     def test_all_mass_early(self):
-        out = collapse_time_indexed(self._sol([1.0], 1.5))
+        out = collapse_time_indexed(*self._sol([1.0], 1.5))
         assert out.q_of[0] == 1
         assert out.alpha[0] == pytest.approx(1.0)
         assert out.x_tilde[(0, 0)] == pytest.approx(1.0)
 
     def test_cumulative_mass_rule(self):
-        out = collapse_time_indexed(self._sol([0.2, 0.4, 0.4], 3.5))
+        out = collapse_time_indexed(*self._sol([0.2, 0.4, 0.4], 3.5))
         assert out.q_of[0] == 2
         assert out.alpha[0] == pytest.approx(0.6)
 
     def test_completion_bound_overrides_mass(self):
-        out = collapse_time_indexed(self._sol([0.6, 0.4], 3.0))
+        out = collapse_time_indexed(*self._sol([0.6, 0.4], 3.0))
         assert out.q_of[0] == 2
         assert out.alpha[0] == pytest.approx(1.0)
 
     def test_clamp_warns_and_binds(self, caplog):
         import logging
         with caplog.at_level(logging.WARNING, logger="getf.grouping"):
-            out = collapse_time_indexed(self._sol([1.0], 99.0, Q=1))
+            out = collapse_time_indexed(*self._sol([1.0], 99.0, Q=1))
         assert out.q_of[0] == 1
         assert any("clamped" in r.message for r in caplog.records)
 
     def test_vanishing_captured_mass_rejected(self):
         with pytest.raises(GroupingError, match="captured mass"):
-            collapse_time_indexed(self._sol([1e-12], 99.0, Q=1))
+            collapse_time_indexed(*self._sol([1e-12], 99.0, Q=1))
 
     def test_tilde_mass_sums_to_one(self):
         rng = random.Random(41)
@@ -381,13 +380,6 @@ class TestWeightedAssignment:
             q_of=np.array([1]), alpha=np.array([1.0]),
             x_tilde=np.array([[0.5], [0.5], [0.0], [0.0]]))
         assert assign_groups_weighted(wsol, g).group_of_task[0] == 2
-
-    def test_requires_collapse_first(self):
-        g = two_band_groups()
-        wsol = WeightedFractional(1, (1.0, 2.0), np.array([1.0, 0.0, 0.0, 0.0]).reshape(4, 1, 1),
-                                  np.array([1.0]))
-        with pytest.raises(GroupingError, match="collapse"):
-            assign_groups_weighted(wsol, g)
 
 
 class TestSliceFeasibility:
@@ -513,12 +505,12 @@ def test_arrays_match_dict_reference(seed, family, n, m, speed_hi, theta):
     assert (assign_groups_makespan(frac, groups, theta).to_json()
             == reference_assign(mass_of, groups, theta).to_json())
 
-    raw = extract_weighted_fractional(inst, groups, solve_lp(build_weighted_lp(inst, groups)))
-    wsol = collapse_time_indexed(raw)
-    x3 = {(i, j, q): raw.x[r, j, q - 1].item()
-          for r, i in rows for j in range(n) for q in range(1, raw.Q + 1)}
-    C = dict(enumerate(raw.C.tolist()))
-    q_of, alpha, x_tilde = reference_collapse(x3, C, raw.Q, raw.tau, groups.retained)
+    xw, Cw = extract_weighted_fractional(inst, groups, solve_lp(build_weighted_lp(inst, groups)))
+    wsol = collapse_time_indexed(xw, Cw)
+    x3 = {(i, j, q): xw[r, j, q - 1].item()
+          for r, i in rows for j in range(n) for q in range(1, wsol.Q + 1)}
+    C = dict(enumerate(Cw.tolist()))
+    q_of, alpha, x_tilde = reference_collapse(x3, C, wsol.Q, wsol.tau, groups.retained)
     assert wsol.q_of.tolist() == [q_of[j] for j in range(n)]
     assert wsol.alpha.tolist() == [alpha[j] for j in range(n)]
     assert {(i, j): wsol.x_tilde[r, j].item() for r, i in rows for j in range(n)} == x_tilde
@@ -526,20 +518,20 @@ def test_arrays_match_dict_reference(seed, family, n, m, speed_hi, theta):
     assert (assign_groups_weighted(wsol, groups, theta).to_json()
             == reference_assign(tilde_mass, groups, theta).to_json())
     assert weighted_slice_feasibility(inst, groups, wsol) == reference_slice_feasibility(
-        inst, groups.retained, C, raw.Q, q_of, x_tilde)
+        inst, groups.retained, C, wsol.Q, q_of, x_tilde)
     weights = {t.id: t.weight for t in inst.graph.tasks}
     assert wsol.objective(weights) == sum(weights[j] * cj for j, cj in C.items())
 
     # Random fractions reach the bands and intervals that LP optima rarely use.
     rng = np.random.default_rng(seed)
-    xr = rng.random((len(rows), n, raw.Q)) ** 4
+    xr = rng.random((len(rows), n, wsol.Q)) ** 4
     xr /= xr.sum(axis=(0, 2))[None, :, None]
-    cr = rng.uniform(0.5, 2.0 ** raw.Q + 1.0, n)
-    collapsed = collapse_time_indexed(WeightedFractional(raw.Q, raw.tau, xr, cr))
+    cr = rng.uniform(0.5, 2.0 ** wsol.Q + 1.0, n)
+    collapsed = collapse_time_indexed(xr, cr)
     x3 = {(i, j, q): xr[r, j, q - 1].item()
-          for r, i in rows for j in range(n) for q in range(1, raw.Q + 1)}
-    q_of, alpha, x_tilde = reference_collapse(x3, dict(enumerate(cr.tolist())), raw.Q,
-                                              raw.tau, groups.retained)
+          for r, i in rows for j in range(n) for q in range(1, wsol.Q + 1)}
+    q_of, alpha, x_tilde = reference_collapse(x3, dict(enumerate(cr.tolist())), wsol.Q,
+                                              wsol.tau, groups.retained)
     assert collapsed.alpha.tolist() == [alpha[j] for j in range(n)]
     assert {(i, j): collapsed.x_tilde[r, j].item() for r, i in rows for j in range(n)} == x_tilde
     x2 = xr[:, :, 0] / xr[:, :, 0].sum(axis=0)

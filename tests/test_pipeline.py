@@ -89,6 +89,27 @@ def test_tracer_finds_every_traced_name(tmp_path):
                if s.name not in ("op", "cli.solve"))
 
 
+def test_tracer_sees_the_weighted_route(tmp_path):
+    """The benchmark times the weighted extraction and the collapse under one
+    span name, ``grouping.extract``; they must run one after the other, never
+    one inside the other, after the LP build and solve and before the band
+    assignment, all directly under ``cli.solve``."""
+    spans = load_spans()
+    tracer = spans.Tracer(getf)
+    path = tmp_path / "example.json"
+    path.write_text(EXAMPLE_JSON, encoding="utf-8")
+    argv = ["solve", str(path), "--algo", "getf-weighted", "-o", str(tmp_path / "sched.json")]
+    assert tracer.run_op(0, lambda: getf.cli.main(argv)) == 0
+    root = next(s.id for s in tracer.spans if s.name == "cli.solve")
+    route = [s for s in tracer.spans  # listed by start time
+             if s.name.startswith("grouping.") or s.name == "lp_solver.solve"]
+    assert [s.name for s in route] == ["grouping.partition", "grouping.lp_build",
+                                       "lp_solver.solve", "grouping.extract",
+                                       "grouping.extract", "grouping.assign"]
+    assert all(s.parent == root for s in route)
+    assert all(a.end <= b.start for a, b in zip(route, route[1:]))
+
+
 @pytest.mark.parametrize("algo", ["etf", "sls"])
 def test_tracer_counts_one_earliest_start_per_task(tmp_path, algo):
     """The benchmark counts ``scheduler.earliest_start`` through its module
