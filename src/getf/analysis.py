@@ -128,7 +128,7 @@ def _link_comm(inst: Instance, f: GroupAssignment, s: Schedule):
         a, k = assignment[src], band[dst]
         into = slowest.get(k)
         if into is None:
-            machines = f.groups.machines_in(k)
+            machines = f.groups.members[k]
             into = slowest[k] = [min(row[i] for i in machines) for row in comm]
         return data_of(src, dst) / into[a]
     return link
@@ -208,10 +208,8 @@ def min_comm_terminal_chain(s: Schedule, inst: Instance,
 # ---------------------------------------------------------------------------
 
 def chain_processing_time(chain: tuple[int, ...], s: Schedule, inst: Instance) -> float:
-    return sum(
-        inst.graph.demand[j] / inst.platform.speed(s.assignment[j])
-        for j in chain
-    )
+    demand, speed = inst.graph.demand, inst.platform.speed
+    return sum(demand[j] / speed[s.assignment[j]] for j in chain)
 
 
 def group_loads(inst: Instance, f: GroupAssignment, groups: MachineGroups) -> dict[int, float]:
@@ -306,7 +304,7 @@ def identical_report(s: Schedule, inst: Instance,
     machines.  If ``opt_ignore_comm`` (an exact zero-communication optimum)
     is supplied, also checks makespan <= (2 - 1/m) * opt + C'.
     """
-    speeds = {mc.speed for mc in inst.platform.machines}
+    speeds = set(inst.platform.speed)
     if len(speeds) != 1:
         raise AnalysisError("identical_report requires identical machine speeds")
     speed = speeds.pop()

@@ -251,7 +251,7 @@ def compare_batch(instance_dir: str, algorithms: list[str],
 def cmd_compare(args) -> int:
     if not Path(args.directory).is_dir():
         raise CliError(f"not a directory: {args.directory!r}", EXIT_USAGE)
-    algorithms = [a.strip() for a in args.algos.split(",") if a.strip()]
+    algorithms = list(dict.fromkeys(a.strip() for a in args.algos.split(",") if a.strip()))
     if not algorithms:
         raise CliError(f"--algos needs at least one algorithm, got {args.algos!r}", EXIT_USAGE)
     for a in algorithms:

@@ -66,10 +66,7 @@ class MachineGroups:
     retained: tuple[int, ...]          # machine ids, ascending; rows of every LP array
     group_of: dict[int, int]           # retained machine id -> band 1..K
     group_speed: dict[int, float]      # original-unit totals: rank the bands, bound math
-    members: dict[int, tuple[int, ...]]
-
-    def machines_in(self, k: int) -> tuple[int, ...]:
-        return self.members.get(k, ())
+    members: dict[int, tuple[int, ...]]  # band 1..K -> its machine ids, ascending
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,7 @@ class GroupAssignment:
     groups: MachineGroups
 
     def machines_for(self, task: int) -> tuple[int, ...]:
-        return self.groups.machines_in(self.group_of_task[task])
+        return self.groups.members.get(self.group_of_task[task], ())
 
     def to_dict(self) -> dict:
         return {
@@ -97,17 +94,17 @@ def _machine_groups(platform: Platform, gamma: float, K: int,
     """The bands 1..K of the machines in ``band_of`` (retained id -> band, ids
     ascending), in one pass; totals add in retained order from 0, as sum does."""
     members: dict[int, list[int]] = {k: [] for k in range(1, K + 1)}
-    speed = dict.fromkeys(members, 0)
+    speed, total = platform.speed, dict.fromkeys(members, 0)
     for i, k in band_of.items():
         members[k].append(i)
-        speed[k] += platform.speed(i)
+        total[k] += speed[i]
     return MachineGroups(gamma=gamma, K=K, retained=tuple(band_of), group_of=band_of,
-                         group_speed=speed, members={k: tuple(ids) for k, ids in members.items()})
+                         group_speed=total, members={k: tuple(ids) for k, ids in members.items()})
 
 
 def trivial_assignment(inst: Instance) -> GroupAssignment:
     """Every task in one band holding every machine."""
-    groups = _machine_groups(inst.platform, 2.0, 1, {mc.id: 1 for mc in inst.platform.machines})
+    groups = _machine_groups(inst.platform, 2.0, 1, dict.fromkeys(range(inst.platform.m), 1))
     return GroupAssignment(dict.fromkeys(range(inst.graph.n), 1), groups)
 
 
@@ -143,13 +140,15 @@ def partition_machines(platform: Platform, gamma: float | None = None) -> Machin
     """Discard sub-1/m-speed machines and band the rest geometrically."""
     m = platform.m
     g, K = band_layout(m, gamma)
-    s_max = max(mc.speed for mc in platform.machines)
-    nu = m / s_max
+    s_max = max(platform.speed)
+    # Speeds are scaled by 2^-e, exactly, so that m / s_max stays finite.
+    e = math.frexp(s_max)[1]
+    nu = m / math.ldexp(s_max, -e)
     band_of: dict[int, int] = {}
-    for mc in platform.machines:  # ids ascend: they are the positions
-        if mc.speed >= s_max / m - 1e-15:
-            k = int(math.floor(math.log(mc.speed * nu, g) + 1e-9)) + 1
-            band_of[mc.id] = min(max(k, 1), K)
+    for i, s in enumerate(platform.speed):
+        if s >= s_max / m - 1e-15:
+            k = int(math.floor(math.log(math.ldexp(s, -e) * nu, g) + 1e-9)) + 1
+            band_of[i] = min(max(k, 1), K)
     return _machine_groups(platform, g, K, band_of)
 
 
@@ -158,7 +157,7 @@ def partition_machines(platform: Platform, gamma: float | None = None) -> Machin
 # ---------------------------------------------------------------------------
 
 def _speeds(inst: Instance, groups: MachineGroups) -> np.ndarray:
-    return np.array([inst.platform.speed(i) for i in groups.retained])
+    return np.array(inst.platform.speed)[list(groups.retained)]
 
 
 def _proc(inst: Instance, groups: MachineGroups) -> np.ndarray:
@@ -367,10 +366,12 @@ class WeightedFractional:
 
 
 def horizon_intervals(inst: Instance, groups: MachineGroups) -> int:
-    """Number of geometric deadline intervals covering the serial horizon."""
-    total = sum(inst.graph.demand)
-    slowest = min(inst.platform.speed(i) for i in groups.retained)
-    return max(1, math.ceil(math.log2(total / slowest) - 1e-12))
+    """Number of geometric deadline intervals covering the serial horizon,
+    which must be finite."""
+    horizon = sum(inst.graph.demand) / min(inst.platform.speed[i] for i in groups.retained)
+    if horizon == math.inf:
+        raise GroupingError("the serial horizon of the weighted relaxation overflows")
+    return max(1, math.ceil(math.log2(horizon) - 1e-12))
 
 
 def build_weighted_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:

@@ -180,7 +180,12 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int,
     When fewer than half the rows hold a nonzero in col, only those rows are
     updated; otherwise the whole tableau takes one outer-product update.  Both
     give the same values, a zero's sign aside: a row with a zero factor keeps
-    its entries."""
+    its entries.  The half-rows rule is measured (2-CPU shared host, medians
+    of 7 alternating runs): updating only the hit rows on every pivot was
+    1.3-1.4x slower on 12 seed-1 ``weighted-lp`` programs, 1.6-1.7x slower
+    on layered and random_dag makespan programs at n=80 and n=160, and
+    within noise on the 48 ``makespan-lp`` programs; switching at 0.75 or
+    0.9 of the rows was 1.1x and 1.6x slower on those large programs."""
     r = tableau[row]
     counts[0] += 1
     counts[1] += bool(abs(r[-1]) <= PIVOT_TOL * abs(r[col]))
@@ -283,11 +288,13 @@ def _install(tableau: np.ndarray, basis: np.ndarray, start: np.ndarray,
                       f"{tableau[low, -1]:.6g} < -FEAS_TOL {FEAS_TOL:g}")
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve min c.x subject to lp's constraints and x >= 0.
 
     Returns an optimal solution, or a bare infeasible/unbounded status.
-    Raises LpError if the optimal point fails the residual guard.
+    Raises LpError if the optimal point fails the residual guard, which
+    also catches an overflow or a NaN: numpy does not warn of them here.
     """
     lp.check()
     rows, n = lp.A.shape

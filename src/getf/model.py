@@ -158,8 +158,8 @@ class TaskGraph:
 
 @dataclass(frozen=True)
 class Machine:
-    """A record, not a column: perfbench reads ``Platform.machines`` and its
-    self-check rebuilds them with ``dataclasses.replace``."""
+    """A record, not a column: in the package only this module reads it;
+    every other layer reads ``Platform.speed``."""
 
     id: int
     speed: float
@@ -167,6 +167,11 @@ class Machine:
 
 @dataclass(frozen=True)
 class Platform:
+    """Machine records, ids 0..m-1, and ``comm_speed[a][b]``, the transfer
+    speed from machine a to b.  ``speed``, the column every layer reads, has
+    ``speed[i]`` for machine i; like ``TaskGraph``'s views it is built once,
+    from the records, on first use."""
+
     machines: tuple[Machine, ...]
     comm_speed: tuple[tuple[float, ...], ...]  # math.inf = zero delay
 
@@ -174,8 +179,9 @@ class Platform:
     def m(self) -> int:
         return len(self.machines)
 
-    def speed(self, machine_id: int) -> float:
-        return self.machines[machine_id].speed
+    @cached_property
+    def speed(self) -> tuple[float, ...]:
+        return tuple(mc.speed for mc in self.machines)
 
 
 @dataclass(frozen=True)
@@ -196,7 +202,12 @@ class ValidationReport:
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check every structural invariant; violations make the instance unusable.
 
-    Disconnected DAGs and zero-data edges are legal.
+    Disconnected DAGs and zero-data edges are legal.  Once every item passes,
+    the graph must be acyclic and its times must stay in the float range:
+    the smallest processing time, min(demand) / max(speed), is positive, and
+    4 x the serial horizon, sum(demand) / min(speed) + sum(data) / (the
+    smallest finite comm speed), is finite.  That horizon bounds every time
+    of an append-only schedule, and the reports add at most three such times.
     """
     return _validate(inst, range(inst.graph.n))
 
@@ -271,6 +282,14 @@ def _validate(inst: Instance, task_ids) -> ValidationReport:
             topological_order(g)
         except CycleError as exc:
             report.violations.append(str(exc))
+        comm_min = min((s for row in p.comm_speed for s in row if s != math.inf), default=math.inf)
+        if not min(demand) / max(p.speed) > 0:
+            report.violations.append("times leave the float range: the smallest processing "
+                                     "time, min(demand)/max(speed), rounds to 0")
+        elif not finite(4 * (sum(demand) / min(p.speed) + sum(data) / comm_min)):
+            report.violations.append("times leave the float range: 4 x the serial horizon, "
+                                     "sum(demand)/min(speed) + sum(data)/min(comm_speed), "
+                                     "overflows")
 
     return report
 
@@ -286,15 +305,18 @@ def normalize_demands(inst: Instance) -> tuple[Instance, float]:
     """Scale demands so the smallest processing time over any machine is >= 1.
 
     Returns the scaled instance and the multiplier applied to every demand
-    (1.0 when the instance is already normalized).  Data volumes and
-    machine speeds are untouched, so communication times are preserved.
+    (1.0 when the instance is already normalized); a multiplier that
+    overflows raises InstanceError.  Data volumes and machine speeds are
+    untouched, so communication times are preserved.
     """
     g = inst.graph
     # Rounded division is monotone, so this is the smallest demand/speed of any pair.
-    min_ratio = min(g.demand) / max(mc.speed for mc in inst.platform.machines)
+    min_ratio = min(g.demand) / max(inst.platform.speed)
     if min_ratio >= 1.0 - 1e-12:  # tolerate one ulp of drift: keeps this idempotent
         return inst, 1.0
     scale = 1.0 / min_ratio
+    if scale == math.inf:
+        raise InstanceError(f"demands cannot be normalized: the scale 1/{min_ratio!r} overflows")
     graph = replace(g, demand=tuple(d * scale for d in g.demand))
     return Instance(graph, inst.platform), scale
 

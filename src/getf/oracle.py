@@ -35,7 +35,7 @@ def restrict_platform(inst: Instance, machine_ids: tuple[int, ...]) -> Instance:
     of ``machine_ids``."""
     ordered = sorted(machine_ids)
     machines = tuple(
-        Machine(new_id, inst.platform.speed(old)) for new_id, old in enumerate(ordered)
+        Machine(new_id, inst.platform.speed[old]) for new_id, old in enumerate(ordered)
     )
     comm = inst.platform.comm_speed
     sub_comm = tuple(tuple(comm[a][b] for b in ordered) for a in ordered)
@@ -64,13 +64,13 @@ def brute_force_schedule(
     if objective not in (MAKESPAN, WEIGHTED):
         raise ValueError(f"unknown objective {objective!r}")
 
+    speed = inst.platform.speed
     if ignore_comm:
         free = ((math.inf,) * m,) * m
         inst = Instance(inst.graph, Platform(inst.platform.machines, free))
     g = inst.graph
     preds, pred_data, succs = g.predecessors(), g.predecessor_data(), g.successors()
     demand, weight, comm = g.demand, g.weight, inst.platform.comm_speed
-    speed = [inst.platform.speed(i) for i in range(m)]
 
     best_value = math.inf
     best_assign: list[int] | None = None
@@ -148,9 +148,8 @@ def lower_bounds(inst: Instance) -> tuple[float, float]:
     work bound: total demand over total speed; chain bound: the largest
     total demand along any path, run at the fastest speed.
     """
-    total_speed = sum(mc.speed for mc in inst.platform.machines)
-    s_max = max(mc.speed for mc in inst.platform.machines)
-    work = sum(inst.graph.demand) / total_speed
+    speed = inst.platform.speed
+    work = sum(inst.graph.demand) / sum(speed)
 
     demand = inst.graph.demand
     heaviest = list(demand)
@@ -158,5 +157,5 @@ def lower_bounds(inst: Instance) -> tuple[float, float]:
     for j in topological_order(inst.graph):
         if preds[j]:
             heaviest[j] = demand[j] + max(heaviest[p] for p in preds[j])
-    chain = max(heaviest, default=0.0) / s_max
+    chain = max(heaviest, default=0.0) / max(speed)
     return work, chain

@@ -621,7 +621,7 @@ class TestGoldenCertifyPath:
         inst = generate_instance(spec)
         if banded:
             groups = partition_machines(inst.platform)
-            bands = [k for k in range(1, groups.K + 1) if groups.machines_in(k)]
+            bands = [k for k in range(1, groups.K + 1) if groups.members[k]]
             f = GroupAssignment({j: bands[j % len(bands)] for j in range(inst.graph.n)}, groups)
         else:
             f = trivial_assignment(inst)

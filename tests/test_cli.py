@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -383,6 +384,104 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: malformed JSON: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("spec,algos", [
+        (("--n", 1000, "--m", 8, "--density", 0.05, "--demand", "100000:400000", "--seed", 1),
+         ["etf"]),
+        (("--n", 300, "--m", 4, "--density", 0.05, "--demand", "1000000:4000000", "--seed", 3),
+         ["etf", "sls", "getf-makespan"]),
+    ])
+    def test_times_past_1e7_verify(self, tmp_path, spec, algos):
+        # Makespans of 2.5e7 and 1.2e8: start + demand/speed rounds in the
+        # last bit of the finish, which an absolute duration check refused.
+        inst = tmp_path / "inst.json"
+        assert run("generate", *spec, "-o", inst) == EXIT_OK
+        for algo in algos:
+            sched = tmp_path / f"{algo}.json"
+            assert run("solve", inst, "--algo", algo, "-o", sched) == EXIT_OK
+            doc = json.loads(sched.read_text())
+            assert doc["makespan"] > 1e7
+            assert verify_schedule(parse_instance(inst.read_text()),
+                                   schedule_from_dict(doc)).feasible
+
+    @pytest.mark.parametrize("spec,algos,message", [
+        (("--n", 6, "--data", "1e308:1e308", "--comm", "0.5:0.5"), ALGORITHMS,
+         "times leave the float range: 4 x the serial horizon"),
+        (("--n", 4, "--demand", "1e-320:1e-320", "--speed", "1e10:1e10"), ALGORITHMS,
+         "times leave the float range: the smallest processing time"),
+        (("--n", 4, "--demand", "1e-300:1e-300", "--speed", "1e10:1e10"), ["getf-weighted"],
+         "demands cannot be normalized: the scale 1/"),
+        (("--n", 6, "--demand", "1e307:1e307"), ALGORITHMS,
+         "times leave the float range: 4 x the serial horizon"),
+        (("--n", 6, "--demand", "1:1", "--speed", "1e308:1e308"), ["getf-weighted"],
+         "the serial horizon of the weighted relaxation overflows"),
+    ])
+    def test_times_outside_the_float_range_exit_2_one_line(self, tmp_path, capsys, spec,
+                                                           algos, message):
+        inst = tmp_path / "inst.json"
+        assert run("generate", "--m", 2, *spec, "-o", inst) == EXIT_OK
+        for algo in algos:
+            capsys.readouterr()
+            assert run("solve", inst, "--algo", algo) == EXIT_INFEASIBLE
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+
+    def test_lp_overflow_gives_no_numpy_warning(self, example_file, monkeypatch, capsys):
+        # A program whose pivots overflow, as those of the weighted relaxation
+        # of `getf generate --n 3 --m 2 --demand 1e300:1e300` do (its 1000
+        # deadline intervals make that solve too slow for this suite): the
+        # residual guard refuses it, and numpy prints nothing.
+        lp = lp_solver.LinearProgram(
+            [1e200], [[1e-300], [1e-300], [1.0]], [lp_solver.LE, lp_solver.EQ, lp_solver.EQ],
+            [1e200, 1e200, 1e300])
+        monkeypatch.setattr(grouping, "build_weighted_lp", lambda inst, groups: lp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("solve", example_file, "--algo", "getf-weighted") == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == ("error: simplex returned an infeasible point: "
+                                           "row 1 has residual 1e+200 > FEAS_TOL 1e-07\n")
+
+
+# Every instance `getf generate` writes over this grid solves, or is refused
+# in one line: n=6, (demand, speed, data, comm) ranges from 1e-320 to 1e308.
+GENERATOR_GRID = [
+    ("1:4", "1:2", "0:4", "1:4"),
+    ("1e6:4e6", "1:2", "0:4", "1:4"),                   # times past 1e7
+    ("1e-5:1e-5", "1:2", "0:4", "1:4"),                 # demands scaled by 1e5
+    ("1e-320:1e-320", "1e10:1e10", "0:4", "1:4"),       # processing times round to 0
+    ("1e-300:1e-300", "1e10:1e10", "0:4", "1:4"),       # the scale overflows
+    ("1:4", "1e307:1e307", "0:4", "1:4"),
+    ("1:1", "1e308:1e308", "0:4", "1:4"),               # the normalized horizon overflows
+    ("1e307:1e307", "1:2", "0:4", "1:4"),               # the serial horizon overflows
+    ("1e307:1e307", "1e307:1e307", "0:4", "1:4"),
+    ("1e-320:1e-320", "1e-320:1e-320", "1e-320:1e-320", "1e-320:1e-320"),
+    ("1:4", "1:2", "1e308:1e308", "0.5:0.5"),           # transfer times overflow
+    ("1:4", "1:2", "0:4", "1e-320:1e-320"),
+    ("1:4", "1:2", "1e-320:1e-320", "1e307:1e307"),
+]
+
+
+@pytest.mark.parametrize("family", ["layered", "random-dag"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_generated_instances_solve_or_are_refused_in_one_line(tmp_path, capsys, family, m):
+    for k, (demand, speed, data, comm) in enumerate(GENERATOR_GRID):
+        inst = tmp_path / f"inst{k}.json"
+        assert run("generate", "--family", family, "--n", 6, "--m", m, "--demand", demand,
+                   "--speed", speed, "--data", data, "--comm", comm, "-o", inst) == EXIT_OK
+        for algo in ALGORITHMS:
+            sched = tmp_path / "sched.json"
+            sched.unlink(missing_ok=True)
+            capsys.readouterr()
+            code = run("solve", inst, "--algo", algo, "-o", sched)
+            err = capsys.readouterr().err
+            case = (family, m, demand, speed, data, comm, algo, code, err)
+            assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_BOUND), case
+            if code == EXIT_OK:
+                assert verify_schedule(parse_instance(inst.read_text()),
+                                       schedule_from_dict(json.loads(sched.read_text()))).feasible
+            if code == EXIT_INFEASIBLE:
+                assert err.startswith("error: ") and err.count("\n") == 1, case
+                assert "schedule failed verification" not in err, case
+
 
 class TestVerify:
     @staticmethod
@@ -651,13 +750,22 @@ class TestCompare:
         assert any(l.startswith("example.json,etf") and l.endswith(",")
                    for l in lines)
 
+    @staticmethod
+    def strip_runtime(text):
+        rows = [r.split(",") for r in text.strip().splitlines()]
+        return [r[:9] + r[10:] for r in rows]
+
     def test_deterministic_modulo_runtime(self, example_file):
-        def strip_runtime(text):
-            rows = [r.split(",") for r in text.strip().splitlines()]
-            return [r[:9] + r[10:] for r in rows]
         a = compare_batch(str(example_file.parent), ["getf-makespan", "etf"], [3, 4])
         b = compare_batch(str(example_file.parent), ["getf-makespan", "etf"], [3, 4])
-        assert strip_runtime(a) == strip_runtime(b)
+        assert self.strip_runtime(a) == self.strip_runtime(b)
+
+    def test_repeated_algorithm_runs_once(self, example_file, tmp_path):
+        for algos in ("etf", "etf,etf"):
+            assert run("compare", example_file.parent, "--algos", algos,
+                       "-o", tmp_path / f"{algos}.csv") == EXIT_OK
+        once, twice = ((tmp_path / f"{a}.csv").read_text() for a in ("etf", "etf,etf"))
+        assert self.strip_runtime(twice) == self.strip_runtime(once)
 
     def test_unknown_algorithm_usage_error(self, example_file, capsys):
         assert run("compare", example_file.parent, "--algos", "lpt") == EXIT_USAGE

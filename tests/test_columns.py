@@ -3,6 +3,7 @@
 Validation over the columns gives the violations, text and order, of the
 per-record validation it replaced (kept below as the reference); the load,
 schedule, verify, report, oracle and write path builds no ``Task`` record;
+every layer reads the platform's ``speed`` column, never a machine record;
 and the ``tasks`` view and the predecessor data agree with the columns.
 """
 
@@ -13,7 +14,7 @@ from collections import deque, namedtuple
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from getf import analysis, cli
+from getf import analysis, cli, pipeline
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.grouping import (assign_groups_makespan, assign_groups_weighted, partition_machines,
                            solve_makespan_relaxation, solve_weighted_relaxation,
@@ -21,7 +22,7 @@ from getf.grouping import (assign_groups_makespan, assign_groups_weighted, parti
 from getf.model import (Instance, InstanceError, Machine, Platform, Task, TaskGraph,
                         load_instance, normalize_demands, parse_instance, serialize_instance,
                         topological_order, validate_instance)
-from getf.oracle import MAKESPAN, WEIGHTED, brute_force_schedule
+from getf.oracle import MAKESPAN, WEIGHTED, brute_force_schedule, lower_bounds, restrict_platform
 from getf.scheduler import TieBreak, getf_schedule, sls_schedule, verify_schedule
 
 RefTask = namedtuple("RefTask", "id demand weight")
@@ -259,6 +260,55 @@ def test_hot_path_builds_no_records(tmp_path, no_records, capsys):
     f = assign_groups_weighted(wsol, groups)
     sched = getf_schedule(small, f, TieBreak.by_index())
     assert analysis.weighted_theorem_report(sched, small, f, groups, wsol).inequalities
+
+
+class CountingMachine:
+    """A machine record that counts reads of its speed."""
+
+    reads = 0
+
+    def __init__(self, id, speed):
+        self.id, self._speed = id, speed
+
+    @property
+    def speed(self):
+        CountingMachine.reads += 1
+        return self._speed
+
+
+def test_every_layer_reads_the_speed_column(monkeypatch):
+    # n and m within the oracle's limits; uniform weights for the weighted route.
+    base = generate_instance(GeneratorSpec(family="random_dag", n=6, m=3, seed=3, density=0.5,
+                                           weights="uniform"))
+    records = tuple(CountingMachine(mc.id, mc.speed) for mc in base.platform.machines)
+    inst = Instance(base.graph, Platform(records, base.platform.comm_speed))
+    assert validate_instance(inst).ok
+    assert inst.platform.speed == base.platform.speed
+    monkeypatch.setattr(CountingMachine, "reads", 0)
+
+    for algo in pipeline.ALGORITHMS:
+        sched, f = pipeline.run(inst, algo, TieBreak.by_index())
+        assert verify_schedule(inst, sched, f).feasible
+        assert analysis.separation_report(sched, inst, f, f.groups).inequalities
+        assert sorted(analysis.per_task_chain_comm(sched, inst, f)) == list(range(inst.graph.n))
+    with pytest.raises(analysis.AnalysisError):
+        analysis.identical_report(sched, inst)
+    groups = partition_machines(inst.platform)
+    frac = solve_makespan_relaxation(inst, groups)
+    f = assign_groups_makespan(frac, groups)
+    sched = getf_schedule(inst, f, TieBreak.by_index())
+    assert analysis.makespan_theorem_report(sched, inst, f, groups, frac.T).inequalities
+    normalized, _ = normalize_demands(inst)
+    wsol = solve_weighted_relaxation(normalized, groups)
+    f = assign_groups_weighted(wsol, groups)
+    sched = getf_schedule(normalized, f, TieBreak.by_index())
+    assert analysis.weighted_theorem_report(sched, normalized, f, groups, wsol).inequalities
+    for objective in (MAKESPAN, WEIGHTED):
+        for ignore_comm in (False, True):
+            assert brute_force_schedule(inst, ignore_comm, objective)[1].assignment
+    assert all(b > 0 for b in lower_bounds(inst))
+    assert restrict_platform(inst, (0, 2)).platform.speed == inst.platform.speed[::2]
+    assert CountingMachine.reads == 0
 
 
 class TestViews:

@@ -36,7 +36,7 @@ class TestPartition:
         g = partition_machines(inst.platform)
         assert g.retained == (0, 1, 2)
         assert g.gamma == 2.0 and g.K == 2
-        assert {i: inst.platform.speed(i) * 4 / 8.0 for i in g.retained} == \
+        assert {i: inst.platform.speed[i] * 4 / 8.0 for i in g.retained} == \
             {0: 4.0, 1: 2.0, 2: 1.0}
         assert g.group_of == {0: 2, 1: 2, 2: 1}
         assert g.group_speed == {1: 2.0, 2: 12.0}
@@ -460,7 +460,7 @@ def reference_collapse(x, C, Q, tau, machines):
 
 
 def reference_slice_feasibility(inst, machines, C, Q, q_of, x_tilde):
-    speed = {i: inst.platform.speed(i) for i in machines}
+    speed = {i: inst.platform.speed[i] for i in machines}
     demand = {t.id: t.demand for t in inst.graph.tasks}
     out = {}
     for q in range(1, Q + 1):

@@ -25,7 +25,7 @@ def reference_brute_force_schedule(inst, ignore_comm=False, objective=MAKESPAN):
     succs = g.successors()
     data_of = dict(zip(zip(g.src, g.dst), g.data))
     demand, weight, comm = g.demand, g.weight, inst.platform.comm_speed
-    speed = [inst.platform.speed(i) for i in range(m)]
+    speed = [inst.platform.speed[i] for i in range(m)]
 
     best_value = math.inf
     best_assign = best_order = None

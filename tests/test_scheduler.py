@@ -40,7 +40,7 @@ def timeline_avail(partial, inst):
 def naive_best_placement(task, machines, partial, inst, prefer_fast):
     """Sequential scan over the group, re-evaluating every start."""
     def key(i):
-        return (-inst.platform.speed(i), i) if prefer_fast else (i,)
+        return (-inst.platform.speed[i], i) if prefer_fast else (i,)
     best_t, best_m = None, None
     avail = timeline_avail(partial, inst)
     for i in machines:
@@ -66,7 +66,7 @@ def naive_getf(inst, f, tie):
         min_t = min(t for t, _ in best.values())
         j = chooser.choose([j for j in ready if abs(best[j][0] - min_t) <= START_TIE_TOL])
         t, mach = best[j]
-        sched.place(j, mach, t, inst.graph.tasks[j].demand / inst.platform.speed(mach))
+        sched.place(j, mach, t, inst.graph.tasks[j].demand / inst.platform.speed[mach])
     return sched
 
 
@@ -74,7 +74,7 @@ def naive_sls(inst, f, priority):
     sched = Schedule()
     for j in priority:
         t, mach = naive_best_placement(j, f.machines_for(j), sched, inst, False)
-        sched.place(j, mach, t, inst.graph.tasks[j].demand / inst.platform.speed(mach))
+        sched.place(j, mach, t, inst.graph.tasks[j].demand / inst.platform.speed[mach])
     return sched
 
 
@@ -100,7 +100,7 @@ def reference_sls_schedule(inst, f, priority):
         avail = timeline_avail(sched, inst)
         start, i = reference_scan(machines, earliest_start(j, machines, avail, sched, inst),
                                   lowest_id_first)
-        sched.place(j, i, start, inst.graph.demand[j] / inst.platform.speed(i))
+        sched.place(j, i, start, inst.graph.demand[j] / inst.platform.speed[i])
     return sched
 
 
@@ -121,7 +121,7 @@ def random_topological_order(inst, rng):
 
 def random_band_assignment(inst, rng):
     groups = partition_machines(inst.platform, rng.choice([1.3, 2.0, 3.0]))
-    bands = [k for k in range(1, groups.K + 1) if groups.machines_in(k)]
+    bands = [k for k in range(1, groups.K + 1) if groups.members[k]]
     return GroupAssignment({j: rng.choice(bands) for j in range(inst.graph.n)}, groups)
 
 
@@ -550,7 +550,7 @@ class TestGetf:
     def test_empty_group_names_the_task(self):
         inst = generate_instance(GeneratorSpec("layered", 30, 8, seed=0, density=0.1))
         groups = partition_machines(inst.platform, 2.0)
-        empty = next(k for k in range(1, groups.K + 1) if not groups.machines_in(k))
+        empty = next(k for k in range(1, groups.K + 1) if not groups.members[k])
         f = GroupAssignment({j: empty for j in range(inst.graph.n)}, groups)
         with pytest.raises(SchedulingError, match=f"task 0 is assigned to group {empty}"):
             getf_schedule(inst, f, TieBreak.by_index())
@@ -720,6 +720,17 @@ class TestVerify:
         s.place(0, 0, 0.0, 1.0)  # should take 2.0
         assert not verify_schedule(inst, s).feasible
 
+    @pytest.mark.parametrize("start", [0.0, 1e8])
+    def test_finish_off_by_1e6_relative_detected(self, start):
+        inst = make_instance([2.0], [], [1.0])
+        s = Schedule()
+        s.place(0, 0, start, 2.0)
+        assert verify_schedule(inst, s).feasible
+        s.finish[0] = math.nextafter(s.finish[0], math.inf)  # one ulp: within the slack
+        assert verify_schedule(inst, s).feasible
+        s.finish[0] = (start + 2.0) * (1 + 1e-6)
+        assert verify_schedule(inst, s).violations == ["task 0 duration differs from demand/speed"]
+
     def test_group_violation_detected(self):
         inst = make_instance([1.0], [], [4.0, 1.0, 1.0, 1.0], comm=1.0)
         groups = partition_machines(inst.platform)
@@ -783,8 +794,9 @@ def reference_verify(inst, s, f=None):
             ))
 
     for j in range(n):
-        expected = inst.graph.tasks[j].demand / inst.platform.speed(s.assignment[j])
-        if not abs((s.finish[j] - s.start[j]) - expected) <= VERIFY_TOL:
+        expected = s.start[j] + inst.graph.tasks[j].demand / inst.platform.speed[s.assignment[j]]
+        if (not abs(s.finish[j] - expected) <= VERIFY_TOL * max(1.0, abs(s.finish[j]))
+                or math.isinf(s.finish[j])):
             findings.append((s.start[j], f"task {j} duration differs from demand/speed"))
 
     if f is not None:
