@@ -142,12 +142,15 @@ def partition_machines(platform: Platform, gamma: float | None = None) -> Machin
     g, K = band_layout(m, gamma)
     s_max = max(platform.speed)
     # Speeds are scaled by 2^-e, exactly, so that m / s_max stays finite.
+    # The cut compares the ratio sigma = m * s / s_max with 1, within
+    # rounding, so no choice of speed unit moves it.
     e = math.frexp(s_max)[1]
     nu = m / math.ldexp(s_max, -e)
     band_of: dict[int, int] = {}
     for i, s in enumerate(platform.speed):
-        if s >= s_max / m - 1e-15:
-            k = int(math.floor(math.log(math.ldexp(s, -e) * nu, g) + 1e-9)) + 1
+        sigma = math.ldexp(s, -e) * nu
+        if sigma >= 1.0 - 1e-15:
+            k = int(math.floor(math.log(sigma, g) + 1e-9)) + 1
             band_of[i] = min(max(k, 1), K)
     return _machine_groups(platform, g, K, band_of)
 

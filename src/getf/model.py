@@ -16,9 +16,10 @@ Conventions:
 
 A ``TaskGraph`` is stored once, as columns: ``demand`` and ``weight`` per
 task, ``src``, ``dst`` and ``data`` per edge.  The loader and the generator
-fill them straight from their lists, and ``validate_instance`` walks
-them item by item.  Readers of one link's data take it from
-``predecessor_data()``, aligned with ``predecessors()``.
+fill them straight from their lists, and ``validate_instance`` decides a
+valid instance with whole-column checks; its item loops run only for a
+section that failed, to word the violations.  Readers of one link's data
+take it from ``predecessor_data()``, aligned with ``predecessors()``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter, lt
 
 import numpy as np
 
@@ -138,6 +140,10 @@ class TaskGraph:
 
     @cached_property
     def _topological_order(self) -> list[int]:
+        if all(map(lt, self.src, self.dst)):
+            # Every edge runs forward, so at step k all of k's predecessors
+            # are placed and k is the smallest ready id: Kahn's order is 0..n-1.
+            return list(range(self.n))
         indeg = [len(p) for p in self.predecessors()]
         succs = self.successors()
         ready = [v for v in range(self.n) if indeg[v] == 0]
@@ -230,32 +236,39 @@ def _validate(inst: Instance, task_ids) -> ValidationReport:
     if report.violations:
         return report
 
-    for idx, (tid, d, w) in enumerate(zip(task_ids, demand, weight)):
-        if tid != idx:
-            report.violations.append(f"task ids must be dense 0..n-1, found {tid} at position {idx}")
-        if not finite(d):
-            report.violations.append(f"non-finite demand, task {tid}")
-        elif not d > 0:
-            report.violations.append(f"nonpositive demand, task {tid}")
-        if not finite(w):
-            report.violations.append(f"non-finite weight, task {tid}")
-        elif w < 0:
-            report.violations.append(f"negative weight, task {tid}")
+    # Each section is decided by whole-column checks; its item loop runs only
+    # when a check fails, to word the violations in item order.
+    if not (list(task_ids) == list(range(n)) and all(map(finite, demand))
+            and all(map(finite, weight)) and min(demand, default=1.0) > 0
+            and min(weight, default=0.0) >= 0):
+        for idx, (tid, d, w) in enumerate(zip(task_ids, demand, weight)):
+            if tid != idx:
+                report.violations.append(
+                    f"task ids must be dense 0..n-1, found {tid} at position {idx}")
+            if not finite(d):
+                report.violations.append(f"non-finite demand, task {tid}")
+            elif not d > 0:
+                report.violations.append(f"nonpositive demand, task {tid}")
+            if not finite(w):
+                report.violations.append(f"non-finite weight, task {tid}")
+            elif w < 0:
+                report.violations.append(f"negative weight, task {tid}")
 
-    seen_pairs: set[tuple[int, int]] = set()
-    for s, d, w in zip(src, dst, data):
-        if not (0 <= s < n) or not (0 <= d < n):
-            report.violations.append(f"edge ({s},{d}) references missing task")
-            continue
-        if s == d:
-            report.violations.append(f"self edge on task {s}")
-        if (s, d) in seen_pairs:
-            report.violations.append(f"parallel edge ({s},{d})")
-        seen_pairs.add((s, d))
-        if not finite(w):
-            report.violations.append(f"non-finite data on edge ({s},{d})")
-        elif w < 0:
-            report.violations.append(f"negative data on edge ({s},{d})")
+    if src and not _edge_columns_valid(g):
+        seen_pairs: set[tuple[int, int]] = set()
+        for s, d, w in zip(src, dst, data):
+            if not (0 <= s < n) or not (0 <= d < n):
+                report.violations.append(f"edge ({s},{d}) references missing task")
+                continue
+            if s == d:
+                report.violations.append(f"self edge on task {s}")
+            if (s, d) in seen_pairs:
+                report.violations.append(f"parallel edge ({s},{d})")
+            seen_pairs.add((s, d))
+            if not finite(w):
+                report.violations.append(f"non-finite data on edge ({s},{d})")
+            elif w < 0:
+                report.violations.append(f"negative data on edge ({s},{d})")
 
     for idx, mac in enumerate(p.machines):
         if mac.id != idx:
@@ -294,10 +307,29 @@ def _validate(inst: Instance, task_ids) -> ValidationReport:
     return report
 
 
+def _edge_columns_valid(g: TaskGraph) -> bool:
+    """Whether every edge joins two tasks, none is a self or parallel edge,
+    and all data is finite and nonnegative.  The ids are range-checked on
+    the columns first, so only ids in 0..n-1 reach the int64 arrays; a
+    column the arrays cannot hold (a NaN id, say) fails the check."""
+    n = g.n
+    if not (min(g.src) >= 0 and max(g.src) < n and min(g.dst) >= 0 and max(g.dst) < n):
+        return False
+    try:
+        src, dst, data = g.edge_columns()
+    except (OverflowError, ValueError):
+        return False
+    keys = src * n + dst                        # one key per (src, dst) pair
+    keys.sort()
+    return bool((src != dst).all() and (keys[1:] != keys[:-1]).all()
+                and np.isfinite(data).all() and data.min() >= 0)
+
+
 def topological_order(g: TaskGraph) -> list[int]:
-    """Kahn's algorithm, always taking the lowest available id first.  The
-    order is computed once per graph and shared: callers must not mutate it.
-    A cyclic graph raises CycleError on every call."""
+    """Kahn's algorithm, always taking the lowest available id first; when
+    every edge runs from a lower to a higher id that order is 0..n-1, and no
+    heap is built.  The order is computed once per graph and shared: callers
+    must not mutate it.  A cyclic graph raises CycleError on every call."""
     return g._topological_order
 
 
@@ -415,6 +447,9 @@ def integer_ids(ids: list, what: str) -> list[int]:
 
 
 def instance_from_dict(doc: dict) -> Instance:
+    """The instance a JSON document describes.  Each check runs over whole
+    columns; the per-entry checks run only to word the InstanceError of a
+    check that failed, every violation in document order."""
     _require(isinstance(doc, dict), "instance document must be a JSON object")
     for key in ("tasks", "edges", "machines", "comm_speed"):
         _require(key in doc, f"missing field '{key}'")
@@ -422,29 +457,40 @@ def instance_from_dict(doc: dict) -> Instance:
         _require(isinstance(doc[key], list), f"'{key}' must be a list")
     for key in ("tasks", "machines"):
         _require(len(doc[key]) > 0, f"'{key}' must not be empty")
-    _require(all(isinstance(e, dict) and "id" in e and "demand" in e for e in doc["tasks"]),
-             "task entries need 'id' and 'demand'")
-    _require(all(isinstance(e, dict) and "src" in e and "dst" in e for e in doc["edges"]),
-             "edge entries need 'src' and 'dst'")
-    _require(all(isinstance(e, dict) and "id" in e and "speed" in e for e in doc["machines"]),
+
+    task_docs, edge_docs, machine_docs = doc["tasks"], doc["edges"], doc["machines"]
+    try:  # dict.get refuses an entry that is not an object, itemgetter a missing key
+        weights = list(map(dict.get, task_docs, repeat("weight"), repeat(0.0)))
+        task_ids, demands = (list(map(itemgetter(key), task_docs)) for key in ("id", "demand"))
+        data = list(map(dict.get, edge_docs, repeat("data"), repeat(0.0)))
+        srcs, dsts = (list(map(itemgetter(key), edge_docs)) for key in ("src", "dst"))
+    except (KeyError, TypeError):
+        _require(all(isinstance(e, dict) and "id" in e and "demand" in e for e in task_docs),
+                 "task entries need 'id' and 'demand'")
+        _require(all(isinstance(e, dict) and "src" in e and "dst" in e for e in edge_docs),
+                 "edge entries need 'src' and 'dst'")
+        raise                                   # not reached for a json.loads document
+    _require(all(isinstance(e, dict) and "id" in e and "speed" in e for e in machine_docs),
              "machine entries need 'id' and 'speed'")
     _require(isinstance(doc["comm_speed"], list)
              and all(isinstance(row, list) for row in doc["comm_speed"]),
              "'comm_speed' must be a matrix")
 
-    task_docs, edge_docs, machine_docs = doc["tasks"], doc["edges"], doc["machines"]
-    task_ids, machine_ids = [e["id"] for e in task_docs], [e["id"] for e in machine_docs]
-    srcs, dsts = [e["src"] for e in edge_docs], [e["dst"] for e in edge_docs]
-    demands, weights = [e["demand"] for e in task_docs], [e.get("weight", 0.0) for e in task_docs]
-    data, speeds = [e.get("data", 0.0) for e in edge_docs], [e["speed"] for e in machine_docs]
+    machine_ids, speeds = [e["id"] for e in machine_docs], [e["speed"] for e in machine_docs]
     comm = [s for row in doc["comm_speed"] for s in row if s is not None]
-    require_numbers((task_ids, demands, weights, srcs, dsts, data, machine_ids, speeds, comm),
-                    "instance")
-    task_ids, machine_ids, srcs, dsts = (integer_ids(ids, "task, machine and edge")
-                                         for ids in (task_ids, machine_ids, srcs, dsts))
+    id_types = set(map(type, chain(task_ids, srcs, dsts, machine_ids)))
+    value_types = set(map(type, chain(demands, weights, data, speeds, comm)))
+    if not id_types | value_types <= _NUMBER_TYPES:
+        require_numbers((task_ids, demands, weights, srcs, dsts, data, machine_ids, speeds, comm),
+                        "instance")
+    if float in id_types:
+        task_ids, machine_ids, srcs, dsts = (integer_ids(ids, "task, machine and edge")
+                                             for ids in (task_ids, machine_ids, srcs, dsts))
+    # float() returns a float unchanged, so only a group holding an int is
+    # mapped through it (and may overflow).
+    floats = tuple if value_types <= {float} else lambda col: tuple(map(float, col))
     try:
-        graph = TaskGraph(tuple(map(float, demands)), tuple(map(float, weights)),
-                          tuple(srcs), tuple(dsts), tuple(map(float, data)))
+        graph = TaskGraph(floats(demands), floats(weights), tuple(srcs), tuple(dsts), floats(data))
         machines = list(map(Machine, machine_ids, map(float, speeds)))
         comm_rows = [tuple(math.inf if s is None else float(s) for s in row)
                      for row in doc["comm_speed"]]

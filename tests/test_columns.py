@@ -1,14 +1,18 @@
 """The task graph is held as columns.
 
 Validation over the columns gives the violations, text and order, of the
-per-record validation it replaced (kept below as the reference); the load,
+per-record validation it replaced (kept below as the reference), and the
+whole loader gives the messages or the instance of a reference that checks
+one value at a time; the topological order is Kahn's; the load,
 schedule, verify, report, oracle and write path builds no ``Task`` record;
 every layer reads the platform's ``speed`` column, never a machine record;
 and the ``tasks`` view and the predecessor data agree with the columns.
 """
 
+import heapq
 import json
 import math
+import re
 from collections import deque, namedtuple
 
 import pytest
@@ -19,7 +23,7 @@ from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.grouping import (assign_groups_makespan, assign_groups_weighted, partition_machines,
                            solve_makespan_relaxation, solve_weighted_relaxation,
                            trivial_assignment)
-from getf.model import (Instance, InstanceError, Machine, Platform, Task, TaskGraph,
+from getf.model import (CycleError, Instance, InstanceError, Machine, Platform, Task, TaskGraph,
                         load_instance, normalize_demands, parse_instance, serialize_instance,
                         topological_order, validate_instance)
 from getf.oracle import MAKESPAN, WEIGHTED, brute_force_schedule, lower_bounds, restrict_platform
@@ -200,6 +204,15 @@ class TestValidationParity:
         inst = Instance(TaskGraph(*columns), Platform((Machine(0, 1.0),), ((math.inf,),)))
         assert validate_instance(inst).violations == [message]
 
+    @pytest.mark.parametrize("src", [(math.nan, 0), (0, math.nan), (-0.5, 0), (0, 5.5)])
+    def test_ids_no_int_array_holds(self, src):
+        # A graph built in code can hold ids the loader refuses.  A NaN passes
+        # min and max, and an int64 array would truncate -0.5 to 0.
+        inst = Instance(TaskGraph((1.0, 1.0), (0.0, 0.0), src, (1, 1), (1.0, 1.0)),
+                        Platform((Machine(0, 1.0),), ((math.inf,),)))
+        doc = document(list(zip(src, (1, 1))), n=2)
+        assert validate_instance(inst).violations == reference_violations(doc)
+
     def test_every_violation_in_order(self):
         with pytest.raises(InstanceError) as exc:
             parse_instance(json.dumps(EVERY_VIOLATION))
@@ -214,6 +227,231 @@ class TestValidationParity:
             "nonpositive speed, machine 1", "non-finite speed, machine 1",
             "nonpositive comm speed, pair (0,1)", "non-finite comm speed, pair (1,0)",
         ]
+
+
+def kahn_order(g: TaskGraph) -> list[int]:
+    """Kahn's algorithm, lowest ready id first, on a heap: the loop that
+    ordered every graph before forward-numbered ones skipped it."""
+    preds: list[list[int]] = [[] for _ in range(g.n)]
+    succs: list[list[int]] = [[] for _ in range(g.n)]
+    for s, d in zip(g.src, g.dst):
+        preds[d].append(s)
+        succs[s].append(d)
+    indeg = [len(p) for p in preds]
+    ready = [v for v in range(g.n) if indeg[v] == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in succs[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    if len(order) != g.n:
+        raise CycleError(f"cycle detected among tasks {sorted(set(range(g.n)) - set(order))}")
+    return order
+
+
+def reference_load(doc: dict):
+    """What the loader gives for a well-shaped document, found one value at a
+    time: the InstanceError message, or the graph as its columns, topological
+    order, predecessors, predecessor data and successors."""
+    tasks, edges, machines = doc["tasks"], doc["edges"], doc["machines"]
+    task_ids, src, dst, machine_ids = ([e[key] for e in entries] for entries, key in (
+        (tasks, "id"), (edges, "src"), (edges, "dst"), (machines, "id")))
+    demand, weight = [t["demand"] for t in tasks], [t.get("weight", 0.0) for t in tasks]
+    data, speed = [e.get("data", 0.0) for e in edges], [mc["speed"] for mc in machines]
+    comm = [s for row in doc["comm_speed"] for s in row if s is not None]
+    for column in (task_ids, demand, weight, src, dst, data, machine_ids, speed, comm):
+        for v in column:
+            if type(v) not in (int, float):
+                return f"instance values must be numbers: got {v!r}"
+    for column in (task_ids, machine_ids, src, dst):
+        for v in column:
+            if type(v) is float and not v.is_integer():
+                return f"task, machine and edge ids must be integers: got {v!r}"
+    for column in (demand, weight, data, speed, comm):
+        for v in column:
+            try:
+                float(v)
+            except OverflowError as exc:
+                return f"instance values must be numbers: {exc}"
+    task_ids, src, dst, machine_ids = ([int(v) for v in c] for c in (task_ids, src, dst, machine_ids))
+    plain = {
+        "tasks": [{"id": j, "demand": d, "weight": w} for j, d, w in zip(task_ids, demand, weight)],
+        "edges": [{"src": s, "dst": d, "data": w} for s, d, w in zip(src, dst, data)],
+        "machines": [{"id": i, "speed": v} for i, v in zip(machine_ids, speed)],
+        "comm_speed": doc["comm_speed"],
+    }
+    violations = reference_violations(plain)
+    if violations:
+        return "; ".join(violations)
+    n = len(tasks)
+    preds, pred_data, succs = [[] for _ in range(n)], [[] for _ in range(n)], [[] for _ in range(n)]
+    for s, d, w in zip(src, dst, data):
+        preds[d].append(s)
+        pred_data[d].append(float(w))
+        succs[s].append(d)
+    columns = (tuple(map(float, demand)), tuple(map(float, weight)), tuple(src), tuple(dst),
+               tuple(map(float, data)))
+    return columns, kahn_order(TaskGraph(*columns)), preds, pred_data, succs
+
+
+def assert_loads_like_the_reference(doc: dict) -> None:
+    expected = reference_load(doc)
+    if isinstance(expected, str):
+        with pytest.raises(InstanceError) as exc:
+            parse_instance(json.dumps(doc))
+        assert str(exc.value) == expected
+    else:
+        g = parse_instance(json.dumps(doc)).graph
+        columns = (g.demand, g.weight, g.src, g.dst, g.data)
+        assert repr(columns) == repr(expected[0])          # values and their types
+        assert (topological_order(g), g.predecessors(), g.predecessor_data(),
+                g.successors()) == expected[1:]
+
+
+ID_KEYS = {"tasks": ("id",), "edges": ("src", "dst"), "machines": ("id",)}
+VALUE_KEYS = {"tasks": ("demand", "weight"), "edges": ("data",), "machines": ("speed",)}
+
+
+@st.composite
+def loader_documents(draw) -> dict:
+    """``documents()`` with the tasks relabelled, so an edge need not run
+    forward, and up to three values replaced: an id by an integer-valued
+    or fractional float or an int beyond int64, any value by a boolean, a
+    string, an int beyond the float range or a plain int."""
+    doc = draw(documents())
+    n = len(doc["tasks"])
+    label = draw(st.permutations(range(n)))
+    doc["edges"] = [{**e, "src": label[e["src"]] if 0 <= e["src"] < n else e["src"],
+                     "dst": label[e["dst"]] if 0 <= e["dst"] < n else e["dst"]}
+                    for e in doc["edges"]]
+    for _ in range(draw(st.integers(0, 3))):
+        section = draw(st.sampled_from(["tasks", "edges", "machines", "comm_speed"]))
+        if section == "comm_speed":
+            row = draw(st.sampled_from(doc["comm_speed"]))
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from([True, "1", 2 ** 1024]))
+            continue
+        if not doc[section]:
+            continue
+        entry = draw(st.sampled_from(doc[section]))
+        key = draw(st.sampled_from(ID_KEYS[section] + VALUE_KEYS[section]))
+        v = entry[key] if type(entry[key]) is int else 0
+        if key in ID_KEYS[section]:
+            entry[key] = draw(st.sampled_from([float(v), v + 0.5, 2 ** 64 + v, -2 ** 63 - 1 - v,
+                                               float(2 ** 70), False, "0"]))
+        else:
+            entry[key] = draw(st.sampled_from([True, "1.0", 2 ** 1024, 3]))
+    return doc
+
+
+def document(edges, n=4, **tasks) -> dict:
+    """A valid document with these (src, dst) edges, one machine, and task
+    fields overridden by ``tasks`` (a key maps to a list over the tasks)."""
+    fields = {"id": list(range(n)), "demand": [1.0] * n, "weight": [0.0] * n, **tasks}
+    return {
+        "tasks": [dict(zip(fields, values)) for values in zip(*fields.values())],
+        "edges": [{"src": a, "dst": b, "data": 1.0} for a, b in edges],
+        "machines": [{"id": 0, "speed": 1.0}], "comm_speed": [[None]],
+    }
+
+
+NOT_FORWARD = document([(3, 1), (1, 0), (3, 2), (2, 0)])
+FLOAT_IDS = {**document([(0, 1), (1, 3)], id=[0.0, 1.0, 2.0, 3.0]),
+             "machines": [{"id": 0.0, "speed": 1.0}]}
+FLOAT_ENDPOINTS = document([(0.0, 2.0), (2, 1.0), (3.0, 1)])
+BEYOND_INT64 = document([(0, 2 ** 64), (2 ** 63, 1), (-2 ** 63 - 1, 2), (1, 2)])
+BEYOND_INT64_IDS = {**document([(0, 1)], id=[0, 2 ** 64, 2, -2 ** 70]),
+                    "machines": [{"id": 2 ** 65, "speed": 1.0}]}
+MIXED_EDGES = document([(0, 1), (1, 1), (0, 1), (4, 1), (2, 2), (-1, 3), (0, 1), (2, 3),
+                        (3, 9), (2, 3)])
+
+
+class TestLoaderParity:
+    @given(loader_documents())
+    @example(NOT_FORWARD)
+    @example(FLOAT_IDS)
+    @example(FLOAT_ENDPOINTS)
+    @example(BEYOND_INT64)
+    @example(BEYOND_INT64_IDS)
+    @example(MIXED_EDGES)
+    @example(CYCLE)
+    @example(EVERY_VIOLATION)
+    @settings(max_examples=300, deadline=None)
+    def test_loader_matches_the_reference_loader(self, doc):
+        assert_loads_like_the_reference(doc)
+
+    @pytest.mark.parametrize("bad", [True, False, "1", "x"])
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section in ID_KEYS for key in ID_KEYS[section] + VALUE_KEYS[section]
+    ] + [("comm_speed", None)])
+    def test_booleans_and_strings_in_every_column(self, section, key, bad):
+        doc = document([(0, 1), (2, 3)])
+        if section == "comm_speed":
+            doc["comm_speed"] = [[bad]]
+        else:
+            doc[section][-1][key] = bad
+        assert reference_load(doc) == f"instance values must be numbers: got {bad!r}"
+        assert_loads_like_the_reference(doc)
+
+    def test_the_examples_reach_their_cases(self):
+        assert isinstance(reference_load(NOT_FORWARD)[0], tuple)
+        assert reference_load(NOT_FORWARD)[1] == [3, 1, 2, 0]
+        assert isinstance(reference_load(FLOAT_IDS)[0], tuple)
+        assert isinstance(reference_load(FLOAT_ENDPOINTS)[0], tuple)
+        assert reference_load(BEYOND_INT64).split("; ") == [
+            f"edge (0,{2 ** 64}) references missing task",
+            f"edge ({2 ** 63},1) references missing task",
+            f"edge ({-2 ** 63 - 1},2) references missing task"]
+        assert reference_load(BEYOND_INT64_IDS).split("; ") == [
+            f"task ids must be dense 0..n-1, found {2 ** 64} at position 1",
+            f"task ids must be dense 0..n-1, found {-2 ** 70} at position 3",
+            f"machine ids must be dense 0..m-1, found {2 ** 65} at position 0"]
+        assert reference_load(MIXED_EDGES).split("; ") == [
+            "self edge on task 1", "parallel edge (0,1)", "edge (4,1) references missing task",
+            "self edge on task 2", "edge (-1,3) references missing task", "parallel edge (0,1)",
+            "edge (3,9) references missing task", "parallel edge (2,3)"]
+
+
+@st.composite
+def task_graphs(draw) -> TaskGraph:
+    """A random DAG, forward-numbered or relabelled, sometimes with one
+    edge reversed into a cycle."""
+    n = draw(st.integers(0, 12))
+    pairs = sorted({(min(a, b), max(a, b)) for a, b in draw(st.lists(
+        st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))), max_size=30))
+        if a != b})
+    if draw(st.booleans()):
+        label = draw(st.permutations(range(n)))
+        pairs = [(label[a], label[b]) for a, b in pairs]
+    pairs = draw(st.permutations(pairs))
+    if pairs and draw(st.integers(0, 3)) == 0:           # a back edge along a path of two
+        a, b = draw(st.sampled_from(pairs))
+        pairs.append((b, a))
+    return TaskGraph((1.0,) * n, (0.0,) * n, tuple(a for a, _ in pairs),
+                     tuple(b for _, b in pairs), (1.0,) * len(pairs))
+
+
+class TestTopologicalOrder:
+    @given(task_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_kahns_order(self, g):
+        try:
+            expected = kahn_order(g)
+        except CycleError as exc:
+            for _ in range(2):                          # on every call
+                with pytest.raises(CycleError, match=re.escape(str(exc))):
+                    topological_order(g)
+            return
+        assert topological_order(g) == expected
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_generated_graphs_run_forward(self, family):
+        g = generate_instance(GeneratorSpec(family=family, n=40, m=2, seed=5, density=0.3)).graph
+        assert all(a < b for a, b in zip(g.src, g.dst))
+        assert topological_order(g) == list(range(g.n)) == kahn_order(g)
 
 
 @pytest.fixture

@@ -41,6 +41,12 @@ class TestPartition:
         assert g.group_of == {0: 2, 1: 2, 2: 1}
         assert g.group_speed == {1: 2.0, 2: 12.0}
 
+    def test_cut_does_not_depend_on_the_speed_unit(self):
+        # The same speed ratio, 1e-10, in two units: the slow machine goes in both.
+        for speeds in ((1.0, 1e-10), (1e-20, 1e-30)):
+            g = partition_machines(make_instance([1.0], [], speeds).platform)
+            assert g.retained == (0,) and g.group_of == {0: 1}
+
     def test_identical_speeds_single_band(self):
         inst = make_instance([1.0], [], [1.0, 1.0])
         g = partition_machines(inst.platform)

@@ -739,6 +739,43 @@ class TestPivotUpdates:
         assert_updates_agree(built_program("weighted", "random_dag", 6, 3, 954))
 
 
+def assert_blocks_agree(lp: LinearProgram, block_bytes: int) -> None:
+    """The full update in blocks of block_bytes gives the one-block bits."""
+    with mock.patch.object(lp_solver, "PIVOT_BLOCK_BYTES", 1 << 62):
+        whole = solution_bits(lp)
+    with mock.patch.object(lp_solver, "PIVOT_BLOCK_BYTES", block_bytes):
+        assert solution_bits(lp) == whole
+
+
+class TestBlockedPivot:
+    # 1 byte makes every row its own block; 2 KiB holds one row of a
+    # makespan-lp tableau, and 200 bytes one to a few rows of a drawn one.
+    @pytest.mark.parametrize("block_bytes", [1, 2048])
+    def test_started_makespan_programs(self, block_bytes):
+        for lp in makespan_lp_programs():
+            assert_blocks_agree(lp, block_bytes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(programs(), st.sampled_from([1, 200]))
+    def test_drawn_programs(self, lp, block_bytes):
+        assert_blocks_agree(lp, block_bytes)
+
+    def test_weighted_program(self):
+        assert_blocks_agree(built_program("weighted", "random_dag", 6, 3, 954), 1)
+
+    def test_every_block_reads_the_pivot_row_as_it_was(self):
+        # The pivot row's own update, r - 0 * r, turns -0.0 into 0.0 and inf
+        # into nan; the rows after it must still subtract multiples of r.
+        def pivoted(block_bytes: int) -> bytes:
+            tableau = np.array([[1.0, -0.0, np.inf, 5.0], [2.0, -0.0, 1.0, 1.0],
+                                [3.0, 1.0, 1.0, 1.0]])
+            with mock.patch.object(lp_solver, "PIVOT_BLOCK_BYTES", block_bytes), \
+                    np.errstate(all="ignore"):
+                lp_solver._pivot(tableau, np.zeros(3, dtype=int), 0, 0, [0, 0])
+            return tableau.tobytes()
+        assert pivoted(1) == pivoted(1 << 62)
+
+
 def solve_digest(programs: list[LinearProgram]) -> str:
     """SHA-256 over each solve's status, x bytes, pivot counts and max_residual."""
     h = hashlib.sha256()
