@@ -1,0 +1,98 @@
+"""SHA-256 digests of getf's outputs over the benchmark's seeded instance sets.
+
+Run from anywhere:
+
+    python3 scripts/output_digests.py [--src DIR]
+
+Prints one line per output family:
+
+  certify-large  the 32 seed-1 certify operations: violations, separation
+                 report, per-task chain values and schedule JSON;
+  etf-large      the 16 seed-1 ``getf solve --algo etf`` runs under each of
+                 the tie rules by-index, random:7, largest-demand and
+                 most-succ: output file, stdout, stderr and exit code;
+  makespan-lp    the 480 seed 1-10 ``getf solve --algo getf-makespan`` runs:
+                 output file, stdout, stderr and exit code.
+
+The workloads and their instances come from ``perfbench/harness.py``.
+``--src`` names the source tree getf is imported from (default: ``src/``
+of this checkout), so two trees give byte-identical outputs exactly when
+one run per tree prints the same lines.
+"""
+
+import os
+
+# One BLAS thread, as the benchmark runs: pinned before numpy is imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import harness  # noqa: E402
+
+# (workload, seeds, tie rules); certify-large has no tie rule.
+FAMILIES = (
+    ("certify-large", (1,), (None,)),
+    ("etf-large", (1,), ("by-index", "random:7", "largest-demand", "most-succ")),
+    ("makespan-lp", range(1, 11), ("by-index",)),
+)
+
+
+def certify_output(g, w, case) -> list[str]:
+    feas, report, chain, text = harness.call_op(g, w, case)
+    return [json.dumps(feas.violations), report.to_json(), json.dumps(chain), text]
+
+
+def solve_output(g, w, case, tie: str) -> list[str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = g.cli.main(["solve", case.path, "--algo", w.algo, "--tie", tie, "-o", case.out])
+    path = Path(case.out)
+    written = path.read_text(encoding="utf-8") if path.exists() else "<no output file>"
+    path.unlink(missing_ok=True)
+    return [written, out.getvalue(), err.getvalue(), str(code)]
+
+
+def digest(g, name: str, seeds, ties, workdir: Path) -> str:
+    w = harness.WORKLOADS[name]
+    h = hashlib.sha256()
+    for seed in seeds:
+        insts = [g.generator.generate_instance(spec) for spec in harness.specs(g, w, seed)]
+        for case in harness.write_cases(g, insts, workdir, f"{name}-{seed}-"):
+            for tie in ties:
+                parts = (certify_output(g, w, case) if w.algo == "certify"
+                         else solve_output(g, w, case, tie))
+                for part in parts:
+                    h.update(part.encode() + b"\0")
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="source tree holding the getf package (default: src/)")
+    args = parser.parse_args(argv)
+    src = Path(args.src).resolve()
+    if not (src / "getf" / "__init__.py").is_file():
+        sys.stderr.write(f"error: no getf package under {src}\n")
+        return 2
+    sys.path.insert(0, str(src))
+    g = harness.import_getf(src)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, seeds, ties in FAMILIES:
+            print(f"{name} {digest(g, name, seeds, ties, Path(tmp))}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

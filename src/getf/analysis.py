@@ -23,8 +23,12 @@ Each report call reads its chains from one table of the cheapest chain
 ending at each task j: cost(j) = node_cost(j) + min over latest-finishing
 predecessors j' of (link_cost(j', j) + cost(j')).  No entry depends on the
 anchor, so each is computed at most once, and only when an anchor's chain
-needs it.  The reports read the graph's predecessor lists and the edge data
-aligned with them, both built once per graph.
+needs it.  The table walks each task's predecessor list and the edge data
+aligned with it, both built once per graph; a link's data is looked up by
+its endpoints only for the links of a finished chain.  A link's worst-case
+transfer, summed along a chain into the term C of the separation bound,
+divides its data by the entry for its source machine in the platform's
+``slowest_into`` table of the successor's band.
 
 Reports never raise on a violated inequality; they carry pass flags so a
 violation is a loud, inspectable result.
@@ -38,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 
 from .grouping import GroupAssignment, MachineGroups, WeightedFractional, weighted_slice_feasibility
-from .model import Instance, TaskGraph
+from .model import Instance, TaskGraph, serial_sum
 from .scheduler import Schedule
 
 log = logging.getLogger(__name__)
@@ -116,36 +120,40 @@ def _link_data(g: TaskGraph):
 
 
 def _link_comm(inst: Instance, f: GroupAssignment, s: Schedule):
-    """A function (src, dst) -> worst-case transfer time of that edge: data
-    over the slowest communication speed from src's machine into dst's
-    machine group.  The slowest speeds into a band are found once, on the
-    first link into it."""
-    data_of, comm = _link_data(inst.graph), inst.platform.comm_speed
-    assignment, band = s.assignment, f.group_of_task
-    slowest: dict[int, list[float]] = {}  # band -> slowest speed into it, per source machine
+    """A function (src, dst[, data]) -> worst-case transfer time of the edge
+    (src, dst): its data over the slowest communication speed from src's
+    machine into dst's machine group, read from the platform's
+    ``slowest_into`` table, which is looked up once per band.  Without
+    ``data``, the edge's data is looked up by its endpoints."""
+    slowest_into, members = inst.platform.slowest_into, f.groups.members
+    assignment, band, data_of = s.assignment, f.group_of_task, _link_data(inst.graph)
+    tables: dict[int, list[float]] = {}
 
-    def link(src: int, dst: int) -> float:
-        a, k = assignment[src], band[dst]
-        into = slowest.get(k)
+    def link(src: int, dst: int, data: float | None = None) -> float:
+        if data is None:
+            data = data_of(src, dst)
+        k = band[dst]
+        into = tables.get(k)
         if into is None:
-            machines = f.groups.members[k]
-            into = slowest[k] = [min(row[i] for i in machines) for row in comm]
-        return data_of(src, dst) / into[a]
+            into = tables[k] = slowest_into(members[k])
+        return data / into[assignment[src]]
     return link
 
 
 def chain_comm_time(chain: tuple[int, ...], s: Schedule, f: GroupAssignment,
                     inst: Instance) -> float:
     link = _link_comm(inst, f, s)
-    return sum(link(a, b) for a, b in zip(chain, chain[1:]))
+    return serial_sum(link(a, b) for a, b in zip(chain, chain[1:]))
 
 
 class _ChainTable:
     """The chain table of the module docstring, filled on the first query
-    that needs each entry.  Value ties (within 1e-15) go to the lowest id."""
+    that needs each entry.  It prices the link from p to v as
+    ``link_cost(p, v, data)``, with the data read aligned with v's
+    predecessor list.  Value ties (within 1e-15) go to the lowest id."""
 
     def __init__(self, s: Schedule, g: TaskGraph, link_cost, node_cost=lambda j: 0.0):
-        self._finish, self._preds = s.finish, g.predecessors()
+        self._finish, self._preds, self._data = s.finish, g.predecessors(), g.predecessor_data()
         self._link_cost, self._node_cost = link_cost, node_cost
         self._cost: dict[int, float] = {}
         self._back: dict[int, int | None] = {}
@@ -155,20 +163,24 @@ class _ChainTable:
         entry whose candidates are not all filled yet is put back behind
         them, so any order gives the same values."""
         cost, back, preds_of, finish = self._cost, self._back, self._preds, self._finish
-        link_cost, node_cost, stack = self._link_cost, self._node_cost, order[::-1]
+        data_of, link_cost, node_cost = self._data, self._link_cost, self._node_cost
+        stack = order[::-1]
         while stack:
             v = stack.pop()
             if v in cost:
                 continue
-            preds = preds_of[v]
-            cands = latest_finishing(preds, finish) if preds else ()
+            preds, cands = preds_of[v], ()
+            if preds:  # the latest-finishing predecessors with their data, ascending ids
+                top = max(map(finish.__getitem__, preds)) - FINISH_TIE_TOL
+                cands = [(p, d) for p, d in zip(preds, data_of[v]) if finish[p] >= top]
+                cands.sort()
             best_p, best_val = None, 0.0
-            for p in cands:  # ascending ids, so a value tie keeps the lowest
+            for p, data in cands:  # ascending ids, so a value tie keeps the lowest
                 c = cost.get(p)
                 if c is None:  # v again, after its missing candidates
-                    stack += [v, *(q for q in cands if q not in cost)]
+                    stack += [v, *(q for q, _ in cands if q not in cost)]
                     break
-                val = c + link_cost(p, v)
+                val = c + link_cost(p, v, data)
                 if best_p is None or val < best_val - 1e-15:
                     best_p, best_val = p, val
             else:
@@ -209,7 +221,7 @@ def min_comm_terminal_chain(s: Schedule, inst: Instance,
 
 def chain_processing_time(chain: tuple[int, ...], s: Schedule, inst: Instance) -> float:
     demand, speed = inst.graph.demand, inst.platform.speed
-    return sum(demand[j] / speed[s.assignment[j]] for j in chain)
+    return serial_sum(demand[j] / speed[s.assignment[j]] for j in chain)
 
 
 def group_loads(inst: Instance, f: GroupAssignment, groups: MachineGroups) -> dict[int, float]:
@@ -253,7 +265,7 @@ def _chain_terms(s: Schedule, inst: Instance, f: GroupAssignment,
     chain, comm = min_comm_terminal_chain(s, inst, f)
     loads = group_loads(inst, f, groups)
     terms = {"P": chain_processing_time(chain, s, inst), "C": comm,
-             "sum_D": sum(loads.values()), "gamma": groups.gamma, "K": float(groups.K)}
+             "sum_D": serial_sum(loads.values()), "gamma": groups.gamma, "K": float(groups.K)}
     return chain, terms, loads
 
 
@@ -311,18 +323,19 @@ def identical_report(s: Schedule, inst: Instance,
     m, comm = inst.platform.m, inst.platform.comm_speed
     data_of = _link_data(inst.graph)
 
-    def link_cost(a: int, b: int) -> float:
-        data = data_of(a, b)
-        return sum(data / sigma for sigma in comm[s.assignment[a]]) / m
+    def link_cost(a: int, b: int, data: float | None = None) -> float:
+        if data is None:
+            data = data_of(a, b)
+        return serial_sum(data / sigma for sigma in comm[s.assignment[a]]) / m
 
     def node_cost(j: int) -> float:
         return (m - 1) / m * inst.graph.demand[j] / speed
 
     table = _ChainTable(s, inst.graph, link_cost, node_cost)
     chain, _ = table.cheapest(latest_finishing(sorted(s.assignment), s.finish))
-    c_prime = sum(link_cost(a, b) for a, b in zip(chain, chain[1:]))
+    c_prime = serial_sum(link_cost(a, b) for a, b in zip(chain, chain[1:]))
     chain_proc = chain_processing_time(chain, s, inst)
-    avg_load = sum(inst.graph.demand) / (m * speed)
+    avg_load = serial_sum(inst.graph.demand) / (m * speed)
 
     report = BoundReport(
         kind="identical",
@@ -399,7 +412,7 @@ def weighted_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
         k = f.group_of_task[j]
         prefix_load[k] += inst.graph.demand[j]
         proc_j = chain_processing_time(table.chain(j), s, inst)
-        loads_j = sum(
+        loads_j = serial_sum(
             prefix_load[k] / groups.group_speed[k]
             for k in prefix_load if prefix_load[k] > 0
         )
@@ -408,7 +421,7 @@ def weighted_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
         report.add(f"2^(q-1)(task {j})<=2*C*", 2.0 ** (q_of[j] - 1), 2.0 * c_star[j])
 
     lhs = s.weighted_completion(inst)
-    rhs = factor * wsol.objective(weights) + sum(
+    rhs = factor * wsol.objective(weights) + serial_sum(
         weights[j] * table.cost(j) for j in s.iteration_order
     )
     report.add("sum wC<=32*(gamma+K)*sum wC*+sum wC(S,j)", lhs, rhs)

@@ -243,7 +243,7 @@ def compare_batch(instance_dir: str, algorithms: list[str],
                                      runtime, str(exc)])
     for algo in algorithms:
         if rows := written[algo]:
-            makespan, wc, slack = (f"{sum(col) / len(rows):.9g}" for col in zip(*rows))
+            makespan, wc, slack = (f"{model.serial_sum(col) / len(rows):.9g}" for col in zip(*rows))
             writer.writerow(["(mean)", algo, "", makespan, wc, "", "", "", slack, "", ""])
     return buf.getvalue()
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp_solver import EQ, LE, LinearProgram, LpSolution, solve_lp
-from .model import Instance, Platform, topological_order
+from .model import Instance, Platform, serial_sum, topological_order
 
 log = logging.getLogger(__name__)
 
@@ -365,13 +365,13 @@ class WeightedFractional:
     x_tilde: np.ndarray                   # (nm, n) collapsed fractions
 
     def objective(self, weights: Sequence[float]) -> float:
-        return sum(weights[j] * cj for j, cj in enumerate(self.C.tolist()))
+        return serial_sum(weights[j] * cj for j, cj in enumerate(self.C.tolist()))
 
 
 def horizon_intervals(inst: Instance, groups: MachineGroups) -> int:
     """Number of geometric deadline intervals covering the serial horizon,
     which must be finite."""
-    horizon = sum(inst.graph.demand) / min(inst.platform.speed[i] for i in groups.retained)
+    horizon = serial_sum(inst.graph.demand) / min(inst.platform.speed[i] for i in groups.retained)
     if horizon == math.inf:
         raise GroupingError("the serial horizon of the weighted relaxation overflows")
     return max(1, math.ceil(math.log2(horizon) - 1e-12))

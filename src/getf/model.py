@@ -28,11 +28,20 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, repeat
-from operator import itemgetter, lt
+from numbers import Integral
+from operator import add, itemgetter, lt
 
 import numpy as np
+
+
+def serial_sum(values):
+    """The sum of ``values``, added left to right from the int 0 as the
+    builtin ``sum`` did before Python 3.12, which made float sums
+    compensated.  Every float sum that reaches an output or a decision
+    goes through it, so no last bit depends on the interpreter."""
+    return reduce(add, values, 0)
 
 
 class InstanceError(ValueError):
@@ -189,6 +198,23 @@ class Platform:
     def speed(self) -> tuple[float, ...]:
         return tuple(mc.speed for mc in self.machines)
 
+    @cached_property
+    def _slowest_into(self) -> dict[tuple, list[float]]:
+        return {}
+
+    def slowest_into(self, machines) -> list[float]:
+        """The slowest communication speed from each source machine into
+        ``machines``: entry a is min(comm_speed[a][i] for i in machines).
+        Data sent from a reaches every machine of the set at the latest
+        after data / entry a.  Built once per machine set and shared, so
+        callers must not mutate it."""
+        key = tuple(machines)
+        into = self._slowest_into.get(key)
+        if into is None:
+            into = self._slowest_into[key] = [min(row[i] for i in key)
+                                              for row in self.comm_speed]
+        return into
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -208,19 +234,25 @@ class ValidationReport:
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check every structural invariant; violations make the instance unusable.
 
-    Disconnected DAGs and zero-data edges are legal.  Once every item passes,
+    Disconnected DAGs and zero-data edges are legal; edge ids must be
+    integers, Python's or numpy's, as every list indexed by them requires.
+    Once every item passes,
     the graph must be acyclic and its times must stay in the float range:
     the smallest processing time, min(demand) / max(speed), is positive, and
     4 x the serial horizon, sum(demand) / min(speed) + sum(data) / (the
     smallest finite comm speed), is finite.  That horizon bounds every time
     of an append-only schedule, and the reports add at most three such times.
     """
-    return _validate(inst, range(inst.graph.n))
+    g = inst.graph
+    int_ids = all(issubclass(t, Integral) for t in set(map(type, chain(g.src, g.dst))))
+    return _validate(inst, range(g.n), int_ids)
 
 
-def _validate(inst: Instance, task_ids) -> ValidationReport:
+def _validate(inst: Instance, task_ids, int_ids: bool = True) -> ValidationReport:
     """``validate_instance``, with the task ids the document gave (a graph
-    numbers its tasks by position)."""
+    numbers its tasks by position).  ``int_ids`` says whether every edge id
+    is an integer, as the loader's always are; the int64 edge arrays would
+    truncate any other."""
     report = ValidationReport()
     g, p = inst.graph, inst.platform
     n, m = g.n, p.m
@@ -254,11 +286,14 @@ def _validate(inst: Instance, task_ids) -> ValidationReport:
             elif w < 0:
                 report.violations.append(f"negative weight, task {tid}")
 
-    if src and not _edge_columns_valid(g):
+    if src and not (int_ids and _edge_columns_valid(g)):
         seen_pairs: set[tuple[int, int]] = set()
         for s, d, w in zip(src, dst, data):
             if not (0 <= s < n) or not (0 <= d < n):
                 report.violations.append(f"edge ({s},{d}) references missing task")
+                continue
+            if not (isinstance(s, Integral) and isinstance(d, Integral)):
+                report.violations.append(f"edge ({s},{d}) has an id that is not an integer")
                 continue
             if s == d:
                 report.violations.append(f"self edge on task {s}")
@@ -299,7 +334,7 @@ def _validate(inst: Instance, task_ids) -> ValidationReport:
         if not min(demand) / max(p.speed) > 0:
             report.violations.append("times leave the float range: the smallest processing "
                                      "time, min(demand)/max(speed), rounds to 0")
-        elif not finite(4 * (sum(demand) / min(p.speed) + sum(data) / comm_min)):
+        elif not finite(4 * (serial_sum(demand) / min(p.speed) + serial_sum(data) / comm_min)):
             report.violations.append("times leave the float range: 4 x the serial horizon, "
                                      "sum(demand)/min(speed) + sum(data)/min(comm_speed), "
                                      "overflows")

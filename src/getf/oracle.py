@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .model import Instance, Machine, Platform, topological_order
+from .model import Instance, Machine, Platform, serial_sum, topological_order
 from .scheduler import Schedule, earliest_start
 
 MAKESPAN = "makespan"
@@ -149,7 +149,7 @@ def lower_bounds(inst: Instance) -> tuple[float, float]:
     total demand along any path, run at the fastest speed.
     """
     speed = inst.platform.speed
-    work = sum(inst.graph.demand) / sum(speed)
+    work = serial_sum(inst.graph.demand) / serial_sum(speed)
 
     demand = inst.graph.demand
     heaviest = list(demand)

@@ -1,13 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.grouping import trivial_assignment
 from getf.model import (CycleError, InstanceError, normalize_demands, parse_instance,
-                        serialize_instance, topological_order, validate_instance)
+                        serial_sum, serialize_instance, topological_order, validate_instance)
 from getf.scheduler import TieBreak, getf_schedule
 
 from conftest import EXAMPLE_JSON, make_instance
@@ -248,3 +249,39 @@ class TestNormalize:
 def test_example_json_is_canonical_round_trip():
     inst = parse_instance(EXAMPLE_JSON)
     assert parse_instance(serialize_instance(inst)) == inst
+
+
+class TestEdgeIds:
+    def test_fractional_id_refused_in_one_line(self):
+        inst = make_instance([1.0, 1.0], [(0.5, 1, 1.0)], [1.0])
+        assert validate_instance(inst).violations == [
+            "edge (0.5,1) has an id that is not an integer"]
+        inst = make_instance([1.0, 1.0, 1.0], [(0, 1, 1.0), (1, 2.0, 1.0)], [1.0])
+        assert validate_instance(inst).violations == [
+            "edge (1,2.0) has an id that is not an integer"]
+
+    def test_numpy_ints_accepted(self):
+        ints = make_instance([1.0, 2.0, 1.0], [(0, 1, 1.0), (0, 2, 2.0)], [1.0, 2.0], comm=1.0)
+        wide = make_instance([1.0, 2.0, 1.0], [(np.int64(0), np.int64(1), 1.0),
+                                               (np.int32(0), np.int64(2), 2.0)],
+                             [1.0, 2.0], comm=1.0)
+        assert validate_instance(wide).ok
+        tie = TieBreak.by_index()
+        assert getf_schedule(wide, trivial_assignment(wide), tie).to_dict(wide) == \
+            getf_schedule(ints, trivial_assignment(ints), tie).to_dict(ints)
+
+
+class TestSerialSum:
+    def test_adds_left_to_right(self):
+        # The builtin sum of Python 3.12 and later gives 1.0 here.
+        assert serial_sum([0.1] * 10) == 0.9999999999999999
+        assert serial_sum([]) == 0 and type(serial_sum([])) is int
+        assert serial_sum(iter([1e16, 1.0, -1e16])) == 0.0
+
+    @given(st.lists(st.floats(-1e6, 1e6), max_size=2000))
+    @settings(max_examples=50, deadline=None)
+    def test_equals_a_plain_loop(self, values):
+        total = 0
+        for v in values:
+            total = total + v
+        assert repr(serial_sum(values)) == repr(total)
