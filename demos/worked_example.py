@@ -29,10 +29,8 @@ INSTANCE = """{
 
 def show(name, sched, inst):
     print(f"\n{name}: makespan {sched.makespan():g}")
-    for machine in sorted(sched.machine_intervals):
-        lane = "  ".join(
-            f"task {t} [{a:g}, {b:g}]" for a, b, t in sched.machine_intervals[machine]
-        )
+    for machine, timeline in sorted(sched.timelines().items()):
+        lane = "  ".join(f"task {t} [{a:g}, {b:g}]" for a, b, t in timeline)
         print(f"  machine {machine}: {lane}")
     print(f"  feasible: {verify_schedule(inst, sched).feasible}")
 

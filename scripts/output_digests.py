@@ -12,7 +12,12 @@ Prints one line per output family:
                  the tie rules by-index, random:7, largest-demand and
                  most-succ: output file, stdout, stderr and exit code;
   makespan-lp    the 480 seed 1-10 ``getf solve --algo getf-makespan`` runs:
-                 output file, stdout, stderr and exit code.
+                 output file, stdout, stderr and exit code;
+  read-back      the schedules of the 16 seed-1 ``etf-large`` solves
+                 (by-index) and the 48 seed-1 ``makespan-lp`` solves, each
+                 read back by ``getf verify <instance> <schedule> --algo
+                 <algo>`` and ``getf gantt <schedule>``: stdout, stderr and
+                 exit code of both.
 
 The workloads and their instances come from ``perfbench/harness.py``.
 ``--src`` names the source tree getf is imported from (default: ``src/``
@@ -40,40 +45,55 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import harness  # noqa: E402
 
-# (workload, seeds, tie rules); certify-large has no tie rule.
-FAMILIES = (
-    ("certify-large", (1,), (None,)),
-    ("etf-large", (1,), ("by-index", "random:7", "largest-demand", "most-succ")),
-    ("makespan-lp", range(1, 11), ("by-index",)),
-)
-
-
-def certify_output(g, w, case) -> list[str]:
+def certify_output(g, w, case, tie) -> list[str]:
     feas, report, chain, text = harness.call_op(g, w, case)
     return [json.dumps(feas.violations), report.to_json(), json.dumps(chain), text]
 
 
-def solve_output(g, w, case, tie: str) -> list[str]:
+def cli_output(g, argv: list[str]) -> list[str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = g.cli.main(["solve", case.path, "--algo", w.algo, "--tie", tie, "-o", case.out])
+        code = g.cli.main(argv)
+    return [out.getvalue(), err.getvalue(), str(code)]
+
+
+def solve_output(g, w, case, tie: str) -> list[str]:
+    ran = cli_output(g, ["solve", case.path, "--algo", w.algo, "--tie", tie, "-o", case.out])
     path = Path(case.out)
     written = path.read_text(encoding="utf-8") if path.exists() else "<no output file>"
     path.unlink(missing_ok=True)
-    return [written, out.getvalue(), err.getvalue(), str(code)]
+    return [written, *ran]
 
 
-def digest(g, name: str, seeds, ties, workdir: Path) -> str:
-    w = harness.WORKLOADS[name]
+def read_back_output(g, w, case, tie: str) -> list[str]:
+    cli_output(g, ["solve", case.path, "--algo", w.algo, "--tie", tie, "-o", case.out])
+    parts = (cli_output(g, ["verify", case.path, case.out, "--algo", w.algo])
+             + cli_output(g, ["gantt", case.out]))
+    Path(case.out).unlink(missing_ok=True)
+    return parts
+
+
+# family -> (output, its (workload, seeds, tie rules) runs); certify-large has no tie rule.
+FAMILIES = {
+    "certify-large": (certify_output, (("certify-large", (1,), (None,)),)),
+    "etf-large": (solve_output, (
+        ("etf-large", (1,), ("by-index", "random:7", "largest-demand", "most-succ")),)),
+    "makespan-lp": (solve_output, (("makespan-lp", range(1, 11), ("by-index",)),)),
+    "read-back": (read_back_output, (("etf-large", (1,), ("by-index",)),
+                                     ("makespan-lp", (1,), ("by-index",)))),
+}
+
+
+def digest(g, output, runs, workdir: Path) -> str:
     h = hashlib.sha256()
-    for seed in seeds:
-        insts = [g.generator.generate_instance(spec) for spec in harness.specs(g, w, seed)]
-        for case in harness.write_cases(g, insts, workdir, f"{name}-{seed}-"):
-            for tie in ties:
-                parts = (certify_output(g, w, case) if w.algo == "certify"
-                         else solve_output(g, w, case, tie))
-                for part in parts:
-                    h.update(part.encode() + b"\0")
+    for name, seeds, ties in runs:
+        w = harness.WORKLOADS[name]
+        for seed in seeds:
+            insts = [g.generator.generate_instance(spec) for spec in harness.specs(g, w, seed)]
+            for case in harness.write_cases(g, insts, workdir, f"{name}-{seed}-"):
+                for tie in ties:
+                    for part in output(g, w, case, tie):
+                        h.update(part.encode() + b"\0")
     return h.hexdigest()
 
 
@@ -89,8 +109,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
     g = harness.import_getf(src)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, seeds, ties in FAMILIES:
-            print(f"{name} {digest(g, name, seeds, ties, Path(tmp))}", flush=True)
+        for name, (output, runs) in FAMILIES.items():
+            print(f"{name} {digest(g, output, runs, Path(tmp))}", flush=True)
     return 0
 
 

@@ -28,7 +28,9 @@ aligned with it, both built once per graph; a link's data is looked up by
 its endpoints only for the links of a finished chain.  A link's worst-case
 transfer, summed along a chain into the term C of the separation bound,
 divides its data by the entry for its source machine in the platform's
-``slowest_into`` table of the successor's band.
+``slowest_into`` table of the successor's band.  The idle replay reads the
+machines' timelines from ``Schedule.timelines`` once per report, in
+placement order, so each busy-time sum adds its terms in that order.
 
 Reports never raise on a violated inequality; they carry pass flags so a
 violation is a loud, inspectable result.
@@ -235,11 +237,11 @@ def group_loads(inst: Instance, f: GroupAssignment, groups: MachineGroups) -> di
     return out
 
 
-def machine_idle_in_window(s: Schedule, machine: int, lo: float, hi: float) -> float:
+def machine_idle_in_window(timeline: list[tuple[float, float, int]], lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
     busy = 0.0
-    for a, b, _ in s.machine_intervals.get(machine, ()):
+    for a, b, _ in timeline:
         if b > lo and a < hi:  # a skipped interval would add exactly +0.0
             busy += max(0.0, min(b, hi) - max(a, lo))
     return (hi - lo) - busy
@@ -249,12 +251,12 @@ def idle_bound_replay(chain: tuple[int, ...], s: Schedule, inst: Instance,
                       f: GroupAssignment, report: BoundReport) -> None:
     """Assert, per chain link and per machine of the successor's group, that
     idle time inside the link window is covered by the link's transfer time."""
-    data_of, comm = _link_data(inst.graph), inst.platform.comm_speed
+    data_of, comm, timelines = _link_data(inst.graph), inst.platform.comm_speed, s.timelines()
     for a, b in zip(chain, chain[1:]):
         window_lo, window_hi, data = s.finish[a], s.start[b], data_of(a, b)
         sigma = comm[s.assignment[a]]
         for i in f.machines_for(b):
-            idle = machine_idle_in_window(s, i, window_lo, window_hi)
+            idle = machine_idle_in_window(timelines.get(i, ()), window_lo, window_hi)
             report.add(f"idle[{a}->{b}]@m{i}", idle, data / sigma[i])
 
 

@@ -74,6 +74,10 @@ class TaskGraph:
     edge columns as arrays, the transitive-edge mask, the topological
     order, and the ``tasks`` view of ``Task`` records, which the package
     does not read.
+
+    Edge ids built in code may be numpy or bool ints.  A graph holds the
+    Python ints they stand for, so every task id a scheduler or report
+    hands on is one.
     """
 
     demand: tuple[float, ...]
@@ -81,6 +85,13 @@ class TaskGraph:
     src: tuple[int, ...]
     dst: tuple[int, ...]
     data: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        types = set(map(type, chain(self.src, self.dst)))
+        # Any other id is left for ``validate_instance`` to refuse.
+        if not types <= {int} and all(issubclass(t, Integral) for t in types):
+            object.__setattr__(self, "src", tuple(map(int, self.src)))
+            object.__setattr__(self, "dst", tuple(map(int, self.dst)))
 
     @property
     def n(self) -> int:

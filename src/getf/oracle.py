@@ -136,8 +136,8 @@ def brute_force_schedule(
     for v in best_order:
         i = best_assign[v]
         (start,) = earliest_start(v, (i,), avail, sched, inst)
-        sched.place(v, i, start, demand[v] / speed[i])
-        avail[i] = sched.finish[v]
+        avail[i] = end = start + demand[v] / speed[i]
+        sched.place(v, i, start, end)
     return best_value, sched
 
 

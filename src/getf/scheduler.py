@@ -11,6 +11,14 @@ Three schedulers:
     topological order instead of globally minimizing start times (machine
     ties go to the lowest id).
 
+A ``Schedule`` is three maps keyed by task: ``assignment``, ``start`` and
+``finish``.  The assignment's keys are in placement order, which
+``iteration_order`` reads, and ``timelines`` groups the maps into each
+machine's timeline on each call, so every writer, check and report reads
+the same facts.  ``place`` records the finish its caller computed as
+``start + demand/speed``, the value the caller keeps as the machine's
+availability.
+
 Machines are append-only: a task starts no earlier than the end of the last
 interval already placed on its machine, and gaps are never back-filled.
 A task's machine is the result of one sequential scan over its group's
@@ -162,8 +170,18 @@ class Schedule:
     assignment: dict[int, int] = field(default_factory=dict)
     start: dict[int, float] = field(default_factory=dict)
     finish: dict[int, float] = field(default_factory=dict)
-    iteration_order: list[int] = field(default_factory=list)
-    machine_intervals: dict[int, list[tuple[float, float, int]]] = field(default_factory=dict)
+
+    @property
+    def iteration_order(self) -> list[int]:
+        """The tasks in placement order: the assignment's keys, copied."""
+        return list(self.assignment)
+
+    def timelines(self) -> dict[int, list[tuple[float, float, int]]]:
+        """Each machine's ``(start, finish, task)`` triples, in placement order."""
+        out: dict[int, list[tuple[float, float, int]]] = {}
+        for j, i in self.assignment.items():
+            out.setdefault(i, []).append((self.start[j], self.finish[j], j))
+        return out
 
     def makespan(self) -> float:
         return max(self.finish.values(), default=0.0)
@@ -171,13 +189,10 @@ class Schedule:
     def weighted_completion(self, inst: Instance) -> float:
         return serial_sum(w * self.finish[j] for j, w in enumerate(inst.graph.weight))
 
-    def place(self, task: int, machine: int, start: float, duration: float) -> None:
-        end = start + duration
+    def place(self, task: int, machine: int, start: float, finish: float) -> None:
         self.assignment[task] = machine
         self.start[task] = start
-        self.finish[task] = end
-        self.machine_intervals.setdefault(machine, []).append((start, end, task))
-        self.iteration_order.append(task)
+        self.finish[task] = finish
 
     def to_dict(self, inst: Instance) -> dict:
         return {
@@ -190,7 +205,7 @@ class Schedule:
                 }
                 for j in sorted(self.assignment)
             ],
-            "iteration_order": list(self.iteration_order),
+            "iteration_order": self.iteration_order,
             "makespan": self.makespan(),
             "weighted_completion": self.weighted_completion(inst),
         }
@@ -201,13 +216,12 @@ class Schedule:
         template = (
             '{\n  "assignments": ' + json_list([_ASSIGNMENT_JSON] * len(tasks), "  ")
             + ',\n  "iteration_order": '
-            + json_list(["    %s"] * len(self.iteration_order), "  ")
+            + json_list(["    %s"] * len(tasks), "  ")
             + ',\n  "makespan": %s,\n  "weighted_completion": %s\n}\n'
         )
         a, start, finish = self.assignment, self.start, self.finish
         leaves = [v for j in tasks for v in (j, a[j], start[j], finish[j])]
-        leaves += self.iteration_order
-        leaves += (self.makespan(), self.weighted_completion(inst))
+        leaves += (*self.iteration_order, self.makespan(), self.weighted_completion(inst))
         return fill_json(template, leaves)
 
 
@@ -216,7 +230,8 @@ def schedule_from_dict(doc: dict) -> Schedule:
     an object with an ``assignments`` list, an entry lacks a field, a present
     ``iteration_order`` is not a list or names an unassigned task, a task is
     listed twice, a value is not a number, or an id is not an integer.
-    Without ``iteration_order``, tasks are placed in start-time order."""
+    Without ``iteration_order``, tasks are placed in start-time order.  Each
+    entry's ``end`` is the task's finish, as written."""
     if not (isinstance(doc, dict) and isinstance(doc.get("assignments"), list)):
         raise ValueError("schedule document must be a JSON object with an 'assignments' list")
     entries, listed = doc["assignments"], doc.get("iteration_order", [])
@@ -243,7 +258,7 @@ def schedule_from_dict(doc: dict) -> Schedule:
     s, ordered = Schedule(), set(order)
     for j in [*order, *(j for j in by_task if j not in ordered)]:
         i, e = by_task[j]
-        s.place(j, i, float(e["start"]), float(e["end"]) - float(e["start"]))
+        s.place(j, i, float(e["start"]), float(e["end"]))
     return s
 
 
@@ -416,8 +431,8 @@ class _Placement:
 
     def place(self, task: int, start: float, machine: int) -> None:
         """Append ``task`` to ``machine`` and raise the starts on it."""
-        self.sched.place(task, machine, start, self.inst.graph.demand[task] / self.speed[machine])
-        old, now = self.avail[machine], self.sched.finish[task]
+        old, now = self.avail[machine], start + self.inst.graph.demand[task] / self.speed[machine]
+        self.sched.place(task, machine, start, now)
         self.avail[machine] = now
         for band in self.bands_on[machine]:
             band.best = None
@@ -485,8 +500,8 @@ def sls_schedule(inst: Instance, f: GroupAssignment, priority: list[int]) -> Sch
             band, slowest = machines, inst.platform.slowest_into(machines)
         starts = earliest_start(j, machines, avail, sched, inst, slowest)
         best_t, best_m, _ = _scan(machines, starts, lowest_id_first)
-        sched.place(j, best_m, best_t, demand[j] / speed[best_m])
-        avail[best_m] = sched.finish[j]
+        avail[best_m] = end = best_t + demand[j] / speed[best_m]
+        sched.place(j, best_m, best_t, end)
     return sched
 
 

@@ -60,7 +60,7 @@ def test_criterion_1_worked_example_golden():
     )
 
     sls = sls_schedule(inst, f, [0, 1, 2, 3])
-    idle = machine_idle_in_window(sls, 1, 1.0, 3.0)
+    idle = machine_idle_in_window(sls.timelines()[1], 1.0, 3.0)
     sls_ok = (
         abs(sls.makespan() - 6.0) <= 1e-9
         and abs(idle - 2.0) <= 1e-9

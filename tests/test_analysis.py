@@ -392,20 +392,21 @@ class TestWeightedTheorem:
 def test_idle_window_arithmetic():
     s = Schedule()
     s.place(0, 0, 0.0, 1.0)
-    s.place(1, 0, 3.0, 2.0)
-    assert machine_idle_in_window(s, 0, 0.0, 5.0) == pytest.approx(2.0)
-    assert machine_idle_in_window(s, 0, 1.0, 3.0) == pytest.approx(2.0)
-    assert machine_idle_in_window(s, 0, 4.0, 4.0) == 0.0
-    assert machine_idle_in_window(s, 1, 0.0, 2.0) == pytest.approx(2.0)
+    s.place(1, 0, 3.0, 5.0)
+    timelines = s.timelines()
+    assert machine_idle_in_window(timelines[0], 0.0, 5.0) == pytest.approx(2.0)
+    assert machine_idle_in_window(timelines[0], 1.0, 3.0) == pytest.approx(2.0)
+    assert machine_idle_in_window(timelines[0], 4.0, 4.0) == 0.0
+    assert machine_idle_in_window(timelines.get(1, []), 0.0, 2.0) == pytest.approx(2.0)
 
 
-def reference_idle_in_window(s: Schedule, machine: int, lo: float, hi: float) -> float:
+def reference_idle_in_window(timeline, lo: float, hi: float) -> float:
     """machine_idle_in_window as it was before it skipped the intervals
     outside the window: every interval adds its clipped overlap."""
     if hi <= lo:
         return 0.0
     busy = 0.0
-    for a, b, _ in s.machine_intervals.get(machine, ()):
+    for a, b, _ in timeline:
         busy += max(0.0, min(b, hi) - max(a, lo))
     return (hi - lo) - busy
 
@@ -418,10 +419,9 @@ TIMES = st.floats(-4, 4) | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math
 def test_idle_window_matches_unskipped_loop(intervals, lo, hi):
     # Unsorted, overlapping and reversed intervals, NaN and infinite times,
     # and windows with lo >= hi: skipping intervals changes no bit.
-    s = Schedule()
-    s.machine_intervals[0] = [(a, b, j) for j, (a, b) in enumerate(intervals)]
-    assert repr(machine_idle_in_window(s, 0, lo, hi)) == \
-        repr(reference_idle_in_window(s, 0, lo, hi))
+    timeline = [(a, b, j) for j, (a, b) in enumerate(intervals)]
+    assert repr(machine_idle_in_window(timeline, lo, hi)) == \
+        repr(reference_idle_in_window(timeline, lo, hi))
 
 
 def test_report_json_shape(example_instance):
@@ -643,3 +643,77 @@ class TestGoldenCertifyPath:
         found = {(case, k): hashlib.sha256(v.encode()).hexdigest()
                  for k, v in self.outputs(*self.CASES[case]).items()}
         assert found == {k: v for k, v in self.DIGESTS.items() if k[0] == case}
+
+
+class TestScheduleIsItsMaps:
+    """A schedule is its three maps: rebuilt from them through the public
+    constructor, it writes and reports the same bytes as the schedule the
+    scheduler placed or the loader read."""
+
+    @staticmethod
+    def outputs(s, inst, f, groups, wsol) -> list[str]:
+        return [s.to_json(inst), separation_report(s, inst, f, groups).to_json(),
+                repr(per_task_chain_comm(s, inst, f)),
+                weighted_theorem_report(s, inst, f, groups, wsol).to_json()]
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_rebuilt_schedules_give_the_same_bytes(self, seed):
+        inst, _ = normalize_demands(generate_instance(GeneratorSpec(
+            "layered", 10, 3, seed=seed, density=0.4, weights="uniform")))
+        groups = partition_machines(inst.platform)
+        wsol = solve_weighted_relaxation(inst, groups)
+        f = assign_groups_weighted(wsol, groups)
+        getf = getf_schedule(inst, f, TieBreak.random_rule(seed))
+        doc = json.loads(getf.to_json(inst))
+        random.Random(seed).shuffle(doc["assignments"])
+        for s in (getf, sls_schedule(inst, f, topological_order(inst.graph)),
+                  schedule_from_dict(doc)):
+            rebuilt = Schedule(dict(s.assignment), dict(s.start), dict(s.finish))
+            assert self.outputs(rebuilt, inst, f, groups, wsol) == \
+                self.outputs(s, inst, f, groups, wsol)
+
+    def test_motivating_etf_schedule(self):
+        inst = generate_instance(GeneratorSpec("layered", 40, 4, seed=3, density=0.3,
+                                               weights="uniform"))
+        f = trivial_assignment(inst)
+        s = etf_schedule(inst, TieBreak.by_index())
+        rebuilt = Schedule(dict(s.assignment), dict(s.start), dict(s.finish))
+        assert verify_schedule(inst, rebuilt).feasible
+        report = separation_report(rebuilt, inst, f, f.groups)
+        assert report.passed
+        assert report.to_json() == separation_report(s, inst, f, f.groups).to_json()
+        assert len(per_task_chain_comm(rebuilt, inst, f)) == len(rebuilt.iteration_order) == 40
+
+    def test_a_moved_task_is_read_where_the_verifier_reads_it(self):
+        inst = generate_instance(GeneratorSpec("layered", 40, 4, seed=3, density=0.3))
+        f = trivial_assignment(inst)
+        s = etf_schedule(inst, TieBreak.by_index())
+        before = separation_report(s, inst, f, f.groups)
+        chain = before.context["chain"]
+        m = inst.platform.m
+        for j in range(inst.graph.n):  # every task off the chain, one machine up
+            if j not in chain:
+                s.assignment[j] = (s.assignment[j] + 1) % m
+        assert not verify_schedule(inst, s).feasible  # the verifier sees the moves
+        after = separation_report(s, inst, f, f.groups)
+        assert after.context["chain"] == chain
+        idle = {iq.name: iq.lhs for iq in after.inequalities[1:]}
+        expected = {}
+        timelines = s.timelines()
+        for a, b in zip(chain, chain[1:]):
+            for i in range(m):
+                expected[f"idle[{a}->{b}]@m{i}"] = reference_idle_in_window(
+                    timelines.get(i, []), s.finish[a], s.start[b])
+        assert idle == expected
+        assert idle != {iq.name: iq.lhs for iq in before.inequalities[1:]}
+
+    def test_timelines_follow_the_maps(self):
+        s = Schedule()
+        s.place(2, 0, 0.0, 1.0)
+        s.place(0, 1, 0.0, 2.0)
+        s.place(1, 0, 3.0, 5.0)
+        assert s.timelines() == {0: [(0.0, 1.0, 2), (3.0, 5.0, 1)], 1: [(0.0, 2.0, 0)]}
+        s.assignment[0] = 0  # moved, it keeps its place in the placement order
+        assert s.timelines() == {0: [(0.0, 1.0, 2), (0.0, 2.0, 0), (3.0, 5.0, 1)]}
+        rebuilt = Schedule(dict(s.assignment), dict(s.start), dict(s.finish))
+        assert rebuilt.timelines() == s.timelines()

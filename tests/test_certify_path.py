@@ -101,7 +101,7 @@ class TestSkippedPredecessors:
             # Placed as SLS places it, with machine ties to the lowest id.
             t, i, _ = _scan(band, earliest_start(j, band, avail, sched, inst),
                             range(inst.platform.m))
-            sched.place(j, i, t, inst.graph.demand[j] / inst.platform.speed[i])
+            sched.place(j, i, t, t + inst.graph.demand[j] / inst.platform.speed[i])
             avail[i] = sched.finish[j]
 
     def test_unscheduled_predecessor_checked_before_the_skip(self, example_instance):
@@ -247,7 +247,7 @@ class TestVerifierParity:
         s = Schedule()
         s.place(0, 0, 0.0, 2.0)
         s.place(2, 1, 0.0, 2.0)
-        s.place(1, 0, 1.0, 2.0)
+        s.place(1, 0, 1.0, 3.0)
         found = verify_schedule(inst, s).violations
         assert found == loop_verify_schedule(inst, s).violations
         assert found == ["tasks 0 and 1 overlap on machine 0"]

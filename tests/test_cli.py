@@ -501,6 +501,24 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["feasible"] is True
 
+    def test_end_is_read_as_written(self, tmp_path, capsys):
+        # start + (end - start) is 4.8e-7 past this end, beyond the 1e-9
+        # precedence slack, so a finish rebuilt from the duration would
+        # make task 1 start before its data arrives.
+        start, end = 731452533.0626447, 4093347528.6456494
+        assert start + (end - start) != end
+        inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+        inst.write_text(json.dumps({
+            "tasks": [{"id": 0, "demand": end - start}, {"id": 1, "demand": 1.0}],
+            "edges": [{"src": 0, "dst": 1, "data": 0.0}],
+            "machines": [{"id": 0, "speed": 1.0}, {"id": 1, "speed": 1.0}],
+            "comm_speed": [[1.0, 1.0], [1.0, 1.0]]}))
+        sched.write_text(json.dumps({"assignments": [
+            {"task": 0, "machine": 0, "start": start, "end": end},
+            {"task": 1, "machine": 1, "start": end, "end": end + 1.0}]}))
+        assert run("verify", inst, sched) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"feasible": True, "violations": []}
+
     def test_tampered_schedule_exit_2(self, example_file, tmp_path):
         sched = tmp_path / "sched.json"
         assert run("solve", example_file, "-o", sched) == EXIT_OK

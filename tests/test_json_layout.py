@@ -52,8 +52,7 @@ def schedules(draw) -> tuple[Schedule, Instance]:
     order = draw(st.permutations(range(n)))
     s = Schedule()
     for j in order:
-        s.place(j, draw(st.integers(0, 3)), draw(numbers), 0.0)
-        s.finish[j] = draw(numbers)
+        s.place(j, draw(st.integers(0, 3)), draw(numbers), draw(numbers))
     return s, inst
 
 
@@ -81,7 +80,7 @@ class TestByteIdentity:
     def test_special_times(self):
         s = Schedule()
         for j, start in enumerate([0.0, -0.0, 5e-324, 1e300, math.inf, math.nan, 7]):
-            s.place(j, 0, start, 1.0)
+            s.place(j, 0, start, start + 1.0)
         inst = Instance(TaskGraph((1.0,) * 7, (1.0,) * 7, (), (), ()),
                         ONE_MACHINE.platform)
         text = s.to_json(inst)

@@ -9,7 +9,7 @@ from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.grouping import trivial_assignment
 from getf.model import (CycleError, InstanceError, normalize_demands, parse_instance,
                         serial_sum, serialize_instance, topological_order, validate_instance)
-from getf.scheduler import TieBreak, getf_schedule
+from getf.scheduler import TieBreak, getf_schedule, schedule_from_dict
 
 from conftest import EXAMPLE_JSON, make_instance
 
@@ -267,8 +267,17 @@ class TestEdgeIds:
                              [1.0, 2.0], comm=1.0)
         assert validate_instance(wide).ok
         tie = TieBreak.by_index()
-        assert getf_schedule(wide, trivial_assignment(wide), tie).to_dict(wide) == \
-            getf_schedule(ints, trivial_assignment(ints), tie).to_dict(ints)
+        assert getf_schedule(wide, trivial_assignment(wide), tie).to_json(wide) == \
+            getf_schedule(ints, trivial_assignment(ints), tie).to_json(ints)
+
+    def test_bool_ints_accepted(self):
+        ints = make_instance([1.0, 2.0], [(0, 1, 1.0)], [1.0, 2.0], comm=1.0)
+        bools = make_instance([1.0, 2.0], [(False, True, 1.0)], [1.0, 2.0], comm=1.0)
+        assert validate_instance(bools).ok
+        tie = TieBreak.by_index()
+        text = getf_schedule(bools, trivial_assignment(bools), tie).to_json(bools)
+        assert text == getf_schedule(ints, trivial_assignment(ints), tie).to_json(ints)
+        assert schedule_from_dict(json.loads(text)).to_json(bools) == text
 
 
 class TestSerialSum:

@@ -87,7 +87,7 @@ def reference_brute_force_schedule(inst, ignore_comm=False, objective=MAKESPAN):
                 0.0 if ignore_comm else data_of[(p, v)] / comm[best_assign[p]][i])
             if arrival > start:
                 start = arrival
-        sched.place(v, i, start, demand[v] / speed[i])
+        sched.place(v, i, start, start + demand[v] / speed[i])
         avail[i] = sched.finish[v]
     return best_value, sched
 

@@ -33,7 +33,7 @@ def random_instance(k: int, **overrides):
 def timeline_avail(partial, inst):
     """Each machine's availability, rebuilt from its timeline: the end of the
     last interval placed on it, or 0.0."""
-    timelines = partial.machine_intervals
+    timelines = partial.timelines()
     return [iv[-1][1] if (iv := timelines.get(i)) else 0.0 for i in range(inst.platform.m)]
 
 
@@ -66,7 +66,7 @@ def naive_getf(inst, f, tie):
         min_t = min(t for t, _ in best.values())
         j = chooser.choose([j for j in ready if abs(best[j][0] - min_t) <= START_TIE_TOL])
         t, mach = best[j]
-        sched.place(j, mach, t, inst.graph.tasks[j].demand / inst.platform.speed[mach])
+        sched.place(j, mach, t, t + inst.graph.tasks[j].demand / inst.platform.speed[mach])
     return sched
 
 
@@ -74,7 +74,7 @@ def naive_sls(inst, f, priority):
     sched = Schedule()
     for j in priority:
         t, mach = naive_best_placement(j, f.machines_for(j), sched, inst, False)
-        sched.place(j, mach, t, inst.graph.tasks[j].demand / inst.platform.speed[mach])
+        sched.place(j, mach, t, t + inst.graph.tasks[j].demand / inst.platform.speed[mach])
     return sched
 
 
@@ -100,7 +100,7 @@ def reference_sls_schedule(inst, f, priority):
         avail = timeline_avail(sched, inst)
         start, i = reference_scan(machines, earliest_start(j, machines, avail, sched, inst),
                                   lowest_id_first)
-        sched.place(j, i, start, inst.graph.demand[j] / inst.platform.speed[i])
+        sched.place(j, i, start, start + inst.graph.demand[j] / inst.platform.speed[i])
     return sched
 
 
@@ -470,7 +470,7 @@ class TestEarliestStart:
         assert inst.graph.predecessors()[5]
         sched = Schedule()
         for j in range(5):
-            sched.place(j, j % 3, float(j), 1.0 + j)
+            sched.place(j, j % 3, float(j), float(j) + (1.0 + j))
         avail = timeline_avail(sched, inst)
         starts = [earliest_start(task, machines, avail, sched, inst)
                   for task in (0, 5)
@@ -544,7 +544,7 @@ class TestGetf:
                     for v in ready
                 }
                 assert starts[j] == pytest.approx(min(starts.values()), abs=1e-9)
-                replay.place(j, s.assignment[j], s.start[j], s.finish[j] - s.start[j])
+                replay.place(j, s.assignment[j], s.start[j], s.finish[j])
                 done.add(j)
 
     def test_empty_group_names_the_task(self):
@@ -561,8 +561,8 @@ class TestGetf:
         for k in range(12):
             inst = random_instance(k)
             s = etf_schedule(inst, TieBreak.most_successors())
-            for intervals in s.machine_intervals.values():
-                starts = [a for a, _, _ in intervals]
+            for timeline in s.timelines().values():
+                starts = [a for a, _, _ in timeline]
                 assert starts == sorted(starts)
 
     def test_unknown_tie_rule_refused_up_front(self):
@@ -699,7 +699,7 @@ class TestVerify:
         inst = make_instance([1.0, 1.0], [], [1.0], comm=1.0)
         s = Schedule()
         s.place(0, 0, 0.0, 1.0)
-        s.place(1, 0, 0.5, 1.0)
+        s.place(1, 0, 0.5, 1.5)
         report = verify_schedule(inst, s)
         assert not report.feasible
         assert any("overlap" in v for v in report.violations)
@@ -708,8 +708,8 @@ class TestVerify:
         s = Schedule()
         s.place(0, 0, 0.0, 1.0)
         s.place(1, 1, 0.0, 1.0)
-        s.place(3, 0, 1.5, 3.0)  # needs >= 2.0 for task 0's data over sigma 2
-        s.place(2, 1, 3.0, 1.0)
+        s.place(3, 0, 1.5, 4.5)  # needs >= 2.0 for task 0's data over sigma 2
+        s.place(2, 1, 3.0, 4.0)
         report = verify_schedule(example_instance, s)
         assert not report.feasible
         assert any("task 3" in v and "data" in v for v in report.violations)
@@ -724,7 +724,7 @@ class TestVerify:
     def test_finish_off_by_1e6_relative_detected(self, start):
         inst = make_instance([2.0], [], [1.0])
         s = Schedule()
-        s.place(0, 0, start, 2.0)
+        s.place(0, 0, start, start + 2.0)
         assert verify_schedule(inst, s).feasible
         s.finish[0] = math.nextafter(s.finish[0], math.inf)  # one ulp: within the slack
         assert verify_schedule(inst, s).feasible
@@ -744,7 +744,7 @@ class TestVerify:
         inst = make_instance([1.0, 1.0], [(0, 1, 1.0)], [1.0, 1.0], comm=1.0)
         s = Schedule()
         s.place(0, 0, 0.0, 1.0)
-        s.place(1, 0, math.nan, 1.0)
+        s.place(1, 0, math.nan, math.nan)
         report = verify_schedule(inst, s)
         assert not report.feasible
         assert any("overlap" in v for v in report.violations)
