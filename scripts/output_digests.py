@@ -17,7 +17,9 @@ Prints one line per output family:
                  (by-index) and the 48 seed-1 ``makespan-lp`` solves, each
                  read back by ``getf verify <instance> <schedule> --algo
                  <algo>`` and ``getf gantt <schedule>``: stdout, stderr and
-                 exit code of both.
+                 exit code of both;
+  weighted-lp    the 96 seed-1 ``getf solve --algo getf-weighted`` runs
+                 (by-index): output file, stdout, stderr and exit code.
 
 The workloads and their instances come from ``perfbench/harness.py``.
 ``--src`` names the source tree getf is imported from (default: ``src/``
@@ -81,6 +83,7 @@ FAMILIES = {
     "makespan-lp": (solve_output, (("makespan-lp", range(1, 11), ("by-index",)),)),
     "read-back": (read_back_output, (("etf-large", (1,), ("by-index",)),
                                      ("makespan-lp", (1,), ("by-index",)))),
+    "weighted-lp": (solve_output, (("weighted-lp", (1,), ("by-index",)),)),
 }
 
 

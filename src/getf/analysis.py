@@ -24,13 +24,16 @@ ending at each task j: cost(j) = node_cost(j) + min over latest-finishing
 predecessors j' of (link_cost(j', j) + cost(j')).  No entry depends on the
 anchor, so each is computed at most once, and only when an anchor's chain
 needs it.  The table walks each task's predecessor list and the edge data
-aligned with it, both built once per graph; a link's data is looked up by
-its endpoints only for the links of a finished chain.  A link's worst-case
+aligned with it, both built once per graph; every link cost takes the data
+its caller holds, and only ``_links`` finds an edge's data by its
+endpoints, for the links of a finished chain.  A link's worst-case
 transfer, summed along a chain into the term C of the separation bound,
 divides its data by the entry for its source machine in the platform's
-``slowest_into`` table of the successor's band.  The idle replay reads the
-machines' timelines from ``Schedule.timelines`` once per report, in
-placement order, so each busy-time sum adds its terms in that order.
+``slowest_into`` table of the successor's band.  Every D_k, over all tasks
+or a prefix, is ``_band_loads``: band demand over band speed, 0 if empty.
+The idle replay reads the machines' timelines from ``Schedule.timelines``
+once per report, in placement order, so each busy-time sum adds its terms
+in that order.
 
 Reports never raise on a violated inequality; they carry pass flags so a
 violation is a loud, inspectable result.
@@ -114,26 +117,23 @@ def latest_finishing(candidates: list[int], finish: dict[int, float]) -> list[in
     return sorted([j for j in candidates if finish[j] >= top - FINISH_TIE_TOL])
 
 
-def _link_data(g: TaskGraph):
-    """(a, b) -> the data on edge (a, b), found in b's predecessor list, where
-    a appears once (parallel edges are refused)."""
+def _links(chain: tuple[int, ...], g: TaskGraph) -> list[tuple[int, int, float]]:
+    """The links (a, b, data) of a finished chain; a appears once in b's
+    predecessor list, as parallel edges are refused."""
     preds, data = g.predecessors(), g.predecessor_data()
-    return lambda a, b: data[b][preds[b].index(a)]
+    return [(a, b, data[b][preds[b].index(a)]) for a, b in zip(chain, chain[1:])]
 
 
 def _link_comm(inst: Instance, f: GroupAssignment, s: Schedule):
-    """A function (src, dst[, data]) -> worst-case transfer time of the edge
-    (src, dst): its data over the slowest communication speed from src's
-    machine into dst's machine group, read from the platform's
-    ``slowest_into`` table, which is looked up once per band.  Without
-    ``data``, the edge's data is looked up by its endpoints."""
+    """A function (src, dst, data) -> worst-case transfer time of the edge
+    (src, dst) carrying ``data``: the data over the slowest communication
+    speed from src's machine into dst's machine group, read from the
+    platform's ``slowest_into`` table, which is looked up once per band."""
     slowest_into, members = inst.platform.slowest_into, f.groups.members
-    assignment, band, data_of = s.assignment, f.group_of_task, _link_data(inst.graph)
+    assignment, band = s.assignment, f.group_of_task
     tables: dict[int, list[float]] = {}
 
-    def link(src: int, dst: int, data: float | None = None) -> float:
-        if data is None:
-            data = data_of(src, dst)
+    def link(src: int, dst: int, data: float) -> float:
         k = band[dst]
         into = tables.get(k)
         if into is None:
@@ -145,7 +145,7 @@ def _link_comm(inst: Instance, f: GroupAssignment, s: Schedule):
 def chain_comm_time(chain: tuple[int, ...], s: Schedule, f: GroupAssignment,
                     inst: Instance) -> float:
     link = _link_comm(inst, f, s)
-    return serial_sum(link(a, b) for a, b in zip(chain, chain[1:]))
+    return serial_sum(link(a, b, data) for a, b, data in _links(chain, inst.graph))
 
 
 class _ChainTable:
@@ -226,15 +226,17 @@ def chain_processing_time(chain: tuple[int, ...], s: Schedule, inst: Instance) -
     return serial_sum(demand[j] / speed[s.assignment[j]] for j in chain)
 
 
+def _band_loads(totals: dict[int, float], groups: MachineGroups) -> dict[int, float]:
+    """D_k for each band k of ``totals``: its demand over its original speed, 0 if empty."""
+    return {k: t / groups.group_speed[k] if t > 0 else 0.0 for k, t in totals.items()}
+
+
 def group_loads(inst: Instance, f: GroupAssignment, groups: MachineGroups) -> dict[int, float]:
-    """D_k: total demand assigned to band k over the band's original speed."""
-    demand_by_group: dict[int, float] = {k: 0.0 for k in range(1, groups.K + 1)}
+    """D_k over every task."""
+    totals: dict[int, float] = {k: 0.0 for k in range(1, groups.K + 1)}
     for j, d in enumerate(inst.graph.demand):
-        demand_by_group[f.group_of_task[j]] += d
-    out: dict[int, float] = {}
-    for k, total in demand_by_group.items():
-        out[k] = total / groups.group_speed[k] if total > 0 else 0.0
-    return out
+        totals[f.group_of_task[j]] += d
+    return _band_loads(totals, groups)
 
 
 def machine_idle_in_window(timeline: list[tuple[float, float, int]], lo: float, hi: float) -> float:
@@ -251,9 +253,9 @@ def idle_bound_replay(chain: tuple[int, ...], s: Schedule, inst: Instance,
                       f: GroupAssignment, report: BoundReport) -> None:
     """Assert, per chain link and per machine of the successor's group, that
     idle time inside the link window is covered by the link's transfer time."""
-    data_of, comm, timelines = _link_data(inst.graph), inst.platform.comm_speed, s.timelines()
-    for a, b in zip(chain, chain[1:]):
-        window_lo, window_hi, data = s.finish[a], s.start[b], data_of(a, b)
+    comm, timelines = inst.platform.comm_speed, s.timelines()
+    for a, b, data in _links(chain, inst.graph):
+        window_lo, window_hi = s.finish[a], s.start[b]
         sigma = comm[s.assignment[a]]
         for i in f.machines_for(b):
             idle = machine_idle_in_window(timelines.get(i, ()), window_lo, window_hi)
@@ -323,11 +325,8 @@ def identical_report(s: Schedule, inst: Instance,
         raise AnalysisError("identical_report requires identical machine speeds")
     speed = speeds.pop()
     m, comm = inst.platform.m, inst.platform.comm_speed
-    data_of = _link_data(inst.graph)
 
-    def link_cost(a: int, b: int, data: float | None = None) -> float:
-        if data is None:
-            data = data_of(a, b)
+    def link_cost(a: int, b: int, data: float) -> float:
         return serial_sum(data / sigma for sigma in comm[s.assignment[a]]) / m
 
     def node_cost(j: int) -> float:
@@ -335,7 +334,7 @@ def identical_report(s: Schedule, inst: Instance,
 
     table = _ChainTable(s, inst.graph, link_cost, node_cost)
     chain, _ = table.cheapest(latest_finishing(sorted(s.assignment), s.finish))
-    c_prime = serial_sum(link_cost(a, b) for a, b in zip(chain, chain[1:]))
+    c_prime = serial_sum(link_cost(a, b, data) for a, b, data in _links(chain, inst.graph))
     chain_proc = chain_processing_time(chain, s, inst)
     avg_load = serial_sum(inst.graph.demand) / (m * speed)
 
@@ -411,13 +410,9 @@ def weighted_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
     table = _ChainTable(s, inst.graph, _link_comm(inst, f, s))
     prefix_load: dict[int, float] = {k: 0.0 for k in range(1, K + 1)}
     for j in s.iteration_order:
-        k = f.group_of_task[j]
-        prefix_load[k] += inst.graph.demand[j]
+        prefix_load[f.group_of_task[j]] += inst.graph.demand[j]
         proc_j = chain_processing_time(table.chain(j), s, inst)
-        loads_j = serial_sum(
-            prefix_load[k] / groups.group_speed[k]
-            for k in prefix_load if prefix_load[k] > 0
-        )
+        loads_j = serial_sum(_band_loads(prefix_load, groups).values())
         report.add(f"P+sumD(task {j})<=32*(gamma+K)*C*", proc_j + loads_j,
                    factor * c_star[j])
         report.add(f"2^(q-1)(task {j})<=2*C*", 2.0 ** (q_of[j] - 1), 2.0 * c_star[j])

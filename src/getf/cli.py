@@ -258,7 +258,7 @@ def cmd_compare(args) -> int:
         if a not in ALGORITHMS:
             raise CliError(f"unknown algorithm {a!r}", EXIT_USAGE)
     try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else None
+        seeds = list(dict.fromkeys(int(s) for s in args.seeds.split(",") if s.strip())) or None
     except ValueError:
         raise CliError(f"--seeds needs comma-separated integers, got {args.seeds!r}",
                        EXIT_USAGE) from None

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import chain, repeat
-from numbers import Integral
+from numbers import Integral, Real
 from operator import add, itemgetter, lt
 
 import numpy as np
@@ -245,16 +245,21 @@ class ValidationReport:
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check every structural invariant; violations make the instance unusable.
 
-    Disconnected DAGs and zero-data edges are legal; edge ids must be
-    integers, Python's or numpy's, as every list indexed by them requires.
-    Once every item passes,
-    the graph must be acyclic and its times must stay in the float range:
-    the smallest processing time, min(demand) / max(speed), is positive, and
-    4 x the serial horizon, sum(demand) / min(speed) + sum(data) / (the
-    smallest finite comm speed), is finite.  That horizon bounds every time
-    of an append-only schedule, and the reports add at most three such times.
+    Every value must be a real number, Python's or numpy's; the first that
+    is not is the one violation.  Disconnected DAGs and zero-data edges are
+    legal; edge ids must be integers, as every list indexed by them
+    requires.  Once every item passes, the graph must be acyclic and its
+    times must stay in the float range: the smallest processing time,
+    min(demand) / max(speed), is positive, and 4 x the serial horizon,
+    sum(demand) / min(speed) + sum(data) / (the smallest finite comm speed),
+    is finite.  That horizon bounds every time of an append-only schedule,
+    and the reports add at most three such times.
     """
-    g = inst.graph
+    g, p = inst.graph, inst.platform
+    for v in chain(g.demand, g.weight, g.src, g.dst, g.data, (mc.id for mc in p.machines),
+                   p.speed, chain.from_iterable(p.comm_speed)):
+        if not isinstance(v, Real):  # the loader's require_numbers wording
+            return ValidationReport([f"instance values must be numbers: got {v!r}"])
     int_ids = all(issubclass(t, Integral) for t in set(map(type, chain(g.src, g.dst))))
     return _validate(inst, range(g.n), int_ids)
 

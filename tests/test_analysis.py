@@ -437,7 +437,10 @@ def test_report_json_shape(example_instance):
 # ---------------------------------------------------------------------------
 
 def reference_min_cost_chain(g, finish, anchors, link_cost, node_cost):
-    preds = g.predecessors()
+    preds, data_of = [[] for _ in range(g.n)], {}
+    for a, b, data in zip(g.src, g.dst, g.data):
+        preds[b].append(a)
+        data_of[(a, b)] = data
     cost, back = {}, {}
 
     def resolve(j):
@@ -458,7 +461,7 @@ def reference_min_cost_chain(g, finish, anchors, link_cost, node_cost):
                 continue
             best_p, best_val = None, float("inf")
             for p in cands:
-                val = cost[p] + link_cost(p, v)
+                val = cost[p] + link_cost(p, v, data_of[(p, v)])
                 if val < best_val - 1e-15 or (val <= best_val + 1e-15 and
                                               (best_p is None or p < best_p)):
                     best_p, best_val = p, val
@@ -479,12 +482,9 @@ def reference_min_cost_chain(g, finish, anchors, link_cost, node_cost):
 
 
 def reference_min_comm(s, inst, f, anchor=None):
-    g = inst.graph
-    data_of = dict(zip(zip(g.src, g.dst), g.data))
-
-    def link(src, dst):
+    def link(src, dst, data):
         sigma = min(inst.platform.comm_speed[s.assignment[src]][i] for i in f.machines_for(dst))
-        return data_of[(src, dst)] / sigma
+        return data / sigma
     anchors = [anchor] if anchor is not None else latest_finishing(sorted(s.assignment), s.finish)
     return reference_min_cost_chain(inst.graph, s.finish, anchors, link, lambda j: 0.0)
 

@@ -785,6 +785,13 @@ class TestCompare:
         once, twice = ((tmp_path / f"{a}.csv").read_text() for a in ("etf", "etf,etf"))
         assert self.strip_runtime(twice) == self.strip_runtime(once)
 
+    def test_repeated_seed_runs_once(self, example_file, tmp_path):
+        for seeds in ("1,2", "1,1,2"):
+            assert run("compare", example_file.parent, "--algos", "etf,sls", "--seeds", seeds,
+                       "-o", tmp_path / f"{seeds}.csv") == EXIT_OK
+        once, repeated = ((tmp_path / f"{s}.csv").read_text() for s in ("1,2", "1,1,2"))
+        assert self.strip_runtime(repeated) == self.strip_runtime(once)
+
     def test_unknown_algorithm_usage_error(self, example_file, capsys):
         assert run("compare", example_file.parent, "--algos", "lpt") == EXIT_USAGE
         assert capsys.readouterr().err == "error: unknown algorithm 'lpt'\n"

@@ -6,10 +6,13 @@ whole loader gives the messages or the instance of a reference that checks
 one value at a time; the topological order is Kahn's; the load,
 schedule, verify, report, oracle and write path builds no ``Task`` record;
 every layer reads the platform's ``speed`` column, never a machine record;
-and the ``tasks`` view and the predecessor data agree with the columns.
+the bound reports look an edge up by its endpoints in one place; and the
+``tasks`` view and the predecessor data agree with the columns.
 """
 
+import ast
 import heapq
+import inspect
 import json
 import math
 import re
@@ -547,6 +550,21 @@ def test_every_layer_reads_the_speed_column(monkeypatch):
     assert all(b > 0 for b in lower_bounds(inst))
     assert restrict_platform(inst, (0, 2)).platform.speed == inst.platform.speed[::2]
     assert CountingMachine.reads == 0
+
+
+def test_reports_look_up_edges_in_one_place():
+    # Every link cost takes the data its caller holds; only ``_links``, which
+    # reads a finished chain's links, finds an edge's data by its endpoints.
+    source = inspect.getsource(analysis)
+    assert source.count(".index(") == inspect.getsource(analysis._links).count(".index(") > 0
+    defaulted = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaulted += positional[len(positional) - len(a.defaults):]
+            defaulted += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    assert "data" not in {arg.arg for arg in defaulted}
 
 
 class TestViews:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.grouping import trivial_assignment
-from getf.model import (CycleError, InstanceError, normalize_demands, parse_instance,
-                        serial_sum, serialize_instance, topological_order, validate_instance)
+from getf.model import (CycleError, InstanceError, Machine, Platform, normalize_demands,
+                        parse_instance, serial_sum, serialize_instance, topological_order,
+                        validate_instance)
 from getf.scheduler import TieBreak, getf_schedule, schedule_from_dict
 
 from conftest import EXAMPLE_JSON, make_instance
@@ -131,6 +133,47 @@ class TestValidate:
         doc["edges"][2]["data"] = math.nan
         with pytest.raises(InstanceError, match=r"non-finite data on edge \(1,2\)"):
             parse_instance(json.dumps(doc))
+
+
+def with_column(inst, column, value):
+    """``inst`` with the first value of one column (``machine_ids`` and
+    ``comm_speed`` name the platform's) replaced by ``value``."""
+    g, p = inst.graph, inst.platform
+    if column in ("demand", "weight", "src", "dst", "data"):
+        return replace(inst, graph=replace(g, **{column: (value, *getattr(g, column)[1:])}))
+    if column in ("machine_ids", "speed"):
+        first = p.machines[0]
+        first = Machine(value, first.speed) if column == "machine_ids" else Machine(first.id, value)
+        return replace(inst, platform=Platform((first, *p.machines[1:]), p.comm_speed))
+    rows = ((value, *p.comm_speed[0][1:]), *p.comm_speed[1:])
+    return replace(inst, platform=Platform(p.machines, rows))
+
+
+class TestValuesAreNumbers:
+    COLUMNS = ("demand", "weight", "src", "dst", "data", "machine_ids", "speed", "comm_speed")
+
+    @staticmethod
+    def base():
+        return make_instance([1.0, 2.0], [(0, 1, 1.0)], [1.0, 2.0], comm=1.0)
+
+    @pytest.mark.parametrize("column", COLUMNS)
+    @pytest.mark.parametrize("value", ["a", "0", None])
+    def test_one_violation_per_column(self, column, value):
+        inst = with_column(self.base(), column, value)
+        assert validate_instance(inst).violations == [
+            f"instance values must be numbers: got {value!r}"]
+
+    def test_first_value_in_column_order_is_named(self):
+        inst = with_column(with_column(self.base(), "comm_speed", "c"), "weight", "w")
+        assert validate_instance(inst).violations == ["instance values must be numbers: got 'w'"]
+
+    def test_numpy_and_bool_values_accepted(self):
+        inst = self.base()
+        for column, value in (("demand", np.float32(1.0)), ("weight", True), ("src", False),
+                              ("data", np.int64(2)), ("machine_ids", np.int64(0)),
+                              ("speed", np.float64(1.5)), ("comm_speed", np.float32(2.0))):
+            inst = with_column(inst, column, value)
+        assert validate_instance(inst).ok
 
 
 class TestTopologicalOrder:
