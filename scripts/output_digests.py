@@ -11,6 +11,12 @@ Prints one line per output family:
   etf-large      the 16 seed-1 ``getf solve --algo etf`` runs under each of
                  the tie rules by-index, random:7, largest-demand and
                  most-succ: output file, stdout, stderr and exit code;
+  lp-solves      the LP solves of the sets below: the programs of the 480
+                 seed 1-10 ``makespan-lp`` instances as built, the same
+                 programs with ``start=None``, and the weighted programs of
+                 the 96 seed-1 ``weighted-lp`` instances: each solution's
+                 status, ``x`` bytes, objective ``repr``, pivots, degenerate
+                 pivots and ``max_residual``;
   makespan-lp    the 480 seed 1-10 ``getf solve --algo getf-makespan`` runs:
                  output file, stdout, stderr and exit code;
   read-back      the schedules of the 16 seed-1 ``etf-large`` solves
@@ -35,6 +41,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -67,6 +74,24 @@ def solve_output(g, w, case, tie: str) -> list[str]:
     return [written, *ran]
 
 
+def lp_output(g, w, case, start: str) -> list[str]:
+    """The solution of the program the workload's algorithm builds for the
+    case, with its start as built or, for start "none", without one."""
+    inst = case.inst
+    if w.algo == "getf-weighted":
+        inst, _ = g.model.normalize_demands(inst)
+        build = g.grouping.build_weighted_lp
+    else:
+        build = g.grouping.build_makespan_lp
+    lp = build(inst, g.grouping.partition_machines(inst.platform))
+    if start == "none":
+        lp = dataclasses.replace(lp, start=None)
+    sol = g.lp_solver.solve_lp(lp)
+    x = "" if sol.x is None else sol.x.tobytes().hex()
+    return [sol.status, x, repr(sol.objective), str(sol.pivots), str(sol.degenerate_pivots),
+            repr(sol.max_residual)]
+
+
 def read_back_output(g, w, case, tie: str) -> list[str]:
     cli_output(g, ["solve", case.path, "--algo", w.algo, "--tie", tie, "-o", case.out])
     parts = (cli_output(g, ["verify", case.path, case.out, "--algo", w.algo])
@@ -75,11 +100,14 @@ def read_back_output(g, w, case, tie: str) -> list[str]:
     return parts
 
 
-# family -> (output, its (workload, seeds, tie rules) runs); certify-large has no tie rule.
+# family -> (output, its (workload, seeds, variants) runs), each case run once
+# per variant: a tie rule (certify-large has none), or for lp-solves the start.
 FAMILIES = {
     "certify-large": (certify_output, (("certify-large", (1,), (None,)),)),
     "etf-large": (solve_output, (
         ("etf-large", (1,), ("by-index", "random:7", "largest-demand", "most-succ")),)),
+    "lp-solves": (lp_output, (("makespan-lp", range(1, 11), ("as built", "none")),
+                              ("weighted-lp", (1,), ("as built",)))),
     "makespan-lp": (solve_output, (("makespan-lp", range(1, 11), ("by-index",)),)),
     "read-back": (read_back_output, (("etf-large", (1,), ("by-index",)),
                                      ("makespan-lp", (1,), ("by-index",)))),
@@ -89,13 +117,13 @@ FAMILIES = {
 
 def digest(g, output, runs, workdir: Path) -> str:
     h = hashlib.sha256()
-    for name, seeds, ties in runs:
+    for name, seeds, variants in runs:
         w = harness.WORKLOADS[name]
         for seed in seeds:
             insts = [g.generator.generate_instance(spec) for spec in harness.specs(g, w, seed)]
             for case in harness.write_cases(g, insts, workdir, f"{name}-{seed}-"):
-                for tie in ties:
-                    for part in output(g, w, case, tie):
+                for variant in variants:
+                    for part in output(g, w, case, variant):
                         h.update(part.encode() + b"\0")
     return h.hexdigest()
 

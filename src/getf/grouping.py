@@ -41,6 +41,7 @@ import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -304,7 +305,8 @@ def build_makespan_lp(inst: Instance, groups: MachineGroups) -> LinearProgram:
     busy, machine = [0.0] * nm, [0] * n
     for j in sorted(range(n), key=lambda j: (-g.demand[j], j)):
         p = proc_of[j]
-        i = min(range(nm), key=lambda i: busy[i] + p[i])
+        costs = list(map(add, busy, p))
+        i = costs.index(min(costs))
         machine[j] = i
         busy[i] += p[i]
         start[assign_row[j]] = x_of[j][i]

@@ -32,11 +32,15 @@ below -PIVOT_TOL on the true bounds, dual simplex steps repair the basis at
 the end of each phase (the pipelines' programs have not needed one).  No
 random numbers are drawn: identical inputs give bit-identical outputs.
 
-Cost: on the pipelines' programs (about 65 x 230 at n=20) a pivot's cost is
-mostly per-call overhead, not arithmetic.  So pivots, the ratio test and
-pricing call ndarray methods and ufuncs directly (``x.nonzero()``,
-``a.argmin()``, ``column[hit][:, None] * r``) in place of numpy's module-level
-wrappers (``flatnonzero``, ``argmin``, ``outer``).  These compute the same
+Cost: on the pipelines' programs (about 66 x 228 at n=20) an install pivot
+reaches one or two rows besides its own and costs about 5 us, nearly all of
+it per-call overhead.  A phase-2 pivot is mostly arithmetic: two thirds of
+them reach half the rows or more and take the full update, about 20 us on
+the 66 x 228 tableau.  So pivots, the ratio test and pricing call ndarray
+methods and ufuncs directly (``x.nonzero()``, ``a.argmin()``,
+``column[hit][:, None] * r``) in place of numpy's module-level wrappers
+(``flatnonzero``, ``argmin``, ``outer``), and skip work whose result is
+exact: a division by 1.0, a tie-break among one row.  These compute the same
 elementwise operations in the same order, so every bit is kept; no pivot
 uses BLAS (``@``, ``dot``), whose sums may be reordered.
 
@@ -71,6 +75,9 @@ PERTURBATION = 1e-7
 # Bytes of the temporary that one block of a full pivot update may take
 # (measured in _pivot's docstring).
 PIVOT_BLOCK_BYTES = 1 << 19
+# A pivot column nonzero in fewer than this share of the tableau's rows
+# updates those rows one at a time (measured in _pivot's docstring).
+PIVOT_ROWWISE_SHARE = 1 / 8
 
 LE, EQ, GE = -1, 0, 1
 
@@ -180,43 +187,67 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int,
            counts: list[int]) -> None:
     """Pivot on (row, col).  counts is [pivots, degenerate pivots]; a pivot is
     degenerate when its step moves the unperturbed point by at most PIVOT_TOL.
-    When fewer than half the rows hold a nonzero in col, only those rows are
-    updated; otherwise the whole tableau takes one outer-product update.  Both
-    give the same values, a zero's sign aside: a row with a zero factor keeps
-    its entries.  The half-rows rule is measured (2-CPU shared host, medians
-    of 7 alternating runs): updating only the hit rows on every pivot was
-    1.3-1.4x slower on 12 seed-1 ``weighted-lp`` programs, 1.6-1.7x slower
-    on layered and random_dag makespan programs at n=80 and n=160, and
-    within noise on the 48 ``makespan-lp`` programs; switching at 0.75 or
-    0.9 of the rows was 1.1x and 1.6x slower on those large programs.
+
+    The rows holding a nonzero in col choose the update:
+      * fewer than PIVOT_ROWWISE_SHARE of the rows: each of them, one row at
+        a time, subtracts its multiple of the pivot row in place;
+      * fewer than half the rows: those rows are gathered, updated together
+        and scattered back;
+      * otherwise the whole tableau takes one outer-product update, in
+        blocks.
+    All three give the same values, a zero's sign aside: a row with a zero
+    factor keeps its entries.  A pivot row whose element is exactly 1.0 is
+    not divided, as x / 1.0 is x.  The half-rows rule is measured (2-CPU
+    shared host, medians of 7 alternating runs): updating only the hit rows
+    on every pivot was 1.3-1.4x slower on 12 seed-1 ``weighted-lp``
+    programs, 1.6-1.7x slower on layered and random_dag makespan programs at
+    n=80 and n=160, and within noise on the 48 ``makespan-lp`` programs;
+    switching at 0.75 or 0.9 of the rows was 1.1x and 1.6x slower on those
+    large programs.  The row-by-row rule is measured the same way (medians
+    of 9): on the 48 ``makespan-lp`` programs (about 66 x 228) an install
+    pivot, reaching one or two rows besides its own, takes about 4.5 us row
+    by row against 7.3 us gathered, and the mean solve took 0.86 ms with no
+    row-by-row update, 0.75 ms below 1/8 of the rows, 0.76-0.77 ms below
+    1/16, 1/5, 1/4 and 1/3, and 0.86 ms below 1/2, where a phase-2 pivot
+    reaching a third of the rows pays one call per row.
 
     The full update runs in blocks of rows whose temporary, factors times
     the pivot row, takes at most PIVOT_BLOCK_BYTES (512 KiB, a quarter of
     the host's 2 MiB per-core L2), so the block it writes stays in cache; a
     makespan-lp tableau (about 66 x 250) is one block.  Every block reads
     the pivot row as it was before the update, so each entry takes the same
-    IEEE operations and keeps its bits.  Measured with one BLAS thread, one
-    run per line, parent -> blocked: the layered n=320, m=16 makespan
-    program 46.4 -> 16.7 s (1719 pivots, the same x); layered n=160, m=16
-    1.63-1.65 -> 1.13-1.16 s (3 runs); weighted layered n=20, seed 100008
-    1.11-1.13 -> 0.80-0.93 s (3 runs).  Blocks of 256 KiB and 1 MiB were
-    within noise of 512 KiB, 2 MiB and 64 KiB gave back most of the gain at
-    n=160, and blocking the hit-rows update too was 1.1x slower there."""
+    IEEE operations and keeps its bits; one block computes its whole
+    temporary before it writes, so only several blocks need a copy of the
+    row.  Measured with one BLAS thread, one run per line, parent ->
+    blocked: the layered n=320, m=16 makespan program 46.4 -> 16.7 s (1719
+    pivots, the same x); layered n=160, m=16 1.63-1.65 -> 1.13-1.16 s (3
+    runs); weighted layered n=20, seed 100008 1.11-1.13 -> 0.80-0.93 s (3
+    runs).  Blocks of 256 KiB and 1 MiB were within noise of 512 KiB, 2 MiB
+    and 64 KiB gave back most of the gain at n=160, and blocking the
+    hit-rows update too was 1.1x slower there."""
     r = tableau[row]
+    pivot = r[col]
     counts[0] += 1
-    counts[1] += bool(abs(r[-1]) <= PIVOT_TOL * abs(r[col]))
-    r /= r[col]
+    counts[1] += bool(abs(r[-1]) <= PIVOT_TOL * abs(pivot))
+    if pivot != 1.0:
+        r /= pivot
     column = tableau[:, col]
     hit = column.nonzero()[0]
-    if 2 * hit.size < len(tableau):
+    rows = len(tableau)
+    if hit.size < PIVOT_ROWWISE_SHARE * rows:
+        for h in hit.tolist():
+            if h != row:
+                tableau[h] -= column[h] * r
+    elif 2 * hit.size < rows:
         hit = hit[hit != row]
         tableau[hit] -= column[hit][:, None] * r
     else:
         factors = column.copy()
         factors[row] = 0.0
-        r = r.copy()                            # every block reads the row as it was
         step = max(1, PIVOT_BLOCK_BYTES // r.nbytes)
-        for a in range(0, len(tableau), step):
+        if step < rows:
+            r = r.copy()                        # every block reads the row as it was
+        for a in range(0, rows, step):
             tableau[a:a + step] -= factors[a:a + step, None] * r
     basis[row] = col
 
@@ -230,6 +261,8 @@ def _leaving(tableau: np.ndarray, basis: np.ndarray, col: int) -> int:
         return int(rows[0]) if rows.size else -1
     ratios = tableau[rows, -2] / column[rows]
     rows = rows[ratios <= ratios.min() + 1e-12]
+    if rows.size == 1:
+        return int(rows[0])
     pivots = column[rows]
     rows = rows[pivots == pivots.max()]
     return int(rows[basis[rows].argmin()])
@@ -292,8 +325,8 @@ def _install(tableau: np.ndarray, basis: np.ndarray, start: np.ndarray,
              counts: list[int]) -> None:
     """Pivot start[i] into row i, in row order, without pricing or a ratio
     test; raise LpError on a singular or infeasible start.  The tableau is
-    still about as sparse as A here, so most of these pivots update only
-    the rows their column touches."""
+    still about as sparse as A here, so most of these pivots update the
+    few rows their column touches one row at a time."""
     for row, col in enumerate(start.tolist()):
         if col < 0:
             continue
@@ -324,8 +357,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         return LpSolution(OPTIMAL, np.zeros(n), 0.0, max_residual=0.0)
 
     # Canonicalize to b >= 0: rows with b < 0 are negated and their sense mirrored.
-    flip = lp.b < 0
-    sense = np.where(flip, -lp.sense, lp.sense)
+    A, b, sense = lp.A, lp.b, lp.sense
+    flip = b < 0
+    if flip.any():
+        A, b = np.where(flip[:, None], -A, A), np.where(flip, -b, b)
+        sense = np.where(flip, -sense, sense)
     le, ge = sense == LE, sense == GE
     art = ~le                                   # >= and = rows start on an artificial
     surplus0 = n + int(le.sum())
@@ -336,8 +372,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     # the ratio test, the true one (-1) gives x and the phase-1 verdict.
     tableau = np.zeros((rows + 1, art0 + 2))
     body = tableau[:rows]
-    body[:, :n] = np.where(flip[:, None], -lp.A, lp.A)
-    body[:, -1] = np.where(flip, -lp.b, lp.b)
+    body[:, :n] = A
+    body[:, -1] = b
     shift = PERTURBATION * np.minimum(np.abs(lp.A).max(axis=1, initial=0.0), 1.0)
     shift = np.where(le, shift * (1 + 7919 * at % rows) / rows, 0.0)
     body[:, -2] = body[:, -1] + shift

@@ -147,7 +147,7 @@ class TieChooser:
             key = [0] * graph.n
         else:
             raise SchedulingError(f"unknown tie-break variant {v!r}")
-        self.task_of_rank = sorted(range(graph.n), key=lambda j: (key[j], j))
+        self.task_of_rank = sorted(range(graph.n), key=key.__getitem__)   # stable: ties by id
         self.rank = [0] * graph.n
         for r, j in enumerate(self.task_of_rank):
             self.rank[j] = r

@@ -776,6 +776,45 @@ class TestBlockedPivot:
         assert pivoted(1) == pivoted(1 << 62)
 
 
+def assert_rowwise_agrees(lp: LinearProgram) -> None:
+    """Every hit-path pivot updated row by row, and none, give the same bits."""
+    with mock.patch.object(lp_solver, "PIVOT_ROWWISE_SHARE", 0.5):
+        every = solution_bits(lp)
+    with mock.patch.object(lp_solver, "PIVOT_ROWWISE_SHARE", 0.0):
+        assert solution_bits(lp) == every
+
+
+class TestRowwisePivot:
+    def test_started_makespan_programs(self):
+        for lp in makespan_lp_programs():
+            assert_rowwise_agrees(lp)
+
+    @settings(max_examples=200, deadline=None)
+    @given(programs())
+    def test_drawn_programs(self, lp):
+        assert_rowwise_agrees(lp)
+
+    def test_weighted_program(self):
+        assert_rowwise_agrees(built_program("weighted", "random_dag", 6, 3, 954))
+
+    def test_every_update_runs_on_started_makespan_programs(self):
+        # The share of rows the pivot column reaches picks the update, as
+        # _pivot's docstring lists them; each must run, or it is dead code.
+        modes = set()
+        real = lp_solver._pivot
+
+        def spy(tableau, basis, row, col, counts):
+            hit, rows = np.count_nonzero(tableau[:, col]), len(tableau)
+            modes.add("row by row" if hit < lp_solver.PIVOT_ROWWISE_SHARE * rows
+                      else "gathered" if 2 * hit < rows else "full")
+            real(tableau, basis, row, col, counts)
+
+        with mock.patch.object(lp_solver, "_pivot", spy):
+            for lp in makespan_lp_programs():
+                solve_lp(lp)
+        assert modes == {"row by row", "gathered", "full"}
+
+
 def solve_digest(programs: list[LinearProgram]) -> str:
     """SHA-256 over each solve's status, x bytes, pivot counts and max_residual."""
     h = hashlib.sha256()

@@ -598,6 +598,27 @@ class TestGetf:
             want_random = cands[0] if len(cands) == 1 else draws.choice(sorted(cands))
             assert chooser.choose(cands) == want_random
 
+    def test_ranks_are_the_key_then_id_sort(self):
+        # Demands and out-degrees repeat, so a stable sort on the key alone
+        # must break every tie by id, as the (key, id) sort does.
+        rng = random.Random(23)
+        n = 40
+        inst = make_instance([rng.choice([1.0, 2.0, 3.0]) for _ in range(n)],
+                             [(u, v, 0.0) for v in range(n) for u in range(v)
+                              if rng.random() < 0.08], [1.0])
+        keys = {
+            TieBreak.by_index(): [0] * n,
+            TieBreak.random_rule(9): [0] * n,
+            TieBreak.largest_demand(): [-t.demand for t in inst.graph.tasks],
+            TieBreak.most_successors(): [-len(s) for s in inst.graph.successors()],
+        }
+        for rule, key in keys.items():
+            assert len(set(key)) < n                      # the key ties somewhere
+            want = sorted(range(n), key=lambda j: (key[j], j))
+            chooser = TieChooser(rule, inst.graph)
+            assert chooser.task_of_rank == want
+            assert [chooser.rank[j] for j in want] == list(range(n))
+
     def test_random_rule_determined_by_seed(self):
         inst = random_instance(3, n=12, density=0.1)
         f = trivial_assignment(inst)
