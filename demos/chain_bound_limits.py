@@ -20,7 +20,7 @@ def main():
             src=(0, 1), dst=(2, 2), data=(4.0, 0.5),  # edges 0 -> 2 and 1 -> 2
         ),
         Platform(
-            (Machine(0, 1.0), Machine(1, 1.0), Machine(2, 1.0)),
+            (Machine(1.0), Machine(1.0), Machine(1.0)),
             tuple(tuple(1.0 for _ in range(3)) for _ in range(3)),
         ),
     )

@@ -24,6 +24,12 @@ Prints one line per output family:
                  read back by ``getf verify <instance> <schedule> --algo
                  <algo>`` and ``getf gantt <schedule>``: stdout, stderr and
                  exit code of both;
+  refusals       ``getf solve --algo etf`` on each malformed instance
+                 document of ``INSTANCE_EDITS`` and ``UNREADABLE_TEXTS``, and
+                 ``getf verify <instance> <schedule>`` and ``getf gantt
+                 <schedule>`` on each malformed schedule document of
+                 ``SCHEDULE_EDITS`` and ``UNREADABLE_TEXTS``: stdout, stderr
+                 (the work directory spelled ``<dir>``) and exit code;
   weighted-lp    the 96 seed-1 ``getf solve --algo getf-weighted`` runs
                  (by-index): output file, stdout, stderr and exit code.
 
@@ -41,10 +47,14 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import copy  # noqa: E402
 import dataclasses  # noqa: E402
+import functools  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
+import operator  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -100,31 +110,118 @@ def read_back_output(g, w, case, tie: str) -> list[str]:
     return parts
 
 
-# family -> (output, its (workload, seeds, variants) runs), each case run once
-# per variant: a tie rule (certify-large has none), or for lp-solves the start.
+# The instance the refusals family edits: four tasks on two machines.
+REFUSAL_INSTANCE = {
+    "tasks": [{"id": 0, "demand": 1.0, "weight": 0.0}, {"id": 1, "demand": 1.0, "weight": 0.0},
+              {"id": 2, "demand": 1.0, "weight": 0.0}, {"id": 3, "demand": 3.0, "weight": 1.0}],
+    "edges": [{"src": 0, "dst": 2, "data": 2.0}, {"src": 0, "dst": 3, "data": 2.0},
+              {"src": 1, "dst": 2, "data": 2.0}, {"src": 1, "dst": 3, "data": 1.0}],
+    "machines": [{"id": 0, "speed": 1.0}, {"id": 1, "speed": 1.0}],
+    "comm_speed": [[2.0, 1.0], [1.0, 2.0]],
+}
+DELETE = object()
+FIELD_VALUES = ("1", True, None, [1], {"a": 1})  # JSON values that are no number
+
+# (path, value) edits: the item at the path set to the value, or deleted.
+INSTANCE_EDITS = [
+    ((), []), (("tasks",), 5), (("tasks",), []), (("machines",), []), (("comm_speed",), 5),
+    (("comm_speed", 0), 5), (("comm_speed", 0), [2.0]), (("comm_speed", 1), DELETE),
+    *(((key,), DELETE) for key in REFUSAL_INSTANCE),
+    *((("tasks", 1, key), DELETE) for key in ("id", "demand")),
+    *((("edges", 2, key), DELETE) for key in ("src", "dst")),
+    *((("machines", 1, key), DELETE) for key in ("id", "speed")),
+    *(((section, 1), value) for section in ("tasks", "edges", "machines")
+      for value in ([1, 1.0], "entry", None, 2.0)),
+    *(((section, 1, key), value) for section, key in (
+        ("tasks", "id"), ("tasks", "demand"), ("tasks", "weight"), ("edges", "src"),
+        ("edges", "dst"), ("edges", "data"), ("machines", "id"), ("machines", "speed"))
+      for value in (*FIELD_VALUES, math.nan, math.inf, -1.0, 0.0, 1.5, 7, 10 ** 400)),
+    *((("comm_speed", 0, 1), value) for value in (*FIELD_VALUES, math.nan, -1.0, 0.0, 10 ** 400)),
+    (("edges",), [{"src": 0, "dst": 1}, {"src": 1, "dst": 0}]),
+]
+# The schedule's fields, each set to a value that is no finite time or
+# integer id; an integer beyond the float range is left out of the times.
+SCHEDULE_EDITS = [
+    ((), []), (("assignments",), DELETE), (("assignments",), {}), (("iteration_order",), 5),
+    (("iteration_order",), DELETE), (("iteration_order", 0), 0.5), (("iteration_order", 1), 0),
+    (("iteration_order", 0), 9), (("assignments", 1, "task"), 0),
+    *((("assignments", 1), value) for value in ([1, 1, 1.0, 2.0], "entry", None)),
+    *((("assignments", 1, key), value) for key in ("task", "machine", "start", "end")
+      for value in (DELETE, *FIELD_VALUES, math.nan, math.inf, -math.inf, 1.5)),
+    *((("assignments", 1, key), value) for key in ("task", "machine")
+      for value in (10 ** 400, -10 ** 400)),
+]
+UNREADABLE_TEXTS = ["", "{", "[" * 100_000, '{"tasks": ' + "9" * 5000 + "}"]
+
+
+def edited(doc, path, value):
+    """A copy of ``doc`` with the item at ``path`` set to ``value``, or
+    deleted for DELETE; the empty path replaces the whole document."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    *outer, last = path
+    container = functools.reduce(operator.getitem, outer, doc)
+    if value is DELETE:
+        del container[last]
+    else:
+        container[last] = value
+    return doc
+
+
+def refusal_parts(g, workdir: Path):
+    """Each malformed instance document through ``getf solve``, then each
+    malformed schedule document through ``getf verify`` and ``getf gantt``."""
+    def run(*argv):
+        return [part.replace(str(workdir), "<dir>") for part in cli_output(g, list(argv))]
+    inst, doc, sched = (str(workdir / name) for name in ("inst.json", "doc.json", "sched.json"))
+    texts = [json.dumps(edited(REFUSAL_INSTANCE, *e)) for e in INSTANCE_EDITS]
+    for text in texts + UNREADABLE_TEXTS:
+        Path(doc).write_text(text, encoding="utf-8")
+        yield from run("solve", doc, "--algo", "etf")
+    Path(inst).write_text(json.dumps(REFUSAL_INSTANCE), encoding="utf-8")
+    run("solve", inst, "--algo", "etf", "-o", sched)
+    schedule = json.loads(Path(sched).read_text(encoding="utf-8"))
+    texts = [json.dumps(edited(schedule, *e)) for e in SCHEDULE_EDITS]
+    for text in texts + UNREADABLE_TEXTS:
+        Path(doc).write_text(text, encoding="utf-8")
+        yield from run("verify", inst, doc) + run("gantt", doc)
+
+
+def cases(output, *runs):
+    """The family that runs ``output`` on the cases of ``runs``, (workload,
+    seeds, variants) triples, each case once per variant: a tie rule
+    (certify-large has none), or for lp-solves the start."""
+    def parts(g, workdir: Path):
+        for name, seeds, variants in runs:
+            w = harness.WORKLOADS[name]
+            for seed in seeds:
+                insts = [g.generator.generate_instance(spec) for spec in harness.specs(g, w, seed)]
+                for case in harness.write_cases(g, insts, workdir, f"{name}-{seed}-"):
+                    for variant in variants:
+                        yield from output(g, w, case, variant)
+    return parts
+
+
+# family -> the parts it hashes, given the package and a work directory.
 FAMILIES = {
-    "certify-large": (certify_output, (("certify-large", (1,), (None,)),)),
-    "etf-large": (solve_output, (
-        ("etf-large", (1,), ("by-index", "random:7", "largest-demand", "most-succ")),)),
-    "lp-solves": (lp_output, (("makespan-lp", range(1, 11), ("as built", "none")),
-                              ("weighted-lp", (1,), ("as built",)))),
-    "makespan-lp": (solve_output, (("makespan-lp", range(1, 11), ("by-index",)),)),
-    "read-back": (read_back_output, (("etf-large", (1,), ("by-index",)),
-                                     ("makespan-lp", (1,), ("by-index",)))),
-    "weighted-lp": (solve_output, (("weighted-lp", (1,), ("by-index",)),)),
+    "certify-large": cases(certify_output, ("certify-large", (1,), (None,))),
+    "etf-large": cases(solve_output, (
+        "etf-large", (1,), ("by-index", "random:7", "largest-demand", "most-succ"))),
+    "lp-solves": cases(lp_output, ("makespan-lp", range(1, 11), ("as built", "none")),
+                       ("weighted-lp", (1,), ("as built",))),
+    "makespan-lp": cases(solve_output, ("makespan-lp", range(1, 11), ("by-index",))),
+    "read-back": cases(read_back_output, ("etf-large", (1,), ("by-index",)),
+                       ("makespan-lp", (1,), ("by-index",))),
+    "refusals": refusal_parts,
+    "weighted-lp": cases(solve_output, ("weighted-lp", (1,), ("by-index",))),
 }
 
 
-def digest(g, output, runs, workdir: Path) -> str:
+def digest(parts) -> str:
     h = hashlib.sha256()
-    for name, seeds, variants in runs:
-        w = harness.WORKLOADS[name]
-        for seed in seeds:
-            insts = [g.generator.generate_instance(spec) for spec in harness.specs(g, w, seed)]
-            for case in harness.write_cases(g, insts, workdir, f"{name}-{seed}-"):
-                for variant in variants:
-                    for part in output(g, w, case, variant):
-                        h.update(part.encode() + b"\0")
+    for part in parts:
+        h.update(part.encode() + b"\0")
     return h.hexdigest()
 
 
@@ -140,8 +237,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
     g = harness.import_getf(src)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (output, runs) in FAMILIES.items():
-            print(f"{name} {digest(g, output, runs, Path(tmp))}", flush=True)
+        for name, parts in FAMILIES.items():
+            print(f"{name} {digest(parts(g, Path(tmp)))}", flush=True)
     return 0
 
 

@@ -26,6 +26,7 @@ import functools
 import io
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -115,7 +116,7 @@ def _load_instance(path: str) -> model.Instance:
 def _load_schedule(path: str) -> scheduler.Schedule:
     try:
         return scheduler.schedule_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read schedule: {exc}", EXIT_USAGE) from exc
 
 
@@ -172,9 +173,10 @@ def cmd_verify(args) -> int:
     feas = scheduler.verify_schedule(inst, sched)
     out: dict = {"feasible": feas.feasible, "violations": feas.violations}
 
-    # The bound report needs every task placed, on a machine that exists.
-    placed = sorted(sched.assignment) == list(range(inst.graph.n)) and all(
-        0 <= i < inst.platform.m for i in sched.assignment.values())
+    # The bound report needs every task placed, on a machine that exists, at finite times.
+    placed = (sorted(sched.assignment) == list(range(inst.graph.n))
+              and all(0 <= i < inst.platform.m for i in sched.assignment.values())
+              and all(map(math.isfinite, (*sched.start.values(), *sched.finish.values()))))
     if args.algo is not None and placed:
         f = pipeline.assign(inst, args.algo, args.theta, args.gamma)
         out["group_consistent"] = all(i in f.machines_for(j) for j, i in sched.assignment.items())

@@ -145,7 +145,7 @@ def generate_instance(spec: GeneratorSpec) -> Instance:
         demand.append(1.0)
         weight.append(1.0)
 
-    machines = [Machine(i, rng.uniform(*spec.speed_range)) for i in range(spec.m)]
+    machines = [Machine(rng.uniform(*spec.speed_range)) for _ in range(spec.m)]
     comm_rows = []
     for i in range(spec.m):
         row = []

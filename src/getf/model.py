@@ -184,19 +184,17 @@ class TaskGraph:
 
 @dataclass(frozen=True)
 class Machine:
-    """A record, not a column: in the package only this module reads it;
-    every other layer reads ``Platform.speed``."""
+    """A machine is its speed: machine i is ``Platform.machines[i]``, as task j
+    is position j.  Only this module reads it; other layers read ``Platform.speed``."""
 
-    id: int
     speed: float
 
 
 @dataclass(frozen=True)
 class Platform:
-    """Machine records, ids 0..m-1, and ``comm_speed[a][b]``, the transfer
-    speed from machine a to b.  ``speed``, the column every layer reads, has
-    ``speed[i]`` for machine i; like ``TaskGraph``'s views it is built once,
-    from the records, on first use."""
+    """Machine records, machine i at position i, and ``comm_speed[a][b]``, the
+    transfer speed from machine a to b.  ``speed``, the column every layer
+    reads, holds their speeds; like ``TaskGraph``'s views it is built on first use."""
 
     machines: tuple[Machine, ...]
     comm_speed: tuple[tuple[float, ...], ...]  # math.inf = zero delay
@@ -256,19 +254,19 @@ def validate_instance(inst: Instance) -> ValidationReport:
     and the reports add at most three such times.
     """
     g, p = inst.graph, inst.platform
-    for v in chain(g.demand, g.weight, g.src, g.dst, g.data, (mc.id for mc in p.machines),
-                   p.speed, chain.from_iterable(p.comm_speed)):
+    for v in chain(g.demand, g.weight, g.src, g.dst, g.data, p.speed,
+                   chain.from_iterable(p.comm_speed)):
         if not isinstance(v, Real):  # the loader's require_numbers wording
             return ValidationReport([f"instance values must be numbers: got {v!r}"])
     int_ids = all(issubclass(t, Integral) for t in set(map(type, chain(g.src, g.dst))))
-    return _validate(inst, range(g.n), int_ids)
+    return _validate(inst, range(g.n), range(p.m), int_ids)
 
 
-def _validate(inst: Instance, task_ids, int_ids: bool = True) -> ValidationReport:
-    """``validate_instance``, with the task ids the document gave (a graph
-    numbers its tasks by position).  ``int_ids`` says whether every edge id
-    is an integer, as the loader's always are; the int64 edge arrays would
-    truncate any other."""
+def _validate(inst: Instance, task_ids, machine_ids, int_ids: bool = True) -> ValidationReport:
+    """``validate_instance``, with the task and machine ids the document gave
+    (a graph and a platform number theirs by position).  ``int_ids`` says
+    whether every edge id is an integer, as the loader's always are; the
+    int64 edge arrays would truncate any other."""
     report = ValidationReport()
     g, p = inst.graph, inst.platform
     n, m = g.n, p.m
@@ -321,13 +319,13 @@ def _validate(inst: Instance, task_ids, int_ids: bool = True) -> ValidationRepor
             elif w < 0:
                 report.violations.append(f"negative data on edge ({s},{d})")
 
-    for idx, mac in enumerate(p.machines):
-        if mac.id != idx:
-            report.violations.append(f"machine ids must be dense 0..m-1, found {mac.id} at position {idx}")
-        if not finite(mac.speed):
-            report.violations.append(f"non-finite speed, machine {mac.id}")
-        elif not mac.speed > 0:
-            report.violations.append(f"nonpositive speed, machine {mac.id}")
+    for idx, (mid, speed) in enumerate(zip(machine_ids, p.speed)):
+        if mid != idx:
+            report.violations.append(f"machine ids must be dense 0..m-1, found {mid} at position {idx}")
+        if not finite(speed):
+            report.violations.append(f"non-finite speed, machine {mid}")
+        elif not speed > 0:
+            report.violations.append(f"nonpositive speed, machine {mid}")
 
     if len(p.comm_speed) != m or any(len(row) != m for row in p.comm_speed):
         report.violations.append(f"comm_speed must be {m}x{m}")
@@ -419,7 +417,7 @@ def instance_to_dict(inst: Instance) -> dict:
         "tasks": [{"id": j, "demand": d, "weight": w}
                   for j, d, w in zip(range(g.n), g.demand, g.weight)],
         "edges": [{"src": s, "dst": d, "data": w} for s, d, w in zip(g.src, g.dst, g.data)],
-        "machines": [{"id": mc.id, "speed": mc.speed} for mc in inst.platform.machines],
+        "machines": [{"id": i, "speed": v} for i, v in enumerate(inst.platform.speed)],
         "comm_speed": [
             [None if s == math.inf else s for s in row] for row in inst.platform.comm_speed
         ],
@@ -463,7 +461,7 @@ def serialize_instance(inst: Instance) -> str:
     )
     leaves = list(chain.from_iterable(zip(range(g.n), g.demand, g.weight)))
     leaves += chain.from_iterable(zip(g.src, g.dst, g.data))
-    leaves += [v for mc in p.machines for v in (mc.id, mc.speed)]
+    leaves += chain.from_iterable(enumerate(p.speed))
     leaves += [None if s == math.inf else s for row in p.comm_speed for s in row]
     return fill_json(template, leaves)
 
@@ -497,6 +495,18 @@ def integer_ids(ids: list, what: str) -> list[int]:
     return list(map(int, ids))
 
 
+def entry_columns(entries: list, required: tuple, optional: dict, message: str) -> list[list]:
+    """One list per key over ``entries``: each ``required`` key read with
+    ``itemgetter``, then each ``optional`` one with ``dict.get`` and its default.
+    An entry that is not an object, or lacks a required key, raises InstanceError."""
+    try:
+        return ([list(map(itemgetter(key), entries)) for key in required]
+                + [list(map(dict.get, entries, repeat(key), repeat(default)))
+                   for key, default in optional.items()])
+    except (KeyError, TypeError):  # a missing key; an entry that is not an object
+        raise InstanceError(message) from None
+
+
 def instance_from_dict(doc: dict) -> Instance:
     """The instance a JSON document describes.  Each check runs over whole
     columns; the per-entry checks run only to word the InstanceError of a
@@ -509,25 +519,16 @@ def instance_from_dict(doc: dict) -> Instance:
     for key in ("tasks", "machines"):
         _require(len(doc[key]) > 0, f"'{key}' must not be empty")
 
-    task_docs, edge_docs, machine_docs = doc["tasks"], doc["edges"], doc["machines"]
-    try:  # dict.get refuses an entry that is not an object, itemgetter a missing key
-        weights = list(map(dict.get, task_docs, repeat("weight"), repeat(0.0)))
-        task_ids, demands = (list(map(itemgetter(key), task_docs)) for key in ("id", "demand"))
-        data = list(map(dict.get, edge_docs, repeat("data"), repeat(0.0)))
-        srcs, dsts = (list(map(itemgetter(key), edge_docs)) for key in ("src", "dst"))
-    except (KeyError, TypeError):
-        _require(all(isinstance(e, dict) and "id" in e and "demand" in e for e in task_docs),
-                 "task entries need 'id' and 'demand'")
-        _require(all(isinstance(e, dict) and "src" in e and "dst" in e for e in edge_docs),
-                 "edge entries need 'src' and 'dst'")
-        raise                                   # not reached for a json.loads document
-    _require(all(isinstance(e, dict) and "id" in e and "speed" in e for e in machine_docs),
-             "machine entries need 'id' and 'speed'")
+    task_ids, demands, weights = entry_columns(doc["tasks"], ("id", "demand"), {"weight": 0.0},
+                                               "task entries need 'id' and 'demand'")
+    srcs, dsts, data = entry_columns(doc["edges"], ("src", "dst"), {"data": 0.0},
+                                     "edge entries need 'src' and 'dst'")
+    machine_ids, speeds = entry_columns(doc["machines"], ("id", "speed"), {},
+                                        "machine entries need 'id' and 'speed'")
     _require(isinstance(doc["comm_speed"], list)
              and all(isinstance(row, list) for row in doc["comm_speed"]),
              "'comm_speed' must be a matrix")
 
-    machine_ids, speeds = [e["id"] for e in machine_docs], [e["speed"] for e in machine_docs]
     comm = [s for row in doc["comm_speed"] for s in row if s is not None]
     id_types = set(map(type, chain(task_ids, srcs, dsts, machine_ids)))
     value_types = set(map(type, chain(demands, weights, data, speeds, comm)))
@@ -542,14 +543,14 @@ def instance_from_dict(doc: dict) -> Instance:
     floats = tuple if value_types <= {float} else lambda col: tuple(map(float, col))
     try:
         graph = TaskGraph(floats(demands), floats(weights), tuple(srcs), tuple(dsts), floats(data))
-        machines = list(map(Machine, machine_ids, map(float, speeds)))
+        machines = list(map(Machine, map(float, speeds)))
         comm_rows = [tuple(math.inf if s is None else float(s) for s in row)
                      for row in doc["comm_speed"]]
     except OverflowError as exc:               # float() of an int beyond the float range
         raise InstanceError(f"instance values must be numbers: {exc}") from None
 
     inst = Instance(graph, Platform(tuple(machines), tuple(comm_rows)))
-    report = _validate(inst, task_ids)
+    report = _validate(inst, task_ids, machine_ids)
     if not report.ok:
         raise InstanceError("; ".join(report.violations))
     return inst

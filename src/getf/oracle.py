@@ -34,9 +34,7 @@ def restrict_platform(inst: Instance, machine_ids: tuple[int, ...]) -> Instance:
     """Sub-instance over a machine subset; new machine k is the k-th smallest
     of ``machine_ids``."""
     ordered = sorted(machine_ids)
-    machines = tuple(
-        Machine(new_id, inst.platform.speed[old]) for new_id, old in enumerate(ordered)
-    )
+    machines = tuple(Machine(inst.platform.speed[old]) for old in ordered)
     comm = inst.platform.comm_speed
     sub_comm = tuple(tuple(comm[a][b] for b in ordered) for a in ordered)
     return Instance(inst.graph, Platform(machines, sub_comm))

@@ -85,7 +85,8 @@ from operator import itemgetter
 import numpy as np
 
 from .grouping import GroupAssignment, trivial_assignment
-from .model import Instance, fill_json, integer_ids, json_list, require_numbers, serial_sum
+from .model import (Instance, entry_columns, fill_json, integer_ids, json_list, require_numbers,
+                    serial_sum)
 
 START_TIE_TOL = 1e-12
 VERIFY_TOL = 1e-9  # ``verify_schedule``'s slack: absolute, but relative on finishes
@@ -229,36 +230,38 @@ def schedule_from_dict(doc: dict) -> Schedule:
     """Rebuild a schedule document.  It is malformed (ValueError) if it is not
     an object with an ``assignments`` list, an entry lacks a field, a present
     ``iteration_order`` is not a list or names an unassigned task, a task is
-    listed twice, a value is not a number, or an id is not an integer.
-    Without ``iteration_order``, tasks are placed in start-time order.  Each
-    entry's ``end`` is the task's finish, as written."""
+    listed twice, a value is not a number (or is a time beyond the float
+    range), or an id is not an integer.  Without ``iteration_order``, tasks
+    are placed in start-time order; each ``end`` is the task's finish, as written."""
     if not (isinstance(doc, dict) and isinstance(doc.get("assignments"), list)):
         raise ValueError("schedule document must be a JSON object with an 'assignments' list")
-    entries, listed = doc["assignments"], doc.get("iteration_order", [])
+    listed = doc.get("iteration_order", [])
     if not isinstance(listed, list):
         raise ValueError("'iteration_order' must be a list of task ids")
-    if not all(isinstance(e, dict) and {"task", "machine", "start", "end"} <= e.keys()
-               for e in entries):
-        raise ValueError("assignment entries need 'task', 'machine', 'start' and 'end'")
-    require_numbers(([v for e in entries for v in (e["task"], e["machine"], e["start"], e["end"])],
-                     listed), "schedule")
-    tasks = integer_ids([e["task"] for e in entries], "task")
-    machines = integer_ids([e["machine"] for e in entries], "machine")
-    order = integer_ids(listed, "iteration_order") or [
-        j for j, e in sorted(zip(tasks, entries), key=lambda je: float(je[1]["start"]))]
+    tasks, machines, starts, ends = entry_columns(
+        doc["assignments"], ("task", "machine", "start", "end"), {},
+        "assignment entries need 'task', 'machine', 'start' and 'end'")
+    require_numbers((*zip(tasks, machines, starts, ends), listed), "schedule")
+    tasks, machines = integer_ids(tasks, "task"), integer_ids(machines, "machine")
+    order = integer_ids(listed, "iteration_order")
     for what, ids in (("assignments", tasks), ("iteration_order", order)):
         twice = [j for j, count in Counter(ids).items() if count > 1]
         if twice:
             raise ValueError(f"task {twice[0]} appears more than once in {what}")
-    by_task = dict(zip(tasks, zip(machines, entries)))
-    unassigned = [j for j in order if j not in by_task]
+    assigned = set(tasks)
+    unassigned = [j for j in order if j not in assigned]
     if unassigned:
         raise ValueError(f"iteration_order names task {unassigned[0]}, which has no assignment")
+    try:
+        starts, ends = list(map(float, starts)), list(map(float, ends))
+    except OverflowError as exc:               # float() of an int beyond the float range
+        raise ValueError(f"schedule values must be numbers: {exc}") from None
+    by_task = dict(zip(tasks, zip(machines, starts, ends)))
+    order = order or [j for j, _ in sorted(zip(tasks, starts), key=itemgetter(1))]
     # Entries the order leaves out are placed last, so the verifier sees them.
     s, ordered = Schedule(), set(order)
     for j in [*order, *(j for j in by_task if j not in ordered)]:
-        i, e = by_task[j]
-        s.place(j, i, float(e["start"]), float(e["end"]))
+        s.place(j, *by_task[j])
     return s
 
 

@@ -48,7 +48,7 @@ def make_instance(demands, edges, speeds, comm=None, weights=None) -> Instance:
                       tuple(float(weights[j]) for j in range(n)),
                       tuple(s for s, _, _ in edges), tuple(d for _, d, _ in edges),
                       tuple(float(w) for _, _, w in edges))
-    machines = tuple(Machine(i, float(speeds[i])) for i in range(m))
+    machines = tuple(Machine(float(s)) for s in speeds)
     if comm is None:
         rows = tuple(tuple(math.inf for _ in range(m)) for _ in range(m))
     elif isinstance(comm, (int, float)):

@@ -273,6 +273,23 @@ class TestSolve:
         assert err.startswith(f"error: {bad}: instance values must be numbers: got ")
         assert err.count("\n") == 1, err
 
+    # An entry of each section that is not an object, or lacks a required key.
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d["tasks"][1].pop("demand"), "task entries need 'id' and 'demand'"),
+        (lambda d: d["tasks"].__setitem__(1, [1, 1.0]), "task entries need 'id' and 'demand'"),
+        (lambda d: d["edges"][2].pop("dst"), "edge entries need 'src' and 'dst'"),
+        (lambda d: d["edges"].__setitem__(2, "1->2"), "edge entries need 'src' and 'dst'"),
+        (lambda d: d["machines"][1].pop("speed"), "machine entries need 'id' and 'speed'"),
+    ], ids=["task-without-demand", "task-list", "edge-without-dst", "edge-string",
+            "machine-without-speed"])
+    def test_entry_refusal_names_its_section(self, tmp_path, capsys, edit, message):
+        doc = json.loads(EXAMPLE_JSON)
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("solve", bad, "--algo", "etf") == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
     def test_integral_float_id_accepted(self, tmp_path):
         doc = json.loads(EXAMPLE_JSON)
         doc["tasks"][1]["id"] = 1.0
@@ -679,6 +696,31 @@ class TestVerify:
             assert run(*argv) == EXIT_USAGE, argv
             assert capsys.readouterr().err == f"error: cannot read schedule: {message}\n"
 
+    def test_non_object_entry_is_malformed(self, example_file, tmp_path, capsys):
+        sched = self.tampered(example_file, tmp_path,
+                              lambda doc: doc["assignments"].__setitem__(1, [1, 1, 1.0, 2.0]))
+        for argv in (("verify", example_file, sched), ("gantt", sched)):
+            capsys.readouterr()
+            assert run(*argv) == EXIT_USAGE, argv
+            assert capsys.readouterr().err == ("error: cannot read schedule: assignment entries "
+                                               "need 'task', 'machine', 'start' and 'end'\n")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["start", "end"])
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_non_finite_time_gets_no_bound_report(self, example_file, tmp_path, capsys, algo,
+                                                  key, value):
+        # The chain walk behind the bound report orders finishes, which a
+        # NaN does not allow, so a non-finite time gets no report.
+        sched = self.tampered(example_file, tmp_path,
+                              lambda doc: doc["assignments"][0].update({key: value}))
+        out = tmp_path / "verify.json"
+        assert run("verify", example_file, sched, "--algo", algo, "-o", out) == EXIT_INFEASIBLE
+        doc = json.loads(out.read_text())
+        assert doc["feasible"] is False and doc["violations"]
+        assert "separation" not in doc and "group_consistent" not in doc
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("case", sorted(UNREADABLE_JSON))
     def test_unreadable_schedule_exit_1_one_line(self, example_file, tmp_path, capsys, case):
         bad = tmp_path / "sched.json"
@@ -901,6 +943,47 @@ def test_raw_documents_exit_0_or_2(doc, algo):
             inst = parse_instance(path.read_text())
             sched = schedule_from_dict(json.loads(out.read_text()))
             assert verify_schedule(inst, sched).feasible
+
+
+# Each edit of task 0's schedule entry: one field set to a value that is no
+# finite time or integer id, or deleted, or the whole entry not an object.
+FIELD_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "1e400": 10 ** 400,
+                "-1e400": -10 ** 400, "string": "1", "bool": True, "null": None, "list": [1],
+                "dict": {"a": 1}, "deleted": DELETE}
+SCHEDULE_EDITS = {f"{key}-{name}": (key, value) for key in ("task", "machine", "start", "end")
+                  for name, value in FIELD_VALUES.items()}
+SCHEDULE_EDITS.update({f"entry-{name}": (None, value) for name, value in (
+    ("list", [0, 0, 0.0, 1.0]), ("string", "entry"), ("null", None))})
+
+
+@pytest.mark.parametrize("listed", [True, False], ids=["iteration-order", "no-iteration-order"])
+@pytest.mark.parametrize("case", sorted(SCHEDULE_EDITS))
+def test_schedule_documents_exit_with_one_line_or_none(example_file, tmp_path, capsys, case,
+                                                       listed):
+    sched = tmp_path / "sched.json"
+    assert run("solve", example_file, "--algo", "etf", "-o", sched) == EXIT_OK
+    doc = json.loads(sched.read_text())
+    k = next(k for k, e in enumerate(doc["assignments"]) if e["task"] == 0)
+    key, value = SCHEDULE_EDITS[case]
+    if key is None:
+        doc["assignments"][k] = value
+    elif value is DELETE:
+        del doc["assignments"][k][key]
+    else:
+        doc["assignments"][k][key] = value
+    if not listed:
+        del doc["iteration_order"]
+    sched.write_text(json.dumps(doc))
+    for argv in (("verify", example_file, sched), ("verify", example_file, sched, "--algo", "etf"),
+                 ("gantt", sched)):
+        capsys.readouterr()
+        rc = run(*argv)
+        err = capsys.readouterr().err
+        assert rc in (EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE, EXIT_BOUND), argv
+        if rc == EXIT_USAGE:
+            assert err.startswith("error: cannot read schedule: ") and err.count("\n") == 1, err
+        else:
+            assert err == "", (argv, err)
 
 
 def test_parser_is_built_once_and_reused(example_file, capsys):

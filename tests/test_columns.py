@@ -183,14 +183,16 @@ class TestValidationParity:
     @example(CYCLE)
     @settings(max_examples=200, deadline=None)
     def test_validate_instance_matches_the_reference(self, doc):
-        # A graph numbers its tasks by position, so only dense ids carry over.
-        doc = {**doc, "tasks": [{**t, "id": j} for j, t in enumerate(doc["tasks"])]}
+        # A graph numbers its tasks and a platform its machines by position,
+        # so only dense ids carry over.
+        doc = {**doc, "tasks": [{**t, "id": j} for j, t in enumerate(doc["tasks"])],
+               "machines": [{**mc, "id": i} for i, mc in enumerate(doc["machines"])]}
         inst = Instance(
             TaskGraph(tuple(t["demand"] for t in doc["tasks"]),
                       tuple(t["weight"] for t in doc["tasks"]),
                       tuple(e["src"] for e in doc["edges"]), tuple(e["dst"] for e in doc["edges"]),
                       tuple(e["data"] for e in doc["edges"])),
-            Platform(tuple(Machine(mc["id"], mc["speed"]) for mc in doc["machines"]),
+            Platform(tuple(Machine(mc["speed"]) for mc in doc["machines"]),
                      tuple(tuple(math.inf if s is None else s for s in row)
                            for row in doc["comm_speed"])))
         assert validate_instance(inst).violations == reference_violations(doc)
@@ -204,7 +206,7 @@ class TestValidationParity:
          "edge columns differ in length: src 1, dst 1, data 0"),
     ])
     def test_columns_of_different_lengths(self, columns, message):
-        inst = Instance(TaskGraph(*columns), Platform((Machine(0, 1.0),), ((math.inf,),)))
+        inst = Instance(TaskGraph(*columns), Platform((Machine(1.0),), ((math.inf,),)))
         assert validate_instance(inst).violations == [message]
 
     @pytest.mark.parametrize("src", [(math.nan, 0), (0, math.nan), (-0.5, 0), (0, 5.5)])
@@ -212,7 +214,7 @@ class TestValidationParity:
         # A graph built in code can hold ids the loader refuses.  A NaN passes
         # min and max, and an int64 array would truncate -0.5 to 0.
         inst = Instance(TaskGraph((1.0, 1.0), (0.0, 0.0), src, (1, 1), (1.0, 1.0)),
-                        Platform((Machine(0, 1.0),), ((math.inf,),)))
+                        Platform((Machine(1.0),), ((math.inf,),)))
         doc = document(list(zip(src, (1, 1))), n=2)
         assert validate_instance(inst).violations == reference_violations(doc)
 
@@ -508,8 +510,8 @@ class CountingMachine:
 
     reads = 0
 
-    def __init__(self, id, speed):
-        self.id, self._speed = id, speed
+    def __init__(self, speed):
+        self._speed = speed
 
     @property
     def speed(self):
@@ -521,7 +523,7 @@ def test_every_layer_reads_the_speed_column(monkeypatch):
     # n and m within the oracle's limits; uniform weights for the weighted route.
     base = generate_instance(GeneratorSpec(family="random_dag", n=6, m=3, seed=3, density=0.5,
                                            weights="uniform"))
-    records = tuple(CountingMachine(mc.id, mc.speed) for mc in base.platform.machines)
+    records = tuple(CountingMachine(mc.speed) for mc in base.platform.machines)
     inst = Instance(base.graph, Platform(records, base.platform.comm_speed))
     assert validate_instance(inst).ok
     assert inst.platform.speed == base.platform.speed
@@ -586,7 +588,7 @@ class TestViews:
     def test_columns_are_tuples(self):
         g = generate_instance(GeneratorSpec(family="random_dag", n=12, m=2, seed=1)).graph
         assert all(type(c) is tuple for c in (g.demand, g.weight, g.src, g.dst, g.data))
-        g = parse_instance(serialize_instance(Instance(g, Platform((Machine(0, 1.0),),
+        g = parse_instance(serialize_instance(Instance(g, Platform((Machine(1.0),),
                                                                    ((1.0,),))))).graph
         assert all(type(c) is tuple for c in (g.demand, g.weight, g.src, g.dst, g.data))
 

@@ -38,7 +38,7 @@ def instances(draw) -> Instance:
     tasks = [(draw(numbers), draw(numbers)) for _ in range(n)]
     edges = [(draw(st.integers(0, 9)), draw(st.integers(0, 9)), draw(numbers))
              for _ in range(draw(st.integers(0, 6)))]
-    machines = tuple(Machine(i, draw(numbers)) for i in range(m))
+    machines = tuple(Machine(draw(numbers)) for _ in range(m))
     comm = tuple(tuple(draw(st.one_of(numbers, st.just(math.inf)))
                        for _ in range(draw(st.integers(0, m)))) for _ in range(m))
     return Instance(TaskGraph(*columns(tasks, 2), *columns(edges, 3)), Platform(machines, comm))
@@ -48,7 +48,7 @@ def instances(draw) -> Instance:
 def schedules(draw) -> tuple[Schedule, Instance]:
     n = draw(st.integers(0, 6))
     inst = Instance(TaskGraph((1.0,) * n, tuple(draw(numbers) for _ in range(n)), (), (), ()),
-                    Platform((Machine(0, 1.0),), ((math.inf,),)))
+                    Platform((Machine(1.0),), ((math.inf,),)))
     order = draw(st.permutations(range(n)))
     s = Schedule()
     for j in order:
@@ -58,7 +58,7 @@ def schedules(draw) -> tuple[Schedule, Instance]:
 
 ONE_MACHINE = Instance(
     TaskGraph((2, 1.5), (0.0, 0.0), (), (), ()),  # no edges, an int demand
-    Platform((Machine(0, 1.0),), ((math.inf,),)),  # m=1, a null comm speed
+    Platform((Machine(1.0),), ((math.inf,),)),  # m=1, a null comm speed
 )
 
 

@@ -136,21 +136,19 @@ class TestValidate:
 
 
 def with_column(inst, column, value):
-    """``inst`` with the first value of one column (``machine_ids`` and
+    """``inst`` with the first value of one column (``speed`` and
     ``comm_speed`` name the platform's) replaced by ``value``."""
     g, p = inst.graph, inst.platform
     if column in ("demand", "weight", "src", "dst", "data"):
         return replace(inst, graph=replace(g, **{column: (value, *getattr(g, column)[1:])}))
-    if column in ("machine_ids", "speed"):
-        first = p.machines[0]
-        first = Machine(value, first.speed) if column == "machine_ids" else Machine(first.id, value)
-        return replace(inst, platform=Platform((first, *p.machines[1:]), p.comm_speed))
+    if column == "speed":
+        return replace(inst, platform=Platform((Machine(value), *p.machines[1:]), p.comm_speed))
     rows = ((value, *p.comm_speed[0][1:]), *p.comm_speed[1:])
     return replace(inst, platform=Platform(p.machines, rows))
 
 
 class TestValuesAreNumbers:
-    COLUMNS = ("demand", "weight", "src", "dst", "data", "machine_ids", "speed", "comm_speed")
+    COLUMNS = ("demand", "weight", "src", "dst", "data", "speed", "comm_speed")
 
     @staticmethod
     def base():
@@ -170,8 +168,8 @@ class TestValuesAreNumbers:
     def test_numpy_and_bool_values_accepted(self):
         inst = self.base()
         for column, value in (("demand", np.float32(1.0)), ("weight", True), ("src", False),
-                              ("data", np.int64(2)), ("machine_ids", np.int64(0)),
-                              ("speed", np.float64(1.5)), ("comm_speed", np.float32(2.0))):
+                              ("data", np.int64(2)), ("speed", np.float64(1.5)),
+                              ("comm_speed", np.float32(2.0))):
             inst = with_column(inst, column, value)
         assert validate_instance(inst).ok
 

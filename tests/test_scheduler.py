@@ -894,6 +894,46 @@ def test_schedule_json_round_trip(example_instance):
     assert doc["weighted_completion"] == pytest.approx(5.0)
 
 
+# A field's value: a plausible number, or any other JSON value, integers
+# beyond the float range and non-finite floats included.
+ODD_VALUES = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=2),
+                       st.sampled_from([10 ** 400, -10 ** 400, 2 ** 64, 1.5]),
+                       st.lists(st.integers(0, 3), max_size=2),
+                       st.dictionaries(st.text(max_size=1), st.integers(0, 3), max_size=1))
+
+
+@st.composite
+def schedule_documents(draw):
+    """Schedule documents near the writer's: few entries whose fields are
+    mostly numbers, some other values or deleted, some entries not objects,
+    and an ``iteration_order`` that may be absent, short or odd."""
+    fields = (("task", st.integers(0, 3)), ("machine", st.integers(0, 2)),
+              ("start", st.floats(0.0, 9.0)), ("end", st.floats(0.0, 9.0)))
+    entries = []
+    for _ in range(draw(st.integers(0, 4))):
+        entry = {key: draw(st.one_of(valid, valid, ODD_VALUES)) for key, valid in fields}
+        for key in draw(st.lists(st.sampled_from([f for f, _ in fields]), max_size=1)):
+            del entry[key]
+        entries.append(draw(st.one_of(st.just(entry), st.just(entry), st.just(entry),
+                                      ODD_VALUES)))
+    doc = {"assignments": entries}
+    listed = draw(st.one_of(st.none(), st.lists(st.one_of(st.integers(0, 3), ODD_VALUES),
+                                                 max_size=4), ODD_VALUES))
+    if listed is not None:
+        doc["iteration_order"] = listed
+    return doc
+
+
+@given(schedule_documents())
+@settings(max_examples=400, deadline=None)
+def test_schedule_reader_raises_only_value_error(doc):
+    try:
+        s = schedule_from_dict(doc)
+    except ValueError:
+        return
+    assert all(type(t) is float for t in (*s.start.values(), *s.finish.values()))
+
+
 def test_infinite_comm_is_zero_delay():
     inst = make_instance([1.0, 1.0], [(0, 1, 100.0)], [1.0, 1.0], comm=None)
     s = etf_schedule(inst, TieBreak.by_index())
