@@ -8,6 +8,12 @@ Prints one line per output family:
 
   certify-large  the 32 seed-1 certify operations: violations, separation
                  report, per-task chain values and schedule JSON;
+  engine         ``getf solve --algo etf`` under the four tie rules on the
+                 sets of ``ENGINE_SETS``, two seed-1 instances each at the
+                 generator's default ranges, where many ready tasks wait
+                 for data: fork_join n=1000 at density 0.3, random_dag n=400
+                 at density 0.05, layered n=1000 with m=32, and layered
+                 n=2000 with m=8: output file, stdout, stderr and exit code;
   etf-large      the 16 seed-1 ``getf solve --algo etf`` runs under each of
                  the tie rules by-index, random:7, largest-demand and
                  most-succ: output file, stdout, stderr and exit code;
@@ -33,7 +39,8 @@ Prints one line per output family:
   weighted-lp    the 96 seed-1 ``getf solve --algo getf-weighted`` runs
                  (by-index): output file, stdout, stderr and exit code.
 
-The workloads and their instances come from ``perfbench/harness.py``.
+The workloads and their instances come from ``perfbench/harness.py``; the
+engine sets are workloads of the same shape, run on no benchmark.
 ``--src`` names the source tree getf is imported from (default: ``src/``
 of this checkout), so two trees give byte-identical outputs exactly when
 one run per tree prints the same lines.
@@ -188,13 +195,22 @@ def refusal_parts(g, workdir: Path):
         yield from run("verify", inst, doc) + run("gantt", doc)
 
 
+TIE_RULES = ("by-index", "random:7", "largest-demand", "most-succ")
+ENGINE_SETS = {w.name: w for w in (
+    harness.Workload("fork-join", "etf", "fork_join", 1000, 8, 0.3, "zero", 2, "makespan"),
+    harness.Workload("random-dag", "etf", "random_dag", 400, 8, 0.05, "zero", 2, "makespan"),
+    harness.Workload("layered-m32", "etf", "layered", 1000, 32, 0.05, "zero", 2, "makespan"),
+    harness.Workload("layered-n2000", "etf", "layered", 2000, 8, 0.05, "zero", 2, "makespan"),
+)}
+
+
 def cases(output, *runs):
-    """The family that runs ``output`` on the cases of ``runs``, (workload,
-    seeds, variants) triples, each case once per variant: a tie rule
-    (certify-large has none), or for lp-solves the start."""
+    """The family that runs ``output`` on the cases of ``runs``, (workload
+    or engine set, seeds, variants) triples, each case once per variant: a
+    tie rule (certify-large has none), or for lp-solves the start."""
     def parts(g, workdir: Path):
         for name, seeds, variants in runs:
-            w = harness.WORKLOADS[name]
+            w = harness.WORKLOADS.get(name) or ENGINE_SETS[name]
             for seed in seeds:
                 insts = [g.generator.generate_instance(spec) for spec in harness.specs(g, w, seed)]
                 for case in harness.write_cases(g, insts, workdir, f"{name}-{seed}-"):
@@ -206,8 +222,8 @@ def cases(output, *runs):
 # family -> the parts it hashes, given the package and a work directory.
 FAMILIES = {
     "certify-large": cases(certify_output, ("certify-large", (1,), (None,))),
-    "etf-large": cases(solve_output, (
-        "etf-large", (1,), ("by-index", "random:7", "largest-demand", "most-succ"))),
+    "engine": cases(solve_output, *((name, (1,), TIE_RULES) for name in ENGINE_SETS)),
+    "etf-large": cases(solve_output, ("etf-large", (1,), TIE_RULES)),
     "lp-solves": cases(lp_output, ("makespan-lp", range(1, 11), ("as built", "none")),
                        ("weighted-lp", (1,), ("as built",))),
     "makespan-lp": cases(solve_output, ("makespan-lp", range(1, 11), ("by-index",))),

@@ -220,7 +220,7 @@ class Platform:
         key = tuple(machines)
         into = self._slowest_into.get(key)
         if into is None:
-            into = self._slowest_into[key] = [min(row[i] for i in key)
+            into = self._slowest_into[key] = [min((row[i] for i in key), default=math.inf)
                                               for row in self.comm_speed]
         return into
 

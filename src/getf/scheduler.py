@@ -31,15 +31,25 @@ placement on machine ``i`` can only raise the start on ``i`` to the new
 availability.  A ready task is *machine-bound* once every start in its
 group equals that machine's availability: all its data has arrived, and it
 stays so.  Machine-bound tasks of one band share the band's availability
-vector, hence one scan result, and wait in a per-band list sorted by tie
-rank.  The other, *data-bound*, tasks keep their starts, a count of starts
-still above availability (at 0 the task joins its band's list) and their
-cached scan.  Each iteration takes the smallest scanned start over the
-bands and the data-bound rows and lets the tie rule choose among
-everything tied with it, so every decision matches re-evaluating every
-ready task on every machine in every iteration.  On the benchmark's
-layered n=1000, m=8 ETF instances about 96% of ready tasks are
-machine-bound; on its n=20 makespan instances, about half.
+vector, hence one scan result, and wait in a per-band queue sorted by tie
+rank.  A task that is data-bound when it becomes ready *sleeps* in one heap
+keyed by its smallest start, ``(min(starts), task, starts)``, and no
+placement visits it.  Each iteration takes ``lo``, the smallest scanned
+start over the band queues and the awake rows, and wakes every sleeper with
+``key - lo <= START_TIE_TOL``, lowering ``lo`` to a woken task's scanned
+start when that is smaller.  Waking raises each stored start to
+``max(start, avail[i])``, exactly the raises the sleeper missed, and files
+the task in its band's queue or as an awake *row*: its starts, a count of
+starts still above availability (at 0 the row joins the queue) and its
+cached scan.  The rule is exact: a sleeper's scanned start is at least its
+smallest current start, which is at least its key, and subtraction rounds
+monotonically, so a sleeper left asleep is neither the smallest start nor
+tied with it.  The tie rule then chooses among everything tied with ``lo``,
+so every decision matches re-evaluating every ready task on every machine
+in every iteration.  At each decision on the benchmark's layered n=1000,
+m=8 ETF instances, 96.3% of ready tasks are queued, 0.8% awake rows and
+2.9% asleep (208.4, 1.7 and 6.4 of 216.5); on its n=20 makespan instances,
+55.8%, 8.9% and 35.3% (3.3, 0.5 and 2.1 of 5.9).
 
 Two exact shortcuts skip scans whose result is known.  Let ``lo`` be the
 smallest start and ``second`` the next smallest.  If ``lo < second -
@@ -51,8 +61,8 @@ replaces any best before it, which is at least ``second``, and by the
 second no later start ties with it.  Both are needed: 1000 + 9 ulp passes
 the second against 1000, but 1000 + 9 ulp - START_TIE_TOL rounds to 1000,
 and below START_TIE_TOL pairs pass the first but not the second.  A
-placement that raises a data-bound task's start on a machine other than
-that of its cached lone minimum only stores the new start: ``lo`` stays,
+placement that raises a row's start on a machine other than that of its
+cached lone minimum only stores the new start: ``lo`` stays,
 ``second`` can only grow and both tests are monotone in ``second``, so
 the cached scan is still the scan.  Every other raise redoes the scan.
 
@@ -62,12 +72,12 @@ each machine) and reads finishes, communication rows and the edge data
 aligned with each predecessor list straight from their containers.
 ``sls_schedule`` keeps such a list too, calls ``earliest_start`` once per
 task and picks the machine with the shared ``_scan``, the machine ids as
-preference.  It also passes the band's ``slowest_into`` table, and the
-walk skips a predecessor whose data reaches every machine of the band by
-the smallest start it began from; rounded division and addition are
-monotone, so no start could move.  About 90% of SLS's predecessor visits
-skip, as it places a task long after its predecessors finish; GETF, which
-takes starts when the last predecessor is placed, passes no table.
+preference.  The walk skips a predecessor whose data reaches every machine
+of the set by the smallest start it began from, read from the platform's
+``slowest_into`` table; rounded division and addition are monotone, so no
+start could move.  About 90% of SLS's predecessor visits skip, as it places
+a task long after its predecessors finish; in GETF, which takes starts when
+the last predecessor is placed, about a third do.
 
 ``verify_schedule`` decides each section with whole-array checks and runs
 its item loops only for a section that failed, to word its messages.
@@ -80,6 +90,7 @@ import random
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from operator import itemgetter
 
 import numpy as np
@@ -265,29 +276,28 @@ def schedule_from_dict(doc: dict) -> Schedule:
     return s
 
 
-def earliest_start(task: int, machines, avail, partial: Schedule,
-                   inst: Instance, slowest=None) -> list[float]:
+def earliest_start(task: int, machines, avail, partial: Schedule, inst: Instance) -> list[float]:
     """Earliest feasible starts of ``task`` on each of ``machines``, in that
     order, from one walk over its predecessors: the later of ``avail[i]``,
     the time machine ``i`` becomes free, and every predecessor's data
     arrival in the partial schedule, read from the graph's predecessor lists
-    and the edge data aligned with them.
-
-    ``slowest``, when given, is ``inst.platform.slowest_into(machines)``: a
-    predecessor whose data reaches every machine of the set by the smallest
-    start the walk began from is skipped, as it can move no start."""
+    and the edge data aligned with them.  A predecessor whose data reaches
+    every machine of the set by the smallest start the walk began from is
+    skipped, as it can move no start."""
     starts = [avail[i] for i in machines]
     g = inst.graph
     preds = g.predecessors()[task]
     if not preds:
         return starts
     finish, assignment, comm = partial.finish, partial.assignment, inst.platform.comm_speed
-    settled = None if slowest is None else min(starts, default=math.inf)
+    # min(starts, default=math.inf), without the keyword, which doubles min's cost.
+    settled = min(starts) if starts else math.inf
+    slowest = inst.platform.slowest_into(machines)
     for p, data in zip(preds, g.predecessor_data()[task]):
         if p not in assignment:
             raise SchedulingError(f"predecessor {p} of task {task} is not scheduled")
         ready, a = finish[p], assignment[p]
-        if slowest is not None and ready + data / slowest[a] <= settled:
+        if ready + data / slowest[a] <= settled:
             continue
         sigma, k = comm[a], 0
         for i in machines:
@@ -335,8 +345,8 @@ def _group_machines(task: int, f: GroupAssignment) -> tuple[int, ...]:
 
 
 class _Row:
-    """A data-bound ready task: its starts in group order, how many still
-    exceed their machine's availability, and its cached scan (start,
+    """An awake data-bound ready task: its starts in group order, how many
+    still exceed their machine's availability, and its cached scan (start,
     machine, and whether the start was a lone minimum)."""
 
     __slots__ = ("starts", "above", "best")
@@ -347,16 +357,15 @@ class _Row:
 
 
 class _Band:
-    """The ready tasks of one band.  Machine-bound tasks wait in ``queue`` as
-    sorted tie ranks and share ``best``, the scan of the band's
+    """The awake ready tasks of one band.  Machine-bound tasks wait in
+    ``queue`` as sorted tie ranks and share ``best``, the scan of the band's
     availabilities (None once a placement on a band machine made it stale);
-    each data-bound task keeps a ``_Row`` in ``rows``."""
+    each awake data-bound task keeps a ``_Row`` in ``rows``."""
 
-    __slots__ = ("machines", "col", "best", "queue", "rows")
+    __slots__ = ("machines", "best", "queue", "rows")
 
     def __init__(self, machines: tuple[int, ...]):
         self.machines = machines
-        self.col = {i: c for c, i in enumerate(machines)}
         self.best = None
         self.queue: list[int] = []
         self.rows: dict[int, _Row] = {}
@@ -377,10 +386,12 @@ class _Placement:
         self.avail = [0.0] * m
         self.bands: dict[int, _Band] = {}
         self.bands_on: list[list[_Band]] = [[] for _ in range(m)]
+        self.sleepers: list[tuple[float, int, list[float]]] = []   # heap of (min start, task, starts)
         self.ready = 0
 
     def add(self, task: int) -> None:
-        """Take in a newly ready task."""
+        """Take in a newly ready task: machine-bound into its band's queue,
+        data-bound to sleep."""
         k = self.f.group_of_task[task]
         band = self.bands.get(k)
         if band is None:
@@ -389,15 +400,31 @@ class _Placement:
                 self.bands_on[i].append(band)
         machines, avail = band.machines, self.avail
         starts = earliest_start(task, machines, avail, self.sched, self.inst)
-        above = 0
         for i, t in zip(machines, starts):
             if t > avail[i]:
-                above += 1
-        if above:
-            band.rows[task] = _Row(starts, above, machines, self.pref)
+                heappush(self.sleepers, (min(starts), task, starts))
+                break
         else:
             insort(band.queue, self.chooser.rank[task])
         self.ready += 1
+
+    def wake(self, task: int, starts: list[float]) -> float:
+        """File a sleeper as a row or in its band's queue, with each stored
+        start raised to its machine's availability; returns its scanned start."""
+        band, avail = self.bands[self.f.group_of_task[task]], self.avail
+        machines, above = band.machines, 0
+        for c, i in enumerate(machines):
+            if starts[c] < avail[i]:
+                starts[c] = avail[i]
+            elif starts[c] > avail[i]:
+                above += 1
+        if above:
+            row = band.rows[task] = _Row(starts, above, machines, self.pref)
+            return row.best[0]
+        insort(band.queue, self.chooser.rank[task])
+        if band.best is None:
+            band.best = _scan(machines, [avail[i] for i in machines], self.pref)
+        return band.best[0]
 
     def pick(self) -> tuple[int, float, int]:
         """Remove the task the tie rule takes among the ready tasks tied at
@@ -413,6 +440,14 @@ class _Placement:
             for row in b.rows.values():
                 if row.best[0] < lo:
                     lo = row.best[0]
+        # A sleeper's scanned start is at least its key, so one left asleep
+        # is neither the smallest nor tied with it; lo only falls as it wakes.
+        sleepers = self.sleepers
+        while sleepers and sleepers[0][0] - lo <= START_TIE_TOL:
+            _, j, starts = heappop(sleepers)
+            t = self.wake(j, starts)
+            if t < lo:
+                lo = t
         # Every best is at least lo, so best - lo is never negative.
         tied = []
         for b in bands:
@@ -433,13 +468,15 @@ class _Placement:
         return task, best[0], best[1]
 
     def place(self, task: int, start: float, machine: int) -> None:
-        """Append ``task`` to ``machine`` and raise the starts on it."""
+        """Append ``task`` to ``machine`` and raise the awake rows' starts on it."""
         old, now = self.avail[machine], start + self.inst.graph.demand[task] / self.speed[machine]
         self.sched.place(task, machine, start, now)
         self.avail[machine] = now
         for band in self.bands_on[machine]:
             band.best = None
-            c, bound = band.col[machine], []
+            if not band.rows:
+                continue
+            c, bound = band.machines.index(machine), []
             for j, row in band.rows.items():
                 t = row.starts[c]
                 if t > now:
@@ -496,12 +533,9 @@ def sls_schedule(inst: Instance, f: GroupAssignment, priority: list[int]) -> Sch
             )
     demand, speed = inst.graph.demand, inst.platform.speed
     sched, avail, lowest_id_first = Schedule(), [0.0] * inst.platform.m, range(inst.platform.m)
-    band = None
     for j in priority:
         machines = _group_machines(j, f)
-        if machines is not band:  # a band's tuple is one object, shared by its tasks
-            band, slowest = machines, inst.platform.slowest_into(machines)
-        starts = earliest_start(j, machines, avail, sched, inst, slowest)
+        starts = earliest_start(j, machines, avail, sched, inst)
         best_t, best_m, _ = _scan(machines, starts, lowest_id_first)
         avail[best_m] = end = best_t + demand[j] / speed[best_m]
         sched.place(j, best_m, best_t, end)

@@ -1,9 +1,10 @@
 """The certify path's shortcuts against the code they replaced, kept here as
 references:
 
-  * ``earliest_start`` given the platform's ``slowest_into`` table skips a
-    predecessor whose data reaches every machine of the set by the
-    smallest start the walk began from; its starts equal the full walk's;
+  * ``earliest_start`` skips a predecessor whose data reaches every
+    machine of the set by the smallest start the walk began from, read
+    from the platform's ``slowest_into`` table; its starts equal those of
+    ``reference_earliest_start``, which walks every predecessor;
   * ``verify_schedule`` decides with whole-array checks and runs its item
     loops only to word a failed check; its violations, text and order,
     equal those of ``loop_verify_schedule``, which always runs the loops;
@@ -35,7 +36,7 @@ from test_scheduler import (random_band_assignment, random_topological_order,
 
 
 # ---------------------------------------------------------------------------
-# earliest_start with the slowest-into table
+# earliest_start's skipped predecessors
 # ---------------------------------------------------------------------------
 
 def reference_earliest_start(task, machines, avail, partial, inst):
@@ -93,10 +94,8 @@ class TestSkippedPredecessors:
         for j in random_topological_order(inst, rng):
             band = f.machines_for(j)
             for ms in machine_sets(rng, inst, band):
-                slowest = inst.platform.slowest_into(ms)
-                got = earliest_start(j, ms, avail, sched, inst, slowest)
+                got = earliest_start(j, ms, avail, sched, inst)
                 assert type(got) is list
-                assert got == earliest_start(j, ms, avail, sched, inst)
                 assert got == reference_earliest_start(j, ms, avail, sched, inst)
             # Placed as SLS places it, with machine ties to the lowest id.
             t, i, _ = _scan(band, earliest_start(j, band, avail, sched, inst),
@@ -106,9 +105,8 @@ class TestSkippedPredecessors:
 
     def test_unscheduled_predecessor_checked_before_the_skip(self, example_instance):
         # Both machines are free late, but task 3's predecessors are not placed.
-        slowest = example_instance.platform.slowest_into((0, 1))
         with pytest.raises(SchedulingError, match="predecessor 0 of task 3"):
-            earliest_start(3, (0, 1), [9.0, 9.0], Schedule(), example_instance, slowest)
+            earliest_start(3, (0, 1), [9.0, 9.0], Schedule(), example_instance)
 
 
 class TestSlowestInto:
@@ -119,6 +117,7 @@ class TestSlowestInto:
         assert into((0,)) == [1.0, 3.0, 2.0]
         assert into((1, 2)) == [2.0, 0.5, 2.0]
         assert into((2,)) == [math.inf, 0.5, 2.0]
+        assert into(()) == [math.inf] * 3
 
     def test_one_table_per_machine_set(self):
         inst = generate_instance(GeneratorSpec("layered", 6, 3, seed=1))

@@ -303,8 +303,25 @@ def shared_band_assignment(inst, rng):
     return hand_bands(inst, members, [rng.choice((1, 2, 3)) for _ in range(inst.graph.n)])
 
 
+def fresh_lo(engine):
+    """The smallest start over the ready tasks, each scanned afresh by the
+    reference scan of its ``earliest_start`` starts."""
+    sched, inst, pref, avail = engine.sched, engine.inst, engine.pref, engine.avail
+    ready = [(task, band) for band in engine.bands.values() for task in band.rows]
+    ready += [(engine.chooser.task_of_rank[r], band)
+              for band in engine.bands.values() for r in band.queue]
+    ready += [(task, engine.bands[engine.f.group_of_task[task]])
+              for _, task, _ in engine.sleepers]
+    return min(reference_scan(band.machines,
+                              earliest_start(task, band.machines, avail, sched, inst), pref)[0]
+               for task, band in ready)
+
+
 def step_placement(inst, f, tie, check):
-    """``getf_schedule``'s loop, calling ``check(engine)`` after every placement."""
+    """``getf_schedule``'s loop, calling ``check(engine)`` after every
+    placement.  Before each pick it takes ``lo``, the smallest fresh scan
+    over the ready tasks; after it, the picked start is tied with ``lo`` and
+    every sleeper left asleep has a key more than ``START_TIE_TOL`` above it."""
     engine = _Placement(inst, f, TieChooser(tie, inst.graph))
     succs = inst.graph.successors()
     waiting = [len(p) for p in inst.graph.predecessors()]
@@ -312,7 +329,10 @@ def step_placement(inst, f, tie, check):
         if k == 0:
             engine.add(j)
     while engine.ready:
+        lo = fresh_lo(engine)
         j, start, machine = engine.pick()
+        assert 0.0 <= start - lo <= START_TIE_TOL
+        assert all(key - lo > START_TIE_TOL for key, _, _ in engine.sleepers)
         engine.place(j, start, machine)
         check(engine)
         for w in succs[j]:
@@ -323,11 +343,13 @@ def step_placement(inst, f, tie, check):
 
 
 def check_cached_scans(engine):
-    """Every cached start and scan equals one made afresh: a data-bound row's
+    """Every cached start and scan equals one made afresh: an awake row's
     starts are ``earliest_start``'s and its best is the reference scan of
     them, with the lone flag a fresh ``_scan`` gives; a machine-bound task's
-    starts are the availabilities, whose scan a band's ``best`` holds.  The
-    engine's availabilities are the timelines'."""
+    starts are the availabilities, whose scan a band's ``best`` holds; a
+    sleeper's key is the smallest of its stored starts, which raised to the
+    availabilities are ``earliest_start``'s.  The engine's availabilities
+    are the timelines'."""
     sched, inst, pref = engine.sched, engine.inst, engine.pref
     avail = timeline_avail(sched, inst)
     assert engine.avail == avail
@@ -342,6 +364,11 @@ def check_cached_scans(engine):
             assert row.starts == earliest_start(task, band.machines, avail, sched, inst)
             assert row.best[:2] == reference_scan(band.machines, row.starts, pref)
             assert row.best == _scan(band.machines, row.starts, pref)
+    for key, task, starts in engine.sleepers:
+        machines = engine.bands[engine.f.group_of_task[task]].machines
+        assert key == min(starts)
+        assert [max(t, avail[i]) for t, i in zip(starts, machines)] == \
+            earliest_start(task, machines, avail, sched, inst)
 
 
 class TestPlacementEngine:
@@ -377,23 +404,44 @@ class TestPlacementEngine:
             assert s.to_json(inst) == getf_schedule(inst, f, tie).to_json(inst)
 
     def test_data_bound_task_turns_machine_bound(self):
-        # Task 1 waits for data from task 0 until 1 + 3; task 2 fills the
-        # machine until 6 first, so task 1 then waits for the machine alone.
+        # Task 1 waits for data from task 0 until 1 + 3, so it sleeps with
+        # key 4; task 2 fills the machine until 6 first, so task 1 wakes into
+        # the queue at the third pick and waits for the machine alone.
         inst = make_instance([1.0, 1.0, 5.0], [(0, 1, 3.0)], [1.0], comm=1.0)
         f = trivial_assignment(inst)
         engine = _Placement(inst, f, TieChooser(TieBreak.by_index(), inst.graph))
         engine.add(0)
         engine.add(2)
         band = engine.bands[1]
-        assert band.queue == [0, 2] and not band.rows
+        assert band.queue == [0, 2] and not band.rows and not engine.sleepers
         engine.place(*engine.pick())
         engine.add(1)
-        assert band.rows[1].above == 1 and band.rows[1].best == (4.0, 0, True)
+        assert engine.sleepers == [(4.0, 1, [4.0])] and not band.rows
         engine.place(*engine.pick())
-        assert not band.rows and band.queue == [1]
+        assert engine.sleepers == [(4.0, 1, [4.0])] and not band.queue
         assert engine.pick() == (1, 6.0, 0)
+        assert not engine.sleepers and not band.rows and not band.queue
         s = getf_schedule(inst, f, TieBreak.by_index())
         assert s.iteration_order == [0, 2, 1] and s.start[1] == 6.0
+        assert s.to_json(inst) == naive_getf(inst, f, TieBreak.by_index()).to_json(inst)
+
+    def test_sleeper_within_the_tolerance_wakes_and_wins_the_tie(self):
+        # Task 2 waits for the machine alone from 1.0, the smallest start.
+        # Task 1 waits for data from task 0 until 1 + 0.5e-12 on the same,
+        # free machine, so it sleeps with a key above lo but within
+        # START_TIE_TOL of it; it must wake, tie, and go first by index.
+        inst = make_instance([1.0, 1.0, 1.0], [(0, 1, 0.5e-12)], [1.0], comm=1.0)
+        f = trivial_assignment(inst)
+        engine = _Placement(inst, f, TieChooser(TieBreak.by_index(), inst.graph))
+        engine.add(0)
+        engine.add(2)
+        engine.place(*engine.pick())
+        engine.add(1)
+        ((key, task, _),) = engine.sleepers
+        assert task == 1 and 0.0 < key - 1.0 <= START_TIE_TOL
+        assert engine.pick() == (1, key, 0)
+        s = getf_schedule(inst, f, TieBreak.by_index())
+        assert s.iteration_order == [0, 1, 2]
         assert s.to_json(inst) == naive_getf(inst, f, TieBreak.by_index()).to_json(inst)
 
     def test_raising_a_start_that_is_not_the_best_moves_the_scan(self):
