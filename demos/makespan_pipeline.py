@@ -40,11 +40,11 @@ def main():
     print(f"\ngreedy schedule: makespan {sched.makespan():.4g}, "
           f"feasible: {verify_schedule(inst, sched, f).feasible}")
 
-    sep = separation_report(sched, inst, f, groups)
+    sep = separation_report(sched, inst, f, f.groups)
     print(f"separation: P = {sep.context['P']:.4g}, sum_D = {sep.context['sum_D']:.4g}, "
           f"C = {sep.context['C']:.4g} -> bound {sep.inequalities[0].rhs:.4g}")
 
-    rep = makespan_theorem_report(sched, inst, f, groups, frac.T)
+    rep = makespan_theorem_report(sched, inst, f, frac.T)
     for iq in rep.inequalities:
         mark = "ok " if iq.passed else "VIOLATED"
         print(f"  [{mark}] {iq.name}: {iq.lhs:.4g} <= {iq.rhs:.4g}")

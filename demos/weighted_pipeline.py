@@ -35,7 +35,7 @@ def main():
           f"makespan {sched.makespan():.4g}, "
           f"feasible: {verify_schedule(inst, sched, f).feasible}")
 
-    rep = weighted_theorem_report(sched, inst, f, groups, wsol)
+    rep = weighted_theorem_report(sched, inst, f, wsol)
     worst = min(rep.inequalities, key=lambda iq: iq.slack)
     print(f"bound report: {len(rep.inequalities)} inequalities, "
           f"all pass: {rep.passed}")

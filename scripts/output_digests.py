@@ -8,6 +8,11 @@ Prints one line per output family:
 
   certify-large  the 32 seed-1 certify operations: violations, separation
                  report, per-task chain values and schedule JSON;
+  compare        ``getf compare`` with its default algorithms over a
+                 directory of the 48 seed-1 ``makespan-lp`` instances and one
+                 unreadable JSON file, by-index and with ``--seeds 1,2``:
+                 stdout with the ``runtime_s`` column blanked, stderr and
+                 exit code;
   engine         ``getf solve --algo etf`` under the four tie rules on the
                  sets of ``ENGINE_SETS``, two seed-1 instances each at the
                  generator's default ranges, where many ready tasks wait
@@ -55,6 +60,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import copy  # noqa: E402
+import csv  # noqa: E402
 import dataclasses  # noqa: E402
 import functools  # noqa: E402
 import hashlib  # noqa: E402
@@ -115,6 +121,23 @@ def read_back_output(g, w, case, tie: str) -> list[str]:
              + cli_output(g, ["gantt", case.out]))
     Path(case.out).unlink(missing_ok=True)
     return parts
+
+
+def compare_parts(g, workdir: Path):
+    """``getf compare`` over the seed-1 ``makespan-lp`` instances and one
+    unreadable file, with each row's wall time blanked."""
+    folder = workdir / "compare"
+    folder.mkdir()
+    specs = harness.specs(g, harness.WORKLOADS["makespan-lp"], 1)
+    harness.write_cases(g, list(map(g.generator.generate_instance, specs)), folder, "makespan-lp-1-")
+    (folder / "unreadable.json").write_text(UNREADABLE_TEXTS[1], encoding="utf-8")
+    for seeds in ([], ["--seeds", "1,2"]):
+        out, *rest = cli_output(g, ["compare", str(folder), *seeds])
+        rows = list(csv.reader(io.StringIO(out)))
+        runtime = rows[0].index("runtime_s")
+        for row in rows[1:]:
+            row[runtime] = ""
+        yield from [json.dumps(rows), *rest]
 
 
 # The instance the refusals family edits: four tasks on two machines.
@@ -222,6 +245,7 @@ def cases(output, *runs):
 # family -> the parts it hashes, given the package and a work directory.
 FAMILIES = {
     "certify-large": cases(certify_output, ("certify-large", (1,), (None,))),
+    "compare": compare_parts,
     "engine": cases(solve_output, *((name, (1,), TIE_RULES) for name in ENGINE_SETS)),
     "etf-large": cases(solve_output, ("etf-large", (1,), TIE_RULES)),
     "lp-solves": cases(lp_output, ("makespan-lp", range(1, 11), ("as built", "none")),

@@ -231,12 +231,12 @@ def _band_loads(totals: dict[int, float], groups: MachineGroups) -> dict[int, fl
     return {k: t / groups.group_speed[k] if t > 0 else 0.0 for k, t in totals.items()}
 
 
-def group_loads(inst: Instance, f: GroupAssignment, groups: MachineGroups) -> dict[int, float]:
+def group_loads(inst: Instance, f: GroupAssignment) -> dict[int, float]:
     """D_k over every task."""
-    totals: dict[int, float] = {k: 0.0 for k in range(1, groups.K + 1)}
+    totals: dict[int, float] = {k: 0.0 for k in range(1, f.groups.K + 1)}
     for j, d in enumerate(inst.graph.demand):
         totals[f.group_of_task[j]] += d
-    return _band_loads(totals, groups)
+    return _band_loads(totals, f.groups)
 
 
 def machine_idle_in_window(timeline: list[tuple[float, float, int]], lo: float, hi: float) -> float:
@@ -262,22 +262,25 @@ def idle_bound_replay(chain: tuple[int, ...], s: Schedule, inst: Instance,
             report.add(f"idle[{a}->{b}]@m{i}", idle, data / sigma[i])
 
 
-def _chain_terms(s: Schedule, inst: Instance, f: GroupAssignment,
-                 groups: MachineGroups) -> tuple[tuple[int, ...], dict, dict[int, float]]:
+def _chain_terms(s: Schedule, inst: Instance,
+                 f: GroupAssignment) -> tuple[tuple[int, ...], dict, dict[int, float]]:
     """The min-comm chain, the context terms P, C, sum_D, gamma and K that
     both makespan reports start with, and the band loads D_k."""
     chain, comm = min_comm_terminal_chain(s, inst, f)
-    loads = group_loads(inst, f, groups)
+    loads = group_loads(inst, f)
     terms = {"P": chain_processing_time(chain, s, inst), "C": comm,
-             "sum_D": serial_sum(loads.values()), "gamma": groups.gamma, "K": float(groups.K)}
+             "sum_D": serial_sum(loads.values()), "gamma": f.groups.gamma, "K": float(f.groups.K)}
     return chain, terms, loads
 
 
 def separation_report(s: Schedule, inst: Instance, f: GroupAssignment,
                       groups: MachineGroups) -> BoundReport:
     """makespan <= P + sum_k D_k + C over the cheapest terminal chain,
-    plus the per-link idle replay."""
-    chain, terms, loads = _chain_terms(s, inst, f, groups)
+    plus the per-link idle replay.  The bands are ``f``'s; ``groups`` must
+    be ``f.groups`` or equal to it."""
+    if groups != f.groups:
+        raise AnalysisError("separation_report: groups must be the bands of f")
+    chain, terms, loads = _chain_terms(s, inst, f)
     report = BoundReport(
         kind="separation",
         objective=s.makespan(),
@@ -291,10 +294,10 @@ def separation_report(s: Schedule, inst: Instance, f: GroupAssignment,
 
 
 def makespan_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
-                            groups: MachineGroups, tstar: float) -> BoundReport:
+                            tstar: float) -> BoundReport:
     """Chain and load bounds against the fractional makespan optimum T*."""
-    chain, terms, _ = _chain_terms(s, inst, f, groups)
-    g, K = groups.gamma, groups.K
+    chain, terms, _ = _chain_terms(s, inst, f)
+    g, K = f.groups.gamma, f.groups.K
     report = BoundReport(
         kind="makespan_theorem",
         objective=s.makespan(),
@@ -385,7 +388,6 @@ def per_task_chain_comm(s: Schedule, inst: Instance,
 
 
 def weighted_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
-                            groups: MachineGroups,
                             wsol: WeightedFractional) -> BoundReport:
     """Per-task and aggregate weighted-completion bounds against the
     time-indexed fractional optimum.
@@ -396,7 +398,7 @@ def weighted_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
     the per-interval feasibility substitution of the collapsed fractions.
     """
     c_star, q_of = wsol.C.tolist(), wsol.q_of.tolist()
-    g, K = groups.gamma, groups.K
+    g, K = f.groups.gamma, f.groups.K
     factor = 32.0 * (g + K)
     weights = inst.graph.weight
 
@@ -412,7 +414,7 @@ def weighted_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
     for j in s.iteration_order:
         prefix_load[f.group_of_task[j]] += inst.graph.demand[j]
         proc_j = chain_processing_time(table.chain(j), s, inst)
-        loads_j = serial_sum(_band_loads(prefix_load, groups).values())
+        loads_j = serial_sum(_band_loads(prefix_load, f.groups).values())
         report.add(f"P+sumD(task {j})<=32*(gamma+K)*C*", proc_j + loads_j,
                    factor * c_star[j])
         report.add(f"2^(q-1)(task {j})<=2*C*", 2.0 ** (q_of[j] - 1), 2.0 * c_star[j])
@@ -423,6 +425,6 @@ def weighted_theorem_report(s: Schedule, inst: Instance, f: GroupAssignment,
     )
     report.add("sum wC<=32*(gamma+K)*sum wC*+sum wC(S,j)", lhs, rhs)
 
-    for q, violation in sorted(weighted_slice_feasibility(inst, groups, wsol).items()):
+    for q, violation in sorted(weighted_slice_feasibility(inst, f.groups, wsol).items()):
         report.add(f"interval {q} substitution feasible", violation, 0.0)
     return report

@@ -243,21 +243,25 @@ class ValidationReport:
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check every structural invariant; violations make the instance unusable.
 
-    Every value must be a real number, Python's or numpy's; the first that
-    is not is the one violation.  Disconnected DAGs and zero-data edges are
-    legal; edge ids must be integers, as every list indexed by them
-    requires.  Once every item passes, the graph must be acyclic and its
-    times must stay in the float range: the smallest processing time,
-    min(demand) / max(speed), is positive, and 4 x the serial horizon,
-    sum(demand) / min(speed) + sum(data) / (the smallest finite comm speed),
-    is finite.  That horizon bounds every time of an append-only schedule,
-    and the reports add at most three such times.
+    Every value must be a real number, Python's or numpy's, and all but the
+    ids must convert to floats; the first that fails is the one violation.
+    Disconnected DAGs and zero-data edges are legal; edge ids must be
+    integers, as every list indexed by them requires.  Once every item
+    passes, the graph must be acyclic and its times must stay in the float
+    range: the smallest processing time, min(demand) / max(speed), is
+    positive, and 4 x the serial horizon, sum(demand) / min(speed) +
+    sum(data) / (the smallest finite comm speed), is finite: it bounds every
+    time of an append-only schedule, and a report adds at most three.
     """
     g, p = inst.graph, inst.platform
     for v in chain(g.demand, g.weight, g.src, g.dst, g.data, p.speed,
                    chain.from_iterable(p.comm_speed)):
         if not isinstance(v, Real):  # the loader's require_numbers wording
             return ValidationReport([f"instance values must be numbers: got {v!r}"])
+    try:  # an int beyond the float range: the loader's wording
+        list(map(float, chain(g.demand, g.weight, g.data, p.speed, *p.comm_speed)))
+    except OverflowError as exc:
+        return ValidationReport([f"instance values must be numbers: {exc}"])
     int_ids = all(issubclass(t, Integral) for t in set(map(type, chain(g.src, g.dst))))
     return _validate(inst, range(g.n), range(p.m), int_ids)
 
@@ -359,15 +363,12 @@ def _validate(inst: Instance, task_ids, machine_ids, int_ids: bool = True) -> Va
 def _edge_columns_valid(g: TaskGraph) -> bool:
     """Whether every edge joins two tasks, none is a self or parallel edge,
     and all data is finite and nonnegative.  The ids are range-checked on
-    the columns first, so only ids in 0..n-1 reach the int64 arrays; a
-    column the arrays cannot hold (a NaN id, say) fails the check."""
+    the columns first, so only integer ids in 0..n-1 reach the int64 arrays,
+    and every data value converts to a float."""
     n = g.n
     if not (min(g.src) >= 0 and max(g.src) < n and min(g.dst) >= 0 and max(g.dst) < n):
         return False
-    try:
-        src, dst, data = g.edge_columns()
-    except (OverflowError, ValueError):
-        return False
+    src, dst, data = g.edge_columns()
     keys = src * n + dst                        # one key per (src, dst) pair
     keys.sort()
     return bool((src != dst).all() and (keys[1:] != keys[:-1]).all()

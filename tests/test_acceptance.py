@@ -167,7 +167,7 @@ def test_criterion_3_makespan_pipeline_bounds():
         f = assign_groups_makespan(frac, groups)
         s = getf_schedule(inst, f, TIE_RULES[k % 4])
         assert verify_schedule(inst, s, f).feasible
-        rep = makespan_theorem_report(s, inst, f, groups, frac.T)
+        rep = makespan_theorem_report(s, inst, f, frac.T)
         named = {iq.name: iq for iq in rep.inequalities}
         if not named["P<=2*gamma*T*"].passed:
             chain_fail += 1
@@ -290,7 +290,7 @@ def test_criterion_6_weighted_pipeline():
         f = assign_groups_weighted(wsol, groups)
         s = getf_schedule(inst, f, TIE_RULES[k % 4])
         assert verify_schedule(inst, s, f).feasible
-        rep = weighted_theorem_report(s, inst, f, groups, wsol)
+        rep = weighted_theorem_report(s, inst, f, wsol)
         for iq in rep.inequalities:
             if iq.passed:
                 continue
@@ -408,7 +408,7 @@ def test_criterion_9_many_band_stress():
         s = getf_schedule(inst, f, TieBreak.by_index())
         if not verify_schedule(inst, s, f).feasible:
             infeasible.append(spec)
-        checked = [*makespan_theorem_report(s, inst, f, groups, frac.T).inequalities,
+        checked = [*makespan_theorem_report(s, inst, f, frac.T).inequalities,
                    separation_report(s, inst, f, groups).inequalities[0]]
         failures += [(spec, iq.name, iq.lhs, iq.rhs) for iq in checked if not iq.passed]
         max_bands = max(max_bands, groups.K)
@@ -446,7 +446,7 @@ def test_criterion_9_many_band_stress_weighted():
         s = getf_schedule(inst, f, TieBreak.by_index())
         if not verify_schedule(inst, s, f).feasible:
             infeasible.append(spec)
-        rep = weighted_theorem_report(s, inst, f, groups, wsol)
+        rep = weighted_theorem_report(s, inst, f, wsol)
         failures += [(spec, iq.name, iq.lhs, iq.rhs) for iq in rep.inequalities if not iq.passed]
         max_bands = max(max_bands, groups.K)
         discarded += m - len(groups.retained)

@@ -214,6 +214,22 @@ class TestSeparation:
         assert bad.rhs == pytest.approx(0.5)
         assert not bad.passed
 
+    def test_bands_other_than_the_assignments_are_refused(self):
+        # Bands of another gamma would give another sum_D (7.63 instead of
+        # 4.50 here) and a looser bound over bands no task was placed in.
+        inst = generate_instance(GeneratorSpec("layered", 12, 4, seed=3,
+                                               speed_range=(0.5, 4.0)))
+        groups = partition_machines(inst.platform)
+        f = assign_groups_makespan(solve_makespan_relaxation(inst, groups), groups)
+        s = getf_schedule(inst, f, TieBreak.by_index())
+        other = partition_machines(inst.platform, gamma=3.0)
+        assert other.K == groups.K and other != groups
+        with pytest.raises(analysis.AnalysisError, match="groups must be the bands of f"):
+            separation_report(s, inst, f, other)
+        same = separation_report(s, inst, f, f.groups).to_json()
+        assert separation_report(s, inst, f, partition_machines(inst.platform)).to_json() == same
+        assert json.loads(same)["context"]["sum_D"] == pytest.approx(4.5028155)
+
 
 class TestMakespanTheorem:
     def test_worked_example(self, example_instance):
@@ -221,7 +237,7 @@ class TestMakespanTheorem:
         frac = solve_makespan_relaxation(example_instance, groups)
         f = assign_groups_makespan(frac, groups)
         s = getf_schedule(example_instance, f, TieBreak.by_index())
-        rep = makespan_theorem_report(s, example_instance, f, groups, frac.T)
+        rep = makespan_theorem_report(s, example_instance, f, frac.T)
         by_name = {iq.name: iq for iq in rep.inequalities}
         assert by_name["P<=2*gamma*T*"].lhs == pytest.approx(4.0)
         assert by_name["P<=2*gamma*T*"].rhs == pytest.approx(16.0)
@@ -236,7 +252,7 @@ class TestMakespanTheorem:
         frac = solve_makespan_relaxation(inst, groups)
         f = assign_groups_makespan(frac, groups)
         s = getf_schedule(inst, f, TieBreak.by_index())
-        rep = makespan_theorem_report(s, inst, f, groups, frac.T)
+        rep = makespan_theorem_report(s, inst, f, frac.T)
         assert rep.passed
         assert frac.T >= chain_processing_time(
             min_comm_terminal_chain(s, inst, f)[0], s, inst) / (2 * groups.gamma)
@@ -252,7 +268,7 @@ class TestMakespanTheorem:
             frac = solve_makespan_relaxation(inst, groups)
             f = assign_groups_makespan(frac, groups)
             s = getf_schedule(inst, f, TieBreak.by_index())
-            rep = makespan_theorem_report(s, inst, f, groups, frac.T)
+            rep = makespan_theorem_report(s, inst, f, frac.T)
             assert rep.passed
             opt, _ = brute_force_schedule(inst, ignore_comm=True)
             g, K = groups.gamma, groups.K
@@ -354,7 +370,7 @@ class TestWeightedTheorem:
         wsol = solve_weighted_relaxation(inst, groups)
         f = assign_groups_weighted(wsol, groups)
         s = getf_schedule(inst, f, TieBreak.by_index())
-        rep = weighted_theorem_report(s, inst, f, groups, wsol)
+        rep = weighted_theorem_report(s, inst, f, wsol)
         # gamma=2, K=1: per-task bound is 32*3*C* = 96
         by_name = {iq.name: iq for iq in rep.inequalities}
         per_task = by_name["P+sumD(task 0)<=32*(gamma+K)*C*"]
@@ -367,7 +383,7 @@ class TestWeightedTheorem:
         wsol = solve_weighted_relaxation(example_instance, groups)
         f = assign_groups_weighted(wsol, groups)
         s = getf_schedule(example_instance, f, TieBreak.by_index())
-        rep = weighted_theorem_report(s, example_instance, f, groups, wsol)
+        rep = weighted_theorem_report(s, example_instance, f, wsol)
         assert rep.passed
         assert rep.objective == pytest.approx(s.weighted_completion(example_instance))
 
@@ -385,7 +401,7 @@ class TestWeightedTheorem:
             wsol = solve_weighted_relaxation(inst, groups)
             f = assign_groups_weighted(wsol, groups)
             s = getf_schedule(inst, f, TieBreak.by_index())
-            rep = weighted_theorem_report(s, inst, f, groups, wsol)
+            rep = weighted_theorem_report(s, inst, f, wsol)
             assert rep.passed, rep.to_json()
 
 
@@ -544,7 +560,7 @@ class TestChainTableMatchesPerAnchorDP:
 
                 def reports():
                     out = [separation_report(s, inst, f, f.groups).to_json(),
-                           makespan_theorem_report(s, inst, f, f.groups, 1.5).to_json()]
+                           makespan_theorem_report(s, inst, f, 1.5).to_json()]
                     if identical:
                         out.append(identical_report(s, inst, opt_ignore_comm=2.0).to_json())
                     return out
@@ -579,7 +595,7 @@ class TestChainTableMatchesPerAnchorDP:
         for s in (getf_schedule(inst, f, TieBreak.by_index()),
                   sls_schedule(inst, f, topological_order(inst.graph))):
             table, per_anchor = reports_per_anchor_and_table(
-                lambda: weighted_theorem_report(s, inst, f, groups, wsol).to_json())
+                lambda: weighted_theorem_report(s, inst, f, wsol).to_json())
             assert table == per_anchor
 
 
@@ -654,7 +670,7 @@ class TestScheduleIsItsMaps:
     def outputs(s, inst, f, groups, wsol) -> list[str]:
         return [s.to_json(inst), separation_report(s, inst, f, groups).to_json(),
                 repr(per_task_chain_comm(s, inst, f)),
-                weighted_theorem_report(s, inst, f, groups, wsol).to_json()]
+                weighted_theorem_report(s, inst, f, wsol).to_json()]
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_rebuilt_schedules_give_the_same_bytes(self, seed):

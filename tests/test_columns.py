@@ -498,11 +498,11 @@ def test_hot_path_builds_no_records(tmp_path, no_records, capsys):
     frac = solve_makespan_relaxation(small, groups)
     f = assign_groups_makespan(frac, groups)
     sched = getf_schedule(small, f, TieBreak.by_index())
-    assert analysis.makespan_theorem_report(sched, small, f, groups, frac.T).inequalities
+    assert analysis.makespan_theorem_report(sched, small, f, frac.T).inequalities
     wsol = solve_weighted_relaxation(small, groups)
     f = assign_groups_weighted(wsol, groups)
     sched = getf_schedule(small, f, TieBreak.by_index())
-    assert analysis.weighted_theorem_report(sched, small, f, groups, wsol).inequalities
+    assert analysis.weighted_theorem_report(sched, small, f, wsol).inequalities
 
 
 class CountingMachine:
@@ -540,12 +540,12 @@ def test_every_layer_reads_the_speed_column(monkeypatch):
     frac = solve_makespan_relaxation(inst, groups)
     f = assign_groups_makespan(frac, groups)
     sched = getf_schedule(inst, f, TieBreak.by_index())
-    assert analysis.makespan_theorem_report(sched, inst, f, groups, frac.T).inequalities
+    assert analysis.makespan_theorem_report(sched, inst, f, frac.T).inequalities
     normalized, _ = normalize_demands(inst)
     wsol = solve_weighted_relaxation(normalized, groups)
     f = assign_groups_weighted(wsol, groups)
     sched = getf_schedule(normalized, f, TieBreak.by_index())
-    assert analysis.weighted_theorem_report(sched, normalized, f, groups, wsol).inequalities
+    assert analysis.weighted_theorem_report(sched, normalized, f, wsol).inequalities
     for objective in (MAKESPAN, WEIGHTED):
         for ignore_comm in (False, True):
             assert brute_force_schedule(inst, ignore_comm, objective)[1].assignment

@@ -98,3 +98,7 @@ def test_bad_specs_rejected():
                        ("demand_range", (1.0, inf)), ("data_range", (0.0, inf))):
         with pytest.raises(GeneratorError, match="finite"):
             GeneratorSpec(family=LAYERED, n=3, m=1, seed=0, **{field: bad}).check()
+    with pytest.raises(GeneratorError, match="unknown self-comm mode 'ring'"):
+        GeneratorSpec(family=LAYERED, n=3, m=1, seed=0, self_comm="ring").check()
+    with pytest.raises(GeneratorError, match="unknown weight mode 'heavy'"):
+        GeneratorSpec(family=LAYERED, n=3, m=1, seed=0, weights="heavy").check()

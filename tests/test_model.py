@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from getf.generator import FAMILIES, GeneratorSpec, generate_instance
 from getf.grouping import trivial_assignment
-from getf.model import (CycleError, InstanceError, Machine, Platform, normalize_demands,
-                        parse_instance, serial_sum, serialize_instance, topological_order,
-                        validate_instance)
+from getf.model import (CycleError, InstanceError, Machine, Platform, instance_to_dict,
+                        normalize_demands, parse_instance, serial_sum, serialize_instance,
+                        topological_order, validate_instance)
 from getf.scheduler import TieBreak, getf_schedule, schedule_from_dict
 
 from conftest import EXAMPLE_JSON, make_instance
@@ -160,6 +160,14 @@ class TestValuesAreNumbers:
         inst = with_column(self.base(), column, value)
         assert validate_instance(inst).violations == [
             f"instance values must be numbers: got {value!r}"]
+
+    @pytest.mark.parametrize("column", ("demand", "weight", "data", "speed", "comm_speed"))
+    def test_int_beyond_float_range_worded_as_the_loader_words_it(self, column):
+        for inst in (with_column(self.base(), column, 10 ** 400),
+                     with_column(with_column(self.base(), column, 10 ** 400), "src", "s")):
+            with pytest.raises(InstanceError) as loaded:
+                parse_instance(json.dumps(instance_to_dict(inst)))
+            assert validate_instance(inst).violations == [str(loaded.value)]
 
     def test_first_value_in_column_order_is_named(self):
         inst = with_column(with_column(self.base(), "comm_speed", "c"), "weight", "w")

@@ -153,6 +153,11 @@ class TestBruteForce:
         with pytest.raises(OracleLimitError):
             brute_force_schedule(inst)
 
+    def test_unknown_objective_refused(self):
+        inst = make_instance([1.0], [], [1.0], comm=None)
+        with pytest.raises(ValueError, match="unknown objective 'bogus'"):
+            brute_force_schedule(inst, objective="bogus")
+
     @given(oracle_documents())
     @settings(max_examples=60, deadline=None)
     def test_matches_reference(self, doc):
